@@ -24,7 +24,6 @@ from .assembly import (
     write_matrix,
 )
 from .errors import (
-    ArityMismatch,
     ConfigurationError,
     DegenerateProjection,
     DegenerateSequence,
@@ -49,7 +48,6 @@ from .felib import (
     dof_points,
     edge_rule,
     interpolate,
-    jump_average,
     reference_basis,
     triangle_rule,
 )
@@ -62,11 +60,12 @@ from .geometry import (
     unit_square,
 )
 from .mesh import (
-    Edge,
+    EdgeTable,
     Mesh,
     build_edge_topology,
     generate_disk_mesh,
     generate_square_mesh,
+    level_mesh,
     read_mesh,
     refinement_sequence,
     write_mesh,

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _Geometry, _edge_arrays
+from .assembly import Method, _Geometry
 from .errors import DegenerateSequence, MissingExactSolution
 from .felib import build_dofmap, edge_rule, reference_basis, triangle_rule
 
@@ -83,8 +83,9 @@ def energy_error(mesh, scheme, data, solution, dofmap=None, volume_rule=None, bo
         diff = gu[:, q] - guh
         grad_sq += float(np.sum(w * geom.det * np.sum(diff * diff, axis=1)))
 
-    pa, pb, nrm, h, elems = _edge_arrays(mesh, mesh.boundary_edges)
-    owner = elems[:, 0]
+    edges = mesh.boundary_edges
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
     trace_sq = 0.0
     bflux_sq = 0.0
     for t, w in zip(erule.points, erule.weights):
@@ -105,7 +106,9 @@ def energy_error(mesh, scheme, data, solution, dofmap=None, volume_rule=None, bo
     total = grad_sq + trace_sq + bflux_sq
 
     if scheme.method is Method.SIPDG and mesh.interior_edges:
-        pa, pb, nrm, h, elems = _edge_arrays(mesh, mesh.interior_edges)
+        edges = mesh.interior_edges
+        pa, pb = mesh.vertices[edges.vertex_ids.T]
+        nrm, h, elems = edges.normal, edges.h_e, edges.element_ids
         jump_sq = 0.0
         iflux_sq = 0.0
         for t, w in zip(erule.points, erule.weights):

@@ -104,7 +104,7 @@ class SparseSystem:
 
 
 def robin_weights(scheme, h_e):
-    """Edge weights (c1, c2, c3); h_e may be an array."""
+    """Robin edge weights (c1, c2, c3); h_e may be an array."""
     denom = scheme.epsilon + scheme.gamma * h_e
     c1 = scheme.gamma * h_e / denom
     c2 = 1.0 / denom
@@ -177,16 +177,6 @@ def _block_triplets(dofs, blocks):
     return rows, cols, blocks.ravel()
 
 
-def _edge_arrays(mesh, edges):
-    verts = mesh.vertices
-    ia = np.fromiter((e.vertex_ids[0] for e in edges), dtype=np.int64, count=len(edges))
-    ib = np.fromiter((e.vertex_ids[1] for e in edges), dtype=np.int64, count=len(edges))
-    normals = np.array([e.normal for e in edges])
-    h = np.array([e.h_e for e in edges])
-    elems = np.array([e.element_ids for e in edges], dtype=np.int64)
-    return verts[ia], verts[ib], normals, h, elems
-
-
 def assemble_volume(mesh, dofmap, basis, rule=None):
     """Stiffness contribution (grad w, grad v) over all elements."""
     rule = rule if rule is not None else _default_volume_rule(basis.degree)
@@ -210,8 +200,8 @@ def assemble_nitsche_boundary(mesh, dofmap, basis, scheme, rule=None):
         return sp.csr_matrix((dofmap.n_dofs, dofmap.n_dofs))
     geom = _Geometry(mesh)
     nb = basis.n_nodes
-    pa, pb, nrm, h, elems = _edge_arrays(mesh, edges)
-    owner = elems[:, 0]
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
     c1, c2, c3 = robin_weights(scheme, h)
     blocks = np.zeros((len(edges), nb, nb))
     for t, w in zip(rule.points, rule.weights):
@@ -241,7 +231,8 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme, rule=None):
         return sp.csr_matrix((dofmap.n_dofs, dofmap.n_dofs))
     geom = _Geometry(mesh)
     nb = basis.n_nodes
-    pa, pb, nrm, h, elems = _edge_arrays(mesh, edges)
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    nrm, h, elems = edges.normal, edges.h_e, edges.element_ids
     sign = np.concatenate([np.ones(nb), -np.ones(nb)])
     blocks = np.zeros((len(edges), 2 * nb, 2 * nb))
     for t, w in zip(rule.points, rule.weights):
@@ -277,8 +268,8 @@ def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_
 
     edges = mesh.boundary_edges
     if edges:
-        pa, pb, nrm, h, elems = _edge_arrays(mesh, edges)
-        owner = elems[:, 0]
+        pa, pb = mesh.vertices[edges.vertex_ids.T]
+        nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
         c1, c2, c3 = robin_weights(scheme, h)
         local = np.zeros((len(edges), basis.n_nodes))
         for t, w in zip(boundary_rule.points, boundary_rule.weights):
@@ -330,8 +321,8 @@ def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
     total = assemble_volume(mesh, dofmap, basis, rule=vrule)
 
     edges = mesh.boundary_edges
-    pa, pb, nrm, h, elems = _edge_arrays(mesh, edges)
-    owner = elems[:, 0]
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
     wtrace = 1.0 / (scheme.epsilon + h)
     blocks = np.zeros((len(edges), nb, nb))
     for t, w in zip(erule.points, erule.weights):
@@ -346,7 +337,8 @@ def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
 
     if scheme.method is Method.SIPDG and mesh.interior_edges:
         edges = mesh.interior_edges
-        pa, pb, nrm, h, elems = _edge_arrays(mesh, edges)
+        pa, pb = mesh.vertices[edges.vertex_ids.T]
+        nrm, h, elems = edges.normal, edges.h_e, edges.element_ids
         sign = np.concatenate([np.ones(nb), -np.ones(nb)])
         blocks = np.zeros((len(edges), 2 * nb, 2 * nb))
         for t, w in zip(erule.points, erule.weights):
@@ -400,8 +392,8 @@ def consistency_residual(mesh, scheme, data, dofmap=None):
 
     # boundary edge terms of the bilinear form applied to u
     edges = mesh.boundary_edges
-    pa, pb, nrm, h, elems = _edge_arrays(mesh, edges)
-    owner = elems[:, 0]
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
     c1, c2, c3 = robin_weights(scheme, h)
     local = np.zeros((len(edges), nb))
     for t, w in zip(erule.points, erule.weights):
@@ -419,7 +411,8 @@ def consistency_residual(mesh, scheme, data, dofmap=None):
     # the mean-flux-against-jump term survives
     if scheme.method is Method.SIPDG and mesh.interior_edges:
         edges = mesh.interior_edges
-        pa, pb, nrm, h, elems = _edge_arrays(mesh, edges)
+        pa, pb = mesh.vertices[edges.vertex_ids.T]
+        nrm, h, elems = edges.normal, edges.h_e, edges.element_ids
         sign = np.concatenate([np.ones(nb), -np.ones(nb)])
         local = np.zeros((len(edges), 2 * nb))
         for t, w in zip(erule.points, erule.weights):

@@ -16,7 +16,8 @@ from .errors import (
     InvalidParameter,
     NotConverged,
 )
-from .problems import list_problems
+from .mesh import level_mesh, write_mesh
+from .problems import get_problem, list_problems
 from .solver import SolverConfig, SolverMethod
 from .study import StudyConfig, run_convergence, run_single, write_csv, write_svg
 
@@ -112,16 +113,8 @@ def main(argv=None):
         if args.svg:
             write_svg(reports, args.svg)
         if args.mesh_out:
-            from .mesh import generate_disk_mesh, generate_square_mesh, write_mesh
-            from .geometry import DomainKind
-            from .problems import get_problem
             domain = get_problem(args.problem).domain
-            size = 4 * 2 ** (args.levels - 1)
-            if domain.kind is DomainKind.UNIT_DISK:
-                mesh = generate_disk_mesh(size, level=args.levels - 1)
-            else:
-                mesh = generate_square_mesh(size, level=args.levels - 1)
-            write_mesh(mesh, args.mesh_out)
+            write_mesh(level_mesh(domain, args.levels - 1), args.mesh_out)
         return 0
     # single
     mesh, system, solution, report = run_single(

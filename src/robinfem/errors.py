@@ -35,10 +35,6 @@ class UnsupportedOrder(RobinFemError):
     """Requested quadrature order has no tabulated rule."""
 
 
-class ArityMismatch(RobinFemError):
-    """Number of traces does not match the edge type."""
-
-
 class SchemeMismatch(RobinFemError):
     """Operation is not defined for the given scheme."""
 

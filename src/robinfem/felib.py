@@ -1,9 +1,9 @@
 """Reference-element machinery.
 
 P1/P2 Lagrange bases with gradients on the unit reference triangle,
-symmetric triangle quadrature and Gauss edge quadrature, degree-of-freedom
-maps for continuous and discontinuous (element-local) spaces, and the
-jump/average operators used on mesh edges.
+symmetric triangle quadrature and Gauss edge quadrature, and
+degree-of-freedom maps for continuous and discontinuous (element-local)
+spaces.
 """
 
 from dataclasses import dataclass
@@ -11,13 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ArityMismatch, InvalidParameter, UnsupportedOrder
+from .errors import InvalidParameter, UnsupportedOrder
 
 __all__ = [
     "QuadratureRule",
     "ReferenceBasis",
     "DofMap",
-    "JumpAverage",
     "triangle_rule",
     "edge_rule",
     "reference_basis",
@@ -25,7 +24,6 @@ __all__ = [
     "dof_points",
     "interpolate",
     "continuous_embedding",
-    "jump_average",
 ]
 
 
@@ -34,8 +32,8 @@ class QuadratureRule:
     """Quadrature points and weights.
 
     Triangle rules carry reference coordinates of shape (n, 2) and weights
-    summing to the reference area 1/2.  Edge rules carry parameters of
-    shape (n,) on [0, 1] and weights summing to 1.
+    summing to the reference area 1/2.  Rules on an edge carry parameters
+    of shape (n,) on [0, 1] and weights summing to 1.
     """
 
     points: np.ndarray
@@ -191,15 +189,6 @@ class DofMap:
     cell_dofs: np.ndarray  # (n_triangles, nodes_per_cell)
 
 
-def _edge_ranks(triangles):
-    """Deterministic rank for every undirected cell edge, sorted lexicographically."""
-    pairs = set()
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            pairs.add((min(a, b), max(a, b)))
-    return {pair: rank for rank, pair in enumerate(sorted(pairs))}
-
-
 def build_dofmap(mesh, degree, continuous):
     """Build the dof map for P1/P2, continuous or element-local, on a mesh."""
     triangles = np.asarray(mesh.triangles)
@@ -211,13 +200,10 @@ def build_dofmap(mesh, degree, continuous):
         return DofMap(False, degree, n_tri * per_cell, cell_dofs)
     if degree == 1:
         return DofMap(True, 1, n_vert, triangles.astype(np.int64))
-    ranks = _edge_ranks(triangles)
-    cell_dofs = np.empty((n_tri, 6), dtype=np.int64)
-    cell_dofs[:, :3] = triangles
-    for t, tri in enumerate(triangles):
-        for k, (a, b) in enumerate(((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))):
-            cell_dofs[t, 3 + k] = n_vert + ranks[(min(a, b), max(a, b))]
-    return DofMap(True, 2, n_vert + len(ranks), cell_dofs)
+    # one midpoint dof per edge, numbered after the vertices in edge order
+    cell_dofs = np.concatenate([triangles, n_vert + mesh.cell_edges], axis=1)
+    n_edges = len(mesh.interior_edges) + len(mesh.boundary_edges)
+    return DofMap(True, 2, n_vert + n_edges, cell_dofs)
 
 
 def dof_points(mesh, dofmap):
@@ -258,56 +244,3 @@ def continuous_embedding(dofmap_dg, dofmap_cont):
     return sp.coo_matrix(
         (data, (rows, cols)), shape=(dofmap_dg.n_dofs, dofmap_cont.n_dofs)
     ).tocsr()
-
-
-@dataclass(frozen=True)
-class JumpAverage:
-    """Edge trace operators evaluated at a set of edge points.
-
-    jump    : v1*n1 + v2*n2, shape (m, 2)
-    mean    : (v1 + v2)/2, shape (m,)
-    grad_jump : grad(v1).n1 + grad(v2).n2, shape (m,)
-    grad_mean : (grad(v1) + grad(v2))/2, shape (m, 2)
-
-    On boundary edges the single trace is used: jump = v*nu_h, mean = v,
-    grad_mean = grad(v), grad_jump = grad(v).nu_h.
-    """
-
-    jump: np.ndarray
-    mean: np.ndarray
-    grad_jump: np.ndarray
-    grad_mean: np.ndarray
-
-
-def jump_average(edge, values, gradients):
-    """Apply the jump/average definitions on an edge.
-
-    ``values`` holds one trace (boundary edge) or two traces (interior
-    edge, first the one from edge.element_ids[0]); each trace is an array
-    of point values.  ``gradients`` holds the matching (m, 2) gradients.
-    """
-    values = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
-    gradients = [np.atleast_2d(np.asarray(g, dtype=float)) for g in gradients]
-    arity = len(edge.element_ids)
-    if len(values) != arity or len(gradients) != arity:
-        raise ArityMismatch(
-            f"edge touches {arity} element(s) but got {len(values)} value "
-            f"trace(s) and {len(gradients)} gradient trace(s)"
-        )
-    n1 = edge.normal
-    if arity == 1:
-        v, g = values[0], gradients[0]
-        return JumpAverage(
-            jump=v[:, None] * n1,
-            mean=v.copy(),
-            grad_jump=g @ n1,
-            grad_mean=g.copy(),
-        )
-    v1, v2 = values
-    g1, g2 = gradients
-    return JumpAverage(
-        jump=(v1 - v2)[:, None] * n1,  # n2 = -n1 on a straight edge
-        mean=0.5 * (v1 + v2),
-        grad_jump=(g1 - g2) @ n1,
-        grad_mean=0.5 * (g1 + g2),
-    )

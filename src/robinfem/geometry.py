@@ -141,15 +141,10 @@ def skin_diagnostics(domain, mesh):
     if not edges:
         return SkinDiagnostics(0.0, 0.0, 0.0)
     rule = edge_rule(8)
-    verts = np.asarray(mesh.vertices)
-    pts = []
-    normals_h = []
-    for edge in edges:
-        a, b = verts[edge.vertex_ids[0]], verts[edge.vertex_ids[1]]
-        pts.append(a[None, :] + rule.points[:, None] * (b - a)[None, :])
-        normals_h.append(np.broadcast_to(edge.normal, (len(rule.points), 2)))
-    pts = np.vstack(pts)
-    normals_h = np.vstack(normals_h)
+    a, b = np.asarray(mesh.vertices)[edges.vertex_ids.T]
+    # points edge by edge, rule points in order within each edge
+    pts = (a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]).reshape(-1, 2)
+    normals_h = np.repeat(edges.normal, len(rule.points), axis=0)
     dist = domain.signed_distance(pts)
     proj = domain.project(pts)
     nu = domain.normal(proj)

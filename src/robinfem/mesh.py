@@ -3,10 +3,10 @@
 The disk is meshed with concentric rings (ring j carries 6j equally spaced
 vertices at radius j/N), which keeps the family shape-regular and places
 every boundary vertex exactly on the unit circle.  The square is meshed
-with a structured grid split into triangles.  Edge topology is built
-explicitly: interior edges know their two elements (orientation fixed by
-ascending element index), boundary edges their single element and outward
-normal.
+with a structured grid split into triangles.  The edge topology is built
+explicitly as array tables: interior edges know their two elements
+(orientation fixed by ascending element index), boundary edges their
+single element and outward normal.
 """
 
 import math
@@ -18,29 +18,42 @@ from .errors import FormatError, InvalidParameter, NonManifoldMesh
 from .geometry import DomainKind
 
 __all__ = [
-    "Edge",
+    "EdgeTable",
     "Mesh",
     "build_edge_topology",
     "generate_disk_mesh",
     "generate_square_mesh",
+    "level_mesh",
     "refinement_sequence",
     "write_mesh",
     "read_mesh",
 ]
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Undirected mesh edge with its incident elements and unit normal.
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Undirected mesh edges as read-only arrays, one row per edge.
 
-    For boundary edges the normal points out of the mesh; for interior
-    edges it points from element_ids[0] into element_ids[1].
+    vertex_ids  : (E, 2) ascending vertex pair; rows sorted by that pair
+    element_ids : (E, 2) ascending element pair for interior edges,
+                  (E, 1) the single element for boundary edges
+    h_e         : (E,) edge length
+    normal      : (E, 2) unit normal; for boundary edges it points out of
+                  the mesh, for interior edges from element_ids[:, 0]
+                  into element_ids[:, 1]
     """
 
-    vertex_ids: tuple
-    element_ids: tuple
-    h_e: float
+    vertex_ids: np.ndarray
+    element_ids: np.ndarray
+    h_e: np.ndarray
     normal: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.vertex_ids, self.element_ids, self.h_e, self.normal):
+            array.setflags(write=False)
+
+    def __len__(self):
+        return len(self.h_e)
 
 
 class Mesh:
@@ -59,14 +72,15 @@ class Mesh:
             raise InvalidParameter(
                 f"triangle {bad} has non-positive signed area {areas[bad]:.3e}"
             )
-        self.interior_edges, self.boundary_edges = build_edge_topology(
+        self.interior_edges, self.boundary_edges, self.cell_edges = build_edge_topology(
             self.vertices, self.triangles
         )
-        all_h = [e.h_e for e in self.interior_edges] + [e.h_e for e in self.boundary_edges]
-        self.h_max = max(all_h)  # triangle diameter equals its longest edge
+        all_h = np.concatenate([self.interior_edges.h_e, self.boundary_edges.h_e])
+        self.h_max = float(all_h.max())  # triangle diameter equals its longest edge
         self.level = level
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
+        self.cell_edges.setflags(write=False)
 
     @property
     def n_vertices(self):
@@ -99,44 +113,46 @@ class Mesh:
 def build_edge_topology(vertices, triangles):
     """Classify every undirected edge as interior (two elements) or boundary.
 
-    Edges come back sorted by vertex pair, so the result is deterministic
-    for a fixed triangle list.  Raises NonManifoldMesh if any vertex pair
-    is shared by more than two triangles.
+    Returns (interior, boundary, cell_edges): two EdgeTables sorted by
+    vertex pair, so the result is deterministic for a fixed triangle
+    list, and the (T, 3) rank of local edges (0,1), (1,2), (2,0) of every
+    triangle among all edges in that order.  Raises NonManifoldMesh if
+    any vertex pair is shared by more than two triangles.
     """
     verts = np.asarray(vertices, dtype=float)
-    tris = np.asarray(triangles)
-    incident = {}
-    for t, tri in enumerate(tris):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            owners = incident.setdefault(key, [])
-            owners.append(t)
-            if len(owners) > 2:
-                raise NonManifoldMesh(
-                    f"edge {key} is shared by more than two triangles"
-                )
+    tris = np.asarray(triangles, dtype=np.int64)
+    # half-edge 3*t + k is local edge k of triangle t
+    pairs = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    # stable sort: half-edges of one edge stay in ascending triangle order
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    pairs = pairs[order]
+    is_first = np.ones(len(pairs), dtype=bool)
+    is_first[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
+    starts = np.flatnonzero(is_first)
+    counts = np.diff(np.append(starts, len(pairs)))
+    if np.any(counts > 2):
+        key = tuple(int(v) for v in pairs[starts[np.argmax(counts > 2)]])
+        raise NonManifoldMesh(f"edge {key} is shared by more than two triangles")
+    cell_edges = np.empty(len(pairs), dtype=np.int64)
+    cell_edges[order] = np.cumsum(is_first) - 1
+    owners = order // 3
+    keys = pairs[starts]
+    va, vb = verts[keys[:, 0]], verts[keys[:, 1]]
+    tang = vb - va
+    h_e = np.hypot(tang[:, 0], tang[:, 1])
+    nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / h_e[:, None]
     centroids = verts[tris].mean(axis=1)
-    interior, boundary = [], []
-    for key in sorted(incident):
-        owners = incident[key]
-        va, vb = verts[key[0]], verts[key[1]]
-        tang = vb - va
-        h_e = float(np.hypot(tang[0], tang[1]))
-        nrm = np.array([tang[1], -tang[0]]) / h_e
-        if len(owners) == 2:
-            t0, t1 = sorted(owners)
-            if np.dot(nrm, centroids[t1] - centroids[t0]) < 0.0:
-                nrm = -nrm
-            nrm.setflags(write=False)
-            interior.append(Edge(key, (t0, t1), h_e, nrm))
-        else:
-            t0 = owners[0]
-            midpoint = 0.5 * (va + vb)
-            if np.dot(nrm, midpoint - centroids[t0]) < 0.0:
-                nrm = -nrm
-            nrm.setflags(write=False)
-            boundary.append(Edge(key, (t0,), h_e, nrm))
-    return interior, boundary
+    inner = counts == 2
+    t0 = owners[starts]
+    t1 = owners[starts + inner]  # t0 again on boundary edges
+    # interior normals point from t0 into t1, boundary normals away from t0
+    ref = np.where(inner[:, None], centroids[t1], 0.5 * (va + vb))
+    flip = np.sum(nrm * (ref - centroids[t0]), axis=1) < 0.0
+    nrm[flip] = -nrm[flip]
+    elems = np.column_stack([t0, t1])
+    interior = EdgeTable(keys[inner], elems[inner], h_e[inner], nrm[inner])
+    boundary = EdgeTable(keys[~inner], elems[~inner, :1], h_e[~inner], nrm[~inner])
+    return interior, boundary, cell_edges.reshape(-1, 3)
 
 
 def generate_disk_mesh(rings, level=0):
@@ -190,18 +206,19 @@ def generate_square_mesh(n, level=0):
     return Mesh(verts, np.array(tris), level=level)
 
 
+def level_mesh(domain, level):
+    """Mesh of the standard ladder at one level: resolution 4 * 2**level."""
+    size = 4 * 2**level
+    if domain.kind is DomainKind.UNIT_DISK:
+        return generate_disk_mesh(size, level=level)
+    return generate_square_mesh(size, level=level)
+
+
 def refinement_sequence(domain, levels):
-    """Standard refinement ladder: resolution 4 * 2**level per level."""
+    """Standard refinement ladder: level_mesh for levels 0 .. levels-1."""
     if levels < 2:
         raise InvalidParameter(f"need at least 2 levels, got {levels}")
-    meshes = []
-    for lvl in range(levels):
-        size = 4 * 2**lvl
-        if domain.kind is DomainKind.UNIT_DISK:
-            meshes.append(generate_disk_mesh(size, level=lvl))
-        else:
-            meshes.append(generate_square_mesh(size, level=lvl))
-    return meshes
+    return [level_mesh(domain, lvl) for lvl in range(levels)]
 
 
 def write_mesh(mesh, path):

@@ -5,16 +5,17 @@ fixed significant digits, LF line endings, no timestamps, so repeated
 runs of the same study produce byte-identical files.
 """
 
+import contextlib
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .analysis import eoc, error_report
 from .assembly import Scheme, assemble
 from .errors import InvalidParameter
-from .mesh import generate_disk_mesh, generate_square_mesh, refinement_sequence, write_mesh
-from .geometry import DomainKind
+from .mesh import level_mesh, refinement_sequence, write_mesh
 from .problems import get_problem
 from .solver import SolverConfig, solve
 
@@ -57,11 +58,7 @@ def run_convergence(config):
 def run_single(problem_name, scheme, level=0, solver=None, mesh_out=None, solution_out=None):
     """One mesh, one solve.  Returns (mesh, system, solution, report)."""
     problem = get_problem(problem_name)
-    size = 4 * 2**level
-    if problem.domain.kind is DomainKind.UNIT_DISK:
-        mesh = generate_disk_mesh(size, level=level)
-    else:
-        mesh = generate_square_mesh(size, level=level)
+    mesh = level_mesh(problem.domain, level)
     data = problem.make_data(scheme.epsilon)
     system = assemble(mesh, scheme, data)
     solution, _ = solve(system, solver if solver is not None else SolverConfig())
@@ -75,10 +72,20 @@ def run_single(problem_name, scheme, level=0, solver=None, mesh_out=None, soluti
 
 
 def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a unique temporary file next to ``path``, then rename."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file private
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _fmt(value):

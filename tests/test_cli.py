@@ -2,6 +2,7 @@
 
 import pytest
 
+from robinfem import read_mesh
 from robinfem.cli import console_main
 from robinfem.study import CSV_HEADER
 
@@ -31,6 +32,15 @@ def test_study_writes_outputs(tmp_path, capsys):
     assert "eoc_E=" in out
     assert csv.read_text().splitlines()[0] == CSV_HEADER
     assert svg.read_text().count("<polyline ") == 2
+
+
+def test_study_mesh_out_is_finest_level(tmp_path, capsys):
+    mesh_out = tmp_path / "finest.mesh"
+    code = console_main(
+        ["study", "--problem", "linear_patch", "--levels", "2", "--mesh-out", str(mesh_out)]
+    )
+    assert code == 0
+    assert read_mesh(mesh_out).n_triangles == 2 * 8 * 8  # square grid 4 * 2**1
 
 
 def test_single_writes_outputs(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Reference-element checks: quadrature, bases, dof maps, edge traces."""
+"""Reference-element checks: quadrature, bases, dof maps."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from robinfem import (
-    ArityMismatch,
     InvalidParameter,
     UnsupportedOrder,
     build_dofmap,
@@ -16,7 +15,6 @@ from robinfem import (
     generate_disk_mesh,
     generate_square_mesh,
     interpolate,
-    jump_average,
     reference_basis,
     triangle_rule,
 )
@@ -193,55 +191,3 @@ def test_continuous_embedding(degree):
     if degree == 2:
         with pytest.raises(InvalidParameter):
             continuous_embedding(build_dofmap(mesh, 1, continuous=False), dm_c)
-
-
-def test_jump_average_boundary_edge():
-    mesh = generate_square_mesh(1)
-    edge = next(e for e in mesh.boundary_edges if e.vertex_ids == (0, 1))
-    np.testing.assert_allclose(edge.normal, [0, -1], atol=1e-15)
-    tr = jump_average(edge, [np.array([3.0])], [np.array([[2.0, 5.0]])])
-    np.testing.assert_allclose(tr.jump, [[0.0, -3.0]])
-    np.testing.assert_allclose(tr.mean, [3.0])
-    np.testing.assert_allclose(tr.grad_jump, [-5.0])
-    np.testing.assert_allclose(tr.grad_mean, [[2.0, 5.0]])
-
-
-def test_jump_average_interior_edge():
-    mesh = generate_square_mesh(1)
-    edge = mesh.interior_edges[0]
-    v1, v2 = np.array([2.0]), np.array([0.5])
-    g1, g2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-    tr = jump_average(edge, [v1, v2], [g1, g2])
-    s = 1.0 / math.sqrt(2.0)
-    np.testing.assert_allclose(tr.jump, [[1.5 * -s, 1.5 * s]], atol=1e-15)
-    np.testing.assert_allclose(tr.mean, [1.25])
-    np.testing.assert_allclose(tr.grad_jump, [-math.sqrt(2.0)], atol=1e-15)
-    np.testing.assert_allclose(tr.grad_mean, [[0.5, 0.5]])
-    # swapping the traces flips the sign of both jumps only
-    sw = jump_average(edge, [v2, v1], [g2, g1])
-    np.testing.assert_allclose(sw.jump, -tr.jump, atol=1e-15)
-    np.testing.assert_allclose(sw.grad_jump, -tr.grad_jump, atol=1e-15)
-    np.testing.assert_allclose(sw.mean, tr.mean)
-    np.testing.assert_allclose(sw.grad_mean, tr.grad_mean)
-
-
-def test_jump_of_continuous_trace_vanishes():
-    mesh = generate_square_mesh(1)
-    edge = mesh.interior_edges[0]
-    v = np.array([0.7, -0.2, 1.4])
-    g = np.array([[0.3, 1.0], [2.0, -1.0], [0.0, 0.0]])
-    tr = jump_average(edge, [v, v], [g, g])
-    assert np.max(np.abs(tr.jump)) == 0.0
-    assert np.max(np.abs(tr.grad_jump)) == 0.0
-    np.testing.assert_allclose(tr.mean, v)
-
-
-def test_jump_average_arity_mismatch():
-    mesh = generate_square_mesh(1)
-    interior = mesh.interior_edges[0]
-    boundary = mesh.boundary_edges[0]
-    one_v, one_g = [np.array([1.0])], [np.array([[0.0, 0.0]])]
-    with pytest.raises(ArityMismatch):
-        jump_average(interior, one_v, one_g)
-    with pytest.raises(ArityMismatch):
-        jump_average(boundary, one_v * 2, one_g * 2)

@@ -11,6 +11,8 @@ from robinfem import (
     InvalidParameter,
     Mesh,
     NonManifoldMesh,
+    build_dofmap,
+    build_edge_topology,
     generate_disk_mesh,
     generate_square_mesh,
     read_mesh,
@@ -45,7 +47,7 @@ def test_disk_mesh_smallest_case():
 @pytest.mark.parametrize("rings", [2, 4, 16])
 def test_boundary_vertices_on_unit_circle(rings):
     mesh = generate_disk_mesh(rings)
-    boundary_ids = sorted({v for e in mesh.boundary_edges for v in e.vertex_ids})
+    boundary_ids = np.unique(mesh.boundary_edges.vertex_ids)
     radii = np.hypot(*mesh.vertices[boundary_ids].T)
     assert np.max(np.abs(radii - 1.0)) <= 1e-15
 
@@ -93,44 +95,144 @@ def test_square_mesh_counts():
 
 def test_boundary_normals_point_outward():
     mesh = generate_square_mesh(2)
-    for edge in mesh.boundary_edges:
-        mid = mesh.vertices[list(edge.vertex_ids)].mean(axis=0)
+    edges = mesh.boundary_edges
+    for pair, normal in zip(edges.vertex_ids, edges.normal):
+        mid = mesh.vertices[pair].mean(axis=0)
         # each outward normal matches the side the edge lies on
         if abs(mid[1]) < 1e-14:
-            np.testing.assert_allclose(edge.normal, [0, -1], atol=1e-15)
+            np.testing.assert_allclose(normal, [0, -1], atol=1e-15)
         elif abs(mid[1] - 1) < 1e-14:
-            np.testing.assert_allclose(edge.normal, [0, 1], atol=1e-15)
+            np.testing.assert_allclose(normal, [0, 1], atol=1e-15)
         elif abs(mid[0]) < 1e-14:
-            np.testing.assert_allclose(edge.normal, [-1, 0], atol=1e-15)
+            np.testing.assert_allclose(normal, [-1, 0], atol=1e-15)
         else:
-            np.testing.assert_allclose(edge.normal, [1, 0], atol=1e-15)
+            np.testing.assert_allclose(normal, [1, 0], atol=1e-15)
 
 
 def test_disk_boundary_normals_radial_at_midpoint():
     mesh = generate_disk_mesh(4)
-    for edge in mesh.boundary_edges:
-        mid = mesh.vertices[list(edge.vertex_ids)].mean(axis=0)
+    edges = mesh.boundary_edges
+    for pair, normal in zip(edges.vertex_ids, edges.normal):
+        mid = mesh.vertices[pair].mean(axis=0)
         radial = mid / np.linalg.norm(mid)
-        np.testing.assert_allclose(edge.normal, radial, atol=1e-13)
+        np.testing.assert_allclose(normal, radial, atol=1e-13)
 
 
 def test_interior_edge_orientation():
     mesh = generate_square_mesh(1)
-    edge = mesh.interior_edges[0]
-    assert edge.vertex_ids == (0, 3)
-    assert edge.element_ids == (0, 1)
+    edges = mesh.interior_edges
+    assert edges.vertex_ids.tolist() == [[0, 3]]
+    assert edges.element_ids.tolist() == [[0, 1]]
     # normal points from element 0 into element 1
-    np.testing.assert_allclose(edge.normal, [-1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
-    assert abs(edge.h_e - math.sqrt(2.0)) < 1e-15
+    np.testing.assert_allclose(edges.normal[0], [-1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
+    assert abs(edges.h_e[0] - math.sqrt(2.0)) < 1e-15
 
 
 def test_edges_sorted_and_immutable():
     mesh = generate_disk_mesh(2)
-    pairs = [e.vertex_ids for e in mesh.interior_edges]
+    pairs = [tuple(p) for p in mesh.interior_edges.vertex_ids.tolist()]
     assert pairs == sorted(pairs)
     assert all(a < b for a, b in pairs)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 99.0
+    arrays = [mesh.cell_edges] + [
+        getattr(edges, name)
+        for edges in (mesh.interior_edges, mesh.boundary_edges)
+        for name in ("vertex_ids", "element_ids", "h_e", "normal")
+    ]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def reference_topology(vertices, triangles):
+    """The edge topology by the dict walk the array tables replaced.
+
+    Returns {"interior"|"boundary": {field: array}} and the (T, 3) P2
+    midpoint dofs that the per-triangle rank lookup used to produce.
+    """
+    incident = {}
+    for t, tri in enumerate(triangles):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            incident.setdefault((int(min(a, b)), int(max(a, b))), []).append(t)
+    centroids = vertices[triangles].mean(axis=1)
+    rows = {2: [], 1: []}
+    for key in sorted(incident):
+        owners = incident[key]
+        va, vb = vertices[key[0]], vertices[key[1]]
+        tang = vb - va
+        h_e = float(np.hypot(tang[0], tang[1]))
+        nrm = np.array([tang[1], -tang[0]]) / h_e
+        target = centroids[owners[1]] if len(owners) == 2 else 0.5 * (va + vb)
+        if np.dot(nrm, target - centroids[owners[0]]) < 0.0:
+            nrm = -nrm
+        rows[len(owners)].append((key, owners, h_e, nrm))
+    tables = {}
+    for kind, arity in (("interior", 2), ("boundary", 1)):
+        keys, owners, h_e, nrm = zip(*rows[arity]) if rows[arity] else ((), (), (), ())
+        tables[kind] = {
+            "vertex_ids": np.array(keys, dtype=np.int64).reshape(-1, 2),
+            "element_ids": np.array(owners, dtype=np.int64).reshape(-1, arity),
+            "h_e": np.array(h_e, dtype=float),
+            "normal": np.array(nrm, dtype=float).reshape(-1, 2),
+        }
+    ranks = {key: rank for rank, key in enumerate(sorted(incident))}
+    midpoint_dofs = np.array(
+        [
+            [len(vertices) + ranks[(min(a, b), max(a, b))] for a, b in ((i, j), (j, k), (k, i))]
+            for i, j, k in triangles.tolist()
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    return tables, midpoint_dofs
+
+
+def shuffled_square_mesh(n, seed=0):
+    """Square mesh with its triangle list permuted and each triangle rotated."""
+    base = generate_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    tris = base.triangles[rng.permutation(base.n_triangles)]
+    shifts = rng.integers(0, 3, len(tris))
+    tris = np.array([np.roll(tri, s) for tri, s in zip(tris, shifts)])
+    return Mesh(base.vertices, tris)
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda: generate_square_mesh(1),
+        lambda: generate_square_mesh(5),
+        lambda: generate_disk_mesh(2),
+        lambda: generate_disk_mesh(9),
+        lambda: shuffled_square_mesh(5),
+    ],
+    ids=["square1", "square5", "disk2", "disk9", "square5-shuffled"],
+)
+def test_edge_tables_match_reference_walk(make_mesh):
+    mesh = make_mesh()
+    tables, midpoint_dofs = reference_topology(np.asarray(mesh.vertices), np.asarray(mesh.triangles))
+    for kind in ("interior", "boundary"):
+        edges = getattr(mesh, f"{kind}_edges")
+        assert len(edges) == len(tables[kind]["h_e"])
+        for name, want in tables[kind].items():
+            got = getattr(edges, name)
+            assert got.dtype == want.dtype, (kind, name)
+            assert np.array_equal(got, want), (kind, name)
+    assert mesh.cell_edges.shape == (mesh.n_triangles, 3)
+    dofmap = build_dofmap(mesh, 2, continuous=True)
+    assert np.array_equal(dofmap.cell_dofs[:, 3:], mesh.n_vertices + mesh.cell_edges)
+    assert np.array_equal(dofmap.cell_dofs[:, 3:], midpoint_dofs)
+
+
+def test_single_triangle_mesh():
+    verts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
+    mesh = Mesh(verts, np.array([[0, 1, 2]]))
+    assert len(mesh.interior_edges) == 0
+    assert not mesh.interior_edges
+    assert mesh.interior_edges.element_ids.shape == (0, 2)
+    assert len(mesh.boundary_edges) == 3
+    assert mesh.h_max == 5.0
+    assert mesh.cell_edges.tolist() == [[0, 2, 1]]
 
 
 def test_mesh_validation():
@@ -152,6 +254,8 @@ def test_non_manifold_detection():
     tris = np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4], [0, 1, 2]])
     with pytest.raises(NonManifoldMesh):
         Mesh(verts, tris)
+    with pytest.raises(NonManifoldMesh):
+        build_edge_topology(verts, tris)
 
 
 def test_mesh_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -74,6 +75,27 @@ def test_csv_is_byte_reproducible(tmp_path, sinsin_reports):
     write_csv(sinsin_reports, b)
     assert a.read_bytes() == b.read_bytes()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_write_ignores_stale_tmp_directory(tmp_path, sinsin_reports):
+    path = tmp_path / "table.csv"
+    (tmp_path / "table.csv.tmp").mkdir()
+    write_csv(sinsin_reports, path)
+    assert path.read_text().splitlines()[0] == CSV_HEADER
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv", "table.csv.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, sinsin_reports, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_csv(sinsin_reports, tmp_path / "table.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_svg_contents(tmp_path, sinsin_reports):
