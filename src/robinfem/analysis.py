@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _Geometry
+from .assembly import Method, _edge_dofs, _edge_traces, _Geometry
 from .errors import DegenerateSequence, MissingExactSolution
 from .felib import build_dofmap, edge_rule, reference_basis, triangle_rule
 
@@ -84,15 +84,13 @@ def energy_error(mesh, scheme, data, solution, dofmap=None, volume_rule=None, bo
         grad_sq += float(np.sum(w * geom.det * np.sum(diff * diff, axis=1)))
 
     edges = mesh.boundary_edges
-    pa, pb = mesh.vertices[edges.vertex_ids.T]
-    nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
+    nrm, h = edges.normal, edges.h_e
+    ce = solution[_edge_dofs(dofmap, edges)]
     trace_sq = 0.0
     bflux_sq = 0.0
-    for t, w in zip(erule.points, erule.weights):
-        xq = pa + t * (pb - pa)
-        vals, grads = geom.traces(basis, owner, xq)
-        uh = np.einsum("ei,ei->e", coeffs[owner], vals)
-        dnh = np.einsum("ei,ei->e", coeffs[owner], np.einsum("eib,eb->ei", grads, nrm))
+    for xq, w, vals, grads in _edge_traces(mesh, basis, edges, erule):
+        uh = np.einsum("ei,ei->e", ce, vals)
+        dnh = np.einsum("ei,ei->e", ce, np.einsum("eib,eb->ei", grads, nrm))
         ev = np.asarray(data.exact_u(xq[:, 0], xq[:, 1]), dtype=float) - uh
         en = np.einsum("eb,eb->e", np.asarray(data.exact_grad(xq[:, 0], xq[:, 1]), dtype=float), nrm) - dnh
         trace_sq += float(np.sum(w * h / (scheme.epsilon + h) * ev * ev))
@@ -105,23 +103,16 @@ def energy_error(mesh, scheme, data, solution, dofmap=None, volume_rule=None, bo
     }
     total = grad_sq + trace_sq + bflux_sq
 
-    if scheme.method is Method.SIPDG and mesh.interior_edges:
+    if scheme.method is Method.SIPDG:
         edges = mesh.interior_edges
-        pa, pb = mesh.vertices[edges.vertex_ids.T]
-        nrm, h, elems = edges.normal, edges.h_e, edges.element_ids
+        h = edges.h_e
+        ce = solution[_edge_dofs(dofmap, edges)]
         jump_sq = 0.0
         iflux_sq = 0.0
-        for t, w in zip(erule.points, erule.weights):
-            xq = pa + t * (pb - pa)
-            v1, g1 = geom.traces(basis, elems[:, 0], xq)
-            v2, g2 = geom.traces(basis, elems[:, 1], xq)
-            c1, c2 = coeffs[elems[:, 0]], coeffs[elems[:, 1]]
-            jump = np.einsum("ei,ei->e", c1, v1) - np.einsum("ei,ei->e", c2, v2)
-            mean = 0.5 * (
-                np.einsum("ei,eib->eb", c1, g1) + np.einsum("ei,eib->eb", c2, g2)
-            )
-            gm = np.asarray(data.exact_grad(xq[:, 0], xq[:, 1]), dtype=float) - mean
-            jump_sq += float(np.sum(w * jump * jump))  # (1/h) cancels the h in wq
+        for xq, w, jump, mean in _edge_traces(mesh, basis, edges, erule):
+            jh = np.einsum("ei,ei->e", ce, jump)
+            gm = np.asarray(data.exact_grad(xq[:, 0], xq[:, 1]), dtype=float) - np.einsum("ei,eib->eb", ce, mean)
+            jump_sq += float(np.sum(w * jh * jh))  # (1/h) cancels the h in wq
             iflux_sq += float(np.sum(w * h * h * np.sum(gm * gm, axis=1)))
         components["jump"] = jump_sq
         components["interior_flux"] = iflux_sq

@@ -11,6 +11,12 @@ which interpolate between a clean Robin term (gamma -> 0) and a
 penalty-dominated Dirichlet-like term (eps -> 0).  The discontinuous
 scheme adds the symmetric interior-penalty coupling on interior edges.
 
+Every edge integral walks one trace kernel.  On an interior edge it
+gives the jump [v] = v1 - v2 along the normal n1 and the average
+{grad v} = (grad v1 + grad v2)/2; on a boundary edge [v] = v and
+{grad v} = grad v.  The volume stiffness is the exact contraction of a
+reference tensor with each element's geometry tensor.
+
 Triplet accumulation is compressed with a stable lexicographic sort and
 an in-order segmented reduction, so assembled matrices are bitwise
 reproducible for a fixed mesh and scheme.
@@ -154,59 +160,76 @@ class _Geometry:
         return vals, grads
 
 
-def _compress(rows, cols, vals, n):
-    """Deterministic COO -> CSR: stable lexsort, in-order segment sums."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=float)
-    if len(vals) == 0:
-        return sp.csr_matrix((n, n))
+def _edge_traces(mesh, basis, edges, rule):
+    """Walk the points of an edge rule over every edge of one table.
+
+    Yields (x, w, jump, mean) per point: the points x (E, 2), the scalar
+    rule weight w (the caller multiplies in h_E), the stacked basis values
+    jump (E, k*nb) and gradients mean (E, k*nb, 2) of the k elements of
+    each edge.  On a boundary table (k = 1) these are the trace and its
+    gradient; on an interior table (k = 2) they are [v1, -v2] and
+    (grad v1 + grad v2) / 2, with v1 on element_ids[:, 0].
+    """
+    geom = _Geometry(mesh)
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    elems = edges.element_ids
+    for t, w in zip(rule.points, rule.weights):
+        x = pa + t * (pb - pa)
+        traces = [geom.traces(basis, elems[:, s], x) for s in range(elems.shape[1])]
+        if len(traces) == 1:
+            jump, mean = traces[0]
+        else:
+            (v1, g1), (v2, g2) = traces
+            jump = np.concatenate([v1, -v2], axis=1)
+            mean = 0.5 * np.concatenate([g1, g2], axis=1)
+        yield x, w, jump, mean
+
+
+def _edge_dofs(dofmap, edges):
+    """Global dofs of the k elements of every edge, stacked: (E, k*nb)."""
+    width = edges.element_ids.shape[1] * dofmap.cell_dofs.shape[1]
+    return dofmap.cell_dofs[edges.element_ids].reshape(len(edges), width)
+
+
+def _compress(dofs, blocks, n):
+    """Deterministic COO -> CSR of (E, k, k) blocks indexed by (E, k) dofs:
+    stable lexsort, in-order segment sums."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    vals = blocks.ravel()
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
-    boundary = np.flatnonzero((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])) + 1
-    starts = np.concatenate([[0], boundary])
+    is_first = np.ones(len(vals), dtype=bool)
+    is_first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(is_first)
     summed = np.add.reduceat(vals, starts)
     return sp.csr_matrix((summed, (rows[starts], cols[starts])), shape=(n, n))
 
 
-def _block_triplets(dofs, blocks):
-    """Flatten (E, k, k) blocks indexed by (E, k) dof rows."""
-    k = dofs.shape[1]
-    rows = np.repeat(dofs, k, axis=1).ravel()
-    cols = np.tile(dofs, (1, k)).ravel()
-    return rows, cols, blocks.ravel()
-
-
 def assemble_volume(mesh, dofmap, basis, rule=None):
-    """Stiffness contribution (grad w, grad v) over all elements."""
+    """Stiffness contribution (grad w, grad v) over all elements.
+
+    K[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j is built once from the
+    rule and contracted with det * B^-1 B^-T of every element.
+    """
     rule = rule if rule is not None else _default_volume_rule(basis.degree)
     geom = _Geometry(mesh)
-    nb = basis.n_nodes
     gref = basis.eval_grad(rule.points)  # (q, nb, 2)
-    n_tri = mesh.n_triangles
-    blocks = np.zeros((n_tri, nb, nb))
-    for q, w in enumerate(rule.weights):
-        g = np.einsum("ia,tab->tib", gref[q], geom.invB)  # (T, nb, 2)
-        blocks += (w * geom.det)[:, None, None] * (g @ g.transpose(0, 2, 1))
-    rows, cols, vals = _block_triplets(dofmap.cell_dofs, blocks)
-    return _compress(rows, cols, vals, dofmap.n_dofs)
+    k_ref = np.einsum("q,qia,qjb->abij", rule.weights, gref, gref)
+    g_geo = np.einsum("t,tac,tbc->tab", geom.det, geom.invB, geom.invB)
+    blocks = np.einsum("tab,abij->tij", g_geo, k_ref)
+    return _compress(dofmap.cell_dofs, blocks, dofmap.n_dofs)
 
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme, rule=None):
     """Boundary form shared by both schemes (the c1/c2/c3 edge terms)."""
     rule = rule if rule is not None else _default_edge_rule(basis.degree)
     edges = mesh.boundary_edges
-    if not edges:
-        return sp.csr_matrix((dofmap.n_dofs, dofmap.n_dofs))
-    geom = _Geometry(mesh)
-    nb = basis.n_nodes
-    pa, pb = mesh.vertices[edges.vertex_ids.T]
-    nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
+    nrm, h = edges.normal, edges.h_e
     c1, c2, c3 = robin_weights(scheme, h)
-    blocks = np.zeros((len(edges), nb, nb))
-    for t, w in zip(rule.points, rule.weights):
-        x = pa + t * (pb - pa)
-        vals, grads = geom.traces(basis, owner, x)
+    blocks = 0.0
+    for _, w, vals, grads in _edge_traces(mesh, basis, edges, rule):
         dn = np.einsum("eib,eb->ei", grads, nrm)
         wq = w * h
         mass = np.einsum("e,ei,ej->eij", wq, vals, vals)
@@ -217,8 +240,7 @@ def assemble_nitsche_boundary(mesh, dofmap, basis, scheme, rule=None):
             + c2[:, None, None] * mass
             - c3[:, None, None] * flux2
         )
-    rows, cols, vals = _block_triplets(dofmap.cell_dofs[owner], blocks)
-    return _compress(rows, cols, vals, dofmap.n_dofs)
+    return _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
 
 
 def assemble_interior_penalty(mesh, dofmap, basis, scheme, rule=None):
@@ -227,29 +249,14 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme, rule=None):
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
     rule = rule if rule is not None else _default_edge_rule(basis.degree)
     edges = mesh.interior_edges
-    if not edges:
-        return sp.csr_matrix((dofmap.n_dofs, dofmap.n_dofs))
-    geom = _Geometry(mesh)
-    nb = basis.n_nodes
-    pa, pb = mesh.vertices[edges.vertex_ids.T]
-    nrm, h, elems = edges.normal, edges.h_e, edges.element_ids
-    sign = np.concatenate([np.ones(nb), -np.ones(nb)])
-    blocks = np.zeros((len(edges), 2 * nb, 2 * nb))
-    for t, w in zip(rule.points, rule.weights):
-        x = pa + t * (pb - pa)
-        v1, g1 = geom.traces(basis, elems[:, 0], x)
-        v2, g2 = geom.traces(basis, elems[:, 1], x)
-        jump = np.concatenate([v1, v2], axis=1) * sign  # coefficient along n1
-        mean_flux = 0.5 * np.concatenate(
-            [np.einsum("eib,eb->ei", g1, nrm), np.einsum("eib,eb->ei", g2, nrm)],
-            axis=1,
-        )
+    nrm, h = edges.normal, edges.h_e
+    blocks = 0.0
+    for _, w, jump, mean in _edge_traces(mesh, basis, edges, rule):
+        mean_flux = np.einsum("eib,eb->ei", mean, nrm)  # along n1
         cross = np.einsum("e,ei,ej->eij", w * h, mean_flux, jump)
         blocks -= cross + cross.transpose(0, 2, 1)
         blocks += (w / scheme.gamma) * np.einsum("ei,ej->eij", jump, jump)
-    dofs = np.concatenate([dofmap.cell_dofs[elems[:, 0]], dofmap.cell_dofs[elems[:, 1]]], axis=1)
-    rows, cols, vals = _block_triplets(dofs, blocks)
-    return _compress(rows, cols, vals, dofmap.n_dofs)
+    return _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
 
 
 def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_rule=None):
@@ -267,22 +274,18 @@ def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_
     np.add.at(rhs, dofmap.cell_dofs, local)
 
     edges = mesh.boundary_edges
-    if edges:
-        pa, pb = mesh.vertices[edges.vertex_ids.T]
-        nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
-        c1, c2, c3 = robin_weights(scheme, h)
-        local = np.zeros((len(edges), basis.n_nodes))
-        for t, w in zip(boundary_rule.points, boundary_rule.weights):
-            xq = pa + t * (pb - pa)
-            vals, grads = geom.traces(basis, owner, xq)
-            dn = np.einsum("eib,eb->ei", grads, nrm)
-            u0 = np.broadcast_to(np.asarray(data.u0(xq[:, 0], xq[:, 1]), dtype=float), (len(edges),))
-            gv = np.broadcast_to(np.asarray(data.g(xq[:, 0], xq[:, 1]), dtype=float), (len(edges),))
-            wq = w * h
-            coef_v = wq * (c2 * u0 + scheme.epsilon * c2 * gv)
-            coef_dn = wq * (c1 * u0 + c3 * gv)
-            local += coef_v[:, None] * vals - coef_dn[:, None] * dn
-        np.add.at(rhs, dofmap.cell_dofs[owner], local)
+    nrm, h = edges.normal, edges.h_e
+    c1, c2, c3 = robin_weights(scheme, h)
+    local = 0.0
+    for xq, w, vals, grads in _edge_traces(mesh, basis, edges, boundary_rule):
+        dn = np.einsum("eib,eb->ei", grads, nrm)
+        u0 = np.broadcast_to(np.asarray(data.u0(xq[:, 0], xq[:, 1]), dtype=float), (len(edges),))
+        gv = np.broadcast_to(np.asarray(data.g(xq[:, 0], xq[:, 1]), dtype=float), (len(edges),))
+        wq = w * h
+        coef_v = wq * (c2 * u0 + scheme.epsilon * c2 * gv)
+        coef_dn = wq * (c1 * u0 + c3 * gv)
+        local += coef_v[:, None] * vals - coef_dn[:, None] * dn
+    np.add.at(rhs, _edge_dofs(dofmap, edges), local)
     return rhs
 
 
@@ -314,47 +317,29 @@ def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
     basis = reference_basis(scheme.degree)
     if dofmap is None:
         dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
-    geom = _Geometry(mesh)
-    nb = basis.n_nodes
-    vrule = triangle_rule(6)
     erule = edge_rule(8)
-    total = assemble_volume(mesh, dofmap, basis, rule=vrule)
+    total = assemble_volume(mesh, dofmap, basis, rule=triangle_rule(6))
 
     edges = mesh.boundary_edges
-    pa, pb = mesh.vertices[edges.vertex_ids.T]
-    nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
+    nrm, h = edges.normal, edges.h_e
     wtrace = 1.0 / (scheme.epsilon + h)
-    blocks = np.zeros((len(edges), nb, nb))
-    for t, w in zip(erule.points, erule.weights):
-        x = pa + t * (pb - pa)
-        vals, grads = geom.traces(basis, owner, x)
+    blocks = 0.0
+    for _, w, vals, grads in _edge_traces(mesh, basis, edges, erule):
         blocks += np.einsum("e,ei,ej->eij", w * h * wtrace, vals, vals)
         if variant == "augmented":
             dn = np.einsum("eib,eb->ei", grads, nrm)
             blocks += np.einsum("e,ei,ej->eij", w * h * h, dn, dn)
-    rows, cols, vals = _block_triplets(dofmap.cell_dofs[owner], blocks)
-    total = total + _compress(rows, cols, vals, dofmap.n_dofs)
+    total = total + _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
 
-    if scheme.method is Method.SIPDG and mesh.interior_edges:
+    if scheme.method is Method.SIPDG:
         edges = mesh.interior_edges
-        pa, pb = mesh.vertices[edges.vertex_ids.T]
-        nrm, h, elems = edges.normal, edges.h_e, edges.element_ids
-        sign = np.concatenate([np.ones(nb), -np.ones(nb)])
-        blocks = np.zeros((len(edges), 2 * nb, 2 * nb))
-        for t, w in zip(erule.points, erule.weights):
-            x = pa + t * (pb - pa)
-            v1, g1 = geom.traces(basis, elems[:, 0], x)
-            v2, g2 = geom.traces(basis, elems[:, 1], x)
-            jump = np.concatenate([v1, v2], axis=1) * sign
+        h = edges.h_e
+        blocks = 0.0
+        for _, w, jump, mean in _edge_traces(mesh, basis, edges, erule):
             blocks += w * np.einsum("ei,ej->eij", jump, jump)  # (1/h) cancels the h in wq
             if variant == "augmented":
-                mean = 0.5 * np.concatenate([g1, g2], axis=1)  # (E, 2nb, 2)
                 blocks += np.einsum("e,eia,eja->eij", w * h * h, mean, mean)
-        dofs = np.concatenate(
-            [dofmap.cell_dofs[elems[:, 0]], dofmap.cell_dofs[elems[:, 1]]], axis=1
-        )
-        rows, cols, vals = _block_triplets(dofs, blocks)
-        total = total + _compress(rows, cols, vals, dofmap.n_dofs)
+        total = total + _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
     total.sum_duplicates()
     total.sort_indices()
     return total.tocsr()
@@ -392,40 +377,28 @@ def consistency_residual(mesh, scheme, data, dofmap=None):
 
     # boundary edge terms of the bilinear form applied to u
     edges = mesh.boundary_edges
-    pa, pb = mesh.vertices[edges.vertex_ids.T]
-    nrm, h, owner = edges.normal, edges.h_e, edges.element_ids[:, 0]
+    nrm, h = edges.normal, edges.h_e
     c1, c2, c3 = robin_weights(scheme, h)
-    local = np.zeros((len(edges), nb))
-    for t, w in zip(erule.points, erule.weights):
-        xq = pa + t * (pb - pa)
-        vals, grads = geom.traces(basis, owner, xq)
+    local = 0.0
+    for xq, w, vals, grads in _edge_traces(mesh, basis, edges, erule):
         dn = np.einsum("eib,eb->ei", grads, nrm)
         uval = np.broadcast_to(np.asarray(data.exact_u(xq[:, 0], xq[:, 1]), dtype=float), (len(edges),))
         un = np.einsum("eb,eb->e", np.asarray(data.exact_grad(xq[:, 0], xq[:, 1]), dtype=float), nrm)
         wq = w * h
         local += (wq * (-c1 * un + c2 * uval))[:, None] * vals
         local += (wq * (-c1 * uval - c3 * un))[:, None] * dn
-    np.add.at(action, dofmap.cell_dofs[owner], local)
+    np.add.at(action, _edge_dofs(dofmap, edges), local)
 
     # interior penalty applied to the (continuous) exact solution: only
     # the mean-flux-against-jump term survives
-    if scheme.method is Method.SIPDG and mesh.interior_edges:
+    if scheme.method is Method.SIPDG:
         edges = mesh.interior_edges
-        pa, pb = mesh.vertices[edges.vertex_ids.T]
-        nrm, h, elems = edges.normal, edges.h_e, edges.element_ids
-        sign = np.concatenate([np.ones(nb), -np.ones(nb)])
-        local = np.zeros((len(edges), 2 * nb))
-        for t, w in zip(erule.points, erule.weights):
-            xq = pa + t * (pb - pa)
-            v1, _ = geom.traces(basis, elems[:, 0], xq)
-            v2, _ = geom.traces(basis, elems[:, 1], xq)
-            jump = np.concatenate([v1, v2], axis=1) * sign
+        nrm, h = edges.normal, edges.h_e
+        local = 0.0
+        for xq, w, jump, _ in _edge_traces(mesh, basis, edges, erule):
             un = np.einsum("eb,eb->e", np.asarray(data.exact_grad(xq[:, 0], xq[:, 1]), dtype=float), nrm)
             local -= (w * h * un)[:, None] * jump
-        dofs = np.concatenate(
-            [dofmap.cell_dofs[elems[:, 0]], dofmap.cell_dofs[elems[:, 1]]], axis=1
-        )
-        np.add.at(action, dofs, local)
+        np.add.at(action, _edge_dofs(dofmap, edges), local)
 
     rhs = assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=vrule, boundary_rule=erule)
     gram = norm_matrix(mesh, scheme, dofmap=dofmap, variant="augmented")

@@ -163,29 +163,29 @@ def generate_disk_mesh(rings, level=0):
     """
     if rings < 2:
         raise InvalidParameter(f"need at least 2 rings, got {rings}")
-    verts = [(0.0, 0.0)]
-    ring_start = [0] * (rings + 1)
-    for j in range(1, rings + 1):
-        ring_start[j] = len(verts)
-        count = 6 * j
-        radius = j / rings
-        theta = 2.0 * np.pi * np.arange(count) / count
-        verts.extend(zip(radius * np.cos(theta), radius * np.sin(theta)))
-    tris = []
-    first = ring_start[1]
-    for m in range(6):
-        tris.append((0, first + m, first + (m + 1) % 6))
-    for j in range(2, rings + 1):
-        si, so = ring_start[j - 1], ring_start[j]
-        ni, no = 6 * (j - 1), 6 * j
-        for sector in range(6):
-            outer = lambda m: so + (sector * j + m) % no
-            inner = lambda m: si + (sector * (j - 1) + m) % ni
-            for m in range(j):
-                tris.append((outer(m), outer(m + 1), inner(m)))
-            for m in range(j - 1):
-                tris.append((inner(m), outer(m + 1), inner(m + 1)))
-    return Mesh(np.array(verts), np.array(tris), level=level)
+    # ring j holds vertices 1 + 3j(j-1) .. 3j(j+1), vertex m at angle 2 pi m / 6j
+    ring = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
+    m = np.arange(len(ring)) - 3 * ring * (ring - 1)
+    theta = 2.0 * np.pi * m / (6 * ring)
+    radius = ring / rings
+    verts = np.vstack([[0.0, 0.0], np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])])
+    fan = np.arange(6)
+    center = np.column_stack([np.zeros(6, dtype=np.int64), 1 + fan, 1 + (fan + 1) % 6])
+    # ring j >= 2: per sector, j triangles on the outer side, then j - 1 on
+    # the inner side; its first triangle is number 6((j-1)**2 - 1) of these
+    jj = np.arange(2, rings + 1)
+    j = np.repeat(jj, 6 * (2 * jj - 1))[:, None]
+    sector, p = np.divmod(np.arange(len(j))[:, None] - 6 * ((j - 1) ** 2 - 1), 2 * j - 1)
+    on_outer = p < j
+    k = np.where(on_outer, p, p - j) + np.arange(2)  # local positions m and m + 1
+    outer = 1 + 3 * j * (j - 1) + (sector * j + k) % (6 * j)
+    inner = 1 + 3 * (j - 1) * (j - 2) + (sector * (j - 1) + k) % (6 * (j - 1))
+    rest = np.where(
+        on_outer,
+        np.column_stack([outer, inner[:, :1]]),
+        np.column_stack([inner[:, :1], outer[:, 1:], inner[:, 1:]]),
+    )
+    return Mesh(verts, np.concatenate([center, rest]), level=level)
 
 
 def generate_square_mesh(n, level=0):
@@ -195,15 +195,10 @@ def generate_square_mesh(n, level=0):
     coords = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(coords, coords)
     verts = np.column_stack([xx.ravel(), yy.ravel()])
-    tris = []
-    for cy in range(n):
-        for cx in range(n):
-            v00 = cy * (n + 1) + cx
-            v10, v01 = v00 + 1, v00 + n + 1
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh(verts, np.array(tris), level=level)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()  # cells row by row
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    tris = np.stack([np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])], axis=1)
+    return Mesh(verts, tris.reshape(-1, 3), level=level)
 
 
 def level_mesh(domain, level):

@@ -68,16 +68,21 @@ class SolveReport:
 
 
 def _matrix_rhs(system):
-    # accept either a SparseSystem or a bare (matrix, rhs) pair
+    """(matrix, rhs) of a SparseSystem, a (matrix, rhs) tuple, or a bare
+    matrix, whose rhs is None."""
     if hasattr(system, "matrix"):
         return system.matrix, system.rhs
-    return system
+    if isinstance(system, tuple):
+        return system
+    return system, None
 
 
 def solve(system, config=None):
     """Solve A x = b; returns (x, SolveReport)."""
     config = config if config is not None else SolverConfig()
     matrix, rhs = _matrix_rhs(system)
+    if rhs is None:
+        raise InvalidParameter("solve needs a right-hand side")
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != len(rhs):
         raise InvalidParameter("matrix and right-hand side sizes do not match")
     start = time.perf_counter()
@@ -155,7 +160,7 @@ def _solve_cg(matrix, rhs, config):
 
 def min_eigenvalue_dense(system):
     """Smallest eigenvalue of the symmetrized matrix; refuses large systems."""
-    matrix, _ = _matrix_rhs(system) if hasattr(system, "matrix") else (system, None)
+    matrix, _ = _matrix_rhs(system)
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
     n = dense.shape[0]
     if n > _DENSE_EIG_LIMIT:

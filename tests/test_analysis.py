@@ -13,6 +13,7 @@ from robinfem import (
     Scheme,
     Mesh,
     assemble,
+    assemble_interior_penalty,
     build_dofmap,
     edge_rule,
     energy_error,
@@ -22,7 +23,9 @@ from robinfem import (
     generate_square_mesh,
     get_problem,
     l2_error,
+    consistency_residual,
     norm_matrix,
+    reference_basis,
     solve,
     triangle_rule,
 )
@@ -87,6 +90,28 @@ def test_energy_error_components_single_triangle():
     assert comps["boundary_trace"] > 0.0
     assert comps["boundary_flux"] > 0.0
     assert abs(err - math.sqrt(sum(comps.values()))) < 1e-14
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_sipdg_on_mesh_without_interior_edges(degree):
+    # one triangle has an empty interior edge table; every edge form and
+    # norm must run through it and report the discontinuous terms as zero
+    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+    assert len(mesh.interior_edges) == 0
+    scheme = Scheme(DG, degree=degree, epsilon=0.5)
+    data = get_problem("linear_patch").make_data(0.5)
+    system = assemble(mesh, scheme, data)
+    dm = system.dofmap
+    ip = assemble_interior_penalty(mesh, dm, reference_basis(degree), scheme)
+    assert ip.shape == (dm.n_dofs, dm.n_dofs) and ip.nnz == 0
+    for variant in ("energy", "augmented"):
+        assert norm_matrix(mesh, scheme, dofmap=dm, variant=variant).shape == ip.shape
+    assert math.isfinite(consistency_residual(mesh, scheme, data, dofmap=dm))
+    solution = np.linspace(-1.0, 1.0, dm.n_dofs)
+    _, comps = energy_error(mesh, scheme, data, solution, dofmap=dm)
+    assert comps["jump"] == 0.0 and comps["interior_flux"] == 0.0
+    report = error_report(mesh, scheme, data, solution, dm)
+    assert report.jump_seminorm == 0.0
 
 
 @pytest.mark.parametrize("method", [NIT, DG])

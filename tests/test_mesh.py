@@ -187,6 +187,62 @@ def reference_topology(vertices, triangles):
     return tables, midpoint_dofs
 
 
+def reference_disk_arrays(rings):
+    """The per-triangle loop the disk generator was first written with."""
+    verts = [(0.0, 0.0)]
+    ring_start = [0] * (rings + 1)
+    for j in range(1, rings + 1):
+        ring_start[j] = len(verts)
+        count = 6 * j
+        radius = j / rings
+        theta = 2.0 * np.pi * np.arange(count) / count
+        verts.extend(zip(radius * np.cos(theta), radius * np.sin(theta)))
+    tris = []
+    first = ring_start[1]
+    for m in range(6):
+        tris.append((0, first + m, first + (m + 1) % 6))
+    for j in range(2, rings + 1):
+        si, so = ring_start[j - 1], ring_start[j]
+        ni, no = 6 * (j - 1), 6 * j
+        for sector in range(6):
+            outer = lambda m: so + (sector * j + m) % no
+            inner = lambda m: si + (sector * (j - 1) + m) % ni
+            for m in range(j):
+                tris.append((outer(m), outer(m + 1), inner(m)))
+            for m in range(j - 1):
+                tris.append((inner(m), outer(m + 1), inner(m + 1)))
+    return np.array(verts), np.array(tris)
+
+
+def reference_square_arrays(n):
+    """The per-cell loop the square generator was first written with."""
+    coords = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(coords, coords)
+    verts = np.column_stack([xx.ravel(), yy.ravel()])
+    tris = []
+    for cy in range(n):
+        for cx in range(n):
+            v00 = cy * (n + 1) + cx
+            v10, v01 = v00 + 1, v00 + n + 1
+            v11 = v01 + 1
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return verts, np.array(tris)
+
+
+@pytest.mark.parametrize(
+    "generate, reference, size",
+    [(generate_disk_mesh, reference_disk_arrays, rings) for rings in (2, 3, 9, 64)]
+    + [(generate_square_mesh, reference_square_arrays, n) for n in (1, 2, 5)],
+    ids=["disk2", "disk3", "disk9", "disk64", "square1", "square2", "square5"],
+)
+def test_generators_match_reference_loops(generate, reference, size):
+    mesh = generate(size)
+    verts, tris = reference(size)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.triangles, tris)
+
+
 def shuffled_square_mesh(n, seed=0):
     """Square mesh with its triangle list permuted and each triangle rotated."""
     base = generate_square_mesh(n)

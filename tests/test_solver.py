@@ -128,6 +128,17 @@ def test_stiffness_matrix_is_singular_but_not_indefinite():
     assert abs(lam) <= 1e-12 * abs(K).max()
 
 
+def test_min_eigenvalue_takes_every_system_form():
+    mesh = generate_disk_mesh(2)
+    system = assemble(mesh, Scheme(Method.NITSCHE), get_problem("sinsin").make_data(1.0))
+    lam = min_eigenvalue_dense(system.matrix)
+    assert lam > 0.0
+    assert min_eigenvalue_dense(system) == lam
+    assert min_eigenvalue_dense((system.matrix, system.rhs)) == lam
+    with pytest.raises(InvalidParameter):
+        solve(system.matrix)  # a bare matrix has no right-hand side
+
+
 def test_dense_eigenvalue_guard():
     with pytest.raises(TooLarge):
         min_eigenvalue_dense(sp.identity(2001, format="csr"))
