@@ -104,9 +104,17 @@ class ProblemData:
 
 @dataclass
 class SparseSystem:
+    """Assembled matrix and load vector, with the dof map they refer to.
+
+    prolongation embeds continuous P1 on the same mesh into the space;
+    the solver's two-level preconditioner uses it as its coarse space.
+    None when there is no smaller coarse space (continuous P1).
+    """
+
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
+    prolongation: Optional[sp.csr_matrix] = None
 
 
 def robin_weights(scheme, h_e):
@@ -289,6 +297,31 @@ def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_
     return rhs
 
 
+def _p1_prolongation(mesh, dofmap):
+    """Nodal embedding of continuous P1 on the mesh into the dof map's space.
+
+    Row i holds the P1 hat functions evaluated at dof i, read from the
+    first (element, local node) that carries the dof, so P @ v(vertices)
+    is the interpolant of a linear v.  Columns are the vertices the
+    triangles use, in ascending order; a vertex no triangle uses would
+    give a zero column and a singular coarse matrix.  Returns None for
+    continuous P1, whose coarse space would be the whole space.
+    """
+    if dofmap.continuous and dofmap.degree == 1:
+        return None
+    hats = reference_basis(1).eval(reference_basis(dofmap.degree).nodes)  # (nb, 3)
+    dofs, first = np.unique(dofmap.cell_dofs, return_index=True)
+    elem, node = np.divmod(first, dofmap.cell_dofs.shape[1])
+    vertices, cols = np.unique(np.asarray(mesh.triangles)[elem], return_inverse=True)
+    rows = np.repeat(dofs, 3)
+    vals = hats[node].ravel()
+    keep = vals != 0.0
+    return sp.csr_matrix(
+        (vals[keep], (rows[keep], cols.ravel()[keep])),
+        shape=(dofmap.n_dofs, len(vertices)),
+    )
+
+
 def assemble(mesh, scheme, data):
     """Build the full linear system for one mesh and scheme."""
     basis = reference_basis(scheme.degree)
@@ -300,7 +333,12 @@ def assemble(mesh, scheme, data):
     rhs = assemble_load(mesh, dofmap, basis, scheme, data)
     matrix.sum_duplicates()
     matrix.sort_indices()
-    return SparseSystem(matrix=matrix.tocsr(), rhs=rhs, dofmap=dofmap)
+    return SparseSystem(
+        matrix=matrix.tocsr(),
+        rhs=rhs,
+        dofmap=dofmap,
+        prolongation=_p1_prolongation(mesh, dofmap),
+    )
 
 
 def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):

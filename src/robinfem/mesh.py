@@ -66,6 +66,8 @@ class Mesh:
             raise InvalidParameter("vertices must have shape (n, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise InvalidParameter("triangles must have shape (n, 3)")
+        if len(self.triangles) == 0:
+            raise InvalidParameter("mesh has no triangles")
         areas = self.triangle_areas()
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))

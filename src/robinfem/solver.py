@@ -2,9 +2,35 @@
 
 Two paths: preconditioned conjugate gradients for production runs, and a
 dense Cholesky path for small validation problems.  Both refuse to hide
-indefiniteness: CG raises IndefiniteMatrix the moment a search direction
-has nonpositive curvature, and the dense path raises when the Cholesky
-factorization breaks down.
+indefiniteness: CG raises IndefiniteMatrix as soon as it meets a proof
+that the matrix is not symmetric positive definite, and the dense path
+raises when the Cholesky factorization breaks down.
+
+The CG preconditioner (Preconditioner.TWO_LEVEL, the default) is
+additive two-level:
+
+    M^-1 r = D^-1 r + P (P^T A P)^-1 P^T r,
+
+with D the diagonal of A and P the embedding of continuous P1 on the
+same mesh (SparseSystem.prolongation), after Dobrev, Lazarov,
+Vassilevski & Zikatanov, "Two-level preconditioning of discontinuous
+Galerkin approximations of second-order elliptic equations" (NLAA
+2006).  The coarse matrix is factored once per solve and dropped on
+return.  Without a coarse space (a (matrix, rhs) tuple, or continuous
+P1) it is exactly Jacobi.  Both terms are symmetric positive
+semidefinite and D^-1 is definite, so M is SPD whenever A is, with no
+damping condition.  Each of these is therefore a proof that A is not
+SPD, and raises IndefiniteMatrix:
+
+1. a nonpositive diagonal entry of A;
+2. a coarse factor that pivots off the diagonal (perm_r != perm_c), is
+   exactly singular, or has a nonpositive pivot diag(U) <= 0: P has
+   full rank, so by Sylvester's law of inertia P^T A P is SPD if A is;
+3. nonpositive curvature p.A.p <= 0 of a search direction, raised with
+   the residual history so far.
+
+Once 1 and 2 pass, M is SPD whatever A is, so r.z > 0 for every
+nonzero residual and needs no check of its own.
 """
 
 import enum
@@ -16,6 +42,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import IndefiniteMatrix, InvalidParameter, NotConverged, TooLarge
 
@@ -38,7 +65,7 @@ class SolverMethod(enum.Enum):
 
 class Preconditioner(enum.Enum):
     NONE = "none"
-    DIAGONAL = "diagonal"
+    TWO_LEVEL = "two_level"
 
 
 @dataclass(frozen=True)
@@ -46,7 +73,7 @@ class SolverConfig:
     method: SolverMethod = SolverMethod.CG
     rel_tolerance: float = 1e-10
     max_iterations: Optional[int] = None
-    preconditioner: Preconditioner = Preconditioner.DIAGONAL
+    preconditioner: Preconditioner = Preconditioner.TWO_LEVEL
 
     def __post_init__(self):
         if not (0.0 < self.rel_tolerance < 1.0):
@@ -65,6 +92,7 @@ class SolveReport:
     residual: float
     wall_time: float
     min_eigenvalue: Optional[float] = None
+    coarse_dofs: int = 0
 
 
 def _matrix_rhs(system):
@@ -81,15 +109,18 @@ def solve(system, config=None):
     """Solve A x = b; returns (x, SolveReport)."""
     config = config if config is not None else SolverConfig()
     matrix, rhs = _matrix_rhs(system)
+    prolongation = getattr(system, "prolongation", None)
     if rhs is None:
         raise InvalidParameter("solve needs a right-hand side")
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != len(rhs):
         raise InvalidParameter("matrix and right-hand side sizes do not match")
+    if prolongation is not None and prolongation.shape[0] != len(rhs):
+        raise InvalidParameter("prolongation rows do not match the matrix size")
     start = time.perf_counter()
     if config.method is SolverMethod.DENSE:
         x, report = _solve_dense(matrix, rhs)
     else:
-        x, report = _solve_cg(matrix, rhs, config)
+        x, report = _solve_cg(matrix, rhs, config, prolongation)
     report.wall_time = time.perf_counter() - start
     return x, report
 
@@ -111,25 +142,59 @@ def _solve_dense(matrix, rhs):
     return x, report
 
 
-def _solve_cg(matrix, rhs, config):
+def _preconditioner(matrix, kind, prolongation):
+    """(precond, coarse_dofs): z = precond(r) applies M^-1.
+
+    Raises IndefiniteMatrix when setting M up proves that A is not SPD.
+    """
+    if kind is Preconditioner.NONE:
+        return (lambda r: r.copy()), 0
+    diag = matrix.diagonal()
+    if np.any(diag <= 0.0):
+        raise IndefiniteMatrix("matrix has a nonpositive diagonal entry")
+    inv_diag = 1.0 / diag
+    if prolongation is None:
+        return (lambda r: inv_diag * r), 0
+    restrict = sp.csr_matrix(prolongation.T)
+    coarse = sp.csc_matrix(restrict @ matrix @ prolongation)
+    try:
+        factor = splu(
+            coarse,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU: factor is exactly singular
+        raise IndefiniteMatrix(f"coarse matrix P^T A P: {exc}") from exc
+    if np.any(factor.perm_r != factor.perm_c):
+        raise IndefiniteMatrix("coarse matrix P^T A P needs an off-diagonal pivot")
+    pivots = factor.U.diagonal()
+    if np.any(pivots <= 0.0):
+        raise IndefiniteMatrix(
+            f"coarse matrix P^T A P has a nonpositive pivot {pivots.min():.3e}"
+        )
+
+    def precond(r):
+        return inv_diag * r + prolongation @ factor.solve(restrict @ r)
+
+    return precond, coarse.shape[0]
+
+
+def _solve_cg(matrix, rhs, config, prolongation):
     matrix = sp.csr_matrix(matrix)
     n = matrix.shape[0]
     max_iter = config.max_iterations
     if max_iter is None:
         max_iter = int(20.0 * math.sqrt(n)) + 200
-    if config.preconditioner is Preconditioner.DIAGONAL:
-        diag = matrix.diagonal()
-        if np.any(diag <= 0.0):
-            raise IndefiniteMatrix("matrix has a nonpositive diagonal entry")
-        inv_diag = 1.0 / diag
-    else:
-        inv_diag = np.ones(n)
+    precond, coarse_dofs = _preconditioner(matrix, config.preconditioner, prolongation)
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
-        return np.zeros(n), SolveReport(iterations=0, residual=0.0, wall_time=0.0)
+        return np.zeros(n), SolveReport(
+            iterations=0, residual=0.0, wall_time=0.0, coarse_dofs=coarse_dofs
+        )
     x = np.zeros(n)
     r = rhs.copy()
-    z = inv_diag * r
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     history = []
@@ -147,8 +212,10 @@ def _solve_cg(matrix, rhs, config):
         rel = float(np.linalg.norm(r) / b_norm)
         history.append(rel)
         if rel <= config.rel_tolerance:
-            return x, SolveReport(iterations=it, residual=rel, wall_time=0.0)
-        z = inv_diag * r
+            return x, SolveReport(
+                iterations=it, residual=rel, wall_time=0.0, coarse_dofs=coarse_dofs
+            )
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

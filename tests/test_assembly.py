@@ -24,6 +24,7 @@ from robinfem import (
     generate_disk_mesh,
     generate_square_mesh,
     get_problem,
+    interpolate,
     min_eigenvalue_dense,
     reference_basis,
     robin_weights,
@@ -415,3 +416,34 @@ def test_consistency_residual_linear_solution(method):
     scheme = Scheme(method, degree=1, epsilon=0.7)
     res = consistency_residual(generate_square_mesh(4), scheme, data)
     assert 0.0 <= res <= 1e-12
+
+
+@pytest.mark.parametrize("method, degree", [(DG, 1), (DG, 2), (NIT, 2)])
+def test_prolongation_interpolates_linear_functions(method, degree):
+    mesh = generate_disk_mesh(8)
+    system = assemble(mesh, Scheme(method, degree=degree), get_problem("sinsin").make_data(1.0))
+    P = system.prolongation
+    assert P.shape == (system.dofmap.n_dofs, mesh.n_vertices)
+
+    def v(x, y):
+        return 0.3 - 1.7 * x + 2.9 * y
+
+    got = P @ v(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    np.testing.assert_allclose(got, interpolate(mesh, system.dofmap, v), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(np.asarray(P.sum(axis=1)).ravel(), 1.0)
+
+
+def test_prolongation_is_none_for_continuous_p1():
+    mesh = generate_disk_mesh(8)
+    system = assemble(mesh, Scheme(NIT, degree=1), get_problem("sinsin").make_data(1.0))
+    assert system.prolongation is None
+
+
+def test_prolongation_skips_unused_vertices():
+    # vertex 4 belongs to no triangle: its column would be zero
+    mesh = generate_square_mesh(1)
+    mesh = Mesh(np.vstack([mesh.vertices, [[2.0, 2.0]]]), mesh.triangles)
+    system = assemble(mesh, Scheme(DG), get_problem("linear_patch").make_data(1.0))
+    P = system.prolongation
+    assert P.shape == (6, 4)
+    assert np.all(P.getnnz(axis=0) > 0)

@@ -130,3 +130,16 @@ def test_epsilon_and_tol_flags(capsys):
     )
     assert code == 0
     assert "err_E=" in capsys.readouterr().out
+
+
+def test_mesh_without_triangles_exits_1(tmp_path, monkeypatch, capsys):
+    import robinfem.study
+
+    path = tmp_path / "empty.mesh"
+    path.write_text("meshfmt 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 0\n")
+    monkeypatch.setattr(robinfem.study, "level_mesh", lambda domain, level: read_mesh(path))
+    code = console_main(["single", "--problem", "sinsin"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "mesh has no triangles" in err
+    assert "Traceback" not in err

@@ -305,6 +305,16 @@ def test_mesh_validation():
         Mesh(verts.ravel(), np.array([[0, 1, 2]]))
 
 
+def test_mesh_without_triangles_is_invalid(tmp_path):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidParameter, match="no triangles"):
+        Mesh(verts, np.empty((0, 3), dtype=np.int64))
+    path = tmp_path / "empty.mesh"
+    path.write_text("meshfmt 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 0\n")
+    with pytest.raises(InvalidParameter, match="no triangles"):
+        read_mesh(path)
+
+
 def test_non_manifold_detection():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
     tris = np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4], [0, 1, 2]])

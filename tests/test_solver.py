@@ -11,10 +11,12 @@ from robinfem import (
     Method,
     SolverConfig,
     SolverMethod,
+    SparseSystem,
     TooLarge,
     assemble,
     generate_disk_mesh,
     get_problem,
+    level_mesh,
     min_eigenvalue_dense,
     solve,
 )
@@ -153,3 +155,56 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(InvalidParameter):
         solve((sp.identity(3, format="csr"), np.ones(4)))
+
+
+def test_two_level_coarse_check_detects_indefiniteness():
+    # positive diagonal, but P^T A P = -2 for the coarse vector (1, -1)
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    P = sp.csr_matrix(np.array([[1.0], [-1.0]]))
+    system = SparseSystem(matrix=A, rhs=np.array([1.0, 0.0]), dofmap=None, prolongation=P)
+    with pytest.raises(IndefiniteMatrix, match="P\\^T A P"):
+        solve(system)
+
+
+@pytest.mark.parametrize(
+    "method, degree",
+    [(Method.SIPDG, 1), (Method.SIPDG, 2), (Method.NITSCHE, 1), (Method.NITSCHE, 2)],
+)
+def test_default_config_detects_large_gamma(method, degree):
+    mesh = generate_disk_mesh(4)
+    scheme = Scheme(method, degree=degree, epsilon=1.0, gamma=100.0)
+    system = assemble(mesh, scheme, get_problem("sinsin").make_data(1.0))
+    with pytest.raises(IndefiniteMatrix):
+        solve(system)
+
+
+def test_two_level_iterations_stay_flat():
+    domain = get_problem("sinsin").domain
+    data = get_problem("sinsin").make_data(1.0)
+    counts = []
+    for level in range(4):
+        system = assemble(level_mesh(domain, level), Scheme(Method.SIPDG), data)
+        _, report = solve(system)
+        assert report.coarse_dofs == system.prolongation.shape[1]
+        counts.append(report.iterations)
+    assert max(counts) <= 40, counts
+    assert counts[3] <= 1.25 * counts[1], counts
+
+
+def test_two_level_without_coarse_space_is_jacobi():
+    mesh = generate_disk_mesh(8)
+    system = assemble(mesh, Scheme(Method.NITSCHE), get_problem("sinsin").make_data(1.0))
+    x_two, rep_two = solve(system)
+    x_jac, rep_jac = solve((system.matrix, system.rhs))
+    assert np.array_equal(x_two, x_jac)
+    assert rep_two.iterations == rep_jac.iterations
+    assert rep_two.coarse_dofs == 0
+
+
+def test_repeat_two_level_solve_is_bitwise_deterministic():
+    mesh = generate_disk_mesh(8)
+    system = assemble(mesh, Scheme(Method.SIPDG, degree=2), get_problem("sinsin").make_data(1.0))
+    x1, rep1 = solve(system)
+    x2, rep2 = solve(system)
+    assert np.array_equal(x1, x2)
+    assert rep1.iterations == rep2.iterations
