@@ -6,9 +6,14 @@
 # the energy norm and O(h^2) in L2; the boundary treatment keeps those
 # rates uniform in the Robin parameter epsilon.
 #
+# The Nitsche CSV and SVG go to a new temporary directory, whose path is
+# printed; nothing is written to the current directory.
+#
 # Usage: python demos/convergence_study.py [--levels N] [--epsilon E]
 
 import argparse
+import os
+import tempfile
 
 from robinfem import Method, Scheme, StudyConfig, run_convergence, write_csv, write_svg
 
@@ -30,6 +35,7 @@ def main():
     ap.add_argument("--levels", type=int, default=4)
     ap.add_argument("--epsilon", type=float, default=1.0)
     args = ap.parse_args()
+    out_dir = tempfile.mkdtemp(prefix="robinfem-demo-")
 
     for method in (Method.NITSCHE, Method.SIPDG):
         scheme = Scheme(method, degree=1, epsilon=args.epsilon, gamma=0.1)
@@ -38,9 +44,9 @@ def main():
         )
         print_table(f"sinsin on the unit disk, {method.value}, P1, eps={args.epsilon:g}", reports)
         if method is Method.NITSCHE:
-            write_csv(reports, "convergence_nitsche.csv")
-            write_svg(reports, "convergence_nitsche.svg")
-            print("\nwrote convergence_nitsche.csv and convergence_nitsche.svg")
+            write_csv(reports, os.path.join(out_dir, "convergence_nitsche.csv"))
+            write_svg(reports, os.path.join(out_dir, "convergence_nitsche.svg"))
+            print(f"\nwrote convergence_nitsche.csv and convergence_nitsche.svg to {out_dir}")
 
     # quadratic elements on a radially symmetric solution recover O(h^2)
     # in the energy norm despite the polygonal boundary

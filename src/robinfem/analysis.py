@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _edge_dofs, _edge_traces, _Geometry
+from .assembly import Method, _edge_error_sq, _Geometry
 from .errors import DegenerateSequence, MissingExactSolution
 from .felib import build_dofmap, edge_rule, reference_basis, triangle_rule
 
@@ -62,7 +62,8 @@ def energy_error(mesh, scheme, data, solution, dofmap=None, volume_rule=None, bo
 
     Returns (error, components) where components holds the squared
     contributions: gradient, boundary_trace, boundary_flux, and for the
-    discontinuous scheme jump and interior_flux.
+    discontinuous scheme jump and interior_flux.  The edge components
+    weight the error trace as the augmented norm_matrix does.
     """
     _require_exact(data)
     basis = reference_basis(scheme.degree)
@@ -71,54 +72,22 @@ def energy_error(mesh, scheme, data, solution, dofmap=None, volume_rule=None, bo
     geom = _Geometry(mesh)
     vrule = volume_rule if volume_rule is not None else triangle_rule(6)
     erule = boundary_rule if boundary_rule is not None else edge_rule(8)
-    coeffs = solution[dofmap.cell_dofs]  # (T, nb)
 
-    gref = basis.eval_grad(vrule.points)
     x = geom.physical_points(vrule.points)
-    gu = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)
-    grad_sq = 0.0
-    for q, w in enumerate(vrule.weights):
-        g = np.einsum("ia,tab->tib", gref[q], geom.invB)
-        guh = np.einsum("ti,tib->tb", coeffs, g)
-        diff = gu[:, q] - guh
-        grad_sq += float(np.sum(w * geom.det * np.sum(diff * diff, axis=1)))
+    gu = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)  # (T, q, 2)
+    guh = np.tensordot(solution[dofmap.cell_dofs], basis.eval_grad(vrule.points), (1, 1)) @ geom.invB
+    diff = gu - guh
+    grad_sq = float(geom.det @ (np.sum(diff * diff, axis=2) @ vrule.weights))
 
-    edges = mesh.boundary_edges
-    nrm, h = edges.normal, edges.h_e
-    ce = solution[_edge_dofs(dofmap, edges)]
-    trace_sq = 0.0
-    bflux_sq = 0.0
-    for xq, w, vals, grads in _edge_traces(mesh, basis, edges, erule):
-        uh = np.einsum("ei,ei->e", ce, vals)
-        dnh = np.einsum("ei,ei->e", ce, np.einsum("eib,eb->ei", grads, nrm))
-        ev = np.asarray(data.exact_u(xq[:, 0], xq[:, 1]), dtype=float) - uh
-        en = np.einsum("eb,eb->e", np.asarray(data.exact_grad(xq[:, 0], xq[:, 1]), dtype=float), nrm) - dnh
-        trace_sq += float(np.sum(w * h / (scheme.epsilon + h) * ev * ev))
-        bflux_sq += float(np.sum(w * h * h * en * en))
+    def edge_sq(edges):
+        return _edge_error_sq(mesh, dofmap, basis, scheme, edges, data, solution, erule).tolist()
 
-    components = {
-        "gradient": grad_sq,
-        "boundary_trace": trace_sq,
-        "boundary_flux": bflux_sq,
-    }
-    total = grad_sq + trace_sq + bflux_sq
-
+    trace_sq, bflux_sq = edge_sq(mesh.boundary_edges)
+    components = {"gradient": grad_sq, "boundary_trace": trace_sq, "boundary_flux": bflux_sq}
     if scheme.method is Method.SIPDG:
-        edges = mesh.interior_edges
-        h = edges.h_e
-        ce = solution[_edge_dofs(dofmap, edges)]
-        jump_sq = 0.0
-        iflux_sq = 0.0
-        for xq, w, jump, mean in _edge_traces(mesh, basis, edges, erule):
-            jh = np.einsum("ei,ei->e", ce, jump)
-            gm = np.asarray(data.exact_grad(xq[:, 0], xq[:, 1]), dtype=float) - np.einsum("ei,eib->eb", ce, mean)
-            jump_sq += float(np.sum(w * jh * jh))  # (1/h) cancels the h in wq
-            iflux_sq += float(np.sum(w * h * h * np.sum(gm * gm, axis=1)))
-        components["jump"] = jump_sq
-        components["interior_flux"] = iflux_sq
-        total += jump_sq + iflux_sq
-
-    return math.sqrt(total), components
+        jump_sq, dn_sq, dtau_sq = edge_sq(mesh.interior_edges)
+        components.update(jump=jump_sq, interior_flux=dn_sq + dtau_sq)
+    return math.sqrt(sum(components.values())), components
 
 
 def eoc(errors):

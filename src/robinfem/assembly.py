@@ -11,11 +11,23 @@ which interpolate between a clean Robin term (gamma -> 0) and a
 penalty-dominated Dirichlet-like term (eps -> 0).  The discontinuous
 scheme adds the symmetric interior-penalty coupling on interior edges.
 
-Every edge integral walks one trace kernel.  On an interior edge it
-gives the jump [v] = v1 - v2 along the normal n1 and the average
-{grad v} = (grad v1 + grad v2)/2; on a boundary edge [v] = v and
-{grad v} = grad v.  The volume stiffness is the exact contraction of a
-reference tensor with each element's geometry tensor.
+Every edge integral walks one trace kernel.  It gives each edge table a
+fixed trace vector: t = (v, dn v) on boundary edges and
+t = ([v], {dn v}, {dtau v}) on interior ones, with [v] = v1 - v2 the jump
+along the normal n1 of element 1, {.} the two-element average and tau
+the normal turned by 90 degrees.  Each edge form is one coefficient
+matrix C per edge and unit rule weight, so C carries the h_E of the edge
+measure:
+
+    Robin        h_E [[c2, -c1], [-c1, -c3]]
+    penalty      [[1/gamma, -h_E, 0], [-h_E, 0, 0], [0, 0, 0]]
+    energy norm  diag(h_E/(eps + h_E), h_E^2) on boundary edges,
+                 diag(1, h_E^2, h_E^2) on interior edges
+
+Matrices are sum_q w_q t^T C t, loads sum_q w_q (C d).t for a data trace
+d, and squared norms sum_q w_q diag(C) e^2; the boundary load is thus
+l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the exact
+contraction of a reference tensor with each element's geometry tensor.
 
 Triplet accumulation is compressed with a stable lexicographic sort and
 an in-order segmented reduction, so assembled matrices are bitwise
@@ -34,6 +46,7 @@ from .errors import InvalidParameter, MissingExactSolution, SchemeMismatch
 from .felib import (
     DofMap,
     build_dofmap,
+    continuous_embedding,
     edge_rule,
     reference_basis,
     triangle_rule,
@@ -126,6 +139,31 @@ def robin_weights(scheme, h_e):
     return c1, c2, c3
 
 
+def _robin_form(scheme, edges):
+    """Robin coefficients on (v, dn v) per unit rule weight: (E, 2, 2)."""
+    c1, c2, c3 = robin_weights(scheme, edges.h_e)
+    coef = np.stack([c2, -c1, -c1, -c3], axis=-1).reshape(-1, 2, 2)
+    return edges.h_e[:, None, None] * coef
+
+
+def _penalty_form(scheme, edges):
+    """Interior-penalty coefficients on ([v], {dn v}, {dtau v}): (E, 3, 3)."""
+    coef = np.zeros((len(edges), 3, 3))
+    coef[:, 0, 0] = 1.0 / scheme.gamma
+    coef[:, 0, 1] = coef[:, 1, 0] = -edges.h_e
+    return coef
+
+
+def _norm_form(scheme, edges, variant):
+    """Energy-norm coefficients on either trace vector, diagonal: (E, m, m).
+    The "energy" variant drops the h_E^2 weights of the derivatives."""
+    h = edges.h_e
+    first = h / (scheme.epsilon + h) if _is_boundary(edges) else np.ones_like(h)
+    flux = h * h if variant == "augmented" else np.zeros_like(h)
+    diag = np.stack([first] + [flux] * edges.element_ids.shape[1], axis=-1)
+    return diag[:, :, None] * np.eye(diag.shape[1])
+
+
 def _default_volume_rule(degree):
     return triangle_rule(4 if degree == 1 else 6)
 
@@ -155,48 +193,112 @@ class _Geometry:
 
     def physical_points(self, ref_points):
         """Map reference points (q, 2) into every element: (T, q, 2)."""
-        return self.v0[:, None, :] + np.einsum("qa,tba->tqb", ref_points, self.B)
+        return self.v0[:, None, :] + ref_points @ self.B.transpose(0, 2, 1)
 
-    def traces(self, basis, elem_ids, x):
-        """Basis values and physical gradients of the chosen elements at
-        physical points x (one point per row)."""
-        v0 = self.v0[elem_ids]
-        invB = self.invB[elem_ids]
-        ref = np.einsum("eab,eb->ea", invB, x - v0)
-        vals = basis.eval(ref)
-        grads = np.einsum("eia,eab->eib", basis.eval_grad(ref), invB)
-        return vals, grads
+
+def _is_boundary(edges):
+    return edges.element_ids.shape[1] == 1
+
+
+def _edge_frame(edges):
+    """Derivative directions of the trace vector, as columns: n on a
+    boundary table (E, 2, 1), (n, tau) on an interior one (E, 2, 2)."""
+    n = edges.normal
+    if _is_boundary(edges):
+        return n[:, :, None]
+    return np.stack([n, np.column_stack([-n[:, 1], n[:, 0]])], axis=-1)
 
 
 def _edge_traces(mesh, basis, edges, rule):
     """Walk the points of an edge rule over every edge of one table.
 
-    Yields (x, w, jump, mean) per point: the points x (E, 2), the scalar
-    rule weight w (the caller multiplies in h_E), the stacked basis values
-    jump (E, k*nb) and gradients mean (E, k*nb, 2) of the k elements of
-    each edge.  On a boundary table (k = 1) these are the trace and its
-    gradient; on an interior table (k = 2) they are [v1, -v2] and
-    (grad v1 + grad v2) / 2, with v1 on element_ids[:, 0].
+    Yields (x, w, t) per point: the points x (E, 2), the scalar rule
+    weight w and the trace vectors t (E, m, k*nb) of the basis functions
+    of the k elements of each edge (v1 on element_ids[:, 0]).
     """
     geom = _Geometry(mesh)
     pa, pb = mesh.vertices[edges.vertex_ids.T]
-    elems = edges.element_ids
-    for t, w in zip(rule.points, rule.weights):
-        x = pa + t * (pb - pa)
-        traces = [geom.traces(basis, elems[:, s], x) for s in range(elems.shape[1])]
-        if len(traces) == 1:
-            jump, mean = traces[0]
-        else:
-            (v1, g1), (v2, g2) = traces
-            jump = np.concatenate([v1, -v2], axis=1)
-            mean = 0.5 * np.concatenate([g1, g2], axis=1)
-        yield x, w, jump, mean
+    frame = _edge_frame(edges)
+    k, nb = edges.element_ids.shape[1], basis.n_nodes
+    sides = []  # per element: v0, B^-1, (B^-1 frame)^T / k, its sign in [v], its columns in t
+    for side, elems in enumerate(edges.element_ids.T):
+        invB = geom.invB[elems]
+        dirs = (invB @ frame).transpose(0, 2, 1) / k
+        cols = slice(side * nb, (side + 1) * nb)
+        sides.append((geom.v0[elems], invB, dirs, -1.0 if side else 1.0, cols))
+    for s, w in zip(rule.points, rule.weights):
+        x = pa + s * (pb - pa)
+        t = np.empty((len(edges), frame.shape[2] + 1, k * nb))
+        for v0, invB, dirs, sign, cols in sides:
+            ref = np.einsum("eab,eb->ea", invB, x - v0)
+            t[:, 0, cols] = sign * basis.eval(ref)
+            t[:, 1:, cols] = dirs @ basis.eval_grad(ref).transpose(0, 2, 1)
+        yield x, w, t
+
+
+def _at(func, x):
+    """A scalar field at points x (E, 2), broadcast to (E,)."""
+    return np.broadcast_to(np.asarray(func(x[:, 0], x[:, 1]), dtype=float), (len(x),))
+
+
+def _exact_trace(data, edges):
+    """The exact solution's trace vector on one edge table, as a function
+    of the points x: its value on a boundary table or its zero jump on an
+    interior one, then its derivatives along the edge frame.  (E, m)"""
+    frame = _edge_frame(edges)
+
+    def trace(x):
+        grad = np.asarray(data.exact_grad(x[:, 0], x[:, 1]), dtype=float)
+        first = _at(data.exact_u, x) if _is_boundary(edges) else np.zeros(len(x))
+        return np.column_stack([first, (grad[:, None, :] @ frame)[:, 0]])
+
+    return trace
+
+
+def _robin_data(scheme, data):
+    """The boundary data trace (u0 + eps*g, 0), as a function of the points x."""
+
+    def trace(x):
+        d = _at(data.u0, x) + scheme.epsilon * _at(data.g, x)
+        return np.column_stack([d, np.zeros(len(x))])
+
+    return trace
 
 
 def _edge_dofs(dofmap, edges):
     """Global dofs of the k elements of every edge, stacked: (E, k*nb)."""
     width = edges.element_ids.shape[1] * dofmap.cell_dofs.shape[1]
     return dofmap.cell_dofs[edges.element_ids].reshape(len(edges), width)
+
+
+def _edge_matrix(mesh, dofmap, basis, edges, coef, rule):
+    """The matrix sum_q w_q t^T C t of one edge table."""
+    blocks = 0.0
+    for _, w, t in _edge_traces(mesh, basis, edges, rule):
+        blocks += w * (t.transpose(0, 2, 1) @ (coef @ t))
+    return _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
+
+
+def _edge_vector(out, mesh, dofmap, basis, edges, coef, trace, rule):
+    """Add sum_q w_q (C d).t to out, with the data trace d = trace(x)."""
+    local = 0.0
+    for x, w, t in _edge_traces(mesh, basis, edges, rule):
+        cd = coef @ trace(x)[:, :, None]
+        local += w * (t.transpose(0, 2, 1) @ cd)[:, :, 0]
+    np.add.at(out, _edge_dofs(dofmap, edges), local)
+
+
+def _edge_error_sq(mesh, dofmap, basis, scheme, edges, data, solution, rule):
+    """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
+    with e the exact trace minus the trace of the dof vector solution."""
+    diag = np.diagonal(_norm_form(scheme, edges, "augmented"), axis1=1, axis2=2)
+    ce = solution[_edge_dofs(dofmap, edges)]
+    exact = _exact_trace(data, edges)
+    total = 0.0
+    for x, w, t in _edge_traces(mesh, basis, edges, rule):
+        e = exact(x) - (t @ ce[:, :, None])[:, :, 0]
+        total = total + w * np.sum(diag * e * e, axis=0)
+    return total
 
 
 def _compress(dofs, blocks, n):
@@ -231,24 +333,10 @@ def assemble_volume(mesh, dofmap, basis, rule=None):
 
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme, rule=None):
-    """Boundary form shared by both schemes (the c1/c2/c3 edge terms)."""
+    """Boundary form shared by both schemes: the Robin form."""
     rule = rule if rule is not None else _default_edge_rule(basis.degree)
     edges = mesh.boundary_edges
-    nrm, h = edges.normal, edges.h_e
-    c1, c2, c3 = robin_weights(scheme, h)
-    blocks = 0.0
-    for _, w, vals, grads in _edge_traces(mesh, basis, edges, rule):
-        dn = np.einsum("eib,eb->ei", grads, nrm)
-        wq = w * h
-        mass = np.einsum("e,ei,ej->eij", wq, vals, vals)
-        flux = np.einsum("e,ei,ej->eij", wq, dn, vals)
-        flux2 = np.einsum("e,ei,ej->eij", wq, dn, dn)
-        blocks += (
-            -c1[:, None, None] * (flux + flux.transpose(0, 2, 1))
-            + c2[:, None, None] * mass
-            - c3[:, None, None] * flux2
-        )
-    return _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
+    return _edge_matrix(mesh, dofmap, basis, edges, _robin_form(scheme, edges), rule)
 
 
 def assemble_interior_penalty(mesh, dofmap, basis, scheme, rule=None):
@@ -257,69 +345,29 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme, rule=None):
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
     rule = rule if rule is not None else _default_edge_rule(basis.degree)
     edges = mesh.interior_edges
-    nrm, h = edges.normal, edges.h_e
-    blocks = 0.0
-    for _, w, jump, mean in _edge_traces(mesh, basis, edges, rule):
-        mean_flux = np.einsum("eib,eb->ei", mean, nrm)  # along n1
-        cross = np.einsum("e,ei,ej->eij", w * h, mean_flux, jump)
-        blocks -= cross + cross.transpose(0, 2, 1)
-        blocks += (w / scheme.gamma) * np.einsum("ei,ej->eij", jump, jump)
-    return _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
+    return _edge_matrix(mesh, dofmap, basis, edges, _penalty_form(scheme, edges), rule)
 
 
-def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_rule=None):
-    """Load vector: volume source plus weighted boundary data."""
-    volume_rule = volume_rule if volume_rule is not None else _default_volume_rule(basis.degree)
-    boundary_rule = boundary_rule if boundary_rule is not None else _default_edge_rule(basis.degree)
+def _volume_load(mesh, dofmap, basis, f, rule):
+    """The vector (f, phi_i) over all elements."""
     geom = _Geometry(mesh)
+    x = geom.physical_points(rule.points)  # (T, q, 2)
+    fval = np.broadcast_to(np.asarray(f(x[..., 0], x[..., 1]), dtype=float), x.shape[:2])
+    local = geom.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
     rhs = np.zeros(dofmap.n_dofs)
-
-    phi = basis.eval(volume_rule.points)  # (q, nb)
-    x = geom.physical_points(volume_rule.points)  # (T, q, 2)
-    fval = np.asarray(data.f(x[..., 0], x[..., 1]), dtype=float)
-    fval = np.broadcast_to(fval, x.shape[:2])
-    local = np.einsum("tq,q,qi,t->ti", fval, volume_rule.weights, phi, geom.det)
     np.add.at(rhs, dofmap.cell_dofs, local)
-
-    edges = mesh.boundary_edges
-    nrm, h = edges.normal, edges.h_e
-    c1, c2, c3 = robin_weights(scheme, h)
-    local = 0.0
-    for xq, w, vals, grads in _edge_traces(mesh, basis, edges, boundary_rule):
-        dn = np.einsum("eib,eb->ei", grads, nrm)
-        u0 = np.broadcast_to(np.asarray(data.u0(xq[:, 0], xq[:, 1]), dtype=float), (len(edges),))
-        gv = np.broadcast_to(np.asarray(data.g(xq[:, 0], xq[:, 1]), dtype=float), (len(edges),))
-        wq = w * h
-        coef_v = wq * (c2 * u0 + scheme.epsilon * c2 * gv)
-        coef_dn = wq * (c1 * u0 + c3 * gv)
-        local += coef_v[:, None] * vals - coef_dn[:, None] * dn
-    np.add.at(rhs, _edge_dofs(dofmap, edges), local)
     return rhs
 
 
-def _p1_prolongation(mesh, dofmap):
-    """Nodal embedding of continuous P1 on the mesh into the dof map's space.
-
-    Row i holds the P1 hat functions evaluated at dof i, read from the
-    first (element, local node) that carries the dof, so P @ v(vertices)
-    is the interpolant of a linear v.  Columns are the vertices the
-    triangles use, in ascending order; a vertex no triangle uses would
-    give a zero column and a singular coarse matrix.  Returns None for
-    continuous P1, whose coarse space would be the whole space.
-    """
-    if dofmap.continuous and dofmap.degree == 1:
-        return None
-    hats = reference_basis(1).eval(reference_basis(dofmap.degree).nodes)  # (nb, 3)
-    dofs, first = np.unique(dofmap.cell_dofs, return_index=True)
-    elem, node = np.divmod(first, dofmap.cell_dofs.shape[1])
-    vertices, cols = np.unique(np.asarray(mesh.triangles)[elem], return_inverse=True)
-    rows = np.repeat(dofs, 3)
-    vals = hats[node].ravel()
-    keep = vals != 0.0
-    return sp.csr_matrix(
-        (vals[keep], (rows[keep], cols.ravel()[keep])),
-        shape=(dofmap.n_dofs, len(vertices)),
-    )
+def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_rule=None):
+    """Load vector: volume source plus the Robin form of the boundary data."""
+    volume_rule = volume_rule if volume_rule is not None else _default_volume_rule(basis.degree)
+    boundary_rule = boundary_rule if boundary_rule is not None else _default_edge_rule(basis.degree)
+    rhs = _volume_load(mesh, dofmap, basis, data.f, volume_rule)
+    edges = mesh.boundary_edges
+    coef = _robin_form(scheme, edges)
+    _edge_vector(rhs, mesh, dofmap, basis, edges, coef, _robin_data(scheme, data), boundary_rule)
+    return rhs
 
 
 def assemble(mesh, scheme, data):
@@ -333,12 +381,9 @@ def assemble(mesh, scheme, data):
     rhs = assemble_load(mesh, dofmap, basis, scheme, data)
     matrix.sum_duplicates()
     matrix.sort_indices()
-    return SparseSystem(
-        matrix=matrix.tocsr(),
-        rhs=rhs,
-        dofmap=dofmap,
-        prolongation=_p1_prolongation(mesh, dofmap),
-    )
+    p1 = scheme.continuous and scheme.degree == 1
+    prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
+    return SparseSystem(matrix=matrix.tocsr(), rhs=rhs, dofmap=dofmap, prolongation=prolongation)
 
 
 def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
@@ -355,29 +400,11 @@ def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
     basis = reference_basis(scheme.degree)
     if dofmap is None:
         dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
-    erule = edge_rule(8)
     total = assemble_volume(mesh, dofmap, basis, rule=triangle_rule(6))
-
-    edges = mesh.boundary_edges
-    nrm, h = edges.normal, edges.h_e
-    wtrace = 1.0 / (scheme.epsilon + h)
-    blocks = 0.0
-    for _, w, vals, grads in _edge_traces(mesh, basis, edges, erule):
-        blocks += np.einsum("e,ei,ej->eij", w * h * wtrace, vals, vals)
-        if variant == "augmented":
-            dn = np.einsum("eib,eb->ei", grads, nrm)
-            blocks += np.einsum("e,ei,ej->eij", w * h * h, dn, dn)
-    total = total + _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
-
-    if scheme.method is Method.SIPDG:
-        edges = mesh.interior_edges
-        h = edges.h_e
-        blocks = 0.0
-        for _, w, jump, mean in _edge_traces(mesh, basis, edges, erule):
-            blocks += w * np.einsum("ei,ej->eij", jump, jump)  # (1/h) cancels the h in wq
-            if variant == "augmented":
-                blocks += np.einsum("e,eia,eja->eij", w * h * h, mean, mean)
-        total = total + _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
+    sipdg = scheme.method is Method.SIPDG
+    for edges in [mesh.boundary_edges] + ([mesh.interior_edges] if sipdg else []):
+        coef = _norm_form(scheme, edges, variant)
+        total = total + _edge_matrix(mesh, dofmap, basis, edges, coef, edge_rule(8))
     total.sum_duplicates()
     total.sort_indices()
     return total.tocsr()
@@ -398,50 +425,29 @@ def consistency_residual(mesh, scheme, data, dofmap=None):
     if dofmap is None:
         dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
     geom = _Geometry(mesh)
-    nb = basis.n_nodes
     vrule = triangle_rule(6)
     erule = edge_rule(8)
-    action = np.zeros(dofmap.n_dofs)
 
-    # volume: (grad u, grad phi_i)
-    gref = basis.eval_grad(vrule.points)
+    # volume: (grad u, grad phi_i) - (f, phi_i)
     x = geom.physical_points(vrule.points)
     gu = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)  # (T, q, 2)
-    local = np.zeros((mesh.n_triangles, nb))
-    for q, w in enumerate(vrule.weights):
-        g = np.einsum("ia,tab->tib", gref[q], geom.invB)
-        local += (w * geom.det)[:, None] * np.einsum("tib,tb->ti", g, gu[:, q])
-    np.add.at(action, dofmap.cell_dofs, local)
+    pulled = vrule.weights[:, None] * (gu @ geom.invB.transpose(0, 2, 1))  # B^-1 grad u
+    local = geom.det[:, None] * np.tensordot(pulled, basis.eval_grad(vrule.points), ([1, 2], [0, 2]))
+    defect = -_volume_load(mesh, dofmap, basis, data.f, vrule)
+    np.add.at(defect, dofmap.cell_dofs, local)
 
-    # boundary edge terms of the bilinear form applied to u
+    # edges: each edge form applied to the exact trace minus the data trace
     edges = mesh.boundary_edges
-    nrm, h = edges.normal, edges.h_e
-    c1, c2, c3 = robin_weights(scheme, h)
-    local = 0.0
-    for xq, w, vals, grads in _edge_traces(mesh, basis, edges, erule):
-        dn = np.einsum("eib,eb->ei", grads, nrm)
-        uval = np.broadcast_to(np.asarray(data.exact_u(xq[:, 0], xq[:, 1]), dtype=float), (len(edges),))
-        un = np.einsum("eb,eb->e", np.asarray(data.exact_grad(xq[:, 0], xq[:, 1]), dtype=float), nrm)
-        wq = w * h
-        local += (wq * (-c1 * un + c2 * uval))[:, None] * vals
-        local += (wq * (-c1 * uval - c3 * un))[:, None] * dn
-    np.add.at(action, _edge_dofs(dofmap, edges), local)
-
-    # interior penalty applied to the (continuous) exact solution: only
-    # the mean-flux-against-jump term survives
+    exact, given = _exact_trace(data, edges), _robin_data(scheme, data)
+    coef = _robin_form(scheme, edges)
+    _edge_vector(defect, mesh, dofmap, basis, edges, coef, lambda x: exact(x) - given(x), erule)
     if scheme.method is Method.SIPDG:
         edges = mesh.interior_edges
-        nrm, h = edges.normal, edges.h_e
-        local = 0.0
-        for xq, w, jump, _ in _edge_traces(mesh, basis, edges, erule):
-            un = np.einsum("eb,eb->e", np.asarray(data.exact_grad(xq[:, 0], xq[:, 1]), dtype=float), nrm)
-            local -= (w * h * un)[:, None] * jump
-        np.add.at(action, _edge_dofs(dofmap, edges), local)
+        coef = _penalty_form(scheme, edges)
+        _edge_vector(defect, mesh, dofmap, basis, edges, coef, _exact_trace(data, edges), erule)
 
-    rhs = assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=vrule, boundary_rule=erule)
     gram = norm_matrix(mesh, scheme, dofmap=dofmap, variant="augmented")
-    scale = np.sqrt(gram.diagonal())
-    return float(np.max(np.abs(action - rhs) / scale))
+    return float(np.max(np.abs(defect) / np.sqrt(gram.diagonal())))
 
 
 def write_matrix(matrix, path):

@@ -228,19 +228,25 @@ def interpolate(mesh, dofmap, func):
     return np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
 
 
-def continuous_embedding(dofmap_dg, dofmap_cont):
-    """Sparse matrix mapping continuous coefficients into the DG space.
+def continuous_embedding(dofmap, dofmap_cont):
+    """Nodal embedding of a continuous space into the space of dofmap.
 
-    Row i of the result places the continuous nodal value at the matching
-    element-local dof, so E @ x represents the same function in V_DG.
+    The continuous source may have any degree up to the target's.  Row i
+    holds the source basis functions evaluated at dof i, read from the
+    first (element, local node) that carries the dof, so E @ x
+    represents the same function in the target space.
     """
-    if dofmap_dg.continuous or not dofmap_cont.continuous:
-        raise InvalidParameter("expected a discontinuous and a continuous dof map")
-    if dofmap_dg.degree != dofmap_cont.degree:
-        raise InvalidParameter("dof maps must share the polynomial degree")
-    rows = dofmap_dg.cell_dofs.ravel()
-    cols = dofmap_cont.cell_dofs.ravel()
-    data = np.ones(len(rows))
-    return sp.coo_matrix(
-        (data, (rows, cols)), shape=(dofmap_dg.n_dofs, dofmap_cont.n_dofs)
-    ).tocsr()
+    if not dofmap_cont.continuous:
+        raise InvalidParameter("the embedded dof map must be continuous")
+    if dofmap_cont.degree > dofmap.degree:
+        raise InvalidParameter("the embedded space must not have a higher degree")
+    hats = reference_basis(dofmap_cont.degree).eval(reference_basis(dofmap.degree).nodes)
+    dofs, first = np.unique(dofmap.cell_dofs, return_index=True)
+    elem, node = np.divmod(first, dofmap.cell_dofs.shape[1])
+    rows = np.repeat(dofs, hats.shape[1])
+    cols = dofmap_cont.cell_dofs[elem].ravel()
+    vals = hats[node].ravel()
+    keep = vals != 0.0
+    return sp.csr_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(dofmap.n_dofs, dofmap_cont.n_dofs)
+    )

@@ -103,8 +103,6 @@ def _project_square(p):
     x, y = p
     if x <= 0.0 or x >= 1.0 or y <= 0.0 or y >= 1.0:
         return np.array([min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)])
-    if x < 1e-300 and y < 1e-300:  # unreachable given the tube check
-        raise DegenerateProjection("degenerate interior point")
     candidates = [(x, 0.0), (x, 1.0), (0.0, y), (1.0, y)]
     dists = [y, 1.0 - y, x, 1.0 - x]
     dmin = min(dists)

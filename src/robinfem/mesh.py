@@ -74,6 +74,10 @@ class Mesh:
             raise InvalidParameter(
                 f"triangle {bad} has non-positive signed area {areas[bad]:.3e}"
             )
+        used = np.zeros(len(self.vertices), dtype=bool)
+        used[self.triangles] = True
+        if not used.all():
+            raise InvalidParameter(f"vertex {int(np.argmin(used))} belongs to no triangle")
         self.interior_edges, self.boundary_edges, self.cell_edges = build_edge_topology(
             self.vertices, self.triangles
         )

@@ -92,6 +92,33 @@ def test_energy_error_components_single_triangle():
     assert abs(err - math.sqrt(sum(comps.values()))) < 1e-14
 
 
+def test_energy_error_edge_components_of_linear_exact_solution():
+    # exact u = a.x against u_h = 0: each edge component is a closed form
+    # in the edge geometry; the interior flux takes the whole gradient,
+    # normal and tangential part
+    a = np.array([0.3, -1.7])
+
+    def u(x, y):
+        return a[0] * np.asarray(x, dtype=float) + a[1] * np.asarray(y, dtype=float)
+
+    def grad(x, y):
+        return np.broadcast_to(a, np.shape(x) + (2,)).copy()
+
+    data = ProblemData(f=u, u0=u, g=u, exact_u=u, exact_grad=grad)
+    mesh = generate_square_mesh(3)  # its diagonals keep a wrong tangent from cancelling out
+    eps = 0.5
+    dm = build_dofmap(mesh, 1, continuous=False)
+    _, comps = energy_error(mesh, Scheme(DG, epsilon=eps), data, np.zeros(dm.n_dofs), dofmap=dm)
+    inner, bdy = mesh.interior_edges, mesh.boundary_edges
+    ua, ub = u(*mesh.vertices[bdy.vertex_ids.T].transpose(2, 0, 1))
+    h = bdy.h_e
+    trace = np.sum(h / (eps + h) * (ua * ua + ua * ub + ub * ub) / 3.0)
+    assert comps["jump"] == 0.0
+    assert comps["interior_flux"] == pytest.approx(a @ a * np.sum(inner.h_e**2), rel=1e-13)
+    assert comps["boundary_flux"] == pytest.approx(np.sum(h**2 * (bdy.normal @ a) ** 2), rel=1e-13)
+    assert comps["boundary_trace"] == pytest.approx(trace, rel=1e-13)
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_sipdg_on_mesh_without_interior_edges(degree):
     # one triangle has an empty interior edge table; every edge form and

@@ -437,13 +437,3 @@ def test_prolongation_is_none_for_continuous_p1():
     mesh = generate_disk_mesh(8)
     system = assemble(mesh, Scheme(NIT, degree=1), get_problem("sinsin").make_data(1.0))
     assert system.prolongation is None
-
-
-def test_prolongation_skips_unused_vertices():
-    # vertex 4 belongs to no triangle: its column would be zero
-    mesh = generate_square_mesh(1)
-    mesh = Mesh(np.vstack([mesh.vertices, [[2.0, 2.0]]]), mesh.triangles)
-    system = assemble(mesh, Scheme(DG), get_problem("linear_patch").make_data(1.0))
-    P = system.prolongation
-    assert P.shape == (6, 4)
-    assert np.all(P.getnnz(axis=0) > 0)

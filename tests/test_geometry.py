@@ -86,6 +86,8 @@ def test_square_interior_tie_is_lexicographic():
     # equidistant from bottom and left: choose the smaller boundary point
     p = sq.project(np.array([0.25, 0.25]))
     np.testing.assert_allclose(p, [0.0, 0.25], atol=1e-15)
+    # the same tie arbitrarily close to the corner
+    np.testing.assert_array_equal(sq.project(np.array([1e-301, 1e-301])), [0.0, 1e-301])
 
 
 def test_normals():

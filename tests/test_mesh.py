@@ -315,6 +315,20 @@ def test_mesh_without_triangles_is_invalid(tmp_path):
         read_mesh(path)
 
 
+def test_mesh_with_unused_vertex_is_invalid(tmp_path):
+    # a vertex that no triangle uses would give the continuous schemes a
+    # zero matrix row, which the solver reports as an indefinite matrix
+    mesh = generate_square_mesh(2)
+    with pytest.raises(InvalidParameter, match="vertex 9 belongs to no triangle"):
+        Mesh(np.vstack([mesh.vertices, [[2.0, 2.0]]]), mesh.triangles)
+    path = tmp_path / "extra.mesh"
+    write_mesh(mesh, path)
+    text = path.read_text().replace("vertices 9\n", "vertices 10\n")
+    path.write_text(text.replace("triangles", "2 2\ntriangles"))
+    with pytest.raises(InvalidParameter, match="vertex 9 belongs to no triangle"):
+        read_mesh(path)
+
+
 def test_non_manifold_detection():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
     tris = np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4], [0, 1, 2]])
