@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _edge_error_sq, _Geometry
+from .assembly import Method, _edge_error_sq, _Geometry, _space
 from .errors import DegenerateSequence, MissingExactSolution
-from .felib import build_dofmap, edge_rule, reference_basis, triangle_rule
+from .felib import edge_rule, reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
 
@@ -43,18 +43,16 @@ def _require_exact(data):
 
 def l2_error(mesh, data, solution, dofmap, rule=None):
     """L2 distance between the exact solution and the finite element one."""
+    return _l2_error(_Geometry(mesh), data, solution, dofmap, rule)
+
+
+def _l2_error(geom, data, solution, dofmap, rule=None):
     _require_exact(data)
-    basis = reference_basis(dofmap.degree)
-    geom = _Geometry(mesh)
     rule = rule if rule is not None else triangle_rule(6)
-    phi = basis.eval(rule.points)  # (q, nb)
-    coeffs = solution[dofmap.cell_dofs]  # (T, nb)
     x = geom.physical_points(rule.points)
-    exact = np.asarray(data.exact_u(x[..., 0], x[..., 1]), dtype=float)
-    uh = np.einsum("ti,qi->tq", coeffs, phi)
-    diff_sq = (exact - uh) ** 2
-    total = float(np.einsum("tq,q,t->", diff_sq, rule.weights, geom.det))
-    return math.sqrt(total)
+    uh = solution[dofmap.cell_dofs] @ reference_basis(dofmap.degree).eval(rule.points).T  # (T, q)
+    diff = np.asarray(data.exact_u(x[..., 0], x[..., 1]), dtype=float) - uh
+    return math.sqrt(float(geom.det @ ((diff * diff) @ rule.weights)))
 
 
 def energy_error(mesh, scheme, data, solution, dofmap=None, volume_rule=None, boundary_rule=None):
@@ -65,27 +63,27 @@ def energy_error(mesh, scheme, data, solution, dofmap=None, volume_rule=None, bo
     discontinuous scheme jump and interior_flux.  The edge components
     weight the error trace as the augmented norm_matrix does.
     """
+    return _energy_error(_Geometry(mesh), scheme, data, solution, dofmap, volume_rule, boundary_rule)
+
+
+def _energy_error(geom, scheme, data, solution, dofmap=None, volume_rule=None, boundary_rule=None):
     _require_exact(data)
-    basis = reference_basis(scheme.degree)
-    if dofmap is None:
-        dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
-    geom = _Geometry(mesh)
+    basis, dofmap = _space(geom.mesh, scheme, dofmap)
     vrule = volume_rule if volume_rule is not None else triangle_rule(6)
     erule = boundary_rule if boundary_rule is not None else edge_rule(8)
 
     x = geom.physical_points(vrule.points)
-    gu = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)  # (T, q, 2)
     guh = np.tensordot(solution[dofmap.cell_dofs], basis.eval_grad(vrule.points), (1, 1)) @ geom.invB
-    diff = gu - guh
+    diff = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float) - guh  # (T, q, 2)
     grad_sq = float(geom.det @ (np.sum(diff * diff, axis=2) @ vrule.weights))
 
     def edge_sq(edges):
-        return _edge_error_sq(mesh, dofmap, basis, scheme, edges, data, solution, erule).tolist()
+        return _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution, erule).tolist()
 
-    trace_sq, bflux_sq = edge_sq(mesh.boundary_edges)
+    trace_sq, bflux_sq = edge_sq(geom.mesh.boundary_edges)
     components = {"gradient": grad_sq, "boundary_trace": trace_sq, "boundary_flux": bflux_sq}
     if scheme.method is Method.SIPDG:
-        jump_sq, dn_sq, dtau_sq = edge_sq(mesh.interior_edges)
+        jump_sq, dn_sq, dtau_sq = edge_sq(geom.mesh.interior_edges)
         components.update(jump=jump_sq, interior_flux=dn_sq + dtau_sq)
     return math.sqrt(sum(components.values())), components
 
@@ -115,8 +113,9 @@ def eoc(errors):
 
 def error_report(mesh, scheme, data, solution, dofmap, level=None):
     """Bundle the error norms for one solve into an ErrorReport."""
-    err_e, components = energy_error(mesh, scheme, data, solution, dofmap=dofmap)
-    err_l2 = l2_error(mesh, data, solution, dofmap)
+    geom = _Geometry(mesh)
+    err_e, components = _energy_error(geom, scheme, data, solution, dofmap)
+    err_l2 = _l2_error(geom, data, solution, dofmap)
     err_n = math.sqrt(components["gradient"] + components["boundary_trace"])
     jump = None
     if "jump" in components:

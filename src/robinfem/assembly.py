@@ -29,9 +29,12 @@ d, and squared norms sum_q w_q diag(C) e^2; the boundary load is thus
 l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the exact
 contraction of a reference tensor with each element's geometry tensor.
 
-Triplet accumulation is compressed with a stable lexicographic sort and
-an in-order segmented reduction, so assembled matrices are bitwise
-reproducible for a fixed mesh and scheme.
+Every form contributes (dofs, blocks) triplets, and each system is
+compressed once: one stable sort of the int64 key row*n + col over the
+triplets of all its forms, then an in-order segmented reduction.  The
+sparsity pattern is therefore structural (an entry whose sum is exactly
+zero is kept), and assembled matrices are bitwise reproducible for a
+fixed mesh and scheme.
 """
 
 import enum
@@ -168,32 +171,29 @@ def _default_volume_rule(degree):
     return triangle_rule(4 if degree == 1 else 6)
 
 
-def _default_edge_rule(degree):
-    return edge_rule(4 if degree == 1 else 8)
+def _space(mesh, scheme, dofmap=None):
+    """The reference basis of a scheme and, unless given, its dof map."""
+    if dofmap is None:
+        dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
+    return reference_basis(scheme.degree), dofmap
 
 
 class _Geometry:
-    """Per-element affine maps x = v0 + B xi, cached for one mesh."""
+    """Per-element affine maps x = v0 + B xi of one mesh."""
 
     def __init__(self, mesh):
-        tris = mesh.triangles
-        verts = mesh.vertices
-        p0 = verts[tris[:, 0]]
-        e1 = verts[tris[:, 1]] - p0
-        e2 = verts[tris[:, 2]] - p0
-        self.v0 = p0
+        self.mesh = mesh
+        self.v0, p1, p2 = mesh.vertices[mesh.triangles.T]
+        e1, e2 = p1 - self.v0, p2 - self.v0
         self.B = np.stack([e1, e2], axis=-1)  # columns are edge vectors
         self.det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        inv = np.empty_like(self.B)
-        inv[:, 0, 0] = e2[:, 1]
-        inv[:, 0, 1] = -e2[:, 0]
-        inv[:, 1, 0] = -e1[:, 1]
-        inv[:, 1, 1] = e1[:, 0]
-        self.invB = inv / self.det[:, None, None]
+        adj = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=-1)
+        self.invB = adj.reshape(-1, 2, 2) / self.det[:, None, None]
 
     def physical_points(self, ref_points):
         """Map reference points (q, 2) into every element: (T, q, 2)."""
-        return self.v0[:, None, :] + ref_points @ self.B.transpose(0, 2, 1)
+        bx = (self.B.reshape(-1, 2) @ ref_points.T).reshape(len(self.B), 2, -1)
+        return self.v0[:, None, :] + bx.transpose(0, 2, 1)
 
 
 def _is_boundary(edges):
@@ -209,15 +209,16 @@ def _edge_frame(edges):
     return np.stack([n, np.column_stack([-n[:, 1], n[:, 0]])], axis=-1)
 
 
-def _edge_traces(mesh, basis, edges, rule):
-    """Walk the points of an edge rule over every edge of one table.
+def _edge_traces(geom, basis, edges, rule):
+    """Walk the points of an edge rule (by default the degree's) over
+    every edge of one table.
 
     Yields (x, w, t) per point: the points x (E, 2), the scalar rule
     weight w and the trace vectors t (E, m, k*nb) of the basis functions
     of the k elements of each edge (v1 on element_ids[:, 0]).
     """
-    geom = _Geometry(mesh)
-    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    rule = rule if rule is not None else edge_rule(4 if basis.degree == 1 else 8)
+    pa, pb = geom.mesh.vertices[edges.vertex_ids.T]
     frame = _edge_frame(edges)
     k, nb = edges.element_ids.shape[1], basis.n_nodes
     sides = []  # per element: v0, B^-1, (B^-1 frame)^T / k, its sign in [v], its columns in t
@@ -271,86 +272,93 @@ def _edge_dofs(dofmap, edges):
     return dofmap.cell_dofs[edges.element_ids].reshape(len(edges), width)
 
 
-def _edge_matrix(mesh, dofmap, basis, edges, coef, rule):
-    """The matrix sum_q w_q t^T C t of one edge table."""
+def _edge_part(geom, dofmap, basis, edges, coef, rule=None):
+    """The (dofs, blocks) part sum_q w_q t^T C t of one edge table."""
     blocks = 0.0
-    for _, w, t in _edge_traces(mesh, basis, edges, rule):
+    for _, w, t in _edge_traces(geom, basis, edges, rule):
         blocks += w * (t.transpose(0, 2, 1) @ (coef @ t))
-    return _compress(_edge_dofs(dofmap, edges), blocks, dofmap.n_dofs)
+    return _edge_dofs(dofmap, edges), blocks
 
 
-def _edge_vector(out, mesh, dofmap, basis, edges, coef, trace, rule):
+def _edge_vector(out, geom, dofmap, basis, edges, coef, trace, rule):
     """Add sum_q w_q (C d).t to out, with the data trace d = trace(x)."""
     local = 0.0
-    for x, w, t in _edge_traces(mesh, basis, edges, rule):
+    for x, w, t in _edge_traces(geom, basis, edges, rule):
         cd = coef @ trace(x)[:, :, None]
         local += w * (t.transpose(0, 2, 1) @ cd)[:, :, 0]
     np.add.at(out, _edge_dofs(dofmap, edges), local)
 
 
-def _edge_error_sq(mesh, dofmap, basis, scheme, edges, data, solution, rule):
+def _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution, rule):
     """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
     with e the exact trace minus the trace of the dof vector solution."""
     diag = np.diagonal(_norm_form(scheme, edges, "augmented"), axis1=1, axis2=2)
     ce = solution[_edge_dofs(dofmap, edges)]
     exact = _exact_trace(data, edges)
     total = 0.0
-    for x, w, t in _edge_traces(mesh, basis, edges, rule):
+    for x, w, t in _edge_traces(geom, basis, edges, rule):
         e = exact(x) - (t @ ce[:, :, None])[:, :, 0]
         total = total + w * np.sum(diag * e * e, axis=0)
     return total
 
 
-def _compress(dofs, blocks, n):
-    """Deterministic COO -> CSR of (E, k, k) blocks indexed by (E, k) dofs:
-    stable lexsort, in-order segment sums."""
-    k = dofs.shape[1]
-    rows = np.repeat(dofs, k, axis=1).ravel()
-    cols = np.tile(dofs, (1, k)).ravel()
-    vals = blocks.ravel()
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    is_first = np.ones(len(vals), dtype=bool)
-    is_first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(is_first)
-    summed = np.add.reduceat(vals, starts)
-    return sp.csr_matrix((summed, (rows[starts], cols[starts])), shape=(n, n))
+def _compress(parts, n):
+    """Deterministic COO -> CSR of the (E, k, k) blocks of every (dofs,
+    blocks) part, indexed by its (E, k) dofs: one stable sort of the key
+    row*n + col over all parts, in-order segment sums."""
+    ends = np.cumsum([0] + [blocks.size for _, blocks in parts])
+    keys, vals = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1])
+    for (dofs, blocks), a, b in zip(parts, ends, ends[1:]):
+        np.add(dofs[:, :, None] * n, dofs[:, None, :], out=keys[a:b].reshape(blocks.shape))
+        vals[a:b] = blocks.ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys >= 0: entry 0 starts one
+    rows, cols = np.divmod(keys[starts], n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((np.add.reduceat(vals[order], starts), cols, indptr), shape=(n, n))
 
 
-def assemble_volume(mesh, dofmap, basis, rule=None):
-    """Stiffness contribution (grad w, grad v) over all elements.
+def _volume_part(geom, dofmap, basis, rule=None):
+    """The (dofs, blocks) part of the stiffness (grad w, grad v).
 
     K[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j is built once from the
-    rule and contracted with det * B^-1 B^-T of every element.
+    rule; the blocks are one matrix product of K with the geometry tensors
+    det * B^-1 B^-T of all elements.
     """
     rule = rule if rule is not None else _default_volume_rule(basis.degree)
-    geom = _Geometry(mesh)
     gref = basis.eval_grad(rule.points)  # (q, nb, 2)
     k_ref = np.einsum("q,qia,qjb->abij", rule.weights, gref, gref)
     g_geo = np.einsum("t,tac,tbc->tab", geom.det, geom.invB, geom.invB)
-    blocks = np.einsum("tab,abij->tij", g_geo, k_ref)
-    return _compress(dofmap.cell_dofs, blocks, dofmap.n_dofs)
+    nb = basis.n_nodes
+    blocks = g_geo.reshape(-1, 4) @ k_ref.reshape(4, nb * nb)
+    return dofmap.cell_dofs, blocks.reshape(-1, nb, nb)
+
+
+def assemble_volume(mesh, dofmap, basis, rule=None):
+    """Stiffness contribution (grad w, grad v) over all elements."""
+    return _compress([_volume_part(_Geometry(mesh), dofmap, basis, rule)], dofmap.n_dofs)
 
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme, rule=None):
     """Boundary form shared by both schemes: the Robin form."""
-    rule = rule if rule is not None else _default_edge_rule(basis.degree)
-    edges = mesh.boundary_edges
-    return _edge_matrix(mesh, dofmap, basis, edges, _robin_form(scheme, edges), rule)
+    coef = _robin_form(scheme, mesh.boundary_edges)
+    part = _edge_part(_Geometry(mesh), dofmap, basis, mesh.boundary_edges, coef, rule)
+    return _compress([part], dofmap.n_dofs)
 
 
 def assemble_interior_penalty(mesh, dofmap, basis, scheme, rule=None):
     """Symmetric interior-penalty coupling on interior edges."""
     if scheme.method is not Method.SIPDG:
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
-    rule = rule if rule is not None else _default_edge_rule(basis.degree)
-    edges = mesh.interior_edges
-    return _edge_matrix(mesh, dofmap, basis, edges, _penalty_form(scheme, edges), rule)
+    coef = _penalty_form(scheme, mesh.interior_edges)
+    part = _edge_part(_Geometry(mesh), dofmap, basis, mesh.interior_edges, coef, rule)
+    return _compress([part], dofmap.n_dofs)
 
 
-def _volume_load(mesh, dofmap, basis, f, rule):
+def _volume_load(geom, dofmap, basis, f, rule=None):
     """The vector (f, phi_i) over all elements."""
-    geom = _Geometry(mesh)
+    rule = rule if rule is not None else _default_volume_rule(basis.degree)
     x = geom.physical_points(rule.points)  # (T, q, 2)
     fval = np.broadcast_to(np.asarray(f(x[..., 0], x[..., 1]), dtype=float), x.shape[:2])
     local = geom.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
@@ -359,31 +367,44 @@ def _volume_load(mesh, dofmap, basis, f, rule):
     return rhs
 
 
+def _load(geom, dofmap, basis, scheme, data, volume_rule=None, boundary_rule=None):
+    rhs = _volume_load(geom, dofmap, basis, data.f, volume_rule)
+    edges = geom.mesh.boundary_edges
+    coef = _robin_form(scheme, edges)
+    _edge_vector(rhs, geom, dofmap, basis, edges, coef, _robin_data(scheme, data), boundary_rule)
+    return rhs
+
+
 def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_rule=None):
     """Load vector: volume source plus the Robin form of the boundary data."""
-    volume_rule = volume_rule if volume_rule is not None else _default_volume_rule(basis.degree)
-    boundary_rule = boundary_rule if boundary_rule is not None else _default_edge_rule(basis.degree)
-    rhs = _volume_load(mesh, dofmap, basis, data.f, volume_rule)
-    edges = mesh.boundary_edges
-    coef = _robin_form(scheme, edges)
-    _edge_vector(rhs, mesh, dofmap, basis, edges, coef, _robin_data(scheme, data), boundary_rule)
-    return rhs
+    return _load(_Geometry(mesh), dofmap, basis, scheme, data, volume_rule, boundary_rule)
 
 
 def assemble(mesh, scheme, data):
     """Build the full linear system for one mesh and scheme."""
-    basis = reference_basis(scheme.degree)
-    dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
-    matrix = assemble_volume(mesh, dofmap, basis)
-    matrix = matrix + assemble_nitsche_boundary(mesh, dofmap, basis, scheme)
+    basis, dofmap = _space(mesh, scheme)
+    geom = _Geometry(mesh)
+    edges = mesh.boundary_edges
+    parts = [_volume_part(geom, dofmap, basis)]
+    parts.append(_edge_part(geom, dofmap, basis, edges, _robin_form(scheme, edges)))
     if scheme.method is Method.SIPDG:
-        matrix = matrix + assemble_interior_penalty(mesh, dofmap, basis, scheme)
-    rhs = assemble_load(mesh, dofmap, basis, scheme, data)
-    matrix.sum_duplicates()
-    matrix.sort_indices()
+        edges = mesh.interior_edges
+        parts.append(_edge_part(geom, dofmap, basis, edges, _penalty_form(scheme, edges)))
+    matrix = _compress(parts, dofmap.n_dofs)
+    rhs = _load(geom, dofmap, basis, scheme, data)
     p1 = scheme.continuous and scheme.degree == 1
     prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
-    return SparseSystem(matrix=matrix.tocsr(), rhs=rhs, dofmap=dofmap, prolongation=prolongation)
+    return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap, prolongation=prolongation)
+
+
+def _norm_parts(geom, dofmap, basis, scheme, variant):
+    """The (dofs, blocks) parts of the energy-norm Gram matrix."""
+    parts = [_volume_part(geom, dofmap, basis, triangle_rule(6))]
+    mesh = geom.mesh
+    for edges in [mesh.boundary_edges] + ([mesh.interior_edges] if scheme.method is Method.SIPDG else []):
+        coef = _norm_form(scheme, edges, variant)
+        parts.append(_edge_part(geom, dofmap, basis, edges, coef, edge_rule(8)))
+    return parts
 
 
 def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
@@ -397,17 +418,8 @@ def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
     """
     if variant not in ("energy", "augmented"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
-    basis = reference_basis(scheme.degree)
-    if dofmap is None:
-        dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
-    total = assemble_volume(mesh, dofmap, basis, rule=triangle_rule(6))
-    sipdg = scheme.method is Method.SIPDG
-    for edges in [mesh.boundary_edges] + ([mesh.interior_edges] if sipdg else []):
-        coef = _norm_form(scheme, edges, variant)
-        total = total + _edge_matrix(mesh, dofmap, basis, edges, coef, edge_rule(8))
-    total.sum_duplicates()
-    total.sort_indices()
-    return total.tocsr()
+    basis, dofmap = _space(mesh, scheme, dofmap)
+    return _compress(_norm_parts(_Geometry(mesh), dofmap, basis, scheme, variant), dofmap.n_dofs)
 
 
 def consistency_residual(mesh, scheme, data, dofmap=None):
@@ -415,46 +427,45 @@ def consistency_residual(mesh, scheme, data, dofmap=None):
 
     Evaluates a_h(u, phi_i) - l_h(phi_i) with the analytic solution and
     gradient in place of u, using the high-order quadrature rules, and
-    scales each entry by the energy norm of phi_i.  On a mesh that fills
-    the domain exactly this is quadrature-level small; on the disk it
-    measures the boundary-skin perturbation.
+    scales each entry by the augmented energy norm of phi_i.  On a mesh
+    that fills the domain exactly this is quadrature-level small; on the
+    disk it measures the boundary-skin perturbation.
     """
     if data.exact_u is None or data.exact_grad is None:
         raise MissingExactSolution("consistency check needs exact_u and exact_grad")
-    basis = reference_basis(scheme.degree)
-    if dofmap is None:
-        dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
+    basis, dofmap = _space(mesh, scheme, dofmap)
     geom = _Geometry(mesh)
-    vrule = triangle_rule(6)
-    erule = edge_rule(8)
+    vrule, erule = triangle_rule(6), edge_rule(8)
 
     # volume: (grad u, grad phi_i) - (f, phi_i)
     x = geom.physical_points(vrule.points)
     gu = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)  # (T, q, 2)
     pulled = vrule.weights[:, None] * (gu @ geom.invB.transpose(0, 2, 1))  # B^-1 grad u
     local = geom.det[:, None] * np.tensordot(pulled, basis.eval_grad(vrule.points), ([1, 2], [0, 2]))
-    defect = -_volume_load(mesh, dofmap, basis, data.f, vrule)
+    defect = -_volume_load(geom, dofmap, basis, data.f, vrule)
     np.add.at(defect, dofmap.cell_dofs, local)
 
     # edges: each edge form applied to the exact trace minus the data trace
     edges = mesh.boundary_edges
     exact, given = _exact_trace(data, edges), _robin_data(scheme, data)
     coef = _robin_form(scheme, edges)
-    _edge_vector(defect, mesh, dofmap, basis, edges, coef, lambda x: exact(x) - given(x), erule)
+    _edge_vector(defect, geom, dofmap, basis, edges, coef, lambda x: exact(x) - given(x), erule)
     if scheme.method is Method.SIPDG:
         edges = mesh.interior_edges
         coef = _penalty_form(scheme, edges)
-        _edge_vector(defect, mesh, dofmap, basis, edges, coef, _exact_trace(data, edges), erule)
+        _edge_vector(defect, geom, dofmap, basis, edges, coef, _exact_trace(data, edges), erule)
 
-    gram = norm_matrix(mesh, scheme, dofmap=dofmap, variant="augmented")
-    return float(np.max(np.abs(defect) / np.sqrt(gram.diagonal())))
+    # the squared norms of phi_i: the diagonal of the augmented Gram matrix
+    gram_diag = np.zeros(dofmap.n_dofs)
+    for dofs, blocks in _norm_parts(geom, dofmap, basis, scheme, "augmented"):
+        np.add.at(gram_diag, dofs, np.diagonal(blocks, axis1=1, axis2=2))
+    return float(np.max(np.abs(defect) / np.sqrt(gram_diag)))
 
 
 def write_matrix(matrix, path):
     """Dump a sparse matrix as sorted 'row col value' triples."""
     csr = sp.csr_matrix(matrix)
-    csr.sum_duplicates()
-    csr.sort_indices()
+    csr.sum_duplicates()  # also sorts the indices
     coo = csr.tocoo()
     with open(path, "w", newline="\n") as fh:
         for i, j, v in zip(coo.row, coo.col, coo.data):

@@ -18,7 +18,8 @@ class NotOnBoundary(RobinFemError):
 
 
 class NonManifoldMesh(RobinFemError):
-    """An edge is shared by more than two triangles."""
+    """An edge is shared by more than two triangles, or its two triangles
+    walk it the same way (they overlap)."""
 
 
 class FormatError(RobinFemError):

@@ -68,6 +68,9 @@ class Mesh:
             raise InvalidParameter("triangles must have shape (n, 3)")
         if len(self.triangles) == 0:
             raise InvalidParameter("mesh has no triangles")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            raise InvalidParameter(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
         areas = self.triangle_areas()
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -123,7 +126,10 @@ def build_edge_topology(vertices, triangles):
     vertex pair, so the result is deterministic for a fixed triangle
     list, and the (T, 3) rank of local edges (0,1), (1,2), (2,0) of every
     triangle among all edges in that order.  Raises NonManifoldMesh if
-    any vertex pair is shared by more than two triangles.
+    any vertex pair is shared by more than two triangles, or if the two
+    triangles of an interior edge walk it in the same direction: with
+    both counterclockwise, they then lie on the same side of it and
+    overlap.
     """
     verts = np.asarray(vertices, dtype=float)
     tris = np.asarray(triangles, dtype=np.int64)
@@ -139,6 +145,13 @@ def build_edge_topology(vertices, triangles):
     if np.any(counts > 2):
         key = tuple(int(v) for v in pairs[starts[np.argmax(counts > 2)]])
         raise NonManifoldMesh(f"edge {key} is shared by more than two triangles")
+    inner = counts == 2
+    # half-edge 3*t + k runs from tris[t, k] to tris[t, (k+1) % 3]
+    ascending = (tris < np.roll(tris, -1, axis=1)).ravel()[order]
+    same_way = inner & (ascending[starts] == ascending[starts + inner])
+    if np.any(same_way):
+        key = tuple(int(v) for v in pairs[starts[np.argmax(same_way)]])
+        raise NonManifoldMesh(f"edge {key} is walked the same way by both its triangles")
     cell_edges = np.empty(len(pairs), dtype=np.int64)
     cell_edges[order] = np.cumsum(is_first) - 1
     owners = order // 3
@@ -148,7 +161,6 @@ def build_edge_topology(vertices, triangles):
     h_e = np.hypot(tang[:, 0], tang[:, 1])
     nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / h_e[:, None]
     centroids = verts[tris].mean(axis=1)
-    inner = counts == 2
     t0 = owners[starts]
     t1 = owners[starts + inner]  # t0 again on boundary edges
     # interior normals point from t0 into t1, boundary normals away from t0
@@ -245,10 +257,20 @@ def read_mesh(path):
         pos += 1
         return lines[pos - 1], pos
 
+    def take_count(keyword):  # checked against the lines left before allocating
+        count = _take_count(take, keyword)
+        if count > len(lines) - pos:
+            raise FormatError(
+                f"unexpected end of file: line {pos} announces {count} {keyword}, "
+                f"{len(lines) - pos} lines follow",
+                line=len(lines) + 1,
+            )
+        return count
+
     header, lineno = take("header")
     if header.strip() != "meshfmt 1":
         raise FormatError(f"expected 'meshfmt 1', got {header!r}", line=lineno)
-    nv = _take_count(take, "vertices")
+    nv = take_count("vertices")
     verts = np.empty((nv, 2))
     for i in range(nv):
         text, lineno = take("vertex coordinates")
@@ -259,7 +281,9 @@ def read_mesh(path):
             verts[i] = [float(parts[0]), float(parts[1])]
         except ValueError:
             raise FormatError(f"bad coordinate in {text!r}", line=lineno) from None
-    nt = _take_count(take, "triangles")
+        if not np.isfinite(verts[i]).all():
+            raise FormatError(f"non-finite coordinate in {text!r}", line=lineno)
+    nt = take_count("triangles")
     tris = np.empty((nt, 3), dtype=np.int64)
     for i in range(nt):
         text, lineno = take("triangle indices")

@@ -31,6 +31,9 @@ SPD, and raises IndefiniteMatrix:
 
 Once 1 and 2 pass, M is SPD whatever A is, so r.z > 0 for every
 nonzero residual and needs no check of its own.
+
+A residual that is not finite (from nan or inf in the input) stops CG at
+once with NotConverged, carrying the residual history.
 """
 
 import enum
@@ -211,6 +214,10 @@ def _solve_cg(matrix, rhs, config, prolongation):
         r -= alpha * ap
         rel = float(np.linalg.norm(r) / b_norm)
         history.append(rel)
+        if not math.isfinite(rel):
+            raise NotConverged(
+                f"non-finite residual at iteration {it}", residual_history=history
+            )
         if rel <= config.rel_tolerance:
             return x, SolveReport(
                 iterations=it, residual=rel, wall_time=0.0, coarse_dofs=coarse_dofs

@@ -437,3 +437,79 @@ def test_prolongation_is_none_for_continuous_p1():
     mesh = generate_disk_mesh(8)
     system = assemble(mesh, Scheme(NIT, degree=1), get_problem("sinsin").make_data(1.0))
     assert system.prolongation is None
+
+
+def touched_pairs(mesh, dofmap, method):
+    """Every (row, col) pair a form couples, collected element by element."""
+    pairs = set()
+    groups = [[t] for t in range(mesh.n_triangles)]
+    if method is DG:
+        groups += [list(e) for e in mesh.interior_edges.element_ids]
+    for elems in groups:
+        dofs = [int(d) for t in elems for d in dofmap.cell_dofs[t]]
+        pairs.update((a, b) for a in dofs for b in dofs)
+    return pairs
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize(
+    "make_mesh", [lambda: generate_disk_mesh(4), lambda: generate_square_mesh(3)], ids=["disk", "square"]
+)
+def test_assembled_pattern_is_structural_and_canonical(make_mesh, method, degree):
+    mesh = make_mesh()
+    scheme = Scheme(method, degree=degree, epsilon=0.5)
+    A = assemble(mesh, scheme, get_problem("sinsin").make_data(0.5)).matrix
+    n = A.shape[0]
+    # canonical CSR: strictly increasing column indices within every row
+    row_of = np.repeat(np.arange(n), np.diff(A.indptr))
+    same_row = row_of[1:] == row_of[:-1]
+    assert np.all(np.diff(A.indices)[same_row] > 0)
+    # every touched pair is stored, exact-zero sums included, and nothing else
+    pairs = touched_pairs(mesh, build_dofmap(mesh, degree, scheme.continuous), method)
+    assert A.nnz == len(pairs)
+    assert set(zip(row_of.tolist(), A.indices.tolist())) == pairs
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_assembled_matrix_is_sum_of_form_matrices(method, degree):
+    mesh = generate_disk_mesh(5)
+    scheme = Scheme(method, degree=degree, epsilon=0.5)
+    A = assemble(mesh, scheme, get_problem("sinsin").make_data(0.5)).matrix
+    dm = build_dofmap(mesh, degree, scheme.continuous)
+    basis = reference_basis(degree)
+    total = assemble_volume(mesh, dm, basis) + assemble_nitsche_boundary(mesh, dm, basis, scheme)
+    if method is DG:
+        total = total + assemble_interior_penalty(mesh, dm, basis, scheme)
+    scale = abs(A).max()
+    assert abs(A - total).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+def test_assembly_is_bitwise_repeatable(method):
+    mesh = generate_disk_mesh(6)
+    scheme = Scheme(method, degree=2, epsilon=1e-3)
+    data = get_problem("sinsin").make_data(1e-3)
+    first, second = assemble(mesh, scheme, data), assemble(mesh, scheme, data)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(first.matrix, name), getattr(second.matrix, name))
+    assert np.array_equal(first.rhs, second.rhs)
+
+
+def test_physical_points_are_the_affine_map():
+    from robinfem.assembly import _Geometry
+
+    mesh = generate_disk_mesh(3)
+    geom = _Geometry(mesh)
+    ref = np.vstack([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], triangle_rule(6).points])
+    x = geom.physical_points(ref)
+    assert x.shape == (mesh.n_triangles, len(ref), 2)
+    # the reference corners land on the triangle's own vertices
+    np.testing.assert_allclose(x[:, :3], mesh.vertices[mesh.triangles], rtol=0, atol=1e-15)
+    # v0 + B xi, written out entry by entry
+    for t in range(mesh.n_triangles):
+        (x0, y0), (x1, y1), (x2, y2) = mesh.vertices[mesh.triangles[t]]
+        for q, (xi, eta) in enumerate(ref):
+            expected = [x0 + (x1 - x0) * xi + (x2 - x0) * eta, y0 + (y1 - y0) * xi + (y2 - y0) * eta]
+            np.testing.assert_allclose(x[t, q], expected, rtol=0, atol=1e-15)

@@ -399,3 +399,49 @@ def test_read_mesh_truncated_file(tmp_path):
     with pytest.raises(FormatError) as err:
         read_mesh(path)
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_are_rejected(tmp_path, bad):
+    # a nan vertex passes the signed-area check (nan <= 0 is false) and
+    # would only surface as a NaN residual deep inside the solve
+    mesh = generate_square_mesh(1)
+    verts = mesh.vertices.copy()
+    verts[2, 1] = bad
+    with pytest.raises(InvalidParameter, match="vertex 2 has a non-finite coordinate"):
+        Mesh(verts, mesh.triangles)
+    path = tmp_path / "m.mesh"
+    write_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    lines[4] = f"1 {bad}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="non-finite") as err:
+        read_mesh(path)
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize("keyword, line", [("vertices", 2), ("triangles", 7)])
+def test_read_mesh_checks_counts_before_allocating(tmp_path, keyword, line):
+    path = tmp_path / "m.mesh"
+    write_mesh(generate_square_mesh(1), path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = f"{keyword} 99999999999999"  # 1.4 PiB as float64 pairs
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"line {line} announces 99999999999999 {keyword}") as err:
+        read_mesh(path)
+    assert err.value.line == len(lines) + 1
+
+
+def test_overlapping_triangles_are_rejected():
+    # vertex 3 sits on vertex 2, so both counterclockwise triangles lie on
+    # the same side of their shared edge 0-1 and walk it the same way
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(NonManifoldMesh, match=r"edge \(0, 1\) is walked the same way"):
+        build_edge_topology(verts, tris)
+    with pytest.raises(NonManifoldMesh):
+        Mesh(verts, tris)
+    # the same pair glued along edge 0-1 from opposite sides is fine
+    verts[3] = [0.5, -1.0]
+    mesh = Mesh(verts, np.array([[0, 1, 2], [1, 0, 3]]))
+    assert len(mesh.interior_edges) == 1

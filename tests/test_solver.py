@@ -120,6 +120,20 @@ def test_not_converged_keeps_history():
     assert err.value.residual_history[0] > 1e-10
 
 
+@pytest.mark.parametrize("where", ["rhs", "matrix"])
+def test_cg_stops_at_a_non_finite_residual(where):
+    A = np.array([[2.0, 1.0], [1.0, 2.0]])
+    b = np.array([1.0, 0.0])
+    if where == "rhs":
+        b[1] = np.nan
+    else:
+        A[0, 1] = A[1, 0] = np.inf
+    with pytest.raises(NotConverged, match="non-finite residual at iteration 1") as err:
+        solve((sp.csr_matrix(A), b), CG)
+    assert len(err.value.residual_history) == 1
+    assert not np.isfinite(err.value.residual_history[0])
+
+
 def test_stiffness_matrix_is_singular_but_not_indefinite():
     from robinfem import assemble_volume, build_dofmap, generate_square_mesh, reference_basis
 
