@@ -35,10 +35,19 @@ triplets of all its forms, then an in-order segmented reduction.  The
 sparsity pattern is therefore structural (an entry whose sum is exactly
 zero is kept), and assembled matrices are bitwise reproducible for a
 fixed mesh and scheme.
+
+What assemble needs besides the forms (basis, dof map, continuous-P1
+prolongation, and the pattern: sort order, segment starts, CSR indices)
+depends only on the mesh, degree and method.  It is built on first use and
+memoized per (degree, method) in a table keyed weakly by the Mesh, so it
+lives as long as the mesh: an eps sweep sorts once, bitwise as an unmemoized
+run.  Systems get copies of the index arrays and the prolongation; the
+shared dof map is read-only.
 """
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -158,13 +167,12 @@ def _penalty_form(scheme, edges):
 
 
 def _norm_form(scheme, edges, variant):
-    """Energy-norm coefficients on either trace vector, diagonal: (E, m, m).
-    The "energy" variant drops the h_E^2 weights of the derivatives."""
+    """The diagonal of the energy-norm coefficients on either trace vector:
+    (E, m).  The "energy" variant drops the h_E^2 weights of the derivatives."""
     h = edges.h_e
     first = h / (scheme.epsilon + h) if _is_boundary(edges) else np.ones_like(h)
     flux = h * h if variant == "augmented" else np.zeros_like(h)
-    diag = np.stack([first] + [flux] * edges.element_ids.shape[1], axis=-1)
-    return diag[:, :, None] * np.eye(diag.shape[1])
+    return np.stack([first] + [flux] * edges.element_ids.shape[1], axis=-1)
 
 
 def _default_volume_rule(degree):
@@ -198,6 +206,11 @@ class _Geometry:
 
 def _is_boundary(edges):
     return edges.element_ids.shape[1] == 1
+
+
+def _edge_tables(mesh, method):
+    """The edge tables a method integrates over: boundary, then interior for SIPDG."""
+    return [mesh.boundary_edges] + ([mesh.interior_edges] if method is Method.SIPDG else [])
 
 
 def _edge_frame(edges):
@@ -292,7 +305,7 @@ def _edge_vector(out, geom, dofmap, basis, edges, coef, trace, rule):
 def _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution, rule):
     """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
     with e the exact trace minus the trace of the dof vector solution."""
-    diag = np.diagonal(_norm_form(scheme, edges, "augmented"), axis1=1, axis2=2)
+    diag = _norm_form(scheme, edges, "augmented")
     ce = solution[_edge_dofs(dofmap, edges)]
     exact = _exact_trace(data, edges)
     total = 0.0
@@ -302,21 +315,32 @@ def _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution, rule):
     return total
 
 
-def _compress(parts, n):
-    """Deterministic COO -> CSR of the (E, k, k) blocks of every (dofs,
-    blocks) part, indexed by its (E, k) dofs: one stable sort of the key
-    row*n + col over all parts, in-order segment sums."""
-    ends = np.cumsum([0] + [blocks.size for _, blocks in parts])
-    keys, vals = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1])
-    for (dofs, blocks), a, b in zip(parts, ends, ends[1:]):
-        np.add(dofs[:, :, None] * n, dofs[:, None, :], out=keys[a:b].reshape(blocks.shape))
-        vals[a:b] = blocks.ravel()
+def _pattern(dofs, n):
+    """CSR pattern (order, starts, indices, indptr) of (E, k, k) blocks on (E, k)
+    dofs: the stable sort of the keys row*n + col, and its runs of equal keys."""
+    ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in dofs])
+    keys = np.empty(ends[-1], dtype=np.int64)
+    for d, a, b in zip(dofs, ends, ends[1:]):
+        np.add(d[:, :, None] * n, d[:, None, :], out=keys[a:b].reshape(len(d), d.shape[1], d.shape[1]))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys >= 0: entry 0 starts one
     rows, cols = np.divmod(keys[starts], n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return sp.csr_matrix((np.add.reduceat(vals[order], starts), cols, indptr), shape=(n, n))
+    itype = np.int32 if max(n, len(keys)) <= np.iinfo(np.int32).max else np.int64
+    return tuple(a.astype(itype) for a in (order, starts, cols, indptr))
+
+
+def _reduce(blocks, pattern, n):
+    """CSR matrix of blocks on their pattern: in-order segment sums, copied indices."""
+    order, starts, indices, indptr = pattern
+    vals = np.concatenate([b.ravel() for b in blocks])[order]
+    return sp.csr_matrix((np.add.reduceat(vals, starts), indices.copy(), indptr.copy()), shape=(n, n))
+
+
+def _compress(parts, n):
+    """Deterministic COO -> CSR of the (dofs, blocks) parts."""
+    return _reduce([b for _, b in parts], _pattern([d for d, _ in parts], n), n)
 
 
 def _volume_part(geom, dofmap, basis, rule=None):
@@ -380,31 +404,34 @@ def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_
     return _load(_Geometry(mesh), dofmap, basis, scheme, data, volume_rule, boundary_rule)
 
 
+_SPACES = weakref.WeakKeyDictionary()  # Mesh -> {(degree, method): _assembly_space result}
+
+
+def _assembly_space(mesh, scheme):
+    """(basis, dofmap, prolongation, pattern) of a mesh and scheme, memoized."""
+    spaces = _SPACES.setdefault(mesh, {})
+    key = (scheme.degree, scheme.method)
+    if key not in spaces:
+        basis, dofmap = _space(mesh, scheme)
+        dofmap.cell_dofs.setflags(write=False)
+        dofs = [dofmap.cell_dofs] + [_edge_dofs(dofmap, e) for e in _edge_tables(mesh, scheme.method)]
+        p1 = scheme.continuous and scheme.degree == 1
+        prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
+        spaces[key] = (basis, dofmap, prolongation, _pattern(dofs, dofmap.n_dofs))
+    return spaces[key]
+
+
 def assemble(mesh, scheme, data):
     """Build the full linear system for one mesh and scheme."""
-    basis, dofmap = _space(mesh, scheme)
+    basis, dofmap, prolongation, pattern = _assembly_space(mesh, scheme)
     geom = _Geometry(mesh)
-    edges = mesh.boundary_edges
-    parts = [_volume_part(geom, dofmap, basis)]
-    parts.append(_edge_part(geom, dofmap, basis, edges, _robin_form(scheme, edges)))
-    if scheme.method is Method.SIPDG:
-        edges = mesh.interior_edges
-        parts.append(_edge_part(geom, dofmap, basis, edges, _penalty_form(scheme, edges)))
-    matrix = _compress(parts, dofmap.n_dofs)
+    blocks = [_volume_part(geom, dofmap, basis)[1]]
+    for edges, form in zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form)):
+        blocks.append(_edge_part(geom, dofmap, basis, edges, form(scheme, edges))[1])
+    matrix = _reduce(blocks, pattern, dofmap.n_dofs)
     rhs = _load(geom, dofmap, basis, scheme, data)
-    p1 = scheme.continuous and scheme.degree == 1
-    prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
+    prolongation = None if prolongation is None else prolongation.copy()
     return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap, prolongation=prolongation)
-
-
-def _norm_parts(geom, dofmap, basis, scheme, variant):
-    """The (dofs, blocks) parts of the energy-norm Gram matrix."""
-    parts = [_volume_part(geom, dofmap, basis, triangle_rule(6))]
-    mesh = geom.mesh
-    for edges in [mesh.boundary_edges] + ([mesh.interior_edges] if scheme.method is Method.SIPDG else []):
-        coef = _norm_form(scheme, edges, variant)
-        parts.append(_edge_part(geom, dofmap, basis, edges, coef, edge_rule(8)))
-    return parts
 
 
 def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
@@ -419,7 +446,12 @@ def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
     if variant not in ("energy", "augmented"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
     basis, dofmap = _space(mesh, scheme, dofmap)
-    return _compress(_norm_parts(_Geometry(mesh), dofmap, basis, scheme, variant), dofmap.n_dofs)
+    geom = _Geometry(mesh)
+    parts = [_volume_part(geom, dofmap, basis, triangle_rule(6))]
+    for edges in _edge_tables(mesh, scheme.method):
+        coef = _norm_form(scheme, edges, variant)[:, :, None] * np.eye(edges.element_ids.shape[1] + 1)
+        parts.append(_edge_part(geom, dofmap, basis, edges, coef, edge_rule(8)))
+    return _compress(parts, dofmap.n_dofs)
 
 
 def consistency_residual(mesh, scheme, data, dofmap=None):
@@ -455,17 +487,22 @@ def consistency_residual(mesh, scheme, data, dofmap=None):
         coef = _penalty_form(scheme, edges)
         _edge_vector(defect, geom, dofmap, basis, edges, coef, _exact_trace(data, edges), erule)
 
-    # the squared norms of phi_i: the diagonal of the augmented Gram matrix
+    # the squared norms of phi_i, the augmented Gram diagonal; on edges sum_q w_q sum_m C_mm t_m^2
+    dofs, blocks = _volume_part(geom, dofmap, basis, vrule)
     gram_diag = np.zeros(dofmap.n_dofs)
-    for dofs, blocks in _norm_parts(geom, dofmap, basis, scheme, "augmented"):
-        np.add.at(gram_diag, dofs, np.diagonal(blocks, axis1=1, axis2=2))
+    np.add.at(gram_diag, dofs, np.diagonal(blocks, axis1=1, axis2=2))
+    for edges in _edge_tables(mesh, scheme.method):
+        diag, local = _norm_form(scheme, edges, "augmented")[:, None, :], 0.0
+        for _, w, t in _edge_traces(geom, basis, edges, erule):
+            local += w * (diag @ (t * t))[:, 0]
+        np.add.at(gram_diag, _edge_dofs(dofmap, edges), local)
     return float(np.max(np.abs(defect) / np.sqrt(gram_diag)))
 
 
 def write_matrix(matrix, path):
     """Dump a sparse matrix as sorted 'row col value' triples."""
-    csr = sp.csr_matrix(matrix)
-    csr.sum_duplicates()  # also sorts the indices
+    csr = sp.csr_matrix(matrix, copy=True)  # sum_duplicates sorts in place
+    csr.sum_duplicates()
     coo = csr.tocoo()
     with open(path, "w", newline="\n") as fh:
         for i, j, v in zip(coo.row, coo.col, coo.data):

@@ -29,6 +29,9 @@ __all__ = [
     "read_mesh",
 ]
 
+# above this, products of coordinate differences (areas, element maps) may overflow
+_MAX_COORDINATE = 1e150
+
 
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
@@ -71,6 +74,11 @@ class Mesh:
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
             raise InvalidParameter(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
+        size = np.abs(self.vertices).max(axis=1)
+        if size.max() > _MAX_COORDINATE:
+            raise InvalidParameter(
+                f"vertex {int(np.argmax(size))} has a coordinate above {_MAX_COORDINATE:g} in magnitude"
+            )
         areas = self.triangle_areas()
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -246,8 +254,13 @@ def write_mesh(mesh, path):
 
 def read_mesh(path):
     """Parse a mesh file; topology is rebuilt, not stored."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"byte {exc.start} is not UTF-8 text", line=line) from None
     pos = 0
 
     def take(what):

@@ -1,5 +1,10 @@
 import sys
 
+from hypothesis import settings
+
+# CI runs select this profile (--hypothesis-profile=ci), so its draws repeat run to run
+settings.register_profile("ci", derandomize=True, deadline=None)
+
 
 def pytest_terminal_summary(terminalreporter):
     """Print one verdict line per acceptance criterion after the test run."""

@@ -1,12 +1,16 @@
 """Assembly checks against closed-form element matrices and identities."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from robinfem import (
     InvalidParameter,
+    IndefiniteMatrix,
     Method,
     ProblemData,
     Scheme,
@@ -28,6 +32,7 @@ from robinfem import (
     min_eigenvalue_dense,
     reference_basis,
     robin_weights,
+    solve,
     triangle_rule,
     write_matrix,
 )
@@ -513,3 +518,126 @@ def test_physical_points_are_the_affine_map():
         for q, (xi, eta) in enumerate(ref):
             expected = [x0 + (x1 - x0) * xi + (x2 - x0) * eta, y0 + (y1 - y0) * xi + (y2 - y0) * eta]
             np.testing.assert_allclose(x[t, q], expected, rtol=0, atol=1e-15)
+
+
+def test_write_matrix_leaves_its_argument_unchanged(tmp_path):
+    # row 0 holds column 1, then column 0 twice: unsorted, with a duplicate
+    data, indices, indptr = np.array([1.0, 2.0, 3.0]), np.array([1, 0, 0]), np.array([0, 3, 3])
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(2, 2))
+    path = tmp_path / "matrix.txt"
+    write_matrix(matrix, path)
+    assert path.read_text() == "0 0 5\n0 1 1\n"
+    assert matrix.indices.tolist() == [1, 0, 0]
+    assert matrix.data.tolist() == [1.0, 2.0, 3.0]
+
+
+SYSTEM_ARRAYS = {
+    "data": lambda s: s.matrix.data,
+    "indices": lambda s: s.matrix.indices,
+    "indptr": lambda s: s.matrix.indptr,
+    "rhs": lambda s: s.rhs,
+    "prolongation.data": lambda s: s.prolongation.data,
+    "prolongation.indices": lambda s: s.prolongation.indices,
+    "prolongation.indptr": lambda s: s.prolongation.indptr,
+    "cell_dofs": lambda s: s.dofmap.cell_dofs,
+}
+
+
+def assert_systems_bitwise_equal(first, second):
+    assert (first.prolongation is None) == (second.prolongation is None)
+    for name, get in SYSTEM_ARRAYS.items():
+        if name.startswith("prolongation") and first.prolongation is None:
+            continue
+        a, b = get(first), get(second)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def fresh_copy(mesh):
+    return Mesh(mesh.vertices, mesh.triangles)
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_assembly_on_a_used_mesh_equals_a_fresh_mesh(method, degree):
+    mesh = generate_disk_mesh(4)
+    # serve other (eps, gamma, method, degree) on the same mesh first
+    for eps, gamma, other_method, other_degree in [(1e-6, 0.05, DG, 2), (1e3, 0.2, NIT, 1), (0.5, 0.1, DG, 1)]:
+        assemble(mesh, Scheme(other_method, degree=other_degree, epsilon=eps, gamma=gamma),
+                 get_problem("sinsin_flux").make_data(eps))
+    for eps in (1e-6, 0.5, 1e3):
+        scheme = Scheme(method, degree=degree, epsilon=eps, gamma=0.1)
+        data = get_problem("sinsin_flux").make_data(eps)
+        assert_systems_bitwise_equal(assemble(mesh, scheme, data), assemble(fresh_copy(mesh), scheme, data))
+
+
+def _collapse_first_row(A):
+    # every entry of row 0 in column indices[0]; sum_duplicates then compacts the arrays in place
+    A.indices[A.indptr[0]:A.indptr[1]] = A.indices[A.indptr[0]]
+    A.has_canonical_format = False
+    A.sum_duplicates()
+
+
+def _reverse_first_row(A):
+    lo, hi = A.indptr[0], A.indptr[1]
+    A.indices[lo:hi] = A.indices[lo:hi][::-1].copy()
+    A.has_sorted_indices = False
+
+
+def _zero_first_row(A):
+    A.data[A.indptr[0]:A.indptr[1]] = 0.0
+
+
+MUTATIONS = {  # each writes into the arrays of the returned system
+    "matrix.data": lambda s, path: s.matrix.data.fill(-1.0),
+    "matrix.indices": lambda s, path: s.matrix.indices.fill(0),
+    "matrix.indptr": lambda s, path: s.matrix.indptr.fill(0),
+    "sum_duplicates": lambda s, path: _collapse_first_row(s.matrix),
+    "sort_indices": lambda s, path: (_reverse_first_row(s.matrix), s.matrix.sort_indices()),
+    "eliminate_zeros": lambda s, path: (_zero_first_row(s.matrix), s.matrix.eliminate_zeros()),
+    "write_matrix": lambda s, path: (_reverse_first_row(s.matrix), write_matrix(s.matrix, path)),
+    "rhs": lambda s, path: s.rhs.fill(2.0),
+    "prolongation.data": lambda s, path: s.prolongation.data.fill(7.0),
+    "prolongation.indices": lambda s, path: s.prolongation.indices.fill(0),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+@pytest.mark.parametrize("method, degree", [(NIT, 2), (DG, 1)])
+def test_mutating_a_system_leaves_the_next_unchanged(mutate, method, degree, tmp_path):
+    mesh = generate_disk_mesh(3)
+    scheme = Scheme(method, degree=degree, epsilon=0.5)
+    data = get_problem("sinsin").make_data(0.5)
+    reference = assemble(fresh_copy(mesh), scheme, data)
+    mutate(assemble(mesh, scheme, data), tmp_path / "matrix.txt")
+    assert_systems_bitwise_equal(assemble(mesh, scheme, data), reference)
+
+
+def test_shared_dof_map_is_read_only():
+    system = assemble(generate_disk_mesh(3), Scheme(DG, degree=2), get_problem("sinsin").make_data(1.0))
+    with pytest.raises(ValueError):
+        system.dofmap.cell_dofs[0, 0] = 1
+
+
+@pytest.mark.parametrize("method, degree", [(NIT, 1), (NIT, 2), (DG, 1), (DG, 2)])
+def test_large_gamma_raises_after_a_solve_on_the_same_mesh(method, degree):
+    mesh = generate_disk_mesh(4)
+    data = get_problem("sinsin").make_data(1.0)
+    solution, _ = solve(assemble(mesh, Scheme(method, degree=degree, epsilon=1.0, gamma=0.1), data))
+    assert np.all(np.isfinite(solution))
+    with pytest.raises(IndefiniteMatrix):
+        solve(assemble(mesh, Scheme(method, degree=degree, epsilon=1.0, gamma=100.0), data))
+
+
+def test_memo_entry_is_released_with_its_mesh():
+    from robinfem.assembly import _SPACES
+
+    gc.collect()
+    mesh = generate_disk_mesh(3)
+    before = len(_SPACES)
+    system = assemble(mesh, Scheme(NIT, degree=2), get_problem("sinsin").make_data(1.0))
+    assert len(_SPACES) == before + 1
+    mesh_ref, dofmap_ref = weakref.ref(mesh), weakref.ref(system.dofmap)
+    del mesh, system
+    gc.collect()
+    assert mesh_ref() is None and dofmap_ref() is None
+    assert len(_SPACES) == before

@@ -445,3 +445,29 @@ def test_overlapping_triangles_are_rejected():
     verts[3] = [0.5, -1.0]
     mesh = Mesh(verts, np.array([[0, 1, 2], [1, 0, 3]]))
     assert len(mesh.interior_edges) == 1
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[0.0, 0.0], [1e300, 0.0], [0.0, 1e300]],  # the area overflows to inf
+        [[0.0, 0.0], [1e308, 0.0], [-1e308, 1e-300]],  # area 5e7, side 1-2 overflows
+    ],
+    ids=["area", "side"],
+)
+def test_overflowing_coordinates_are_rejected(tmp_path, vertices):
+    with pytest.raises(InvalidParameter, match="vertex 1 has a coordinate above 1e[+]150"):
+        Mesh(vertices, [[0, 1, 2]])
+    path = tmp_path / "m.mesh"
+    text = "".join(f"{x!r} {y!r}\n" for x, y in vertices)
+    path.write_text(f"meshfmt 1\nvertices 3\n{text}triangles 1\n0 1 2\n")
+    with pytest.raises(InvalidParameter):
+        read_mesh(path)
+
+
+def test_read_mesh_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "m.mesh"
+    path.write_bytes(b"meshfmt 1\nvertices 1\n\x80 0\n")
+    with pytest.raises(FormatError, match="byte 21 is not UTF-8 text") as err:
+        read_mesh(path)
+    assert err.value.line == 3
