@@ -29,20 +29,24 @@ d, and squared norms sum_q w_q diag(C) e^2; the boundary load is thus
 l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the exact
 contraction of a reference tensor with each element's geometry tensor.
 
-Every form contributes (dofs, blocks) triplets, and each system is
-compressed once: one stable sort of the int64 key row*n + col over the
-triplets of all its forms, then an in-order segmented reduction.  The
-sparsity pattern is therefore structural (an entry whose sum is exactly
-zero is kept), and assembled matrices are bitwise reproducible for a
-fixed mesh and scheme.
+Every form contributes (dofs, blocks) triplets.  The triplets of all the
+forms of a system share one stable sort of the int64 key row*n + col, and
+each run of equal keys is one stored entry: the sparsity pattern is
+structural (an entry whose sum is exactly zero is kept).  A form assembled
+on its own sums each run in sorted order with one segmented reduction.
 
-What assemble needs besides the forms (basis, dof map, continuous-P1
-prolongation, and the pattern: sort order, segment starts, CSR indices)
-depends only on the mesh, degree and method.  It is built on first use and
-memoized per (degree, method) in a table keyed weakly by the Mesh, so it
-lives as long as the mesh: an eps sweep sorts once, bitwise as an unmemoized
-run.  Systems get copies of the index arrays and the prolongation; the
-shared dof map is read-only.
+What assemble needs besides the edge forms depends only on the mesh, degree
+and method: basis, dof map, continuous-P1 prolongation, the CSR pattern, the
+volume stiffness of the default rule summed onto it (0 where only edge
+forms couple), and the CSR entry of every edge triplet.  It is built on
+first use and memoized per (degree, method) in a table keyed weakly by the
+Mesh, so it lives as long as the mesh: an eps sweep sorts once and sums the
+volume once.  Each assemble then sums only its edge triplets, per entry in
+sorted order, and adds the volume sum.  Entries are (volume sum) + (edge
+sum), the addends of one reduction over all triplets grouped differently:
+bitwise equal to an unmemoized run, and within 1e-15 of the largest entry
+of the one-reduction sum.  Systems get copies of the index arrays and the
+prolongation; the shared dof map is read-only.
 """
 
 import enum
@@ -315,32 +319,28 @@ def _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution, rule):
     return total
 
 
-def _pattern(dofs, n):
-    """CSR pattern (order, starts, indices, indptr) of (E, k, k) blocks on (E, k)
-    dofs: the stable sort of the keys row*n + col, and its runs of equal keys."""
+def _sort(dofs, n):
+    """The stable sort of the keys row*n + col of (E, k, k) blocks on (E, k)
+    dofs: (order, first, indices, indptr), first marking where each run of
+    equal keys, one CSR entry, starts in sorted order."""
     ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in dofs])
     keys = np.empty(ends[-1], dtype=np.int64)
     for d, a, b in zip(dofs, ends, ends[1:]):
         np.add(d[:, :, None] * n, d[:, None, :], out=keys[a:b].reshape(len(d), d.shape[1], d.shape[1]))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys >= 0: entry 0 starts one
-    rows, cols = np.divmod(keys[starts], n)
+    first = np.diff(keys, prepend=-1) != 0  # keys >= 0: entry 0 starts a run
+    rows, cols = np.divmod(keys[first], n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     itype = np.int32 if max(n, len(keys)) <= np.iinfo(np.int32).max else np.int64
-    return tuple(a.astype(itype) for a in (order, starts, cols, indptr))
-
-
-def _reduce(blocks, pattern, n):
-    """CSR matrix of blocks on their pattern: in-order segment sums, copied indices."""
-    order, starts, indices, indptr = pattern
-    vals = np.concatenate([b.ravel() for b in blocks])[order]
-    return sp.csr_matrix((np.add.reduceat(vals, starts), indices.copy(), indptr.copy()), shape=(n, n))
+    return order, first, cols.astype(itype), indptr.astype(itype)
 
 
 def _compress(parts, n):
-    """Deterministic COO -> CSR of the (dofs, blocks) parts."""
-    return _reduce([b for _, b in parts], _pattern([d for d, _ in parts], n), n)
+    """Deterministic COO -> CSR of the (dofs, blocks) parts: in-order segment sums."""
+    order, first, indices, indptr = _sort([d for d, _ in parts], n)
+    vals = np.concatenate([b.ravel() for _, b in parts])[order]
+    return sp.csr_matrix((np.add.reduceat(vals, np.flatnonzero(first)), indices, indptr), shape=(n, n))
 
 
 def _volume_part(geom, dofmap, basis, rule=None):
@@ -407,8 +407,11 @@ def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_
 _SPACES = weakref.WeakKeyDictionary()  # Mesh -> {(degree, method): _assembly_space result}
 
 
-def _assembly_space(mesh, scheme):
-    """(basis, dofmap, prolongation, pattern) of a mesh and scheme, memoized."""
+def _assembly_space(geom, scheme):
+    """(basis, dofmap, prolongation, indices, indptr, vol_data, edge_slots) of
+    a mesh and scheme, memoized: the CSR pattern of all its forms, the volume
+    stiffness summed onto it, and the CSR entry of every edge triplet."""
+    mesh = geom.mesh
     spaces = _SPACES.setdefault(mesh, {})
     key = (scheme.degree, scheme.method)
     if key not in spaces:
@@ -417,18 +420,25 @@ def _assembly_space(mesh, scheme):
         dofs = [dofmap.cell_dofs] + [_edge_dofs(dofmap, e) for e in _edge_tables(mesh, scheme.method)]
         p1 = scheme.continuous and scheme.degree == 1
         prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
-        spaces[key] = (basis, dofmap, prolongation, _pattern(dofs, dofmap.n_dofs))
+        order, first, indices, indptr = _sort(dofs, dofmap.n_dofs)
+        slots = np.empty(len(order), dtype=indices.dtype)
+        slots[order] = np.cumsum(first, dtype=slots.dtype) - 1  # the CSR entry of every triplet
+        volume = _volume_part(geom, dofmap, basis)[1].ravel()
+        vol_data = np.bincount(slots[:len(volume)], volume, len(indices))
+        spaces[key] = (basis, dofmap, prolongation, indices, indptr, vol_data, slots[len(volume):].copy())
     return spaces[key]
 
 
 def assemble(mesh, scheme, data):
     """Build the full linear system for one mesh and scheme."""
-    basis, dofmap, prolongation, pattern = _assembly_space(mesh, scheme)
     geom = _Geometry(mesh)
-    blocks = [_volume_part(geom, dofmap, basis)[1]]
-    for edges, form in zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form)):
-        blocks.append(_edge_part(geom, dofmap, basis, edges, form(scheme, edges))[1])
-    matrix = _reduce(blocks, pattern, dofmap.n_dofs)
+    basis, dofmap, prolongation, indices, indptr, vol_data, edge_slots = _assembly_space(geom, scheme)
+    tables = zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form))
+    blocks = [_edge_part(geom, dofmap, basis, edges, form(scheme, edges))[1].ravel() for edges, form in tables]
+    # bincount adds each entry's edge triplets in their own order, which the stable sort keeps
+    values = np.bincount(edge_slots, np.concatenate(blocks), len(vol_data)) + vol_data
+    n = dofmap.n_dofs
+    matrix = sp.csr_matrix((values, indices.copy(), indptr.copy()), shape=(n, n))
     rhs = _load(geom, dofmap, basis, scheme, data)
     prolongation = None if prolongation is None else prolongation.copy()
     return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap, prolongation=prolongation)

@@ -10,6 +10,7 @@ single element and outward normal.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +230,8 @@ def generate_square_mesh(n, level=0):
 
 def level_mesh(domain, level):
     """Mesh of the standard ladder at one level: resolution 4 * 2**level."""
+    if not isinstance(level, numbers.Integral) or level < 0:
+        raise InvalidParameter(f"level must be a nonnegative integer, got {level!r}")
     size = 4 * 2**level
     if domain.kind is DomainKind.UNIT_DISK:
         return generate_disk_mesh(size, level=level)

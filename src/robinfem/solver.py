@@ -33,7 +33,11 @@ Once 1 and 2 pass, M is SPD whatever A is, so r.z > 0 for every
 nonzero residual and needs no check of its own.
 
 A residual that is not finite (from nan or inf in the input) stops CG at
-once with NotConverged, carrying the residual history.
+once with NotConverged, carrying the residual history.  CG runs on the
+right-hand side scaled by the power of two that brings max|b| into
+[1/2, 1): the scaling is exact, so ordinary solves are bitwise unchanged,
+and a tiny or huge b can neither underflow into a false verdict nor
+overflow.  A zero b returns x = 0 at once.
 """
 
 import enum
@@ -59,6 +63,7 @@ __all__ = [
 ]
 
 _DENSE_EIG_LIMIT = 2000
+_EPS = float(np.finfo(float).eps)
 
 
 class SolverMethod(enum.Enum):
@@ -79,9 +84,10 @@ class SolverConfig:
     preconditioner: Preconditioner = Preconditioner.TWO_LEVEL
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tolerance < 1.0):
+        # below machine epsilon the recursive residual can underflow p.A.p to 0
+        if not (_EPS <= self.rel_tolerance < 1.0):
             raise InvalidParameter(
-                f"rel_tolerance must lie in (0, 1), got {self.rel_tolerance}"
+                f"rel_tolerance must lie in [{_EPS:.3g}, 1), got {self.rel_tolerance}"
             )
         if self.max_iterations is not None and self.max_iterations < 1:
             raise InvalidParameter(
@@ -123,7 +129,10 @@ def solve(system, config=None):
     if config.method is SolverMethod.DENSE:
         x, report = _solve_dense(matrix, rhs)
     else:
-        x, report = _solve_cg(matrix, rhs, config, prolongation)
+        # exact power-of-two scaling to max|b| in [1/2, 1), see the module docstring
+        k = math.frexp(float(np.max(np.abs(rhs), initial=0.0)))[1]
+        x, report = _solve_cg(matrix, np.ldexp(rhs, -k), config, prolongation)
+        x = np.ldexp(x, k)
     report.wall_time = time.perf_counter() - start
     return x, report
 
@@ -191,7 +200,7 @@ def _solve_cg(matrix, rhs, config, prolongation):
         max_iter = int(20.0 * math.sqrt(n)) + 200
     precond, coarse_dofs = _preconditioner(matrix, config.preconditioner, prolongation)
     b_norm = np.linalg.norm(rhs)
-    if b_norm == 0.0:
+    if not np.any(rhs):
         return np.zeros(n), SolveReport(
             iterations=0, residual=0.0, wall_time=0.0, coarse_dofs=coarse_dofs
         )

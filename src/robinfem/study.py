@@ -15,7 +15,7 @@ from typing import Optional
 from .analysis import eoc, error_report
 from .assembly import Scheme, assemble
 from .errors import InvalidParameter
-from .mesh import level_mesh, refinement_sequence, write_mesh
+from .mesh import level_mesh, write_mesh
 from .problems import get_problem
 from .solver import SolverConfig, solve
 
@@ -41,7 +41,8 @@ def run_convergence(config):
     problem = get_problem(config.problem)
     data = problem.make_data(config.scheme.epsilon)
     reports = []
-    for mesh in refinement_sequence(problem.domain, config.levels):
+    for level in range(config.levels):  # one level's mesh, and its assembly memo, at a time
+        mesh = level_mesh(problem.domain, level)
         system = assemble(mesh, config.scheme, data)
         solution, _ = solve(system, config.solver)
         reports.append(error_report(mesh, config.scheme, data, solution, system.dofmap))

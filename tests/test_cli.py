@@ -1,4 +1,10 @@
-"""Command-line interface, exercised in process through console_main."""
+"""Command-line interface, exercised in process through console_main,
+and once as a process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +149,20 @@ def test_mesh_without_triangles_exits_1(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "mesh has no triangles" in err
     assert "Traceback" not in err
+
+
+def test_negative_level_exits_1_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "robinfem.cli", "single", "--problem", "sinsin", "--level", "-1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == ["robinfem: error: level must be a nonnegative integer, got -1"]
+
+
+def test_tolerance_below_machine_epsilon_exits_1(capsys):
+    code = console_main(["study", "--problem", "sinsin", "--levels", "2", "--tol", "1e-300"])
+    assert code == 1
+    assert "rel_tolerance" in capsys.readouterr().err

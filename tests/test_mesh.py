@@ -15,6 +15,7 @@ from robinfem import (
     build_edge_topology,
     generate_disk_mesh,
     generate_square_mesh,
+    level_mesh,
     read_mesh,
     refinement_sequence,
     unit_disk,
@@ -471,3 +472,10 @@ def test_read_mesh_rejects_bytes_that_are_not_utf8(tmp_path):
     with pytest.raises(FormatError, match="byte 21 is not UTF-8 text") as err:
         read_mesh(path)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("level", [-1, -3, 1.5, 2.0, "1"])
+def test_level_mesh_rejects_a_level_that_is_not_a_nonnegative_integer(level):
+    for domain in (unit_disk(), unit_square()):
+        with pytest.raises(InvalidParameter, match="level"):
+            level_mesh(domain, level)

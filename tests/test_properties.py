@@ -4,7 +4,10 @@ and a fuzz of the mesh file reader."""
 import functools
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -193,3 +196,23 @@ def test_read_mesh_raises_only_typed_errors(content):
         except (FormatError, InvalidParameter, NonManifoldMesh):
             return
     assert np.all(mesh.triangle_areas() > 0.0)
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # under the repo's warning filters, hypothesis's report hook must not become an INTERNALERROR
+    test_file = tmp_path / "test_falsified.py"
+    test_file.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_below_five(n):\n"
+        "    assert n < 5\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(test_file)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -169,6 +171,30 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(InvalidParameter):
         solve((sp.identity(3, format="csr"), np.ones(4)))
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-17, 0.5 * np.finfo(float).eps])
+def test_tolerance_below_machine_epsilon_is_rejected(tol):
+    # below eps the recursive residual underflows p.A.p to 0 on an SPD matrix
+    with pytest.raises(InvalidParameter, match="rel_tolerance"):
+        SolverConfig(rel_tolerance=tol)
+    assert SolverConfig(rel_tolerance=np.finfo(float).eps).rel_tolerance == np.finfo(float).eps
+
+
+@pytest.mark.parametrize("method, degree", [(Method.NITSCHE, 1), (Method.SIPDG, 1), (Method.NITSCHE, 2)])
+def test_cg_solution_scales_with_the_rhs(method, degree):
+    problem = get_problem("sinsin")
+    system = assemble(level_mesh(problem.domain, 1), Scheme(method, degree=degree), problem.make_data(1.0))
+    x0, report0 = solve(system)
+    # tiny rhs once underflowed into false verdicts or x = 0, huge ones overflowed
+    for s in (1e-160, 1e-200, 1e200, 2.0**40, 2.0**-40):
+        scaled = SparseSystem(system.matrix, s * system.rhs, system.dofmap, system.prolongation)
+        x, report = solve(scaled)
+        assert report.iterations == report0.iterations
+        if math.log2(s).is_integer():  # scaling by a power of two is exact
+            assert np.array_equal(x, s * x0) and report.residual == report0.residual
+        else:
+            assert np.abs(x - s * x0).max() <= 1e-10 * np.abs(s * x0).max()
 
 
 def test_two_level_coarse_check_detects_indefiniteness():

@@ -1,5 +1,6 @@
 """Study driver and the CSV/SVG/solution writers."""
 
+import gc
 import math
 import os
 import stat
@@ -143,3 +144,20 @@ def test_run_single_levels_pick_mesh_size():
     mesh1, _, _, _ = run_single("linear_patch", Scheme(Method.NITSCHE), level=1)
     assert mesh1.n_triangles == 4 * mesh0.n_triangles
     assert mesh0.n_triangles == 2 * 4 * 4
+
+
+def test_each_ladder_level_is_released_before_the_next(monkeypatch):
+    import robinfem.study
+    from robinfem.assembly import _SPACES, assemble
+
+    gc.collect()
+    before, live = len(_SPACES), []
+
+    def counting_assemble(*args):
+        system = assemble(*args)
+        live.append(len(_SPACES) - before)  # meshes whose assembly memo is alive
+        return system
+
+    monkeypatch.setattr(robinfem.study, "assemble", counting_assemble)
+    run_convergence(StudyConfig(problem="sinsin", scheme=Scheme(Method.NITSCHE), levels=4))
+    assert len(live) == 4 and max(live) <= 1
