@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _edge_error_sq, _Geometry, _space
+from .assembly import Method, _assembly_space, _edge_error_sq, _Geometry
 from .errors import DegenerateSequence, MissingExactSolution
-from .felib import edge_rule, reference_basis, triangle_rule
+from .felib import reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
 
@@ -41,36 +41,37 @@ def _require_exact(data):
         raise MissingExactSolution("error norms need exact_u and exact_grad")
 
 
-def l2_error(mesh, data, solution, dofmap, rule=None):
+def l2_error(mesh, data, solution, dofmap):
     """L2 distance between the exact solution and the finite element one."""
-    return _l2_error(_Geometry(mesh), data, solution, dofmap, rule)
+    return _l2_error(_Geometry(mesh), data, solution, dofmap)
 
 
-def _l2_error(geom, data, solution, dofmap, rule=None):
+def _l2_error(geom, data, solution, dofmap):
     _require_exact(data)
-    rule = rule if rule is not None else triangle_rule(6)
+    rule = triangle_rule(6)
     x = geom.physical_points(rule.points)
     uh = solution[dofmap.cell_dofs] @ reference_basis(dofmap.degree).eval(rule.points).T  # (T, q)
     diff = np.asarray(data.exact_u(x[..., 0], x[..., 1]), dtype=float) - uh
     return math.sqrt(float(geom.det @ ((diff * diff) @ rule.weights)))
 
 
-def energy_error(mesh, scheme, data, solution, dofmap=None, volume_rule=None, boundary_rule=None):
+def energy_error(mesh, scheme, data, solution, dofmap=None):
     """Energy-norm error and its squared components.
 
     Returns (error, components) where components holds the squared
     contributions: gradient, boundary_trace, boundary_flux, and for the
     discontinuous scheme jump and interior_flux.  The edge components
-    weight the error trace as the augmented norm_matrix does.
+    weight the error trace as the augmented norm_matrix does.  dofmap
+    defaults to the dof map that assemble uses.
     """
-    return _energy_error(_Geometry(mesh), scheme, data, solution, dofmap, volume_rule, boundary_rule)
+    return _energy_error(_Geometry(mesh), scheme, data, solution, dofmap)
 
 
-def _energy_error(geom, scheme, data, solution, dofmap=None, volume_rule=None, boundary_rule=None):
+def _energy_error(geom, scheme, data, solution, dofmap=None):
     _require_exact(data)
-    basis, dofmap = _space(geom.mesh, scheme, dofmap)
-    vrule = volume_rule if volume_rule is not None else triangle_rule(6)
-    erule = boundary_rule if boundary_rule is not None else edge_rule(8)
+    basis, space_dofmap = _assembly_space(geom, scheme)[:2]
+    dofmap = space_dofmap if dofmap is None else dofmap
+    vrule = triangle_rule(6)
 
     x = geom.physical_points(vrule.points)
     guh = np.tensordot(solution[dofmap.cell_dofs], basis.eval_grad(vrule.points), (1, 1)) @ geom.invB
@@ -78,7 +79,7 @@ def _energy_error(geom, scheme, data, solution, dofmap=None, volume_rule=None, b
     grad_sq = float(geom.det @ (np.sum(diff * diff, axis=2) @ vrule.weights))
 
     def edge_sq(edges):
-        return _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution, erule).tolist()
+        return _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution).tolist()
 
     trace_sq, bflux_sq = edge_sq(geom.mesh.boundary_edges)
     components = {"gradient": grad_sq, "boundary_trace": trace_sq, "boundary_flux": bflux_sq}

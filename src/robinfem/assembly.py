@@ -29,24 +29,22 @@ d, and squared norms sum_q w_q diag(C) e^2; the boundary load is thus
 l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the exact
 contraction of a reference tensor with each element's geometry tensor.
 
-Every form contributes (dofs, blocks) triplets.  The triplets of all the
-forms of a system share one stable sort of the int64 key row*n + col, and
-each run of equal keys is one stored entry: the sparsity pattern is
-structural (an entry whose sum is exactly zero is kept).  A form assembled
-on its own sums each run in sorted order with one segmented reduction.
-
-What assemble needs besides the edge forms depends only on the mesh, degree
-and method: basis, dof map, continuous-P1 prolongation, the CSR pattern, the
-volume stiffness of the default rule summed onto it (0 where only edge
-forms couple), and the CSR entry of every edge triplet.  It is built on
-first use and memoized per (degree, method) in a table keyed weakly by the
-Mesh, so it lives as long as the mesh: an eps sweep sorts once and sums the
-volume once.  Each assemble then sums only its edge triplets, per entry in
-sorted order, and adds the volume sum.  Entries are (volume sum) + (edge
-sum), the addends of one reduction over all triplets grouped differently:
-bitwise equal to an unmemoized run, and within 1e-15 of the largest entry
-of the one-reduction sum.  Systems get copies of the index arrays and the
-prolongation; the shared dof map is read-only.
+Every form contributes (dofs, blocks) triplets, and every matrix is one
+reduction of them.  The triplets of all the forms on one space share one
+stable sort of the int64 key row*n + col, which gives the CSR pattern and
+the CSR entry (slot) of every triplet; the pattern is structural (an entry
+whose sum is exactly zero is kept).  One bincount over the slots then sums
+each entry's triplets in their own order.  The space of a mesh, degree and
+method is built on first use and memoized in a table keyed weakly by the
+Mesh, so it lives as long as the mesh: basis, dof map, continuous-P1
+prolongation, the volume stiffness summed onto the pattern of all its
+forms (0 where only edge forms couple), and the slots of its edge
+triplets.  assemble and norm_matrix add one bincount of their edge forms
+to that volume sum, so the Gram matrix of the energy norm sits on the
+system's pattern; both triangle rules integrate the stiffness exactly.
+An eps sweep sorts once and sums the volume once, and its entries are
+bitwise those of an unmemoized run.  Matrices get copies of the index
+arrays, systems of the prolongation; the shared dof map is read-only.
 """
 
 import enum
@@ -183,13 +181,6 @@ def _default_volume_rule(degree):
     return triangle_rule(4 if degree == 1 else 6)
 
 
-def _space(mesh, scheme, dofmap=None):
-    """The reference basis of a scheme and, unless given, its dof map."""
-    if dofmap is None:
-        dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
-    return reference_basis(scheme.degree), dofmap
-
-
 class _Geometry:
     """Per-element affine maps x = v0 + B xi of one mesh."""
 
@@ -297,7 +288,7 @@ def _edge_part(geom, dofmap, basis, edges, coef, rule=None):
     return _edge_dofs(dofmap, edges), blocks
 
 
-def _edge_vector(out, geom, dofmap, basis, edges, coef, trace, rule):
+def _edge_vector(out, geom, dofmap, basis, edges, coef, trace, rule=None):
     """Add sum_q w_q (C d).t to out, with the data trace d = trace(x)."""
     local = 0.0
     for x, w, t in _edge_traces(geom, basis, edges, rule):
@@ -306,23 +297,23 @@ def _edge_vector(out, geom, dofmap, basis, edges, coef, trace, rule):
     np.add.at(out, _edge_dofs(dofmap, edges), local)
 
 
-def _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution, rule):
+def _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution):
     """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
     with e the exact trace minus the trace of the dof vector solution."""
     diag = _norm_form(scheme, edges, "augmented")
     ce = solution[_edge_dofs(dofmap, edges)]
     exact = _exact_trace(data, edges)
     total = 0.0
-    for x, w, t in _edge_traces(geom, basis, edges, rule):
+    for x, w, t in _edge_traces(geom, basis, edges, edge_rule(8)):
         e = exact(x) - (t @ ce[:, :, None])[:, :, 0]
         total = total + w * np.sum(diag * e * e, axis=0)
     return total
 
 
 def _sort(dofs, n):
-    """The stable sort of the keys row*n + col of (E, k, k) blocks on (E, k)
-    dofs: (order, first, indices, indptr), first marking where each run of
-    equal keys, one CSR entry, starts in sorted order."""
+    """The CSR pattern of (E, k, k) blocks on (E, k) dofs, from one stable
+    sort of the keys row*n + col: (slots, indices, indptr), slots the CSR
+    entry of every triplet in block order."""
     ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in dofs])
     keys = np.empty(ends[-1], dtype=np.int64)
     for d, a, b in zip(dofs, ends, ends[1:]):
@@ -333,24 +324,27 @@ def _sort(dofs, n):
     rows, cols = np.divmod(keys[first], n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     itype = np.int32 if max(n, len(keys)) <= np.iinfo(np.int32).max else np.int64
-    return order, first, cols.astype(itype), indptr.astype(itype)
+    slots = np.empty(len(order), dtype=itype)
+    slots[order] = np.cumsum(first, dtype=itype) - 1
+    return slots, cols.astype(itype), indptr.astype(itype)
 
 
 def _compress(parts, n):
-    """Deterministic COO -> CSR of the (dofs, blocks) parts: in-order segment sums."""
-    order, first, indices, indptr = _sort([d for d, _ in parts], n)
-    vals = np.concatenate([b.ravel() for _, b in parts])[order]
-    return sp.csr_matrix((np.add.reduceat(vals, np.flatnonzero(first)), indices, indptr), shape=(n, n))
+    """Deterministic COO -> CSR of the (dofs, blocks) parts: one bincount
+    sums each entry's triplets in their own order, which the stable sort keeps."""
+    slots, indices, indptr = _sort([d for d, _ in parts], n)
+    values = np.bincount(slots, np.concatenate([b.ravel() for _, b in parts]), len(indices))
+    return sp.csr_matrix((values, indices, indptr), shape=(n, n))
 
 
-def _volume_part(geom, dofmap, basis, rule=None):
+def _volume_part(geom, dofmap, basis):
     """The (dofs, blocks) part of the stiffness (grad w, grad v).
 
     K[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j is built once from the
     rule; the blocks are one matrix product of K with the geometry tensors
     det * B^-1 B^-T of all elements.
     """
-    rule = rule if rule is not None else _default_volume_rule(basis.degree)
+    rule = _default_volume_rule(basis.degree)
     gref = basis.eval_grad(rule.points)  # (q, nb, 2)
     k_ref = np.einsum("q,qia,qjb->abij", rule.weights, gref, gref)
     g_geo = np.einsum("t,tac,tbc->tab", geom.det, geom.invB, geom.invB)
@@ -359,24 +353,24 @@ def _volume_part(geom, dofmap, basis, rule=None):
     return dofmap.cell_dofs, blocks.reshape(-1, nb, nb)
 
 
-def assemble_volume(mesh, dofmap, basis, rule=None):
+def assemble_volume(mesh, dofmap, basis):
     """Stiffness contribution (grad w, grad v) over all elements."""
-    return _compress([_volume_part(_Geometry(mesh), dofmap, basis, rule)], dofmap.n_dofs)
+    return _compress([_volume_part(_Geometry(mesh), dofmap, basis)], dofmap.n_dofs)
 
 
-def assemble_nitsche_boundary(mesh, dofmap, basis, scheme, rule=None):
+def assemble_nitsche_boundary(mesh, dofmap, basis, scheme):
     """Boundary form shared by both schemes: the Robin form."""
     coef = _robin_form(scheme, mesh.boundary_edges)
-    part = _edge_part(_Geometry(mesh), dofmap, basis, mesh.boundary_edges, coef, rule)
+    part = _edge_part(_Geometry(mesh), dofmap, basis, mesh.boundary_edges, coef)
     return _compress([part], dofmap.n_dofs)
 
 
-def assemble_interior_penalty(mesh, dofmap, basis, scheme, rule=None):
+def assemble_interior_penalty(mesh, dofmap, basis, scheme):
     """Symmetric interior-penalty coupling on interior edges."""
     if scheme.method is not Method.SIPDG:
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
     coef = _penalty_form(scheme, mesh.interior_edges)
-    part = _edge_part(_Geometry(mesh), dofmap, basis, mesh.interior_edges, coef, rule)
+    part = _edge_part(_Geometry(mesh), dofmap, basis, mesh.interior_edges, coef)
     return _compress([part], dofmap.n_dofs)
 
 
@@ -391,61 +385,68 @@ def _volume_load(geom, dofmap, basis, f, rule=None):
     return rhs
 
 
-def _load(geom, dofmap, basis, scheme, data, volume_rule=None, boundary_rule=None):
-    rhs = _volume_load(geom, dofmap, basis, data.f, volume_rule)
+def _load(geom, dofmap, basis, scheme, data):
+    rhs = _volume_load(geom, dofmap, basis, data.f)
     edges = geom.mesh.boundary_edges
     coef = _robin_form(scheme, edges)
-    _edge_vector(rhs, geom, dofmap, basis, edges, coef, _robin_data(scheme, data), boundary_rule)
+    _edge_vector(rhs, geom, dofmap, basis, edges, coef, _robin_data(scheme, data))
     return rhs
 
 
-def assemble_load(mesh, dofmap, basis, scheme, data, volume_rule=None, boundary_rule=None):
+def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
-    return _load(_Geometry(mesh), dofmap, basis, scheme, data, volume_rule, boundary_rule)
+    return _load(_Geometry(mesh), dofmap, basis, scheme, data)
 
 
 _SPACES = weakref.WeakKeyDictionary()  # Mesh -> {(degree, method): _assembly_space result}
 
 
 def _assembly_space(geom, scheme):
-    """(basis, dofmap, prolongation, indices, indptr, vol_data, edge_slots) of
-    a mesh and scheme, memoized: the CSR pattern of all its forms, the volume
-    stiffness summed onto it, and the CSR entry of every edge triplet."""
+    """(basis, dofmap, prolongation, volume, edge_slots) of a mesh and scheme,
+    memoized: volume is the stiffness summed onto the CSR pattern of all the
+    forms, edge_slots the CSR entry of every edge triplet."""
     mesh = geom.mesh
     spaces = _SPACES.setdefault(mesh, {})
     key = (scheme.degree, scheme.method)
     if key not in spaces:
-        basis, dofmap = _space(mesh, scheme)
+        basis = reference_basis(scheme.degree)
+        dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
         dofmap.cell_dofs.setflags(write=False)
+        n = dofmap.n_dofs
         dofs = [dofmap.cell_dofs] + [_edge_dofs(dofmap, e) for e in _edge_tables(mesh, scheme.method)]
         p1 = scheme.continuous and scheme.degree == 1
         prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
-        order, first, indices, indptr = _sort(dofs, dofmap.n_dofs)
-        slots = np.empty(len(order), dtype=indices.dtype)
-        slots[order] = np.cumsum(first, dtype=slots.dtype) - 1  # the CSR entry of every triplet
-        volume = _volume_part(geom, dofmap, basis)[1].ravel()
-        vol_data = np.bincount(slots[:len(volume)], volume, len(indices))
-        spaces[key] = (basis, dofmap, prolongation, indices, indptr, vol_data, slots[len(volume):].copy())
+        slots, indices, indptr = _sort(dofs, n)
+        vol = _volume_part(geom, dofmap, basis)[1].ravel()
+        volume = sp.csr_matrix((np.bincount(slots[:len(vol)], vol, len(indices)), indices, indptr), shape=(n, n))
+        spaces[key] = (basis, dofmap, prolongation, volume, slots[len(vol):].copy())
     return spaces[key]
+
+
+def _matrix(geom, scheme, coefs, rule=None):
+    """The memoized volume sum plus one bincount of the edge forms with
+    coefficients coefs, one per edge table, on the memoized pattern."""
+    basis, dofmap, _, volume, edge_slots = _assembly_space(geom, scheme)
+    tables = zip(_edge_tables(geom.mesh, scheme.method), coefs)
+    blocks = [_edge_part(geom, dofmap, basis, edges, coef, rule)[1].ravel() for edges, coef in tables]
+    values = np.bincount(edge_slots, np.concatenate(blocks), volume.nnz) + volume.data
+    return sp.csr_matrix((values, volume.indices.copy(), volume.indptr.copy()), shape=volume.shape)
 
 
 def assemble(mesh, scheme, data):
     """Build the full linear system for one mesh and scheme."""
     geom = _Geometry(mesh)
-    basis, dofmap, prolongation, indices, indptr, vol_data, edge_slots = _assembly_space(geom, scheme)
+    basis, dofmap, prolongation = _assembly_space(geom, scheme)[:3]
     tables = zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form))
-    blocks = [_edge_part(geom, dofmap, basis, edges, form(scheme, edges))[1].ravel() for edges, form in tables]
-    # bincount adds each entry's edge triplets in their own order, which the stable sort keeps
-    values = np.bincount(edge_slots, np.concatenate(blocks), len(vol_data)) + vol_data
-    n = dofmap.n_dofs
-    matrix = sp.csr_matrix((values, indices.copy(), indptr.copy()), shape=(n, n))
+    matrix = _matrix(geom, scheme, [form(scheme, edges) for edges, form in tables])
     rhs = _load(geom, dofmap, basis, scheme, data)
     prolongation = None if prolongation is None else prolongation.copy()
     return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap, prolongation=prolongation)
 
 
-def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
-    """Gram matrix of the mesh-dependent energy norm.
+def norm_matrix(mesh, scheme, variant="energy"):
+    """Gram matrix of the mesh-dependent energy norm, on the pattern of the
+    scheme's system.
 
     variant "energy": gradient term, boundary trace term weighted by
     1/(eps + h_E), and for the discontinuous scheme the interior jump
@@ -455,16 +456,12 @@ def norm_matrix(mesh, scheme, dofmap=None, variant="energy"):
     """
     if variant not in ("energy", "augmented"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
-    basis, dofmap = _space(mesh, scheme, dofmap)
-    geom = _Geometry(mesh)
-    parts = [_volume_part(geom, dofmap, basis, triangle_rule(6))]
-    for edges in _edge_tables(mesh, scheme.method):
-        coef = _norm_form(scheme, edges, variant)[:, :, None] * np.eye(edges.element_ids.shape[1] + 1)
-        parts.append(_edge_part(geom, dofmap, basis, edges, coef, edge_rule(8)))
-    return _compress(parts, dofmap.n_dofs)
+    tables = _edge_tables(mesh, scheme.method)
+    coefs = [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables]
+    return _matrix(_Geometry(mesh), scheme, coefs, edge_rule(8))
 
 
-def consistency_residual(mesh, scheme, data, dofmap=None):
+def consistency_residual(mesh, scheme, data):
     """Max normalized defect of the exact solution in the discrete system.
 
     Evaluates a_h(u, phi_i) - l_h(phi_i) with the analytic solution and
@@ -475,8 +472,8 @@ def consistency_residual(mesh, scheme, data, dofmap=None):
     """
     if data.exact_u is None or data.exact_grad is None:
         raise MissingExactSolution("consistency check needs exact_u and exact_grad")
-    basis, dofmap = _space(mesh, scheme, dofmap)
     geom = _Geometry(mesh)
+    basis, dofmap, _, volume, _ = _assembly_space(geom, scheme)
     vrule, erule = triangle_rule(6), edge_rule(8)
 
     # volume: (grad u, grad phi_i) - (f, phi_i)
@@ -498,9 +495,7 @@ def consistency_residual(mesh, scheme, data, dofmap=None):
         _edge_vector(defect, geom, dofmap, basis, edges, coef, _exact_trace(data, edges), erule)
 
     # the squared norms of phi_i, the augmented Gram diagonal; on edges sum_q w_q sum_m C_mm t_m^2
-    dofs, blocks = _volume_part(geom, dofmap, basis, vrule)
-    gram_diag = np.zeros(dofmap.n_dofs)
-    np.add.at(gram_diag, dofs, np.diagonal(blocks, axis1=1, axis2=2))
+    gram_diag = volume.diagonal()
     for edges in _edge_tables(mesh, scheme.method):
         diag, local = _norm_form(scheme, edges, "augmented")[:, None, :], 0.0
         for _, w, t in _edge_traces(geom, basis, edges, erule):

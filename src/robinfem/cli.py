@@ -16,8 +16,7 @@ from .errors import (
     InvalidParameter,
     NotConverged,
 )
-from .mesh import level_mesh, write_mesh
-from .problems import get_problem, list_problems
+from .problems import list_problems
 from .solver import SolverConfig, SolverMethod
 from .study import StudyConfig, run_convergence, run_single, write_csv, write_svg
 
@@ -105,16 +104,13 @@ def main(argv=None):
             levels=args.levels,
             solver=_solver_of(args),
         )
-        reports = run_convergence(config)
+        reports = run_convergence(config, mesh_out=args.mesh_out)
         for report in reports:
             _print_report(report)
         if args.csv:
             write_csv(reports, args.csv)
         if args.svg:
             write_svg(reports, args.svg)
-        if args.mesh_out:
-            domain = get_problem(args.problem).domain
-            write_mesh(level_mesh(domain, args.levels - 1), args.mesh_out)
         return 0
     # single
     mesh, system, solution, report = run_single(

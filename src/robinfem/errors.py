@@ -1,4 +1,12 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library, and the count test that
+guards the integer arguments."""
+
+import numbers
+
+
+def is_count(value, minimum):
+    """Whether value is an integer (not a whole float) of at least minimum."""
+    return isinstance(value, numbers.Integral) and value >= minimum
 
 
 class RobinFemError(Exception):

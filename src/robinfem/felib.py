@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameter, UnsupportedOrder
+from .errors import InvalidParameter, UnsupportedOrder, is_count
 
 __all__ = [
     "QuadratureRule",
@@ -90,8 +90,8 @@ def triangle_rule(order):
 
 def edge_rule(order):
     """Gauss-Legendre rule on [0, 1]; order in {2, 4, 6, 8} maps to 2..5 points."""
-    if order not in (2, 4, 6, 8):
-        raise UnsupportedOrder(f"no edge rule of order {order}")
+    if not (is_count(order, 2) and order in (2, 4, 6, 8)):
+        raise UnsupportedOrder(f"no edge rule of order {order!r}")
     n = order // 2 + 1
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule((x + 1.0) / 2.0, w / 2.0, 2 * n - 1)

@@ -10,12 +10,11 @@ single element and outward normal.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, NonManifoldMesh
+from .errors import FormatError, InvalidParameter, NonManifoldMesh, is_count
 from .geometry import DomainKind
 
 __all__ = [
@@ -188,8 +187,8 @@ def generate_disk_mesh(rings, level=0):
     Ring j in 1..rings holds 6j vertices at radius j/rings; the outermost
     ring lies exactly on the unit circle.  Yields 6*rings**2 triangles.
     """
-    if rings < 2:
-        raise InvalidParameter(f"need at least 2 rings, got {rings}")
+    if not is_count(rings, 2):
+        raise InvalidParameter(f"need an integer of at least 2 rings, got {rings!r}")
     # ring j holds vertices 1 + 3j(j-1) .. 3j(j+1), vertex m at angle 2 pi m / 6j
     ring = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
     m = np.arange(len(ring)) - 3 * ring * (ring - 1)
@@ -217,8 +216,8 @@ def generate_disk_mesh(rings, level=0):
 
 def generate_square_mesh(n, level=0):
     """n-by-n grid on the unit square, each cell split along its diagonal."""
-    if n < 1:
-        raise InvalidParameter(f"need at least a 1x1 grid, got {n}")
+    if not is_count(n, 1):
+        raise InvalidParameter(f"need an integer grid of at least 1x1, got {n!r}")
     coords = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(coords, coords)
     verts = np.column_stack([xx.ravel(), yy.ravel()])
@@ -230,7 +229,7 @@ def generate_square_mesh(n, level=0):
 
 def level_mesh(domain, level):
     """Mesh of the standard ladder at one level: resolution 4 * 2**level."""
-    if not isinstance(level, numbers.Integral) or level < 0:
+    if not is_count(level, 0):
         raise InvalidParameter(f"level must be a nonnegative integer, got {level!r}")
     size = 4 * 2**level
     if domain.kind is DomainKind.UNIT_DISK:
@@ -240,8 +239,8 @@ def level_mesh(domain, level):
 
 def refinement_sequence(domain, levels):
     """Standard refinement ladder: level_mesh for levels 0 .. levels-1."""
-    if levels < 2:
-        raise InvalidParameter(f"need at least 2 levels, got {levels}")
+    if not is_count(levels, 2):
+        raise InvalidParameter(f"need an integer of at least 2 levels, got {levels!r}")
     return [level_mesh(domain, lvl) for lvl in range(levels)]
 
 

@@ -51,7 +51,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import IndefiniteMatrix, InvalidParameter, NotConverged, TooLarge
+from .errors import IndefiniteMatrix, InvalidParameter, NotConverged, TooLarge, is_count
 
 __all__ = [
     "SolverMethod",
@@ -89,9 +89,9 @@ class SolverConfig:
             raise InvalidParameter(
                 f"rel_tolerance must lie in [{_EPS:.3g}, 1), got {self.rel_tolerance}"
             )
-        if self.max_iterations is not None and self.max_iterations < 1:
+        if self.max_iterations is not None and not is_count(self.max_iterations, 1):
             raise InvalidParameter(
-                f"max_iterations must be positive, got {self.max_iterations}"
+                f"max_iterations must be a positive integer, got {self.max_iterations!r}"
             )
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .analysis import eoc, error_report
 from .assembly import Scheme, assemble
-from .errors import InvalidParameter
+from .errors import InvalidParameter, is_count
 from .mesh import level_mesh, write_mesh
 from .problems import get_problem
 from .solver import SolverConfig, solve
@@ -32,12 +32,15 @@ class StudyConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise InvalidParameter(f"a study needs at least 2 levels, got {self.levels}")
+        if not is_count(self.levels, 2):
+            raise InvalidParameter(f"a study needs an integer of at least 2 levels, got {self.levels!r}")
 
 
-def run_convergence(config):
-    """Solve the problem on the refinement ladder; returns ErrorReports."""
+def run_convergence(config, mesh_out=None):
+    """Solve the problem on the refinement ladder; returns ErrorReports.
+
+    mesh_out, if given, receives the finest mesh once its level is solved.
+    """
     problem = get_problem(config.problem)
     data = problem.make_data(config.scheme.epsilon)
     reports = []
@@ -46,6 +49,8 @@ def run_convergence(config):
         system = assemble(mesh, config.scheme, data)
         solution, _ = solve(system, config.solver)
         reports.append(error_report(mesh, config.scheme, data, solution, system.dofmap))
+        if mesh_out and level == config.levels - 1:
+            write_mesh(mesh, mesh_out)
     pairs_e = [(r.h_max, r.err_energy) for r in reports]
     pairs_l = [(r.h_max, r.err_l2) for r in reports]
     rates_e = eoc(pairs_e)

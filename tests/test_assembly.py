@@ -30,6 +30,7 @@ from robinfem import (
     get_problem,
     interpolate,
     min_eigenvalue_dense,
+    norm_matrix,
     reference_basis,
     robin_weights,
     solve,
@@ -68,17 +69,6 @@ def test_stiffness_kernel_contains_constants(degree):
     K = assemble_volume(mesh, dm, reference_basis(degree))
     ones = np.ones(dm.n_dofs)
     assert np.max(np.abs(K @ ones)) < 1e-13
-
-
-@pytest.mark.parametrize("degree", [1, 2])
-def test_stiffness_invariant_under_quadrature_order(degree):
-    # P1/P2 stiffness integrands are degree 0/2: both rules are exact
-    mesh = generate_disk_mesh(2)
-    dm = build_dofmap(mesh, degree, continuous=True)
-    basis = reference_basis(degree)
-    K4 = assemble_volume(mesh, dm, basis, rule=triangle_rule(4)).toarray()
-    K6 = assemble_volume(mesh, dm, basis, rule=triangle_rule(6)).toarray()
-    np.testing.assert_allclose(K4, K6, atol=1e-13)
 
 
 def test_robin_weight_identities():
@@ -567,7 +557,17 @@ def test_assembly_on_a_used_mesh_equals_a_fresh_mesh(method, degree):
     for eps in (1e-6, 0.5, 1e3):
         scheme = Scheme(method, degree=degree, epsilon=eps, gamma=0.1)
         data = get_problem("sinsin_flux").make_data(eps)
-        assert_systems_bitwise_equal(assemble(mesh, scheme, data), assemble(fresh_copy(mesh), scheme, data))
+        system = assemble(mesh, scheme, data)
+        assert_systems_bitwise_equal(system, assemble(fresh_copy(mesh), scheme, data))
+        for variant in ("energy", "augmented"):
+            used, fresh = norm_matrix(mesh, scheme, variant=variant), norm_matrix(fresh_copy(mesh), scheme, variant=variant)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(used, name), getattr(fresh, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (variant, name)
+            # the Gram matrix of the norm sits on the system's pattern
+            assert np.array_equal(used.indices, system.matrix.indices), variant
+            assert np.array_equal(used.indptr, system.matrix.indptr), variant
+        assert consistency_residual(mesh, scheme, data) == consistency_residual(fresh_copy(mesh), scheme, data)
 
 
 def _collapse_first_row(A):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import robinfem.cli
+import robinfem.study
 from robinfem import read_mesh
 from robinfem.cli import console_main
 from robinfem.study import CSV_HEADER
@@ -47,6 +49,18 @@ def test_study_mesh_out_is_finest_level(tmp_path, capsys):
     )
     assert code == 0
     assert read_mesh(mesh_out).n_triangles == 2 * 8 * 8  # square grid 4 * 2**1
+
+
+def test_study_mesh_out_builds_each_level_once(tmp_path, monkeypatch, capsys):
+    built = []
+    for module in (robinfem.study, robinfem.cli):  # wherever a mesh could be rebuilt
+        if hasattr(module, "level_mesh"):
+            level_mesh = module.level_mesh
+            monkeypatch.setattr(module, "level_mesh", lambda d, lvl, f=level_mesh: built.append(lvl) or f(d, lvl))
+    mesh_out = tmp_path / "finest.mesh"
+    assert console_main(["study", "--problem", "sinsin", "--levels", "3", "--mesh-out", str(mesh_out)]) == 0
+    assert built == [0, 1, 2]
+    assert read_mesh(mesh_out).n_triangles == 6 * 16**2  # disk rings 4 * 2**2
 
 
 def test_single_writes_outputs(tmp_path, capsys):

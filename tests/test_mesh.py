@@ -5,19 +5,29 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from robinfem import (
     FormatError,
     InvalidParameter,
+    Method,
     Mesh,
     NonManifoldMesh,
+    Scheme,
+    SolverConfig,
+    SparseSystem,
+    StudyConfig,
+    UnsupportedOrder,
     build_dofmap,
     build_edge_topology,
+    edge_rule,
     generate_disk_mesh,
     generate_square_mesh,
     level_mesh,
     read_mesh,
     refinement_sequence,
+    run_convergence,
+    solve,
     unit_disk,
     unit_square,
     write_mesh,
@@ -479,3 +489,21 @@ def test_level_mesh_rejects_a_level_that_is_not_a_nonnegative_integer(level):
     for domain in (unit_disk(), unit_square()):
         with pytest.raises(InvalidParameter, match="level"):
             level_mesh(domain, level)
+
+
+NON_INTEGER_COUNTS = {  # each a count argument that is not an integer
+    "study levels": (InvalidParameter, lambda: run_convergence(StudyConfig("sinsin", Scheme(Method.NITSCHE), levels=2.5))),
+    "cg iterations": (InvalidParameter, lambda: solve(
+        SparseSystem(sp.identity(2, format="csr"), np.ones(2), None), SolverConfig(max_iterations=2.5))),
+    "disk rings": (InvalidParameter, lambda: generate_disk_mesh(2.5)),
+    "square grid": (InvalidParameter, lambda: generate_square_mesh(1.5)),
+    "ladder levels": (InvalidParameter, lambda: refinement_sequence(unit_disk(), 2.5)),
+    "edge rule order": (UnsupportedOrder, lambda: edge_rule(8.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_INTEGER_COUNTS))
+def test_a_non_integer_count_is_a_typed_error(name):
+    error, call = NON_INTEGER_COUNTS[name]
+    with pytest.raises(error):
+        call()
