@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _assembly_space, _edge_error_sq, _Geometry
+from .assembly import Method, _assembly_space, _edge_error_sq
 from .errors import DegenerateSequence, MissingExactSolution
 from .felib import reference_basis, triangle_rule
 
@@ -43,16 +43,12 @@ def _require_exact(data):
 
 def l2_error(mesh, data, solution, dofmap):
     """L2 distance between the exact solution and the finite element one."""
-    return _l2_error(_Geometry(mesh), data, solution, dofmap)
-
-
-def _l2_error(geom, data, solution, dofmap):
     _require_exact(data)
     rule = triangle_rule(6)
-    x = geom.physical_points(rule.points)
+    x = mesh.physical_points(rule.points)
     uh = solution[dofmap.cell_dofs] @ reference_basis(dofmap.degree).eval(rule.points).T  # (T, q)
     diff = np.asarray(data.exact_u(x[..., 0], x[..., 1]), dtype=float) - uh
-    return math.sqrt(float(geom.det @ ((diff * diff) @ rule.weights)))
+    return math.sqrt(float(mesh.det @ ((diff * diff) @ rule.weights)))
 
 
 def energy_error(mesh, scheme, data, solution, dofmap=None):
@@ -64,27 +60,23 @@ def energy_error(mesh, scheme, data, solution, dofmap=None):
     weight the error trace as the augmented norm_matrix does.  dofmap
     defaults to the dof map that assemble uses.
     """
-    return _energy_error(_Geometry(mesh), scheme, data, solution, dofmap)
-
-
-def _energy_error(geom, scheme, data, solution, dofmap=None):
     _require_exact(data)
-    basis, space_dofmap = _assembly_space(geom, scheme)[:2]
+    basis, space_dofmap = _assembly_space(mesh, scheme)[:2]
     dofmap = space_dofmap if dofmap is None else dofmap
     vrule = triangle_rule(6)
 
-    x = geom.physical_points(vrule.points)
-    guh = np.tensordot(solution[dofmap.cell_dofs], basis.eval_grad(vrule.points), (1, 1)) @ geom.invB
+    x = mesh.physical_points(vrule.points)
+    guh = np.tensordot(solution[dofmap.cell_dofs], basis.eval_grad(vrule.points), (1, 1)) @ mesh.invB
     diff = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float) - guh  # (T, q, 2)
-    grad_sq = float(geom.det @ (np.sum(diff * diff, axis=2) @ vrule.weights))
+    grad_sq = float(mesh.det @ (np.sum(diff * diff, axis=2) @ vrule.weights))
 
     def edge_sq(edges):
-        return _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution).tolist()
+        return _edge_error_sq(mesh, dofmap, basis, scheme, edges, data, solution).tolist()
 
-    trace_sq, bflux_sq = edge_sq(geom.mesh.boundary_edges)
+    trace_sq, bflux_sq = edge_sq(mesh.boundary_edges)
     components = {"gradient": grad_sq, "boundary_trace": trace_sq, "boundary_flux": bflux_sq}
     if scheme.method is Method.SIPDG:
-        jump_sq, dn_sq, dtau_sq = edge_sq(geom.mesh.interior_edges)
+        jump_sq, dn_sq, dtau_sq = edge_sq(mesh.interior_edges)
         components.update(jump=jump_sq, interior_flux=dn_sq + dtau_sq)
     return math.sqrt(sum(components.values())), components
 
@@ -114,9 +106,8 @@ def eoc(errors):
 
 def error_report(mesh, scheme, data, solution, dofmap, level=None):
     """Bundle the error norms for one solve into an ErrorReport."""
-    geom = _Geometry(mesh)
-    err_e, components = _energy_error(geom, scheme, data, solution, dofmap)
-    err_l2 = _l2_error(geom, data, solution, dofmap)
+    err_e, components = energy_error(mesh, scheme, data, solution, dofmap)
+    err_l2 = l2_error(mesh, data, solution, dofmap)
     err_n = math.sqrt(components["gradient"] + components["boundary_trace"])
     jump = None
     if "jump" in components:

@@ -27,24 +27,27 @@ measure:
 Matrices are sum_q w_q t^T C t, loads sum_q w_q (C d).t for a data trace
 d, and squared norms sum_q w_q diag(C) e^2; the boundary load is thus
 l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the exact
-contraction of a reference tensor with each element's geometry tensor.
+contraction of a reference tensor with each element's geometry tensor;
+the element maps x = v0 + B xi, det B and B^-1 live on the Mesh.
 
-Every form contributes (dofs, blocks) triplets, and every matrix is one
-reduction of them.  The triplets of all the forms on one space share one
-stable sort of the int64 key row*n + col, which gives the CSR pattern and
-the CSR entry (slot) of every triplet; the pattern is structural (an entry
-whose sum is exactly zero is kept).  One bincount over the slots then sums
-each entry's triplets in their own order.  The space of a mesh, degree and
-method is built on first use and memoized in a table keyed weakly by the
-Mesh, so it lives as long as the mesh: basis, dof map, continuous-P1
-prolongation, the volume stiffness summed onto the pattern of all its
-forms (0 where only edge forms couple), and the slots of its edge
-triplets.  assemble and norm_matrix add one bincount of their edge forms
-to that volume sum, so the Gram matrix of the energy norm sits on the
-system's pattern; both triangle rules integrate the stiffness exactly.
-An eps sweep sorts once and sums the volume once, and its entries are
-bitwise those of an unmemoized run.  Matrices get copies of the index
-arrays, systems of the prolongation; the shared dof map is read-only.
+Every matrix form contributes (dofs, blocks) triplets, every load or
+residual (dofs, values) parts, and every matrix and every vector is one
+bincount of them, which sums each entry's terms in their own order.  The
+triplets of all the forms on one space share one stable sort of the int64
+key row*n + col, which gives the CSR pattern and the CSR entry (slot) of
+every triplet; the pattern is structural (an entry whose sum is exactly
+zero is kept); a vector needs no sort, its dofs are its bins.  The space
+of a mesh, degree and method is built on first use and memoized in a
+table keyed weakly by the Mesh, so it lives as long as the mesh: basis,
+dof map, continuous-P1 prolongation, the volume stiffness summed onto the
+pattern of all its forms (0 where only edge forms couple), and the slots
+of its edge triplets.  assemble and norm_matrix add one bincount of
+their edge forms to that volume sum, so the Gram matrix of the energy
+norm sits on the system's pattern; both triangle rules integrate the
+stiffness exactly.  An eps sweep sorts once and sums the volume once, and
+its entries are bitwise those of an unmemoized run.  Matrices get copies
+of the index arrays, systems of the prolongation; the shared dof map is
+read-only.
 """
 
 import enum
@@ -56,7 +59,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameter, MissingExactSolution, SchemeMismatch
+from .errors import InvalidParameter, MissingExactSolution, SchemeMismatch, is_count
 from .felib import (
     DofMap,
     build_dofmap,
@@ -100,8 +103,8 @@ class Scheme:
     def __post_init__(self):
         if self.method not in (Method.NITSCHE, Method.SIPDG):
             raise InvalidParameter(f"unknown method {self.method!r}")
-        if self.degree not in (1, 2):
-            raise InvalidParameter(f"degree must be 1 or 2, got {self.degree}")
+        if not (is_count(self.degree, 1) and self.degree <= 2):
+            raise InvalidParameter(f"degree must be the integer 1 or 2, got {self.degree!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InvalidParameter(f"epsilon must be positive, got {self.epsilon}")
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
@@ -181,24 +184,6 @@ def _default_volume_rule(degree):
     return triangle_rule(4 if degree == 1 else 6)
 
 
-class _Geometry:
-    """Per-element affine maps x = v0 + B xi of one mesh."""
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        self.v0, p1, p2 = mesh.vertices[mesh.triangles.T]
-        e1, e2 = p1 - self.v0, p2 - self.v0
-        self.B = np.stack([e1, e2], axis=-1)  # columns are edge vectors
-        self.det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        adj = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=-1)
-        self.invB = adj.reshape(-1, 2, 2) / self.det[:, None, None]
-
-    def physical_points(self, ref_points):
-        """Map reference points (q, 2) into every element: (T, q, 2)."""
-        bx = (self.B.reshape(-1, 2) @ ref_points.T).reshape(len(self.B), 2, -1)
-        return self.v0[:, None, :] + bx.transpose(0, 2, 1)
-
-
 def _is_boundary(edges):
     return edges.element_ids.shape[1] == 1
 
@@ -217,7 +202,7 @@ def _edge_frame(edges):
     return np.stack([n, np.column_stack([-n[:, 1], n[:, 0]])], axis=-1)
 
 
-def _edge_traces(geom, basis, edges, rule):
+def _edge_traces(mesh, basis, edges, rule):
     """Walk the points of an edge rule (by default the degree's) over
     every edge of one table.
 
@@ -226,15 +211,15 @@ def _edge_traces(geom, basis, edges, rule):
     of the k elements of each edge (v1 on element_ids[:, 0]).
     """
     rule = rule if rule is not None else edge_rule(4 if basis.degree == 1 else 8)
-    pa, pb = geom.mesh.vertices[edges.vertex_ids.T]
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
     frame = _edge_frame(edges)
     k, nb = edges.element_ids.shape[1], basis.n_nodes
     sides = []  # per element: v0, B^-1, (B^-1 frame)^T / k, its sign in [v], its columns in t
     for side, elems in enumerate(edges.element_ids.T):
-        invB = geom.invB[elems]
+        invB = mesh.invB[elems]
         dirs = (invB @ frame).transpose(0, 2, 1) / k
         cols = slice(side * nb, (side + 1) * nb)
-        sides.append((geom.v0[elems], invB, dirs, -1.0 if side else 1.0, cols))
+        sides.append((mesh.v0[elems], invB, dirs, -1.0 if side else 1.0, cols))
     for s, w in zip(rule.points, rule.weights):
         x = pa + s * (pb - pa)
         t = np.empty((len(edges), frame.shape[2] + 1, k * nb))
@@ -280,31 +265,31 @@ def _edge_dofs(dofmap, edges):
     return dofmap.cell_dofs[edges.element_ids].reshape(len(edges), width)
 
 
-def _edge_part(geom, dofmap, basis, edges, coef, rule=None):
+def _edge_part(mesh, dofmap, basis, edges, coef, rule=None):
     """The (dofs, blocks) part sum_q w_q t^T C t of one edge table."""
     blocks = 0.0
-    for _, w, t in _edge_traces(geom, basis, edges, rule):
+    for _, w, t in _edge_traces(mesh, basis, edges, rule):
         blocks += w * (t.transpose(0, 2, 1) @ (coef @ t))
     return _edge_dofs(dofmap, edges), blocks
 
 
-def _edge_vector(out, geom, dofmap, basis, edges, coef, trace, rule=None):
-    """Add sum_q w_q (C d).t to out, with the data trace d = trace(x)."""
+def _edge_vector(mesh, dofmap, basis, edges, coef, trace, rule=None):
+    """The (dofs, values) part sum_q w_q (C d).t, with the data trace d = trace(x)."""
     local = 0.0
-    for x, w, t in _edge_traces(geom, basis, edges, rule):
+    for x, w, t in _edge_traces(mesh, basis, edges, rule):
         cd = coef @ trace(x)[:, :, None]
         local += w * (t.transpose(0, 2, 1) @ cd)[:, :, 0]
-    np.add.at(out, _edge_dofs(dofmap, edges), local)
+    return _edge_dofs(dofmap, edges), local
 
 
-def _edge_error_sq(geom, dofmap, basis, scheme, edges, data, solution):
+def _edge_error_sq(mesh, dofmap, basis, scheme, edges, data, solution):
     """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
     with e the exact trace minus the trace of the dof vector solution."""
     diag = _norm_form(scheme, edges, "augmented")
     ce = solution[_edge_dofs(dofmap, edges)]
     exact = _exact_trace(data, edges)
     total = 0.0
-    for x, w, t in _edge_traces(geom, basis, edges, edge_rule(8)):
+    for x, w, t in _edge_traces(mesh, basis, edges, edge_rule(8)):
         e = exact(x) - (t @ ce[:, :, None])[:, :, 0]
         total = total + w * np.sum(diag * e * e, axis=0)
     return total
@@ -337,7 +322,14 @@ def _compress(parts, n):
     return sp.csr_matrix((values, indices, indptr), shape=(n, n))
 
 
-def _volume_part(geom, dofmap, basis):
+def _vector(parts, n):
+    """The length-n sum of the (dofs, values) parts: one bincount adds each
+    dof's values in part order."""
+    dofs, values = zip(*parts)
+    return np.bincount(np.concatenate([d.ravel() for d in dofs]), np.concatenate([v.ravel() for v in values]), n)
+
+
+def _volume_part(mesh, dofmap, basis):
     """The (dofs, blocks) part of the stiffness (grad w, grad v).
 
     K[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j is built once from the
@@ -347,7 +339,7 @@ def _volume_part(geom, dofmap, basis):
     rule = _default_volume_rule(basis.degree)
     gref = basis.eval_grad(rule.points)  # (q, nb, 2)
     k_ref = np.einsum("q,qia,qjb->abij", rule.weights, gref, gref)
-    g_geo = np.einsum("t,tac,tbc->tab", geom.det, geom.invB, geom.invB)
+    g_geo = np.einsum("t,tac,tbc->tab", mesh.det, mesh.invB, mesh.invB)
     nb = basis.n_nodes
     blocks = g_geo.reshape(-1, 4) @ k_ref.reshape(4, nb * nb)
     return dofmap.cell_dofs, blocks.reshape(-1, nb, nb)
@@ -355,14 +347,13 @@ def _volume_part(geom, dofmap, basis):
 
 def assemble_volume(mesh, dofmap, basis):
     """Stiffness contribution (grad w, grad v) over all elements."""
-    return _compress([_volume_part(_Geometry(mesh), dofmap, basis)], dofmap.n_dofs)
+    return _compress([_volume_part(mesh, dofmap, basis)], dofmap.n_dofs)
 
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme):
     """Boundary form shared by both schemes: the Robin form."""
     coef = _robin_form(scheme, mesh.boundary_edges)
-    part = _edge_part(_Geometry(mesh), dofmap, basis, mesh.boundary_edges, coef)
-    return _compress([part], dofmap.n_dofs)
+    return _compress([_edge_part(mesh, dofmap, basis, mesh.boundary_edges, coef)], dofmap.n_dofs)
 
 
 def assemble_interior_penalty(mesh, dofmap, basis, scheme):
@@ -370,42 +361,31 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
     if scheme.method is not Method.SIPDG:
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
     coef = _penalty_form(scheme, mesh.interior_edges)
-    part = _edge_part(_Geometry(mesh), dofmap, basis, mesh.interior_edges, coef)
-    return _compress([part], dofmap.n_dofs)
+    return _compress([_edge_part(mesh, dofmap, basis, mesh.interior_edges, coef)], dofmap.n_dofs)
 
 
-def _volume_load(geom, dofmap, basis, f, rule=None):
-    """The vector (f, phi_i) over all elements."""
+def _volume_load(mesh, dofmap, basis, f, rule=None):
+    """The (dofs, values) part (f, phi_i) over all elements."""
     rule = rule if rule is not None else _default_volume_rule(basis.degree)
-    x = geom.physical_points(rule.points)  # (T, q, 2)
+    x = mesh.physical_points(rule.points)  # (T, q, 2)
     fval = np.broadcast_to(np.asarray(f(x[..., 0], x[..., 1]), dtype=float), x.shape[:2])
-    local = geom.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
-    rhs = np.zeros(dofmap.n_dofs)
-    np.add.at(rhs, dofmap.cell_dofs, local)
-    return rhs
-
-
-def _load(geom, dofmap, basis, scheme, data):
-    rhs = _volume_load(geom, dofmap, basis, data.f)
-    edges = geom.mesh.boundary_edges
-    coef = _robin_form(scheme, edges)
-    _edge_vector(rhs, geom, dofmap, basis, edges, coef, _robin_data(scheme, data))
-    return rhs
+    return dofmap.cell_dofs, mesh.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
 
 
 def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
-    return _load(_Geometry(mesh), dofmap, basis, scheme, data)
+    edges = mesh.boundary_edges
+    robin = _edge_vector(mesh, dofmap, basis, edges, _robin_form(scheme, edges), _robin_data(scheme, data))
+    return _vector([_volume_load(mesh, dofmap, basis, data.f), robin], dofmap.n_dofs)
 
 
 _SPACES = weakref.WeakKeyDictionary()  # Mesh -> {(degree, method): _assembly_space result}
 
 
-def _assembly_space(geom, scheme):
+def _assembly_space(mesh, scheme):
     """(basis, dofmap, prolongation, volume, edge_slots) of a mesh and scheme,
     memoized: volume is the stiffness summed onto the CSR pattern of all the
     forms, edge_slots the CSR entry of every edge triplet."""
-    mesh = geom.mesh
     spaces = _SPACES.setdefault(mesh, {})
     key = (scheme.degree, scheme.method)
     if key not in spaces:
@@ -417,29 +397,28 @@ def _assembly_space(geom, scheme):
         p1 = scheme.continuous and scheme.degree == 1
         prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
         slots, indices, indptr = _sort(dofs, n)
-        vol = _volume_part(geom, dofmap, basis)[1].ravel()
+        vol = _volume_part(mesh, dofmap, basis)[1].ravel()
         volume = sp.csr_matrix((np.bincount(slots[:len(vol)], vol, len(indices)), indices, indptr), shape=(n, n))
         spaces[key] = (basis, dofmap, prolongation, volume, slots[len(vol):].copy())
     return spaces[key]
 
 
-def _matrix(geom, scheme, coefs, rule=None):
+def _matrix(mesh, scheme, coefs, rule=None):
     """The memoized volume sum plus one bincount of the edge forms with
     coefficients coefs, one per edge table, on the memoized pattern."""
-    basis, dofmap, _, volume, edge_slots = _assembly_space(geom, scheme)
-    tables = zip(_edge_tables(geom.mesh, scheme.method), coefs)
-    blocks = [_edge_part(geom, dofmap, basis, edges, coef, rule)[1].ravel() for edges, coef in tables]
+    basis, dofmap, _, volume, edge_slots = _assembly_space(mesh, scheme)
+    tables = zip(_edge_tables(mesh, scheme.method), coefs)
+    blocks = [_edge_part(mesh, dofmap, basis, edges, coef, rule)[1].ravel() for edges, coef in tables]
     values = np.bincount(edge_slots, np.concatenate(blocks), volume.nnz) + volume.data
     return sp.csr_matrix((values, volume.indices.copy(), volume.indptr.copy()), shape=volume.shape)
 
 
 def assemble(mesh, scheme, data):
     """Build the full linear system for one mesh and scheme."""
-    geom = _Geometry(mesh)
-    basis, dofmap, prolongation = _assembly_space(geom, scheme)[:3]
+    basis, dofmap, prolongation = _assembly_space(mesh, scheme)[:3]
     tables = zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form))
-    matrix = _matrix(geom, scheme, [form(scheme, edges) for edges, form in tables])
-    rhs = _load(geom, dofmap, basis, scheme, data)
+    matrix = _matrix(mesh, scheme, [form(scheme, edges) for edges, form in tables])
+    rhs = assemble_load(mesh, dofmap, basis, scheme, data)
     prolongation = None if prolongation is None else prolongation.copy()
     return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap, prolongation=prolongation)
 
@@ -458,7 +437,7 @@ def norm_matrix(mesh, scheme, variant="energy"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
     tables = _edge_tables(mesh, scheme.method)
     coefs = [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables]
-    return _matrix(_Geometry(mesh), scheme, coefs, edge_rule(8))
+    return _matrix(mesh, scheme, coefs, edge_rule(8))
 
 
 def consistency_residual(mesh, scheme, data):
@@ -472,35 +451,36 @@ def consistency_residual(mesh, scheme, data):
     """
     if data.exact_u is None or data.exact_grad is None:
         raise MissingExactSolution("consistency check needs exact_u and exact_grad")
-    geom = _Geometry(mesh)
-    basis, dofmap, _, volume, _ = _assembly_space(geom, scheme)
+    basis, dofmap, _, volume, _ = _assembly_space(mesh, scheme)
     vrule, erule = triangle_rule(6), edge_rule(8)
 
     # volume: (grad u, grad phi_i) - (f, phi_i)
-    x = geom.physical_points(vrule.points)
+    x = mesh.physical_points(vrule.points)
     gu = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)  # (T, q, 2)
-    pulled = vrule.weights[:, None] * (gu @ geom.invB.transpose(0, 2, 1))  # B^-1 grad u
-    local = geom.det[:, None] * np.tensordot(pulled, basis.eval_grad(vrule.points), ([1, 2], [0, 2]))
-    defect = -_volume_load(geom, dofmap, basis, data.f, vrule)
-    np.add.at(defect, dofmap.cell_dofs, local)
+    pulled = vrule.weights[:, None] * (gu @ mesh.invB.transpose(0, 2, 1))  # B^-1 grad u
+    local = mesh.det[:, None] * np.tensordot(pulled, basis.eval_grad(vrule.points), ([1, 2], [0, 2]))
+    dofs, load = _volume_load(mesh, dofmap, basis, data.f, vrule)
+    parts = [(dofs, -load), (dofs, local)]
 
     # edges: each edge form applied to the exact trace minus the data trace
     edges = mesh.boundary_edges
     exact, given = _exact_trace(data, edges), _robin_data(scheme, data)
     coef = _robin_form(scheme, edges)
-    _edge_vector(defect, geom, dofmap, basis, edges, coef, lambda x: exact(x) - given(x), erule)
+    parts.append(_edge_vector(mesh, dofmap, basis, edges, coef, lambda x: exact(x) - given(x), erule))
     if scheme.method is Method.SIPDG:
         edges = mesh.interior_edges
         coef = _penalty_form(scheme, edges)
-        _edge_vector(defect, geom, dofmap, basis, edges, coef, _exact_trace(data, edges), erule)
+        parts.append(_edge_vector(mesh, dofmap, basis, edges, coef, _exact_trace(data, edges), erule))
+    defect = _vector(parts, dofmap.n_dofs)
 
     # the squared norms of phi_i, the augmented Gram diagonal; on edges sum_q w_q sum_m C_mm t_m^2
-    gram_diag = volume.diagonal()
+    parts = [(np.arange(dofmap.n_dofs), volume.diagonal())]
     for edges in _edge_tables(mesh, scheme.method):
         diag, local = _norm_form(scheme, edges, "augmented")[:, None, :], 0.0
-        for _, w, t in _edge_traces(geom, basis, edges, erule):
+        for _, w, t in _edge_traces(mesh, basis, edges, erule):
             local += w * (diag @ (t * t))[:, 0]
-        np.add.at(gram_diag, _edge_dofs(dofmap, edges), local)
+        parts.append((_edge_dofs(dofmap, edges), local))
+    gram_diag = _vector(parts, dofmap.n_dofs)
     return float(np.max(np.abs(defect) / np.sqrt(gram_diag)))
 
 

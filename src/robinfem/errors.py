@@ -5,8 +5,8 @@ import numbers
 
 
 def is_count(value, minimum):
-    """Whether value is an integer (not a whole float) of at least minimum."""
-    return isinstance(value, numbers.Integral) and value >= minimum
+    """Whether value is an integer (not a whole float or a bool) of at least minimum."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
 class RobinFemError(Exception):

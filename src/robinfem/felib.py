@@ -207,18 +207,10 @@ def build_dofmap(mesh, degree, continuous):
 
 
 def dof_points(mesh, dofmap):
-    """Physical coordinates of every global dof, shape (n_dofs, 2)."""
-    verts = np.asarray(mesh.vertices)
-    tris = np.asarray(mesh.triangles)
-    basis = reference_basis(dofmap.degree)
+    """Physical coordinates of every global dof, shape (n_dofs, 2): the
+    reference nodes under each element's map, scattered by cell_dofs."""
     pts = np.empty((dofmap.n_dofs, 2))
-    # local node positions under the affine map of each triangle
-    va = verts[tris[:, 0]]
-    edge1 = verts[tris[:, 1]] - va
-    edge2 = verts[tris[:, 2]] - va
-    for k, node in enumerate(basis.nodes):
-        phys = va + node[0] * edge1 + node[1] * edge2
-        pts[dofmap.cell_dofs[:, k]] = phys
+    pts[dofmap.cell_dofs] = mesh.physical_points(reference_basis(dofmap.degree).nodes)
     return pts
 
 

@@ -6,7 +6,11 @@ every boundary vertex exactly on the unit circle.  The square is meshed
 with a structured grid split into triangles.  The edge topology is built
 explicitly as array tables: interior edges know their two elements
 (orientation fixed by ascending element index), boundary edges their
-single element and outward normal.
+single element and outward normal.  Each Mesh also holds the affine map
+of every element, which all volume and edge integrals use, and rejects
+bad input with a typed error: vertex indices that are not integers in
+range, non-finite or huge coordinates, non-positive areas, unused
+vertices and non-manifold edges.
 """
 
 import math
@@ -60,17 +64,32 @@ class EdgeTable:
 
 
 class Mesh:
-    """Immutable triangle mesh with full edge topology."""
+    """Immutable triangle mesh with full edge topology and the affine map
+    x = v0 + B xi of every element onto the reference triangle.
+
+    v0   : (T, 2) first vertex of every triangle
+    B    : (T, 2, 2) edge vectors p1 - v0 and p2 - v0, as columns
+    det  : (T,) det B, twice the (positive) area
+    invB : (T, 2, 2) B^-1
+    """
 
     def __init__(self, vertices, triangles, level=0):
         self.vertices = np.array(vertices, dtype=float)
-        self.triangles = np.array(triangles, dtype=np.int64)
+        indices = np.asarray(triangles)
+        if indices.size and indices.dtype.kind not in "iu":
+            raise InvalidParameter(f"vertex indices must be integers, got {indices.dtype} values")
+        self.triangles = indices.astype(np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise InvalidParameter("vertices must have shape (n, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise InvalidParameter("triangles must have shape (n, 3)")
         if len(self.triangles) == 0:
             raise InvalidParameter("mesh has no triangles")
+        outside = ((self.triangles < 0) | (self.triangles >= len(self.vertices))).any(axis=1)
+        if outside.any():
+            bad = int(np.argmax(outside))
+            tri = self.triangles[bad].tolist()
+            raise InvalidParameter(f"triangle {bad} {tri} has a vertex index outside 0..{len(self.vertices) - 1}")
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
             raise InvalidParameter(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
@@ -79,12 +98,15 @@ class Mesh:
             raise InvalidParameter(
                 f"vertex {int(np.argmax(size))} has a coordinate above {_MAX_COORDINATE:g} in magnitude"
             )
-        areas = self.triangle_areas()
-        if np.any(areas <= 0.0):
-            bad = int(np.argmin(areas))
-            raise InvalidParameter(
-                f"triangle {bad} has non-positive signed area {areas[bad]:.3e}"
-            )
+        self.v0 = self.vertices[self.triangles[:, 0]]
+        e1, e2 = (self.vertices[self.triangles[:, k]] - self.v0 for k in (1, 2))
+        self.B = np.stack([e1, e2], axis=-1)
+        self.det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        if np.any(self.det <= 0.0):
+            bad = int(np.argmin(self.det))
+            raise InvalidParameter(f"triangle {bad} has non-positive signed area {0.5 * self.det[bad]:.3e}")
+        adj = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=-1)
+        self.invB = adj.reshape(-1, 2, 2) / self.det[:, None, None]
         used = np.zeros(len(self.vertices), dtype=bool)
         used[self.triangles] = True
         if not used.all():
@@ -95,9 +117,8 @@ class Mesh:
         all_h = np.concatenate([self.interior_edges.h_e, self.boundary_edges.h_e])
         self.h_max = float(all_h.max())  # triangle diameter equals its longest edge
         self.level = level
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
-        self.cell_edges.setflags(write=False)
+        for array in (self.vertices, self.triangles, self.cell_edges, self.v0, self.B, self.det, self.invB):
+            array.setflags(write=False)
 
     @property
     def n_vertices(self):
@@ -108,10 +129,12 @@ class Mesh:
         return len(self.triangles)
 
     def triangle_areas(self):
-        p0 = self.vertices[self.triangles[:, 0]]
-        e1 = self.vertices[self.triangles[:, 1]] - p0
-        e2 = self.vertices[self.triangles[:, 2]] - p0
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        return 0.5 * self.det
+
+    def physical_points(self, ref_points):
+        """Map reference points (q, 2) into every element: (T, q, 2)."""
+        bx = (self.B.reshape(-1, 2) @ ref_points.T).reshape(len(self.B), 2, -1)
+        return self.v0[:, None, :] + bx.transpose(0, 2, 1)
 
     def min_angle_degrees(self):
         """Smallest interior angle over all triangles."""

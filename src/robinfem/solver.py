@@ -32,12 +32,13 @@ SPD, and raises IndefiniteMatrix:
 Once 1 and 2 pass, M is SPD whatever A is, so r.z > 0 for every
 nonzero residual and needs no check of its own.
 
-A residual that is not finite (from nan or inf in the input) stops CG at
-once with NotConverged, carrying the residual history.  CG runs on the
-right-hand side scaled by the power of two that brings max|b| into
-[1/2, 1): the scaling is exact, so ordinary solves are bitwise unchanged,
-and a tiny or huge b can neither underflow into a false verdict nor
-overflow.  A zero b returns x = 0 at once.
+A nan or inf in the matrix or the right-hand side is InvalidParameter
+before either path runs.  A residual that still turns non-finite (by
+overflow) stops CG at once with NotConverged, carrying its history.  CG
+runs on the right-hand side scaled by the power of two that brings max|b|
+into [1/2, 1): the scaling is exact, so ordinary solves are bitwise
+unchanged, and a tiny or huge b can neither underflow into a false
+verdict nor overflow.  A zero b returns x = 0 at once.
 """
 
 import enum
@@ -125,6 +126,9 @@ def solve(system, config=None):
         raise InvalidParameter("matrix and right-hand side sizes do not match")
     if prolongation is not None and prolongation.shape[0] != len(rhs):
         raise InvalidParameter("prolongation rows do not match the matrix size")
+    values = matrix.tocsr().data if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
+    if not (np.isfinite(values).all() and np.isfinite(rhs).all()):
+        raise InvalidParameter("matrix or right-hand side has a non-finite entry")
     start = time.perf_counter()
     if config.method is SolverMethod.DENSE:
         x, report = _solve_dense(matrix, rhs)

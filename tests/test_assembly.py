@@ -493,12 +493,9 @@ def test_assembly_is_bitwise_repeatable(method):
 
 
 def test_physical_points_are_the_affine_map():
-    from robinfem.assembly import _Geometry
-
     mesh = generate_disk_mesh(3)
-    geom = _Geometry(mesh)
     ref = np.vstack([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], triangle_rule(6).points])
-    x = geom.physical_points(ref)
+    x = mesh.physical_points(ref)
     assert x.shape == (mesh.n_triangles, len(ref), 2)
     # the reference corners land on the triangle's own vertices
     np.testing.assert_allclose(x[:, :3], mesh.vertices[mesh.triangles], rtol=0, atol=1e-15)

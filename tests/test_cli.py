@@ -165,15 +165,29 @@ def test_mesh_without_triangles_exits_1(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_negative_level_exits_1_without_a_traceback():
+def _run_as_process(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-m", "robinfem.cli", "single", "--problem", "sinsin", "--level", "-1"],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "robinfem.cli", *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_negative_level_exits_1_without_a_traceback():
+    result = _run_as_process("single", "--problem", "sinsin", "--level", "-1")
     assert result.returncode == 1
     assert result.stderr.splitlines() == ["robinfem: error: level must be a nonnegative integer, got -1"]
+
+
+@pytest.mark.parametrize("solver", ["cg", "dense"])
+def test_overflowing_robin_weight_exits_1_without_a_traceback(solver):
+    # 1/eps overflows to inf, so the matrix and the load are not finite
+    result = _run_as_process(
+        "single", "--problem", "sinsin", "--epsilon", "1e-320", "--gamma", "0", "--solver", solver
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == "robinfem: error: matrix or right-hand side has a non-finite entry"
 
 
 def test_tolerance_below_machine_epsilon_exits_1(capsys):

@@ -146,7 +146,7 @@ def test_edges_sorted_and_immutable():
     assert all(a < b for a, b in pairs)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 99.0
-    arrays = [mesh.cell_edges] + [
+    arrays = [mesh.cell_edges, mesh.v0, mesh.B, mesh.det, mesh.invB] + [
         getattr(edges, name)
         for edges in (mesh.interior_edges, mesh.boundary_edges)
         for name in ("vertex_ids", "element_ids", "h_e", "normal")
@@ -314,6 +314,22 @@ def test_mesh_validation():
         Mesh(verts, np.array([[0, 2, 1]]))  # clockwise, negative area
     with pytest.raises(InvalidParameter):
         Mesh(verts.ravel(), np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize(
+    "triangles, message",
+    [
+        ([[0, 1, 5]], r"triangle 0 \[0, 1, 5\] has a vertex index outside 0\.\.3"),
+        # -2 would wrap to vertex 2 and split the interior edge 1-2 in two
+        ([[0, 1, 2], [1, 3, -2]], r"triangle 1 \[1, 3, -2\] has a vertex index outside 0\.\.3"),
+        ([[0, 1, 2], [1, 3, 2.7]], "vertex indices must be integers"),
+    ],
+    ids=["too large", "negative", "fractional"],
+)
+def test_bad_vertex_indices_are_rejected(triangles, message):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(InvalidParameter, match=message):
+        Mesh(verts, triangles)
 
 
 def test_mesh_without_triangles_is_invalid(tmp_path):
@@ -499,6 +515,10 @@ NON_INTEGER_COUNTS = {  # each a count argument that is not an integer
     "square grid": (InvalidParameter, lambda: generate_square_mesh(1.5)),
     "ladder levels": (InvalidParameter, lambda: refinement_sequence(unit_disk(), 2.5)),
     "edge rule order": (UnsupportedOrder, lambda: edge_rule(8.0)),
+    "ladder level True": (InvalidParameter, lambda: level_mesh(unit_disk(), True)),
+    "cg iterations True": (InvalidParameter, lambda: SolverConfig(max_iterations=True)),
+    "degree 2.0": (InvalidParameter, lambda: Scheme(Method.NITSCHE, degree=2.0)),
+    "degree True": (InvalidParameter, lambda: Scheme(Method.NITSCHE, degree=True)),
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import robinfem.solver
 from robinfem import (
     IndefiniteMatrix,
     InvalidParameter,
@@ -122,18 +123,31 @@ def test_not_converged_keeps_history():
     assert err.value.residual_history[0] > 1e-10
 
 
-@pytest.mark.parametrize("where", ["rhs", "matrix"])
-def test_cg_stops_at_a_non_finite_residual(where):
+def _non_finite_system(where):
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
     b = np.array([1.0, 0.0])
     if where == "rhs":
         b[1] = np.nan
     else:
         A[0, 1] = A[1, 0] = np.inf
+    return sp.csr_matrix(A), b
+
+
+@pytest.mark.parametrize("where", ["rhs", "matrix"])
+def test_cg_stops_at_a_non_finite_residual(where):
+    # solve rejects such input up front (below); the CG loop keeps its own guard
+    A, b = _non_finite_system(where)
     with pytest.raises(NotConverged, match="non-finite residual at iteration 1") as err:
-        solve((sp.csr_matrix(A), b), CG)
+        robinfem.solver._solve_cg(A, b, CG, None)
     assert len(err.value.residual_history) == 1
     assert not np.isfinite(err.value.residual_history[0])
+
+
+@pytest.mark.parametrize("config", [CG, DENSE], ids=["cg", "dense"])
+@pytest.mark.parametrize("where", ["rhs", "matrix"])
+def test_solve_rejects_a_non_finite_matrix_or_rhs(where, config):
+    with pytest.raises(InvalidParameter, match="non-finite entry"):
+        solve(_non_finite_system(where), config)
 
 
 def test_stiffness_matrix_is_singular_but_not_indefinite():
