@@ -11,24 +11,30 @@ which interpolate between a clean Robin term (gamma -> 0) and a
 penalty-dominated Dirichlet-like term (eps -> 0).  The discontinuous
 scheme adds the symmetric interior-penalty coupling on interior edges.
 
-Every edge integral walks one trace kernel.  It gives each edge table a
-fixed trace vector: t = (v, dn v) on boundary edges and
-t = ([v], {dn v}, {dtau v}) on interior ones, with [v] = v1 - v2 the jump
-along the normal n1 of element 1, {.} the two-element average and tau
-the normal turned by 90 degrees.  Each edge form is one coefficient
-matrix C per edge and unit rule weight, so C carries the h_E of the edge
-measure:
+Every edge integral uses one trace vector per edge table: t = (v, dn v)
+on boundary edges and t = ([v], {dn v}, {dtau v}) on interior ones, with
+[v] = v1 - v2 the jump along the normal n1 of element 1, {.} the
+two-element average and tau the normal turned by 90 degrees.  Each edge
+form is one coefficient matrix C per edge and unit rule weight, so C
+carries the h_E of the edge measure:
 
     Robin        h_E [[c2, -c1], [-c1, -c3]]
     penalty      [[1/gamma, -h_E, 0], [-h_E, 0, 0], [0, 0, 0]]
     energy norm  diag(h_E/(eps + h_E), h_E^2) on boundary edges,
                  diag(1, h_E^2, h_E^2) on interior edges
 
-Matrices are sum_q w_q t^T C t, loads sum_q w_q (C d).t for a data trace
-d, and squared norms sum_q w_q diag(C) e^2; the boundary load is thus
-l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the exact
-contraction of a reference tensor with each element's geometry tensor;
-the element maps x = v0 + B xi, det B and B^-1 live on the Mesh.
+On an affine element, rule point s of an edge maps to a reference point
+fixed by the ordered pair (a, b) of local vertices the edge runs between,
+one of 6 classes: t = A T, with A = [[+-1, 0, 0], [0, (B^-1 frame)^T / k]]
+per edge and element and T the block diagonal of the fixed tables R_c(s)
+(3, nb) of basis values and reference gradients.  A matrix block
+sum_q w_q t^T C t is then W = A^T C A contracted with K = sum_q w_q T (x) T,
+one GEMM per class tuple: 6 on boundary and 36 on interior edges.  Loads
+sum_q w_q (C d).t and squared norms sum_q w_q diag(C) e^2 evaluate the
+data trace d and the error e at the physical points; the boundary load
+is thus l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the
+same contraction on each element, whose map x = v0 + B xi, det B and
+B^-1 live on the Mesh.
 
 Every matrix form contributes (dofs, blocks) triplets, every load or
 residual (dofs, values) parts, and every matrix and every vector is one
@@ -51,6 +57,7 @@ read-only.
 """
 
 import enum
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -111,6 +118,8 @@ class Scheme:
             raise InvalidParameter(f"gamma must be nonnegative, got {self.gamma}")
         if self.method is Method.SIPDG and self.gamma == 0.0:
             raise InvalidParameter("interior penalty needs gamma > 0")
+        if self.gamma == 0.0 and not math.isfinite(1.0 / self.epsilon):
+            raise InvalidParameter(f"the Robin weight 1/epsilon overflows at epsilon={self.epsilon} and gamma=0")
 
     @property
     def continuous(self):
@@ -152,7 +161,7 @@ def robin_weights(scheme, h_e):
     denom = scheme.epsilon + scheme.gamma * h_e
     c1 = scheme.gamma * h_e / denom
     c2 = 1.0 / denom
-    c3 = scheme.epsilon * scheme.gamma * h_e / denom
+    c3 = scheme.epsilon * c1  # eps*gamma*h_e itself may overflow
     return c1, c2, c3
 
 
@@ -202,32 +211,56 @@ def _edge_frame(edges):
     return np.stack([n, np.column_stack([-n[:, 1], n[:, 0]])], axis=-1)
 
 
-def _edge_traces(mesh, basis, edges, rule):
-    """Walk the points of an edge rule (by default the degree's) over
-    every edge of one table.
+# the ordered pairs (a, b) of local vertices an edge can run between, from
+# its lower to its higher global vertex: the 6 edge classes of an element
+_CLASSES = [(a, b) for a in range(3) for b in range(3) if a != b]
 
-    Yields (x, w, t) per point: the points x (E, 2), the scalar rule
-    weight w and the trace vectors t (E, m, k*nb) of the basis functions
-    of the k elements of each edge (v1 on element_ids[:, 0]).
-    """
-    rule = rule if rule is not None else edge_rule(4 if basis.degree == 1 else 8)
-    pa, pb = mesh.vertices[edges.vertex_ids.T]
-    frame = _edge_frame(edges)
-    k, nb = edges.element_ids.shape[1], basis.n_nodes
-    sides = []  # per element: v0, B^-1, (B^-1 frame)^T / k, its sign in [v], its columns in t
+
+@functools.cache
+def _edge_tensors(degree, order, k):
+    """Read-only reference tensors of edge rule order on edges of k elements,
+    per class tuple c_1 .. c_k (index c_1 6^(k-1) + .. + c_k): T (6^k, q*3k,
+    k*nb), the block diagonal of the tables R_c(s_q) at every rule point,
+    and K (6^k, 9k^2, (k*nb)^2) = sum_q w_q T_q (x) T_q."""
+    basis, rule = reference_basis(degree), edge_rule(order)
+    nq, nb, n = len(rule.points), basis.n_nodes, len(_CLASSES) ** k
+    a, b = basis.nodes[np.transpose(_CLASSES)][:, :, None]  # the reference vertices a and b of each class
+    ref = (a + rule.points[:, None] * (b - a)).reshape(-1, 2)
+    tables = np.concatenate([basis.eval(ref)[:, None], basis.eval_grad(ref).transpose(0, 2, 1)], axis=1)
+    diag = np.zeros((n, nq, k, 3, k, nb))
+    for side, classes in enumerate(np.indices((len(_CLASSES),) * k).reshape(k, n)):
+        diag[:, :, side, :, side] = tables.reshape(len(_CLASSES), nq, 3, nb)[classes]
+    diag = diag.reshape(n, nq, 3 * k, k * nb)
+    tensors = np.einsum("q,cqai,cqbj->cabij", rule.weights, diag, diag).reshape(n, 9 * k * k, -1)
+    for array in (diag, tensors):
+        array.setflags(write=False)
+    return diag.reshape(n, nq * 3 * k, k * nb), tensors
+
+
+def _edge_kernel(mesh, basis, edges, order=None):
+    """One edge table under edge rule order (by default the degree's): the
+    rule points x (q, E, 2) and weights, the trace coefficients A (E, m, 3k)
+    (side sigma, v1 on element_ids[:, 0], in columns 3 sigma ..), the class
+    tuple (E,) of every edge and the (T, K) of _edge_tensors."""
+    order = order or (4 if basis.degree == 1 else 8)
+    rule, frame, k = edge_rule(order), _edge_frame(edges), edges.element_ids.shape[1]
+    lift, classes = np.zeros((len(edges), frame.shape[2] + 1, 3 * k)), 0
     for side, elems in enumerate(edges.element_ids.T):
-        invB = mesh.invB[elems]
-        dirs = (invB @ frame).transpose(0, 2, 1) / k
-        cols = slice(side * nb, (side + 1) * nb)
-        sides.append((mesh.v0[elems], invB, dirs, -1.0 if side else 1.0, cols))
-    for s, w in zip(rule.points, rule.weights):
-        x = pa + s * (pb - pa)
-        t = np.empty((len(edges), frame.shape[2] + 1, k * nb))
-        for v0, invB, dirs, sign, cols in sides:
-            ref = np.einsum("eab,eb->ea", invB, x - v0)
-            t[:, 0, cols] = sign * basis.eval(ref)
-            t[:, 1:, cols] = dirs @ basis.eval_grad(ref).transpose(0, 2, 1)
-        yield x, w, t
+        a, b = (np.argmax(mesh.triangles[elems] == v[:, None], axis=1) for v in edges.vertex_ids.T)
+        classes = len(_CLASSES) * classes + 2 * a + b - (b > a)  # the index of (a, b) in _CLASSES
+        lift[:, 0, 3 * side] = -1.0 if side else 1.0
+        lift[:, 1:, 3 * side + 1:3 * side + 3] = (mesh.invB[elems] @ frame).transpose(0, 2, 1) / k
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    points = pa + rule.points[:, None, None] * (pb - pa)
+    return points, rule.weights, lift, classes, _edge_tensors(basis.degree, order, k)
+
+
+def _per_class(classes, rows, tensors):
+    """rows[e] @ tensors[classes[e]] for every edge e: one GEMM per class tuple."""
+    out = np.empty((len(rows), tensors.shape[2]))
+    for c in np.unique(classes):
+        out[classes == c] = rows[classes == c] @ tensors[c]
+    return out
 
 
 def _at(func, x):
@@ -235,28 +268,19 @@ def _at(func, x):
     return np.broadcast_to(np.asarray(func(x[:, 0], x[:, 1]), dtype=float), (len(x),))
 
 
-def _exact_trace(data, edges):
-    """The exact solution's trace vector on one edge table, as a function
-    of the points x: its value on a boundary table or its zero jump on an
-    interior one, then its derivatives along the edge frame.  (E, m)"""
-    frame = _edge_frame(edges)
-
-    def trace(x):
-        grad = np.asarray(data.exact_grad(x[:, 0], x[:, 1]), dtype=float)
-        first = _at(data.exact_u, x) if _is_boundary(edges) else np.zeros(len(x))
-        return np.column_stack([first, (grad[:, None, :] @ frame)[:, 0]])
-
-    return trace
+def _exact_trace(data, edges, x):
+    """The exact solution's trace vector on one edge table at the points x:
+    its value on a boundary table or its zero jump on an interior one, then
+    its derivatives along the edge frame.  (E, m)"""
+    grad = np.asarray(data.exact_grad(x[:, 0], x[:, 1]), dtype=float)
+    first = _at(data.exact_u, x) if _is_boundary(edges) else np.zeros(len(x))
+    return np.column_stack([first, (grad[:, None, :] @ _edge_frame(edges))[:, 0]])
 
 
-def _robin_data(scheme, data):
-    """The boundary data trace (u0 + eps*g, 0), as a function of the points x."""
-
-    def trace(x):
-        d = _at(data.u0, x) + scheme.epsilon * _at(data.g, x)
-        return np.column_stack([d, np.zeros(len(x))])
-
-    return trace
+def _robin_data(scheme, data, x):
+    """The boundary data trace (u0 + eps*g, 0) at the points x.  (E, 2)"""
+    d = _at(data.u0, x) + scheme.epsilon * _at(data.g, x)
+    return np.column_stack([d, np.zeros(len(x))])
 
 
 def _edge_dofs(dofmap, edges):
@@ -265,32 +289,33 @@ def _edge_dofs(dofmap, edges):
     return dofmap.cell_dofs[edges.element_ids].reshape(len(edges), width)
 
 
-def _edge_part(mesh, dofmap, basis, edges, coef, rule=None):
-    """The (dofs, blocks) part sum_q w_q t^T C t of one edge table."""
-    blocks = 0.0
-    for _, w, t in _edge_traces(mesh, basis, edges, rule):
-        blocks += w * (t.transpose(0, 2, 1) @ (coef @ t))
-    return _edge_dofs(dofmap, edges), blocks
+def _edge_part(mesh, dofmap, basis, edges, coef, order=None):
+    """The (dofs, blocks) part sum_q w_q t^T C t of one edge table: per
+    class tuple, the W = A^T C A of its edges times its K."""
+    _, _, lift, classes, (_, tensors) = _edge_kernel(mesh, basis, edges, order)
+    w = (lift.transpose(0, 2, 1) @ coef @ lift).reshape(len(edges), tensors.shape[1])
+    dofs = _edge_dofs(dofmap, edges)
+    return dofs, _per_class(classes, w, tensors).reshape(-1, dofs.shape[1], dofs.shape[1])
 
 
-def _edge_vector(mesh, dofmap, basis, edges, coef, trace, rule=None):
-    """The (dofs, values) part sum_q w_q (C d).t, with the data trace d = trace(x)."""
-    local = 0.0
-    for x, w, t in _edge_traces(mesh, basis, edges, rule):
-        cd = coef @ trace(x)[:, :, None]
-        local += w * (t.transpose(0, 2, 1) @ cd)[:, :, 0]
-    return _edge_dofs(dofmap, edges), local
+def _edge_vector(mesh, dofmap, basis, edges, coef, trace, order=None):
+    """The (dofs, values) part sum_q w_q (C d).t, with the data trace d = trace(x):
+    per class tuple, w_q A^T C d at every point of its edges times its T."""
+    points, weights, lift, classes, (tables, _) = _edge_kernel(mesh, basis, edges, order)
+    pull = lift.transpose(0, 2, 1) @ coef
+    z = np.stack([w * (pull @ trace(x)[:, :, None])[:, :, 0] for x, w in zip(points, weights)], axis=1)
+    return _edge_dofs(dofmap, edges), _per_class(classes, z.reshape(len(edges), tables.shape[1]), tables)
 
 
 def _edge_error_sq(mesh, dofmap, basis, scheme, edges, data, solution):
     """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
-    with e the exact trace minus the trace of the dof vector solution."""
-    diag = _norm_form(scheme, edges, "augmented")
-    ce = solution[_edge_dofs(dofmap, edges)]
-    exact = _exact_trace(data, edges)
-    total = 0.0
-    for x, w, t in _edge_traces(mesh, basis, edges, edge_rule(8)):
-        e = exact(x) - (t @ ce[:, :, None])[:, :, 0]
+    with e the exact trace minus the trace A T c of the dof vector solution."""
+    points, weights, lift, classes, (tables, _) = _edge_kernel(mesh, basis, edges, 8)
+    ref = _per_class(classes, solution[_edge_dofs(dofmap, edges)], tables.transpose(0, 2, 1))
+    uh = lift[:, None] @ ref.reshape(len(edges), len(weights), lift.shape[2], 1)  # (E, q, m, 1)
+    diag, total = _norm_form(scheme, edges, "augmented"), 0.0
+    for x, w, u in zip(points, weights, uh.transpose(1, 0, 2, 3)):
+        e = _exact_trace(data, edges, x) - u[:, :, 0]
         total = total + w * np.sum(diag * e * e, axis=0)
     return total
 
@@ -374,8 +399,8 @@ def _volume_load(mesh, dofmap, basis, f, rule=None):
 
 def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
-    edges = mesh.boundary_edges
-    robin = _edge_vector(mesh, dofmap, basis, edges, _robin_form(scheme, edges), _robin_data(scheme, data))
+    edges, given = mesh.boundary_edges, functools.partial(_robin_data, scheme, data)
+    robin = _edge_vector(mesh, dofmap, basis, edges, _robin_form(scheme, edges), given)
     return _vector([_volume_load(mesh, dofmap, basis, data.f), robin], dofmap.n_dofs)
 
 
@@ -403,12 +428,12 @@ def _assembly_space(mesh, scheme):
     return spaces[key]
 
 
-def _matrix(mesh, scheme, coefs, rule=None):
+def _matrix(mesh, scheme, coefs, order=None):
     """The memoized volume sum plus one bincount of the edge forms with
     coefficients coefs, one per edge table, on the memoized pattern."""
     basis, dofmap, _, volume, edge_slots = _assembly_space(mesh, scheme)
     tables = zip(_edge_tables(mesh, scheme.method), coefs)
-    blocks = [_edge_part(mesh, dofmap, basis, edges, coef, rule)[1].ravel() for edges, coef in tables]
+    blocks = [_edge_part(mesh, dofmap, basis, edges, coef, order)[1].ravel() for edges, coef in tables]
     values = np.bincount(edge_slots, np.concatenate(blocks), volume.nnz) + volume.data
     return sp.csr_matrix((values, volume.indices.copy(), volume.indptr.copy()), shape=volume.shape)
 
@@ -437,7 +462,7 @@ def norm_matrix(mesh, scheme, variant="energy"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
     tables = _edge_tables(mesh, scheme.method)
     coefs = [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables]
-    return _matrix(mesh, scheme, coefs, edge_rule(8))
+    return _matrix(mesh, scheme, coefs, 8)
 
 
 def consistency_residual(mesh, scheme, data):
@@ -451,8 +476,8 @@ def consistency_residual(mesh, scheme, data):
     """
     if data.exact_u is None or data.exact_grad is None:
         raise MissingExactSolution("consistency check needs exact_u and exact_grad")
-    basis, dofmap, _, volume, _ = _assembly_space(mesh, scheme)
-    vrule, erule = triangle_rule(6), edge_rule(8)
+    basis, dofmap = _assembly_space(mesh, scheme)[:2]
+    vrule = triangle_rule(6)
 
     # volume: (grad u, grad phi_i) - (f, phi_i)
     x = mesh.physical_points(vrule.points)
@@ -462,25 +487,15 @@ def consistency_residual(mesh, scheme, data):
     dofs, load = _volume_load(mesh, dofmap, basis, data.f, vrule)
     parts = [(dofs, -load), (dofs, local)]
 
-    # edges: each edge form applied to the exact trace minus the data trace
-    edges = mesh.boundary_edges
-    exact, given = _exact_trace(data, edges), _robin_data(scheme, data)
-    coef = _robin_form(scheme, edges)
-    parts.append(_edge_vector(mesh, dofmap, basis, edges, coef, lambda x: exact(x) - given(x), erule))
-    if scheme.method is Method.SIPDG:
-        edges = mesh.interior_edges
-        coef = _penalty_form(scheme, edges)
-        parts.append(_edge_vector(mesh, dofmap, basis, edges, coef, _exact_trace(data, edges), erule))
+    # edges: each edge form applied to the exact trace minus the data trace (none inside)
+    for edges, form in zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form)):
+        def trace(x, edges=edges):
+            return _exact_trace(data, edges, x) - (_robin_data(scheme, data, x) if _is_boundary(edges) else 0.0)
+        parts.append(_edge_vector(mesh, dofmap, basis, edges, form(scheme, edges), trace, 8))
     defect = _vector(parts, dofmap.n_dofs)
 
-    # the squared norms of phi_i, the augmented Gram diagonal; on edges sum_q w_q sum_m C_mm t_m^2
-    parts = [(np.arange(dofmap.n_dofs), volume.diagonal())]
-    for edges in _edge_tables(mesh, scheme.method):
-        diag, local = _norm_form(scheme, edges, "augmented")[:, None, :], 0.0
-        for _, w, t in _edge_traces(mesh, basis, edges, erule):
-            local += w * (diag @ (t * t))[:, 0]
-        parts.append((_edge_dofs(dofmap, edges), local))
-    gram_diag = _vector(parts, dofmap.n_dofs)
+    # the squared norms of phi_i: the diagonal of the augmented Gram matrix
+    gram_diag = norm_matrix(mesh, scheme, "augmented").diagonal()
     return float(np.max(np.abs(defect) / np.sqrt(gram_diag)))
 
 

@@ -6,6 +6,7 @@ degree-of-freedom maps for continuous and discontinuous (element-local)
 spaces.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,13 @@ def _tri_rule_from_barycentric(groups, degree):
         for lam in bary_groups:
             pts.append([lam[1], lam[2]])  # reference coords (xi, eta)
             wts.append(w / 2.0)  # tabulated weights sum to 1; area is 1/2
-    return QuadratureRule(np.array(pts), np.array(wts), degree)
+    return _read_only(QuadratureRule(np.array(pts), np.array(wts), degree))
+
+
+def _read_only(rule):
+    rule.points.setflags(write=False)
+    rule.weights.setflags(write=False)
+    return rule
 
 
 def _perm3(a):
@@ -65,7 +72,15 @@ def triangle_rule(order):
     """Symmetric quadrature rule on the unit reference triangle.
 
     Supported exactness orders: 2 (3 points), 4 (6 points), 6 (12 points).
+    Each rule is built once; its arrays are read-only.
     """
+    if order not in (2, 4, 6):
+        raise UnsupportedOrder(f"no triangle rule of order {order}")
+    return _triangle_rule(int(order))
+
+
+@functools.cache
+def _triangle_rule(order):
     if order == 2:
         return _tri_rule_from_barycentric([(_perm3(1.0 / 6.0), 1.0 / 3.0)], 2)
     if order == 4:
@@ -76,25 +91,29 @@ def triangle_rule(order):
             ],
             4,
         )
-    if order == 6:
-        return _tri_rule_from_barycentric(
-            [
-                (_perm3(0.249286745170910), 0.116786275726379),
-                (_perm3(0.063089014491502), 0.050844906370207),
-                (_perm6(0.310352451033785, 0.053145049844816), 0.082851075618374),
-            ],
-            6,
-        )
-    raise UnsupportedOrder(f"no triangle rule of order {order}")
+    return _tri_rule_from_barycentric(
+        [
+            (_perm3(0.249286745170910), 0.116786275726379),
+            (_perm3(0.063089014491502), 0.050844906370207),
+            (_perm6(0.310352451033785, 0.053145049844816), 0.082851075618374),
+        ],
+        6,
+    )
 
 
 def edge_rule(order):
-    """Gauss-Legendre rule on [0, 1]; order in {2, 4, 6, 8} maps to 2..5 points."""
+    """Gauss-Legendre rule on [0, 1]; order in {2, 4, 6, 8} maps to 2..5 points.
+    Each rule is built once; its arrays are read-only."""
     if not (is_count(order, 2) and order in (2, 4, 6, 8)):
         raise UnsupportedOrder(f"no edge rule of order {order!r}")
+    return _edge_rule(int(order))
+
+
+@functools.cache
+def _edge_rule(order):
     n = order // 2 + 1
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule((x + 1.0) / 2.0, w / 2.0, 2 * n - 1)
+    return _read_only(QuadratureRule((x + 1.0) / 2.0, w / 2.0, 2 * n - 1))
 
 
 @dataclass(frozen=True)

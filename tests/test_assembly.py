@@ -38,6 +38,8 @@ from robinfem import (
     write_matrix,
 )
 
+from robinfem.assembly import _edge_kernel
+
 NIT = Method.NITSCHE
 DG = Method.SIPDG
 
@@ -82,6 +84,23 @@ def test_robin_weight_identities():
             assert np.all((c1 >= 0) & (c1 < 1))
             assert np.all(np.isfinite(c2)) and np.all(c2 > 0)
             assert np.all(c3 < eps)
+
+
+def test_robin_weights_stay_finite_at_the_largest_epsilon():
+    # eps*gamma*h_E overflows here, eps*c1 does not
+    h = np.array([1e-3, 0.1, 1.0])
+    for gamma in (0.1, 10.0, 100.0):
+        c1, c2, c3 = robin_weights(Scheme(NIT, epsilon=1e308, gamma=gamma), h)
+        assert np.all(np.isfinite(c1)) and np.all(np.isfinite(c2)) and np.all(np.isfinite(c3))
+        # c1 ~ gamma*h/eps is subnormal here, so it keeps about 12 digits
+        np.testing.assert_allclose(c3, gamma * h, rtol=1e-11)
+
+
+def test_scheme_rejects_an_overflowing_robin_weight():
+    # with gamma = 0 the Robin weight is 1/eps, which overflows below ~5.6e-309
+    with pytest.raises(InvalidParameter, match="overflows"):
+        Scheme(NIT, epsilon=1e-320, gamma=0.0)
+    assert math.isclose(robin_weights(Scheme(NIT, epsilon=1e-300, gamma=0.0), 0.5)[1], 1e300, rel_tol=1e-15)
 
 
 def test_robin_weights_gamma_zero():
@@ -290,6 +309,47 @@ def test_relabeling_invariance_broken(degree):
     B = sys_b.matrix.toarray()
     np.testing.assert_allclose(B, A[np.ix_(perm, perm)], atol=1e-13)
     np.testing.assert_allclose(sys_b.rhs, sys_a.rhs[perm], atol=1e-13)
+
+
+def rotated(mesh, seed=0):
+    """mesh with each triangle's vertex order rotated at random, and the shifts."""
+    shifts = np.random.default_rng(seed).integers(0, 3, mesh.n_triangles)
+    return Mesh(mesh.vertices, [np.roll(tri, s) for tri, s in zip(mesh.triangles, shifts)]), shifts
+
+
+def discontinuous_dofs_before_rotation(shifts, degree):
+    """For every dof of a discontinuous space on the rotated mesh, the same dof
+    before: local vertex j was vertex (j - s) % 3, and the midpoint of local
+    edge (j, j + 1) follows that edge."""
+    local = np.arange(3 * degree)
+    before = np.where(local < 3, (local - shifts[:, None]) % 3, 3 + (local - 3 - shifts[:, None]) % 3)
+    return (3 * degree * np.arange(len(shifts))[:, None] + before).ravel()
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("eps", [1e-6, 1.0, 1e3])
+def test_forms_are_invariant_under_rotated_vertex_orders(method, degree, eps):
+    mesh = generate_disk_mesh(9)
+    turned, shifts = rotated(mesh)
+    # two counterclockwise triangles walk their shared edge in opposite directions, so of
+    # the 36 interior class pairs the 18 with one forward and one backward side can occur
+    classes = _edge_kernel(turned, reference_basis(degree), turned.interior_edges)[3]
+    assert len(np.unique(classes)) == 18
+    scheme = Scheme(method, degree=degree, epsilon=eps, gamma=0.1)
+    data = get_problem("sinsin").make_data(eps)
+    before, after = assemble(mesh, scheme, data), assemble(turned, scheme, data)
+    p = np.arange(before.dofmap.n_dofs) if method is NIT else discontinuous_dofs_before_rotation(shifts, degree)
+    assert abs(after.matrix - before.matrix[p][:, p]).max() <= 1e-13 * abs(before.matrix).max()
+    assert np.abs(after.rhs - before.rhs[p]).max() <= 1e-13 * np.abs(before.rhs).max()
+    for variant in ("energy", "augmented"):
+        gram, turned_gram = norm_matrix(mesh, scheme, variant), norm_matrix(turned, scheme, variant)
+        assert abs(turned_gram - gram[p][:, p]).max() <= 1e-13 * abs(gram).max()
+    if eps >= 1.0:
+        # at eps = 1e-6 the defect cancels terms up to ~1e10 times its size, so
+        # summation order alone moves it by up to ~1e-10 relative
+        residual = consistency_residual(mesh, scheme, data)
+        assert abs(consistency_residual(turned, scheme, data) - residual) <= 1e-13 * residual
 
 
 @pytest.mark.parametrize("method", [NIT, DG])

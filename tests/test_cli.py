@@ -187,7 +187,18 @@ def test_overflowing_robin_weight_exits_1_without_a_traceback(solver):
     )
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
-    assert result.stderr.splitlines()[-1] == "robinfem: error: matrix or right-hand side has a non-finite entry"
+    assert "RuntimeWarning" not in result.stderr
+    expected = "robinfem: error: the Robin weight 1/epsilon overflows at epsilon=1e-320 and gamma=0"
+    assert result.stderr.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize("gamma", ["10", "100"])
+def test_largest_epsilon_with_large_gamma_is_indefinite_without_warnings(gamma):
+    # eps*gamma*h_E overflows, but the Robin weights do not: the verdict is the indefinite matrix
+    result = _run_as_process("single", "--problem", "sinsin", "--epsilon", "1e308", "--gamma", gamma)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
+    assert result.stderr.splitlines() == ["robinfem: solver failure: matrix has a nonpositive diagonal entry"]
 
 
 def test_tolerance_below_machine_epsilon_exits_1(capsys):

@@ -58,6 +58,18 @@ def test_edge_rules_integrate_monomials(order, npoints):
         assert abs(got - 1.0 / (k + 1)) < 1e-14, k
 
 
+@pytest.mark.parametrize(
+    "make_rule, order", [(triangle_rule, 2), (triangle_rule, 6), (edge_rule, 4), (edge_rule, 8)]
+)
+def test_rules_are_built_once_and_read_only(make_rule, order):
+    rule = make_rule(order)
+    assert make_rule(order) is rule
+    for array in (rule.points, rule.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_unsupported_orders():
     for bad in (1, 3, 5, 8):
         with pytest.raises(UnsupportedOrder):

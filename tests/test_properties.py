@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,16 +24,20 @@ from robinfem import (
     SolverConfig,
     SolverMethod,
     assemble,
+    build_dofmap,
     continuous_embedding,
+    edge_rule,
     error_report,
     generate_disk_mesh,
     generate_square_mesh,
     get_problem,
     min_eigenvalue_dense,
     read_mesh,
+    reference_basis,
     solve,
     write_mesh,
 )
+from robinfem.assembly import _edge_kernel, _edge_part
 
 NIT = Method.NITSCHE
 DG = Method.SIPDG
@@ -127,6 +132,51 @@ def test_memoized_assembly_equals_fresh_mesh_assembly(mesh, cases):
     assert (used.prolongation is None) == (fresh.prolongation is None)
     for a, b in zip(system_arrays(used), system_arrays(fresh)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def pulled_back_traces(mesh, basis, edges, rule):
+    """The edge trace vectors by the physical-point pull-back, the reference
+    for the tabulated ones: each rule point x of an edge is mapped into each
+    of its elements by B^-1 (x - v0), and the basis is evaluated there.
+    Returns t (q, E, m, k*nb)."""
+    k, nb = edges.element_ids.shape[1], basis.n_nodes
+    n = edges.normal
+    frame = n[:, :, None] if k == 1 else np.stack([n, np.column_stack([-n[:, 1], n[:, 0]])], axis=-1)
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    traces = np.empty((len(rule.points), len(edges), k + 1, k * nb))
+    for q, s in enumerate(rule.points):
+        x = pa + s * (pb - pa)
+        for side, elems in enumerate(edges.element_ids.T):
+            ref = np.einsum("eab,eb->ea", mesh.invB[elems], x - mesh.v0[elems])
+            dirs = (mesh.invB[elems] @ frame).transpose(0, 2, 1) / k
+            traces[q, :, 0, side * nb:(side + 1) * nb] = (-1.0 if side else 1.0) * basis.eval(ref)
+            traces[q, :, 1:, side * nb:(side + 1) * nb] = dirs @ basis.eval_grad(ref).transpose(0, 2, 1)
+    return traces
+
+
+@pytest.mark.parametrize("kind", ["boundary", "interior"])
+@pytest.mark.parametrize("order", [4, 8])
+@pytest.mark.parametrize("degree", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(meshes(), st.integers(0, 2**32 - 1))
+def test_tabulated_traces_and_edge_blocks_match_the_pull_back(degree, order, kind, mesh, seed):
+    # each triangle's vertex order rotated at random, so that every edge class occurs
+    rng = np.random.default_rng(seed)
+    shifts = rng.integers(0, 3, mesh.n_triangles)
+    mesh = Mesh(mesh.vertices, [np.roll(tri, s) for tri, s in zip(mesh.triangles, shifts)])
+    edges, basis = getattr(mesh, f"{kind}_edges"), reference_basis(degree)
+    points, weights, lift, classes, (tables, _) = _edge_kernel(mesh, basis, edges, order)
+    assert not tables.flags.writeable and _edge_kernel(mesh, basis, edges, order)[4][0] is tables
+    expected = pulled_back_traces(mesh, basis, edges, edge_rule(order))
+    nq, m, width = expected.shape[0], expected.shape[2], expected.shape[3]
+    tabulated = lift[:, None] @ tables[classes].reshape(len(edges), nq, lift.shape[2], width)
+    assert np.abs(tabulated.transpose(1, 0, 2, 3) - expected).max() <= 1e-13 * np.abs(expected).max()
+    # the blocks sum_q w_q t^T C t of a random symmetric coefficient per edge
+    coef = rng.standard_normal((len(edges), m, m))
+    coef += coef.transpose(0, 2, 1)
+    want = np.einsum("q,qemi,emn,qenj->eij", weights, expected, coef, expected)
+    _, blocks = _edge_part(mesh, build_dofmap(mesh, degree, continuous=False), basis, edges, coef, order)
+    assert np.abs(blocks - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _mesh_lines():
