@@ -24,7 +24,6 @@ from .assembly import (
     write_matrix,
 )
 from .errors import (
-    ConfigurationError,
     DegenerateProjection,
     DegenerateSequence,
     FormatError,

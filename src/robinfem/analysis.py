@@ -104,7 +104,7 @@ def eoc(errors):
     return rates
 
 
-def error_report(mesh, scheme, data, solution, dofmap, level=None):
+def error_report(mesh, scheme, data, solution, dofmap):
     """Bundle the error norms for one solve into an ErrorReport."""
     err_e, components = energy_error(mesh, scheme, data, solution, dofmap)
     err_l2 = l2_error(mesh, data, solution, dofmap)
@@ -113,7 +113,7 @@ def error_report(mesh, scheme, data, solution, dofmap, level=None):
     if "jump" in components:
         jump = math.sqrt(components["jump"])
     return ErrorReport(
-        level=mesh.level if level is None else level,
+        level=mesh.level,
         h_max=mesh.h_max,
         dof_count=dofmap.n_dofs,
         err_energy=err_e,

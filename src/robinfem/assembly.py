@@ -66,6 +66,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ._atomic import write_lines
 from .errors import InvalidParameter, MissingExactSolution, SchemeMismatch, is_count
 from .felib import (
     DofMap,
@@ -98,6 +99,10 @@ class Method(enum.Enum):
     SIPDG = "sipdg"
 
 
+# 1/x overflows for every positive x up to and including this one
+_SMALLEST_DENOMINATOR = 1.0 / np.finfo(float).max
+
+
 @dataclass(frozen=True)
 class Scheme:
     """Discretization choice: method, polynomial degree, Robin parameters."""
@@ -116,8 +121,8 @@ class Scheme:
             raise InvalidParameter(f"epsilon must be positive, got {self.epsilon}")
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
             raise InvalidParameter(f"gamma must be nonnegative, got {self.gamma}")
-        if self.method is Method.SIPDG and self.gamma == 0.0:
-            raise InvalidParameter("interior penalty needs gamma > 0")
+        if self.method is Method.SIPDG and self.gamma <= _SMALLEST_DENOMINATOR:
+            raise InvalidParameter(f"interior penalty needs gamma > 0 with a finite 1/gamma, got gamma={self.gamma}")
         if self.gamma == 0.0 and not math.isfinite(1.0 / self.epsilon):
             raise InvalidParameter(f"the Robin weight 1/epsilon overflows at epsilon={self.epsilon} and gamma=0")
 
@@ -157,8 +162,17 @@ class SparseSystem:
 
 
 def robin_weights(scheme, h_e):
-    """Robin edge weights (c1, c2, c3); h_e may be an array."""
+    """Robin edge weights (c1, c2, c3); h_e may be an array.
+
+    Raises InvalidParameter where 1/(eps + gamma*h_E) would overflow.
+    """
     denom = scheme.epsilon + scheme.gamma * h_e
+    if np.any(denom <= _SMALLEST_DENOMINATOR):
+        h_min = float(np.min(h_e))
+        raise InvalidParameter(
+            f"the Robin weight 1/(epsilon + gamma*h_E) overflows at epsilon={scheme.epsilon}, "
+            f"gamma={scheme.gamma} and h_E={h_min:.3g}"
+        )
     c1 = scheme.gamma * h_e / denom
     c2 = 1.0 / denom
     c3 = scheme.epsilon * c1  # eps*gamma*h_e itself may overflow
@@ -504,6 +518,4 @@ def write_matrix(matrix, path):
     csr = sp.csr_matrix(matrix, copy=True)  # sum_duplicates sorts in place
     csr.sum_duplicates()
     coo = csr.tocoo()
-    with open(path, "w", newline="\n") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v:.17g}\n")
+    write_lines(path, (f"{i} {j} {v:.17g}" for i, j, v in zip(coo.row, coo.col, coo.data)))

@@ -1,7 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for configuration problems (bad flags,
-unknown problem, invalid parameters), 2 when the linear solver fails.
+Exit codes: 0 on success; 2 when the linear solver fails (NotConverged,
+IndefiniteMatrix); 1 for bad flags, any other library error
+(RobinFemError: unknown problem, invalid parameter, bad mesh, ...) and
+any OSError.  Each error is one line on stderr, never a traceback.
 """
 
 import argparse
@@ -9,13 +11,7 @@ import sys
 
 from .analysis import ErrorReport
 from .assembly import Method, Scheme, write_matrix
-from .errors import (
-    ConfigurationError,
-    FormatError,
-    IndefiniteMatrix,
-    InvalidParameter,
-    NotConverged,
-)
+from .errors import IndefiniteMatrix, NotConverged, RobinFemError
 from .problems import list_problems
 from .solver import SolverConfig, SolverMethod
 from .study import StudyConfig, run_convergence, run_single, write_csv, write_svg
@@ -39,20 +35,6 @@ def _add_scheme_flags(parser):
     parser.add_argument("--solver", choices=("cg", "dense"), default="cg")
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="relative residual tolerance for cg")
-
-
-def _scheme_of(args):
-    return Scheme(
-        method=_SCHEMES[args.scheme],
-        degree=args.degree,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-    )
-
-
-def _solver_of(args):
-    method = SolverMethod.DENSE if args.solver == "dense" else SolverMethod.CG
-    return SolverConfig(method=method, rel_tolerance=args.tol)
 
 
 def _print_report(report: ErrorReport):
@@ -97,14 +79,10 @@ def main(argv=None):
         for name, domain, description in list_problems():
             print(f"{name:15s} {domain:12s} {description}")
         return 0
+    scheme = Scheme(_SCHEMES[args.scheme], degree=args.degree, epsilon=args.epsilon, gamma=args.gamma)
+    solver = SolverConfig(SolverMethod(args.solver), rel_tolerance=args.tol)
     if args.command == "study":
-        config = StudyConfig(
-            problem=args.problem,
-            scheme=_scheme_of(args),
-            levels=args.levels,
-            solver=_solver_of(args),
-        )
-        reports = run_convergence(config, mesh_out=args.mesh_out)
+        reports = run_convergence(StudyConfig(args.problem, scheme, args.levels, solver), mesh_out=args.mesh_out)
         for report in reports:
             _print_report(report)
         if args.csv:
@@ -112,15 +90,7 @@ def main(argv=None):
         if args.svg:
             write_svg(reports, args.svg)
         return 0
-    # single
-    mesh, system, solution, report = run_single(
-        args.problem,
-        _scheme_of(args),
-        level=args.level,
-        solver=_solver_of(args),
-        mesh_out=args.mesh_out,
-        solution_out=args.solution_out,
-    )
+    _, system, _, report = run_single(args.problem, scheme, args.level, solver, args.mesh_out, args.solution_out)
     _print_report(report)
     if args.matrix_out:
         write_matrix(system.matrix, args.matrix_out)
@@ -130,15 +100,12 @@ def main(argv=None):
 def console_main(argv=None):
     try:
         return main(argv)
-    except (ConfigurationError, InvalidParameter, FormatError) as exc:
-        print(f"robinfem: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"robinfem: error: {exc}", file=sys.stderr)
-        return 1
     except (NotConverged, IndefiniteMatrix) as exc:
         print(f"robinfem: solver failure: {exc}", file=sys.stderr)
         return 2
+    except (RobinFemError, OSError) as exc:
+        print(f"robinfem: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

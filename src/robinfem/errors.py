@@ -80,7 +80,3 @@ class TooLarge(RobinFemError):
 
 class DegenerateSequence(RobinFemError):
     """Error sequence unusable for convergence-order computation."""
-
-
-class ConfigurationError(RobinFemError):
-    """Invalid study or command-line configuration."""

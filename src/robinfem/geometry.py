@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _ON_BOUNDARY_TOL = 1e-12
+# half-width of the tube around the boundary inside which the projection is single-valued
+_PROJECTION_TUBE = 0.5
 
 
 class DomainKind(Enum):
@@ -34,14 +36,9 @@ class DomainKind(Enum):
 
 @dataclass(frozen=True)
 class Domain:
-    """Analytic domain with closed-form distance/projection/normal.
-
-    ``delta`` is the half-width of the tube around the boundary inside
-    which the projection is guaranteed single-valued.
-    """
+    """Analytic domain with closed-form distance/projection/normal."""
 
     kind: DomainKind
-    delta: float = 0.5
 
     def signed_distance(self, points):
         """Signed distance to the boundary: negative inside, zero on it."""
@@ -60,9 +57,9 @@ class Domain:
         """Orthogonal projection onto the boundary, for points in the tube."""
         pts, single = _as_points(points)
         d = np.atleast_1d(self.signed_distance(pts))
-        if np.any(np.abs(d) >= self.delta):
+        if np.any(np.abs(d) >= _PROJECTION_TUBE):
             raise DegenerateProjection(
-                f"point outside the projection tube |d| < {self.delta}"
+                f"point outside the projection tube |d| < {_PROJECTION_TUBE}"
             )
         if self.kind is DomainKind.UNIT_DISK:
             r = np.hypot(pts[:, 0], pts[:, 1])

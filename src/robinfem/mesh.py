@@ -13,11 +13,12 @@ range, non-finite or huge coordinates, non-positive areas, unused
 vertices and non-manifold edges.
 """
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import write_lines
 from .errors import FormatError, InvalidParameter, NonManifoldMesh, is_count
 from .geometry import DomainKind
 
@@ -269,12 +270,12 @@ def refinement_sequence(domain, levels):
 
 def write_mesh(mesh, path):
     """Write the line-oriented text format (17 significant digits)."""
-    lines = ["meshfmt 1", f"vertices {mesh.n_vertices}"]
-    lines.extend(f"{x:.17g} {y:.17g}" for x, y in mesh.vertices)
-    lines.append(f"triangles {mesh.n_triangles}")
-    lines.extend(f"{i} {j} {k}" for i, j, k in mesh.triangles)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, itertools.chain(
+        ["meshfmt 1", f"vertices {mesh.n_vertices}"],
+        (f"{x:.17g} {y:.17g}" for x, y in mesh.vertices),
+        [f"triangles {mesh.n_triangles}"],
+        (f"{i} {j} {k}" for i, j, k in mesh.triangles),
+    ))
 
 
 def read_mesh(path):

@@ -1,17 +1,20 @@
 """Convergence studies: mesh ladder, solve, error table, plot.
 
+run_single is the one pipeline for a level: mesh, assemble, solve,
+error report, and the optional mesh and solution dumps.  run_convergence
+runs it on each ladder level, keeping only the reports, so one level's
+mesh and assembly memo are alive at a time, then adds the observed orders.
+
 The CSV and SVG writers are deliberately boring: fixed column order,
 fixed significant digits, LF line endings, no timestamps, so repeated
-runs of the same study produce byte-identical files.
+runs of the same study produce byte-identical files.  Like every
+artifact, they are written atomically through one writer.
 """
 
-import contextlib
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
-from typing import Optional
 
+from ._atomic import write_lines
 from .analysis import eoc, error_report
 from .assembly import Scheme, assemble
 from .errors import InvalidParameter, is_count
@@ -41,23 +44,14 @@ def run_convergence(config, mesh_out=None):
 
     mesh_out, if given, receives the finest mesh once its level is solved.
     """
-    problem = get_problem(config.problem)
-    data = problem.make_data(config.scheme.epsilon)
     reports = []
     for level in range(config.levels):  # one level's mesh, and its assembly memo, at a time
-        mesh = level_mesh(problem.domain, level)
-        system = assemble(mesh, config.scheme, data)
-        solution, _ = solve(system, config.solver)
-        reports.append(error_report(mesh, config.scheme, data, solution, system.dofmap))
-        if mesh_out and level == config.levels - 1:
-            write_mesh(mesh, mesh_out)
-    pairs_e = [(r.h_max, r.err_energy) for r in reports]
-    pairs_l = [(r.h_max, r.err_l2) for r in reports]
-    rates_e = eoc(pairs_e)
-    rates_l = eoc(pairs_l)
-    for i, r in enumerate(reports[1:]):
-        r.eoc_energy = rates_e[i]
-        r.eoc_l2 = rates_l[i]
+        finest = level == config.levels - 1
+        reports.append(run_single(config.problem, config.scheme, level, config.solver, mesh_out if finest else None)[-1])
+    rates_e = eoc([(r.h_max, r.err_energy) for r in reports])
+    rates_l = eoc([(r.h_max, r.err_l2) for r in reports])
+    for r, rate_e, rate_l in zip(reports[1:], rates_e, rates_l):
+        r.eoc_energy, r.eoc_l2 = rate_e, rate_l
     return reports
 
 
@@ -72,43 +66,22 @@ def run_single(problem_name, scheme, level=0, solver=None, mesh_out=None, soluti
     if mesh_out:
         write_mesh(mesh, mesh_out)
     if solution_out:
-        lines = [f"{i} {v:.17g}" for i, v in enumerate(solution)]
-        _atomic_write(solution_out, "\n".join(lines) + "\n")
+        write_lines(solution_out, (f"{i} {v:.17g}" for i, v in enumerate(solution)))
     return mesh, system, solution, report
 
 
-def _atomic_write(path, text):
-    """Write through a unique temporary file next to ``path``, then rename."""
-    directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file private
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
 def _fmt(value):
-    return f"{value:.10g}"
+    return "" if value is None else f"{value:.10g}"
 
 
 def write_csv(reports, path):
     """Convergence table, one row per level, 10 significant digits."""
-    lines = [CSV_HEADER]
-    for r in reports:
-        eoc_e = "" if r.eoc_energy is None else _fmt(r.eoc_energy)
-        eoc_l = "" if r.eoc_l2 is None else _fmt(r.eoc_l2)
-        lines.append(
-            f"{r.level},{_fmt(r.h_max)},{r.dof_count},"
-            f"{_fmt(r.err_energy)},{_fmt(r.err_l2)},{eoc_e},{eoc_l}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = (
+        f"{r.level},{_fmt(r.h_max)},{r.dof_count},{_fmt(r.err_energy)},{_fmt(r.err_l2)},"
+        f"{_fmt(r.eoc_energy)},{_fmt(r.eoc_l2)}"
+        for r in reports
+    )
+    write_lines(path, [CSV_HEADER, *rows])
 
 
 def write_svg(reports, path):
@@ -122,16 +95,17 @@ def write_svg(reports, path):
     width, height = 640.0, 480.0
     left, right, top, bottom = 80.0, 20.0, 20.0, 60.0
     hs = [r.h_max for r in reports]
-    h0 = hs[0]
-    ref1 = [0.7 * reports[0].err_energy * (h / h0) for h in hs]
-    ref2 = [0.7 * reports[0].err_energy * (h / h0) ** 2 for h in hs]
+    series = [  # legend, colour, errors
+        ("energy error", "#1f77b4", [r.err_energy for r in reports]),
+        ("L2 error", "#d62728", [r.err_l2 for r in reports]),
+    ]
+    slopes = [  # dashes, and the slope-p line through 0.7 times the coarsest energy error
+        (dash, [0.7 * reports[0].err_energy * (h / hs[0]) ** p for h in hs])
+        for p, dash in ((1, "6 4"), (2, "2 3"))
+    ]
+    values = [e for _, _, errs in series for e in errs] + [ref[k] for _, ref in slopes for k in (0, -1)]
     xs = [math.log10(h) for h in hs]
-    all_errs = (
-        [r.err_energy for r in reports]
-        + [r.err_l2 for r in reports]
-        + [ref1[-1], ref2[-1], ref1[0]]
-    )
-    ys = [math.log10(e) for e in all_errs if e > 0.0]
+    ys = [math.log10(e) for e in values if e > 0.0]
     x_min, x_max = min(xs), max(xs)
     y_min, y_max = min(ys), max(ys)
     x_pad = 0.05 * (x_max - x_min)
@@ -147,71 +121,36 @@ def write_svg(reports, path):
         t = (math.log10(e) - y_min) / (y_max - y_min)
         return height - bottom - t * (height - top - bottom)
 
-    def poly(points):
-        return " ".join(f"{sx(h):.2f},{sy(e):.2f}" for h, e in points)
+    def text(x, y, body, attributes, size=13):
+        return f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" font-size="{size}" {attributes}>{body}</text>'
 
-    parts = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
-    )
-    parts.append(f'<rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>')
-    frame = (
-        f"M {left:.2f} {top:.2f} H {width - right:.2f} V {height - bottom:.2f} "
-        f"H {left:.2f} Z"
-    )
-    tick_cmds = []
-    tick_text = []
+    tick_cmds, labels = [], []
     for k in range(math.ceil(x_min), math.floor(x_max) + 1):
         px = left + (k - x_min) / (x_max - x_min) * (width - left - right)
         tick_cmds.append(f"M {px:.2f} {height - bottom:.2f} v 6")
-        tick_text.append(
-            f'<text x="{px:.2f}" y="{height - bottom + 22:.2f}" '
-            f'font-family="sans-serif" font-size="13" text-anchor="middle">1e{k}</text>'
-        )
+        labels.append(text(px, height - bottom + 22, f"1e{k}", 'text-anchor="middle"'))
     for k in range(math.ceil(y_min), math.floor(y_max) + 1):
         py = height - bottom - (k - y_min) / (y_max - y_min) * (height - top - bottom)
         tick_cmds.append(f"M {left:.2f} {py:.2f} h -6")
-        tick_text.append(
-            f'<text x="{left - 10:.2f}" y="{py + 4:.2f}" '
-            f'font-family="sans-serif" font-size="13" text-anchor="end">1e{k}</text>'
+        labels.append(text(left - 10, py + 4, f"1e{k}", 'text-anchor="end"'))
+    frame = f"M {left:.2f} {top:.2f} H {width - right:.2f} V {height - bottom:.2f} H {left:.2f} Z"
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
+        f'<path d="{frame} {" ".join(tick_cmds)}" fill="none" stroke="#000000"/>',
+        *labels,
+    ]
+    for dash, ref in slopes:
+        parts.append(
+            f'<line x1="{sx(hs[0]):.2f}" y1="{sy(ref[0]):.2f}" x2="{sx(hs[-1]):.2f}" y2="{sy(ref[-1]):.2f}" '
+            f'stroke="#888888" stroke-dasharray="{dash}"/>'
         )
-    parts.append(
-        f'<path d="{frame} {" ".join(tick_cmds)}" fill="none" stroke="#000000"/>'
-    )
-    parts.extend(tick_text)
-    parts.append(
-        f'<line x1="{sx(hs[0]):.2f}" y1="{sy(ref1[0]):.2f}" '
-        f'x2="{sx(hs[-1]):.2f}" y2="{sy(ref1[-1]):.2f}" '
-        f'stroke="#888888" stroke-dasharray="6 4"/>'
-    )
-    parts.append(
-        f'<line x1="{sx(hs[0]):.2f}" y1="{sy(ref2[0]):.2f}" '
-        f'x2="{sx(hs[-1]):.2f}" y2="{sy(ref2[-1]):.2f}" '
-        f'stroke="#888888" stroke-dasharray="2 3"/>'
-    )
-    energy_pts = [(r.h_max, r.err_energy) for r in reports]
-    l2_pts = [(r.h_max, r.err_l2) for r in reports]
-    parts.append(
-        f'<polyline points="{poly(energy_pts)}" fill="none" '
-        f'stroke="#1f77b4" stroke-width="2"/>'
-    )
-    parts.append(
-        f'<polyline points="{poly(l2_pts)}" fill="none" '
-        f'stroke="#d62728" stroke-width="2"/>'
-    )
-    legend_x = width - right - 150.0
-    parts.append(
-        f'<text x="{legend_x:.2f}" y="{top + 20:.2f}" font-family="sans-serif" '
-        f'font-size="13" fill="#1f77b4">energy error</text>'
-    )
-    parts.append(
-        f'<text x="{legend_x:.2f}" y="{top + 40:.2f}" font-family="sans-serif" '
-        f'font-size="13" fill="#d62728">L2 error</text>'
-    )
-    parts.append(
-        f'<text x="{(left + width - right) / 2:.2f}" y="{height - 12:.2f}" '
-        f'font-family="sans-serif" font-size="14" text-anchor="middle">h_max</text>'
-    )
+    for _, colour, errs in series:
+        points = " ".join(f"{sx(h):.2f},{sy(e):.2f}" for h, e in zip(hs, errs))
+        parts.append(f'<polyline points="{points}" fill="none" stroke="{colour}" stroke-width="2"/>')
+    for row, (legend, colour, _) in enumerate(series, start=1):
+        parts.append(text(width - right - 150.0, top + 20 * row, legend, f'fill="{colour}"'))
+    parts.append(text((left + width - right) / 2, height - 12, "h_max", 'text-anchor="middle"', size=14))
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    write_lines(path, parts)

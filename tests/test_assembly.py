@@ -103,6 +103,17 @@ def test_scheme_rejects_an_overflowing_robin_weight():
     assert math.isclose(robin_weights(Scheme(NIT, epsilon=1e-300, gamma=0.0), 0.5)[1], 1e300, rel_tol=1e-15)
 
 
+def test_assemble_rejects_a_robin_weight_that_overflows_at_tiny_gamma():
+    # gamma > 0 passes Scheme, but eps + gamma*h_E ~ 1e-311 and its inverse overflows
+    scheme = Scheme(NIT, epsilon=1e-320, gamma=1e-310)
+    data = get_problem("sinsin").make_data(scheme.epsilon)
+    with pytest.raises(InvalidParameter, match="overflows"):
+        assemble(generate_disk_mesh(4), scheme, data)
+    # the interior penalty weight is 1/gamma
+    with pytest.raises(InvalidParameter, match="1/gamma"):
+        Scheme(DG, gamma=1e-310)
+
+
 def test_robin_weights_gamma_zero():
     c1, c2, c3 = robin_weights(Scheme(NIT, epsilon=0.25, gamma=0.0), 0.5)
     assert c1 == 0.0

@@ -10,7 +10,7 @@ import pytest
 
 import robinfem.cli
 import robinfem.study
-from robinfem import read_mesh
+from robinfem import IndefiniteMatrix, NotConverged, RobinFemError, read_mesh
 from robinfem.cli import console_main
 from robinfem.study import CSV_HEADER
 
@@ -165,6 +165,21 @@ def test_mesh_without_triangles_exits_1(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "error", [RobinFemError, *RobinFemError.__subclasses__()], ids=lambda cls: cls.__name__
+)
+def test_every_library_error_maps_to_its_exit_code(error, monkeypatch, capsys):
+    def fail(domain, level):
+        raise error("boom")
+
+    monkeypatch.setattr(robinfem.study, "level_mesh", fail)  # the first step of every level
+    code = console_main(["study", "--problem", "sinsin", "--levels", "2"])
+    solver_failure = error in (NotConverged, IndefiniteMatrix)
+    assert code == (2 if solver_failure else 1)
+    kind = "solver failure" if solver_failure else "error"
+    assert capsys.readouterr().err.splitlines() == [f"robinfem: {kind}: boom"]
+
+
 def _run_as_process(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -179,17 +194,25 @@ def test_negative_level_exits_1_without_a_traceback():
     assert result.stderr.splitlines() == ["robinfem: error: level must be a nonnegative integer, got -1"]
 
 
-@pytest.mark.parametrize("solver", ["cg", "dense"])
-def test_overflowing_robin_weight_exits_1_without_a_traceback(solver):
-    # 1/eps overflows to inf, so the matrix and the load are not finite
+@pytest.mark.parametrize(
+    "solver, gamma, expected",
+    [
+        ("cg", "0", "the Robin weight 1/epsilon overflows at epsilon=1e-320 and gamma=0"),
+        ("dense", "0", "the Robin weight 1/epsilon overflows at epsilon=1e-320 and gamma=0"),
+        # gamma > 0, but 1/(eps + gamma*h_E) still overflows; only the edges know h_E
+        ("cg", "1e-310", "the Robin weight 1/(epsilon + gamma*h_E) overflows at epsilon=1e-320, "
+                         "gamma=1e-310 and h_E=0.261"),
+    ],
+    ids=["cg", "dense", "tiny-gamma"],
+)
+def test_overflowing_robin_weight_exits_1_without_a_traceback(solver, gamma, expected):
     result = _run_as_process(
-        "single", "--problem", "sinsin", "--epsilon", "1e-320", "--gamma", "0", "--solver", solver
+        "single", "--problem", "sinsin", "--epsilon", "1e-320", "--gamma", gamma, "--solver", solver
     )
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert "RuntimeWarning" not in result.stderr
-    expected = "robinfem: error: the Robin weight 1/epsilon overflows at epsilon=1e-320 and gamma=0"
-    assert result.stderr.splitlines()[-1] == expected
+    assert result.stderr.splitlines() == [f"robinfem: error: {expected}"]
 
 
 @pytest.mark.parametrize("gamma", ["10", "100"])

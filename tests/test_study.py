@@ -7,16 +7,20 @@ import stat
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from robinfem import (
     InvalidParameter,
     Method,
     Scheme,
     StudyConfig,
+    generate_disk_mesh,
     read_mesh,
     run_convergence,
     run_single,
     write_csv,
+    write_matrix,
+    write_mesh,
     write_svg,
 )
 from robinfem.study import CSV_HEADER
@@ -90,13 +94,30 @@ def test_write_ignores_stale_tmp_directory(tmp_path, sinsin_reports):
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, sinsin_reports, monkeypatch):
+    mesh = generate_disk_mesh(2)
+    writers = {  # every artifact writer
+        "table.csv": lambda path: write_csv(sinsin_reports, path),
+        "plot.svg": lambda path: write_svg(sinsin_reports, path),
+        "out.mesh": lambda path: write_mesh(mesh, path),
+        "matrix.txt": lambda path: write_matrix(sp.identity(3, format="csr"), path),
+        "solution.txt": lambda path: run_single("linear_patch", Scheme(Method.NITSCHE), solution_out=path),
+    }
+
     def refuse(src, dst):
         raise OSError("rename refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError):
-        write_csv(sinsin_reports, tmp_path / "table.csv")
-    assert list(tmp_path.iterdir()) == []
+    for name, write in writers.items():
+        for old in (None, b"old bytes\n"):  # no target, then a target that must keep its bytes
+            target = tmp_path / name
+            if old is not None:
+                target.write_bytes(old)
+            with pytest.raises(OSError, match="rename refused"):
+                write(target)
+            assert list(tmp_path.iterdir()) == ([] if old is None else [target]), name
+            if old is not None:
+                assert target.read_bytes() == old, name
+                target.unlink()
 
 
 def test_svg_contents(tmp_path, sinsin_reports):
