@@ -3,8 +3,10 @@
 # Solves the Robin problem for a smooth manufactured solution on a ladder
 # of inscribed polygonal meshes and prints the experimental orders of
 # convergence.  With piecewise linears both schemes converge at O(h) in
-# the energy norm and O(h^2) in L2; the boundary treatment keeps those
-# rates uniform in the Robin parameter epsilon.
+# the energy norm and O(h^2) in L2.  The boundary treatment keeps the
+# error minus its mean uniform in the Robin parameter epsilon; the mean
+# offset, left by the polygon's O(h^2) compatibility defect, grows like
+# epsilon * h^2.
 #
 # The Nitsche CSV and SVG go to a new temporary directory, whose path is
 # printed; nothing is written to the current directory.

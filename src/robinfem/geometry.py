@@ -1,10 +1,12 @@
 """Analytic geometry of the exact smooth domains.
 
-Signed distance, orthogonal projection onto the boundary, and outward unit
-normals for the two supported domains (unit disk, unit square), plus the
-boundary-skin diagnostics measured on inscribed polygonal meshes: how far
-the polygon boundary strays from the true boundary and how much the facet
-normals deviate from the exact ones.
+Signed distance, orthogonal projection onto the boundary, and one outward
+unit normal field for each of the two supported domains (unit disk, unit
+square): radial on the disk, the nearest side's on the square, extended
+off the boundary so that boundary data can be evaluated on an inscribed
+polygon.  Plus the boundary-skin diagnostics measured on such polygonal
+meshes: how far the polygon boundary strays from the true boundary and how
+much the facet normals deviate from the exact ones.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ class DomainKind(Enum):
 
 @dataclass(frozen=True)
 class Domain:
-    """Analytic domain with closed-form distance/projection/normal."""
+    """Analytic domain with closed-form distance, projection and normal field."""
 
     kind: DomainKind
 
@@ -56,37 +58,43 @@ class Domain:
     def project(self, points):
         """Orthogonal projection onto the boundary, for points in the tube."""
         pts, single = _as_points(points)
-        d = np.atleast_1d(self.signed_distance(pts))
-        if np.any(np.abs(d) >= _PROJECTION_TUBE):
+        if np.any(np.abs(self.signed_distance(pts)) >= _PROJECTION_TUBE):
             raise DegenerateProjection(
                 f"point outside the projection tube |d| < {_PROJECTION_TUBE}"
             )
+        nu = self.normal_field(pts)
         if self.kind is DomainKind.UNIT_DISK:
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            proj = pts / r[:, None]
+            proj = nu
         else:
-            proj = np.array([_project_square(p) for p in pts])
+            # inside, move onto the nearest side; on or outside the square, clamp
+            onto_side = np.where(nu != 0.0, 0.5 * (nu + 1.0), pts)
+            outside = np.any((pts <= 0.0) | (pts >= 1.0), axis=1, keepdims=True)
+            proj = np.where(outside, np.clip(pts, 0.0, 1.0), onto_side)
         return proj[0] if single else proj
 
     def normal(self, points):
         """Outward unit normal at points on the boundary."""
-        pts, single = _as_points(points)
-        d = np.atleast_1d(self.signed_distance(pts))
-        if np.any(np.abs(d) > _ON_BOUNDARY_TOL):
-            raise NotOnBoundary(
-                f"point at signed distance {np.abs(d).max():.3e} from the boundary"
-            )
+        d = np.abs(self.signed_distance(points))
+        if np.any(d > _ON_BOUNDARY_TOL):
+            raise NotOnBoundary(f"point at signed distance {np.max(d):.3e} from the boundary")
+        return self.normal_field(points)
+
+    def normal_field(self, points):
+        """Outward unit normal extended off the boundary, (..., 2) -> (..., 2).
+
+        Radial on the disk.  On the square, the normal of the nearest side;
+        ties break left, bottom, top, right, the order of the boundary
+        points that project picks, which is lexicographic.
+        """
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
         if self.kind is DomainKind.UNIT_DISK:
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            nu = pts / r[:, None]
-        else:
-            x, y = pts[:, 0], pts[:, 1]
-            tol = _ON_BOUNDARY_TOL
-            conds = [y <= tol, y >= 1.0 - tol, x <= tol, x >= 1.0 - tol]
-            nx = np.select(conds, [0.0, 0.0, -1.0, 1.0])
-            ny = np.select(conds, [-1.0, 1.0, 0.0, 0.0])
-            nu = np.column_stack([nx, ny])
-        return nu[0] if single else nu
+            return pts / np.hypot(x, y)[..., None]
+        return _SIDE_NORMALS[np.argmin(np.stack([x, y, 1.0 - y, 1.0 - x]), axis=0)]
+
+
+# outward normals of the square's sides: left, bottom, top, right
+_SIDE_NORMALS = np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [1.0, 0.0]])
 
 
 def _as_points(points):
@@ -94,18 +102,6 @@ def _as_points(points):
     if arr.ndim == 1:
         return arr[None, :], True
     return arr, False
-
-
-def _project_square(p):
-    x, y = p
-    if x <= 0.0 or x >= 1.0 or y <= 0.0 or y >= 1.0:
-        return np.array([min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)])
-    candidates = [(x, 0.0), (x, 1.0), (0.0, y), (1.0, y)]
-    dists = [y, 1.0 - y, x, 1.0 - x]
-    dmin = min(dists)
-    # ties on the medial axis break toward the lexicographically smallest point
-    best = min(c for c, di in zip(candidates, dists) if di == dmin)
-    return np.array(best)
 
 
 def unit_disk():

@@ -4,12 +4,13 @@ The disk is meshed with concentric rings (ring j carries 6j equally spaced
 vertices at radius j/N), which keeps the family shape-regular and places
 every boundary vertex exactly on the unit circle.  The square is meshed
 with a structured grid split into triangles.  The edge topology is built
-explicitly as array tables: interior edges know their two elements
-(orientation fixed by ascending element index), boundary edges their
-single element and outward normal.  Each Mesh also holds the affine map
-of every element, which all volume and edge integrals use, and rejects
-bad input with a typed error: vertex indices that are not integers in
-range, non-finite or huge coordinates, non-positive areas, unused
+explicitly as array tables: interior edges know their two elements in
+ascending index order, boundary edges their single element, and every
+normal points out of the first element, read off the direction in which
+that counterclockwise triangle walks the edge.  Each Mesh also holds the
+affine map of every element, which all volume and edge integrals use,
+and rejects bad input with a typed error: vertex indices that are not
+integers in range, non-finite or huge coordinates, non-positive areas, unused
 vertices and non-manifold edges.
 """
 
@@ -157,49 +158,45 @@ def build_edge_topology(vertices, triangles):
     Returns (interior, boundary, cell_edges): two EdgeTables sorted by
     vertex pair, so the result is deterministic for a fixed triangle
     list, and the (T, 3) rank of local edges (0,1), (1,2), (2,0) of every
-    triangle among all edges in that order.  Raises NonManifoldMesh if
-    any vertex pair is shared by more than two triangles, or if the two
-    triangles of an interior edge walk it in the same direction: with
-    both counterclockwise, they then lie on the same side of it and
-    overlap.
+    triangle among all edges in that order.  The triangles must be
+    counterclockwise, as Mesh checks before it calls this: each normal
+    then comes from the direction in which element_ids[:, 0] walks the
+    edge, since that element lies left of its walk.  Raises
+    NonManifoldMesh if any vertex pair is shared by more than two
+    triangles, or if the two triangles of an interior edge walk it in the
+    same direction: they then lie on the same side of it and overlap.
     """
     verts = np.asarray(vertices, dtype=float)
     tris = np.asarray(triangles, dtype=np.int64)
-    # half-edge 3*t + k is local edge k of triangle t
-    pairs = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    # stable sort: half-edges of one edge stay in ascending triangle order
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
-    is_first = np.ones(len(pairs), dtype=bool)
-    is_first[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
-    starts = np.flatnonzero(is_first)
-    counts = np.diff(np.append(starts, len(pairs)))
-    if np.any(counts > 2):
-        key = tuple(int(v) for v in pairs[starts[np.argmax(counts > 2)]])
-        raise NonManifoldMesh(f"edge {key} is shared by more than two triangles")
-    inner = counts == 2
     # half-edge 3*t + k runs from tris[t, k] to tris[t, (k+1) % 3]
-    ascending = (tris < np.roll(tris, -1, axis=1)).ravel()[order]
+    tail, head = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    # stable sort: half-edges of one edge stay in ascending triangle order
+    key = lo * len(verts) + hi
+    order = np.argsort(key, kind="stable")
+    is_first = np.ones(len(order), dtype=bool)
+    is_first[1:] = np.diff(key[order]) != 0
+    starts = np.flatnonzero(is_first)
+    counts = np.diff(np.append(starts, len(order)))
+    keys = np.column_stack([lo, hi])[order[starts]]
+    if np.any(counts > 2):
+        pair = tuple(int(v) for v in keys[np.argmax(counts > 2)])
+        raise NonManifoldMesh(f"edge {pair} is shared by more than two triangles")
+    inner = counts == 2
+    ascending = (tail < head)[order]
     same_way = inner & (ascending[starts] == ascending[starts + inner])
     if np.any(same_way):
-        key = tuple(int(v) for v in pairs[starts[np.argmax(same_way)]])
-        raise NonManifoldMesh(f"edge {key} is walked the same way by both its triangles")
-    cell_edges = np.empty(len(pairs), dtype=np.int64)
+        pair = tuple(int(v) for v in keys[np.argmax(same_way)])
+        raise NonManifoldMesh(f"edge {pair} is walked the same way by both its triangles")
+    cell_edges = np.empty(len(order), dtype=np.int64)
     cell_edges[order] = np.cumsum(is_first) - 1
     owners = order // 3
-    keys = pairs[starts]
-    va, vb = verts[keys[:, 0]], verts[keys[:, 1]]
-    tang = vb - va
+    tang = verts[keys[:, 1]] - verts[keys[:, 0]]
     h_e = np.hypot(tang[:, 0], tang[:, 1])
+    # right of the ascending tangent, so out of t0 where t0 walks the edge ascending
     nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / h_e[:, None]
-    centroids = verts[tris].mean(axis=1)
-    t0 = owners[starts]
-    t1 = owners[starts + inner]  # t0 again on boundary edges
-    # interior normals point from t0 into t1, boundary normals away from t0
-    ref = np.where(inner[:, None], centroids[t1], 0.5 * (va + vb))
-    flip = np.sum(nrm * (ref - centroids[t0]), axis=1) < 0.0
-    nrm[flip] = -nrm[flip]
-    elems = np.column_stack([t0, t1])
+    nrm = np.where(ascending[starts, None], nrm, -nrm)
+    elems = np.column_stack([owners[starts], owners[starts + inner]])  # t0 twice on boundary edges
     interior = EdgeTable(keys[inner], elems[inner], h_e[inner], nrm[inner])
     boundary = EdgeTable(keys[~inner], elems[~inner, :1], h_e[~inner], nrm[~inner])
     return interior, boundary, cell_edges.reshape(-1, 3)

@@ -6,13 +6,14 @@ so that u satisfies
     -laplace(u) = f        in the domain,
     du/dnu + u/eps = u0/eps + g   on the boundary.
 
-The boundary data is built from a smooth extension of the outward
-normal field (radial on the disk, nearest-side on the square), so u0
-and g can be evaluated at quadrature points of the polygonal boundary,
-which lies slightly inside the curved one.
+A preset is data: its domain, u, grad(u) and f.  The boundary data is
+built from the domain's outward normal field (Domain.normal_field,
+radial on the disk, nearest-side on the square), which extends off the
+boundary, so u0 and g can be evaluated at quadrature points of the
+polygonal boundary, which lies slightly inside the curved one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,165 +27,94 @@ __all__ = ["Problem", "get_problem", "problem_names", "list_problems"]
 
 @dataclass(frozen=True)
 class Problem:
-    """A named benchmark: domain plus epsilon-dependent data factory."""
+    """A named benchmark: a domain, the exact solution and its source f."""
 
     name: str
     domain: Domain
     description: str
-    make_data: Callable[[float], ProblemData]
+    exact_u: Callable
+    exact_grad: Callable
+    f: Callable
+    split_flux: bool = False
 
+    def make_data(self, epsilon):
+        """ProblemData for one epsilon: u0 = u + eps*(du/dnu - g).
 
-def _radial_normal(x, y):
-    r = np.hypot(x, y)
-    return x / r, y / r
+        With split_flux the normal derivative is supplied through g and u0
+        reduces to the trace of u; otherwise g = 0 and u0 carries the flux.
+        """
+        u, grad = self.exact_u, self.exact_grad
 
+        def flux(x, y):
+            nu = self.domain.normal_field(np.stack([x, y], axis=-1))
+            gx = grad(x, y)
+            return gx[..., 0] * nu[..., 0] + gx[..., 1] * nu[..., 1]
 
-def _side_normal(x, y):
-    """Nearest-side outward normal of the unit square, extended inward."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dists = np.stack([y, 1.0 - y, x, 1.0 - x])  # bottom, top, left, right
-    side = np.argmin(dists, axis=0)
-    nx = np.where(side == 2, -1.0, np.where(side == 3, 1.0, 0.0))
-    ny = np.where(side == 0, -1.0, np.where(side == 1, 1.0, 0.0))
-    return nx, ny
+        if self.split_flux:
+            return ProblemData(f=self.f, u0=u, g=flux, exact_u=u, exact_grad=grad)
 
-
-def _robin_data(u, grad, f, normal_ext, epsilon, split_flux=False):
-    """Assemble ProblemData for exact u: u0 = u + eps*(du/dnu - g).
-
-    With split_flux the normal derivative is supplied through g and u0
-    reduces to the trace of u; otherwise g = 0 and u0 carries the flux.
-    """
-
-    def flux(x, y):
-        nx, ny = normal_ext(x, y)
-        gx = grad(x, y)
-        return gx[..., 0] * nx + gx[..., 1] * ny
-
-    if split_flux:
-        u0 = u
-        g = flux
-    else:
         def u0(x, y):
             return u(x, y) + epsilon * flux(x, y)
 
         def g(x, y):
             return np.zeros_like(np.asarray(x, dtype=float))
 
-    return ProblemData(f=f, u0=u0, g=g, exact_u=u, exact_grad=grad)
+        return ProblemData(f=self.f, u0=u0, g=g, exact_u=u, exact_grad=grad)
 
 
-def _make_sinsin(split_flux=False):
-    def u(x, y):
-        return np.sin(x) * np.sin(y)
-
-    def grad(x, y):
-        return np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)], axis=-1)
-
-    def f(x, y):
-        return 2.0 * np.sin(x) * np.sin(y)
-
-    def make(epsilon):
-        return _robin_data(u, grad, f, _radial_normal, epsilon, split_flux=split_flux)
-
-    return make
+def _radial_exp_grad(x, y):
+    e = np.exp(-(x * x + y * y))
+    return np.stack([-2.0 * x * e, -2.0 * y * e], axis=-1)
 
 
-def _make_sqrt_singular():
+def _radial_exp_f(x, y):
+    r2 = x * x + y * y
+    return (4.0 - 4.0 * r2) * np.exp(-r2)
+
+
+def _sqrt_singular_grad(x, y):
+    r = np.hypot(x + 1.0, y)
+    return np.stack([(x + 1.0) / r, y / r], axis=-1)
+
+
+def _linear_patch_grad(x, y):
+    out = np.empty(np.shape(x) + (2,))
+    out[..., 0] = 0.7
+    out[..., 1] = -0.4
+    return out
+
+
+_SINSIN = Problem(
+    "sinsin", unit_disk(), "smooth product of sines on the unit disk",
+    exact_u=lambda x, y: np.sin(x) * np.sin(y),
+    exact_grad=lambda x, y: np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)], axis=-1),
+    f=lambda x, y: 2.0 * np.sin(x) * np.sin(y),
+)
+_REGISTRY = {p.name: p for p in (
+    _SINSIN,
+    replace(_SINSIN, name="sinsin_flux", split_flux=True,
+            description="same solution as sinsin, data split between u0 and g"),
     # distance to (-1, 0): smooth inside, gradient blows up at that
     # boundary point, which keeps the solution just below H^2
-    def rho(x, y):
-        return np.hypot(x + 1.0, y)
-
-    def u(x, y):
-        return rho(x, y)
-
-    def grad(x, y):
-        r = rho(x, y)
-        return np.stack([(x + 1.0) / r, y / r], axis=-1)
-
-    def f(x, y):
-        return -1.0 / rho(x, y)
-
-    def make(epsilon):
-        return _robin_data(u, grad, f, _radial_normal, epsilon)
-
-    return make
-
-
-def _make_radial_exp():
-    def u(x, y):
-        return np.exp(-(x * x + y * y))
-
-    def grad(x, y):
-        e = np.exp(-(x * x + y * y))
-        return np.stack([-2.0 * x * e, -2.0 * y * e], axis=-1)
-
-    def f(x, y):
-        r2 = x * x + y * y
-        return (4.0 - 4.0 * r2) * np.exp(-r2)
-
-    def make(epsilon):
-        return _robin_data(u, grad, f, _radial_normal, epsilon)
-
-    return make
-
-
-def _make_linear_patch():
-    a, b, c = 0.3, 0.7, -0.4
-
-    def u(x, y):
-        return a + b * x + c * y
-
-    def grad(x, y):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape + (2,))
-        out[..., 0] = b
-        out[..., 1] = c
-        return out
-
-    def f(x, y):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def make(epsilon):
-        return _robin_data(u, grad, f, _side_normal, epsilon)
-
-    return make
-
-
-_REGISTRY = {
-    "sinsin": Problem(
-        name="sinsin",
-        domain=unit_disk(),
-        description="smooth product of sines on the unit disk",
-        make_data=_make_sinsin(),
+    Problem(
+        "sqrt_singular", unit_disk(), "distance to a boundary point; limited regularity",
+        exact_u=lambda x, y: np.hypot(x + 1.0, y),
+        exact_grad=_sqrt_singular_grad,
+        f=lambda x, y: -1.0 / np.hypot(x + 1.0, y),
     ),
-    "sinsin_flux": Problem(
-        name="sinsin_flux",
-        domain=unit_disk(),
-        description="same solution as sinsin, data split between u0 and g",
-        make_data=_make_sinsin(split_flux=True),
+    Problem(
+        "radial_exp", unit_disk(), "radial Gaussian bump on the unit disk",
+        exact_u=lambda x, y: np.exp(-(x * x + y * y)),
+        exact_grad=_radial_exp_grad,
+        f=_radial_exp_f,
     ),
-    "sqrt_singular": Problem(
-        name="sqrt_singular",
-        domain=unit_disk(),
-        description="distance to a boundary point; limited regularity",
-        make_data=_make_sqrt_singular(),
+    Problem(
+        "linear_patch", unit_square(), "linear solution on the unit square (patch test)",
+        exact_u=lambda x, y: 0.3 + 0.7 * x - 0.4 * y,
+        exact_grad=_linear_patch_grad,
+        f=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
     ),
-    "radial_exp": Problem(
-        name="radial_exp",
-        domain=unit_disk(),
-        description="radial Gaussian bump on the unit disk",
-        make_data=_make_radial_exp(),
-    ),
-    "linear_patch": Problem(
-        name="linear_patch",
-        domain=unit_square(),
-        description="linear solution on the unit square (patch test)",
-        make_data=_make_linear_patch(),
-    ),
-}
+)}
 
 
 def get_problem(name):

@@ -34,11 +34,12 @@ nonzero residual and needs no check of its own.
 
 A nan or inf in the matrix or the right-hand side is InvalidParameter
 before either path runs.  A residual that still turns non-finite (by
-overflow) stops CG at once with NotConverged, carrying its history.  CG
-runs on the right-hand side scaled by the power of two that brings max|b|
-into [1/2, 1): the scaling is exact, so ordinary solves are bitwise
-unchanged, and a tiny or huge b can neither underflow into a false
-verdict nor overflow.  A zero b returns x = 0 at once.
+overflow) stops CG at once with NotConverged, carrying its history.  Both
+paths run on the right-hand side scaled by the power of two that brings
+max|b| into [1/2, 1): the scaling is exact, so ordinary solves are
+bitwise unchanged, and a tiny or huge b can neither underflow into a
+false verdict nor overflow, in CG or in the dense residual.  A zero b
+returns x = 0 at once.
 """
 
 import enum
@@ -130,15 +131,15 @@ def solve(system, config=None):
     if not (np.isfinite(values).all() and np.isfinite(rhs).all()):
         raise InvalidParameter("matrix or right-hand side has a non-finite entry")
     start = time.perf_counter()
+    # exact power-of-two scaling to max|b| in [1/2, 1), see the module docstring
+    k = math.frexp(float(np.max(np.abs(rhs), initial=0.0)))[1]
+    scaled = np.ldexp(rhs, -k)
     if config.method is SolverMethod.DENSE:
-        x, report = _solve_dense(matrix, rhs)
+        x, report = _solve_dense(matrix, scaled)
     else:
-        # exact power-of-two scaling to max|b| in [1/2, 1), see the module docstring
-        k = math.frexp(float(np.max(np.abs(rhs), initial=0.0)))[1]
-        x, report = _solve_cg(matrix, np.ldexp(rhs, -k), config, prolongation)
-        x = np.ldexp(x, k)
+        x, report = _solve_cg(matrix, scaled, config, prolongation)
     report.wall_time = time.perf_counter() - start
-    return x, report
+    return np.ldexp(x, k), report
 
 
 def _solve_dense(matrix, rhs):

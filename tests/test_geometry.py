@@ -90,6 +90,45 @@ def test_square_interior_tie_is_lexicographic():
     np.testing.assert_array_equal(sq.project(np.array([1e-301, 1e-301])), [0.0, 1e-301])
 
 
+def test_square_normal_field_matches_the_projection():
+    # inside the square and beside its sides, the side that project moves
+    # a point onto is the side whose normal the field gives there
+    sq = unit_square()
+    rng = np.random.default_rng(11)
+    t = np.arange(1, 32) / 64  # dyadic, so 1 - t is exact and the diagonal ties are exact
+    pts = np.concatenate([
+        rng.uniform(0.01, 0.99, (400, 2)),
+        np.column_stack([t, t]), np.column_stack([1.0 - t, 1.0 - t]),  # diagonal ties
+        np.column_stack([t, 1.0 - t]), np.column_stack([1.0 - t, t]),
+        np.column_stack([-0.5 * t, 0.5 + t]), np.column_stack([0.5 - t, 1.0 + 0.5 * t]),  # outside
+    ])
+    np.testing.assert_array_equal(sq.normal(sq.project(pts)), sq.normal_field(pts))
+    # ties break left, bottom, top, right
+    np.testing.assert_array_equal(sq.normal_field(np.column_stack([t, t])), np.tile([-1.0, 0.0], (31, 1)))
+    np.testing.assert_array_equal(sq.normal_field(np.column_stack([t, 1.0 - t])), np.tile([-1.0, 0.0], (31, 1)))
+    np.testing.assert_array_equal(sq.normal_field(np.array([0.75, 0.25])), [0.0, -1.0])
+    np.testing.assert_array_equal(sq.normal_field(np.array([0.75, 0.75])), [0.0, 1.0])
+
+
+def test_square_corner_normals_follow_the_tie_order():
+    sq = unit_square()
+    corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    expected = [[-1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]]
+    np.testing.assert_array_equal(sq.normal(corners), expected)
+    np.testing.assert_array_equal(sq.normal(sq.project(corners)), expected)
+
+
+def test_disk_normal_field_is_radial_everywhere():
+    disk = unit_disk()
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2.0, 2.0, (3, 7, 2))
+    nu = disk.normal_field(pts)
+    assert nu.shape == pts.shape
+    np.testing.assert_array_equal(nu, pts / np.hypot(pts[..., 0], pts[..., 1])[..., None])
+    ring = pts[0] / np.linalg.norm(pts[0], axis=1)[:, None]
+    np.testing.assert_array_equal(disk.normal(ring), disk.normal_field(ring))
+
+
 def test_normals():
     disk = unit_disk()
     np.testing.assert_allclose(disk.normal(np.array([0.0, -1.0])), [0.0, -1.0], atol=1e-15)

@@ -254,9 +254,8 @@ def test_generators_match_reference_loops(generate, reference, size):
     assert np.array_equal(mesh.triangles, tris)
 
 
-def shuffled_square_mesh(n, seed=0):
-    """Square mesh with its triangle list permuted and each triangle rotated."""
-    base = generate_square_mesh(n)
+def shuffled_mesh(base, seed=0):
+    """The same mesh with its triangle list permuted and each triangle rotated."""
     rng = np.random.default_rng(seed)
     tris = base.triangles[rng.permutation(base.n_triangles)]
     shifts = rng.integers(0, 3, len(tris))
@@ -271,9 +270,10 @@ def shuffled_square_mesh(n, seed=0):
         lambda: generate_square_mesh(5),
         lambda: generate_disk_mesh(2),
         lambda: generate_disk_mesh(9),
-        lambda: shuffled_square_mesh(5),
+        lambda: shuffled_mesh(generate_square_mesh(5)),
+        lambda: shuffled_mesh(generate_disk_mesh(9), seed=3),
     ],
-    ids=["square1", "square5", "disk2", "disk9", "square5-shuffled"],
+    ids=["square1", "square5", "disk2", "disk9", "square5-shuffled", "disk9-shuffled"],
 )
 def test_edge_tables_match_reference_walk(make_mesh):
     mesh = make_mesh()

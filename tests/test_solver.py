@@ -211,6 +211,20 @@ def test_cg_solution_scales_with_the_rhs(method, degree):
             assert np.abs(x - s * x0).max() <= 1e-10 * np.abs(s * x0).max()
 
 
+def test_dense_residual_does_not_overflow_at_tiny_epsilon():
+    # the Robin weight 1/eps = 1e200 makes the boundary rows and the rhs huge;
+    # unscaled, the residual norm overflowed to inf/inf = nan
+    problem = get_problem("sinsin")
+    scheme = Scheme(Method.NITSCHE, epsilon=1e-200, gamma=0.0)
+    system = assemble(level_mesh(problem.domain, 0), scheme, problem.make_data(1e-200))
+    x, report = solve(system, DENSE)
+    assert report.residual <= 1e-14
+    assert np.abs(x).max() < 2.0
+    # scaling by a power of two is exact, so the dense solution scales bitwise
+    x2, report2 = solve((system.matrix, 2.0**-300 * system.rhs), DENSE)
+    assert np.array_equal(x2, 2.0**-300 * x) and report2.residual == report.residual
+
+
 def test_two_level_coarse_check_detects_indefiniteness():
     # positive diagonal, but P^T A P = -2 for the coarse vector (1, -1)
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
