@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _assembly_space, _edge_error_sq
+from .assembly import Method, _check_space, _edge_error_sq
 from .errors import DegenerateSequence, MissingExactSolution
-from .felib import reference_basis, triangle_rule
+from .felib import build_dofmap, reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
 
@@ -44,6 +44,7 @@ def _require_exact(data):
 def l2_error(mesh, data, solution, dofmap):
     """L2 distance between the exact solution and the finite element one."""
     _require_exact(data)
+    _check_space(mesh, dofmap, dofmap.degree, solution)
     rule = triangle_rule(6)
     x = mesh.physical_points(rule.points)
     uh = solution[dofmap.cell_dofs] @ reference_basis(dofmap.degree).eval(rule.points).T  # (T, q)
@@ -58,11 +59,12 @@ def energy_error(mesh, scheme, data, solution, dofmap=None):
     contributions: gradient, boundary_trace, boundary_flux, and for the
     discontinuous scheme jump and interior_flux.  The edge components
     weight the error trace as the augmented norm_matrix does.  dofmap
-    defaults to the dof map that assemble uses.
+    defaults to the numbering that assemble uses.
     """
     _require_exact(data)
-    basis, space_dofmap = _assembly_space(mesh, scheme)[:2]
-    dofmap = space_dofmap if dofmap is None else dofmap
+    dofmap = build_dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
+    _check_space(mesh, dofmap, scheme.degree, solution)
+    basis = reference_basis(scheme.degree)
     vrule = triangle_rule(6)
 
     x = mesh.physical_points(vrule.points)

@@ -384,13 +384,26 @@ def _volume_part(mesh, dofmap, basis):
     return dofmap.cell_dofs, blocks.reshape(-1, nb, nb)
 
 
+def _check_space(mesh, dofmap, degree, solution=None):
+    """Raise InvalidParameter unless dofmap numbers degree-`degree` dofs on
+    every triangle of mesh and solution, if given, has one entry per dof."""
+    if dofmap.degree != degree:
+        raise InvalidParameter(f"the dof map has degree {dofmap.degree}, the basis or scheme degree {degree}")
+    if len(dofmap.cell_dofs) != mesh.n_triangles:
+        raise InvalidParameter(f"the dof map has {len(dofmap.cell_dofs)} cells, the mesh {mesh.n_triangles} triangles")
+    if solution is not None and np.shape(solution) != (dofmap.n_dofs,):
+        raise InvalidParameter(f"the solution has shape {np.shape(solution)}, the dof map {dofmap.n_dofs} dofs")
+
+
 def assemble_volume(mesh, dofmap, basis):
     """Stiffness contribution (grad w, grad v) over all elements."""
+    _check_space(mesh, dofmap, basis.degree)
     return _compress([_volume_part(mesh, dofmap, basis)], dofmap.n_dofs)
 
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme):
     """Boundary form shared by both schemes: the Robin form."""
+    _check_space(mesh, dofmap, basis.degree)
     coef = _robin_form(scheme, mesh.boundary_edges)
     return _compress([_edge_part(mesh, dofmap, basis, mesh.boundary_edges, coef)], dofmap.n_dofs)
 
@@ -399,6 +412,7 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
     """Symmetric interior-penalty coupling on interior edges."""
     if scheme.method is not Method.SIPDG:
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
+    _check_space(mesh, dofmap, basis.degree)
     coef = _penalty_form(scheme, mesh.interior_edges)
     return _compress([_edge_part(mesh, dofmap, basis, mesh.interior_edges, coef)], dofmap.n_dofs)
 
@@ -413,6 +427,7 @@ def _volume_load(mesh, dofmap, basis, f, rule=None):
 
 def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
+    _check_space(mesh, dofmap, basis.degree)
     edges, given = mesh.boundary_edges, functools.partial(_robin_data, scheme, data)
     robin = _edge_vector(mesh, dofmap, basis, edges, _robin_form(scheme, edges), given)
     return _vector([_volume_load(mesh, dofmap, basis, data.f), robin], dofmap.n_dofs)

@@ -3,6 +3,22 @@ guards the integer arguments."""
 
 import numbers
 
+__all__ = [
+    "RobinFemError",
+    "InvalidParameter",
+    "DegenerateProjection",
+    "NotOnBoundary",
+    "NonManifoldMesh",
+    "FormatError",
+    "UnsupportedOrder",
+    "SchemeMismatch",
+    "MissingExactSolution",
+    "NotConverged",
+    "IndefiniteMatrix",
+    "TooLarge",
+    "DegenerateSequence",
+]
+
 
 def is_count(value, minimum):
     """Whether value is an integer (not a whole float or a bool) of at least minimum."""

@@ -284,72 +284,58 @@ def read_mesh(path):
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"byte {exc.start} is not UTF-8 text", line=line) from None
-    pos = 0
+    if not lines:
+        raise FormatError("unexpected end of file, expected header", line=1)
+    if lines[0].strip() != "meshfmt 1":
+        raise FormatError(f"expected 'meshfmt 1', got {lines[0]!r}", line=1)
 
-    def take(what):
-        nonlocal pos
-        if pos >= len(lines):
-            raise FormatError(f"unexpected end of file, expected {what}", line=pos + 1)
-        pos += 1
-        return lines[pos - 1], pos
+    def finite(xy, text):
+        return None if np.isfinite(xy).all() else f"non-finite coordinate in {text!r}"
 
-    def take_count(keyword):  # checked against the lines left before allocating
-        count = _take_count(take, keyword)
-        if count > len(lines) - pos:
-            raise FormatError(
-                f"unexpected end of file: line {pos} announces {count} {keyword}, "
-                f"{len(lines) - pos} lines follow",
-                line=len(lines) + 1,
-            )
-        return count
+    verts = _read_table(lines, 1, "vertices", "x y", float, "coordinate", finite)
 
-    header, lineno = take("header")
-    if header.strip() != "meshfmt 1":
-        raise FormatError(f"expected 'meshfmt 1', got {header!r}", line=lineno)
-    nv = take_count("vertices")
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        text, lineno = take("vertex coordinates")
-        parts = text.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected 'x y', got {text!r}", line=lineno)
-        try:
-            verts[i] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise FormatError(f"bad coordinate in {text!r}", line=lineno) from None
-        if not np.isfinite(verts[i]).all():
-            raise FormatError(f"non-finite coordinate in {text!r}", line=lineno)
-    nt = take_count("triangles")
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        text, lineno = take("triangle indices")
-        parts = text.split()
-        if len(parts) != 3:
-            raise FormatError(f"expected 'i j k', got {text!r}", line=lineno)
-        try:
-            idx = [int(p) for p in parts]
-        except ValueError:
-            raise FormatError(f"bad vertex index in {text!r}", line=lineno) from None
-        for v in idx:
-            if not 0 <= v < nv:
-                raise FormatError(f"vertex index {v} out of range", line=lineno)
-        tris[i] = idx
-    while pos < len(lines):
-        text, lineno = take("trailing comment")
+    def in_range(ijk, text):
+        return next((f"vertex index {v} out of range" for v in ijk if not 0 <= v < len(verts)), None)
+
+    tris = _read_table(lines, 2 + len(verts), "triangles", "i j k", int, "vertex index", in_range)
+    end = 3 + len(verts) + len(tris)
+    for lineno, text in enumerate(lines[end:], end + 1):
         if text.strip() and not text.lstrip().startswith("#"):
             raise FormatError(f"unexpected content {text!r}", line=lineno)
     return Mesh(verts, tris)
 
 
-def _take_count(take, keyword):
-    text, lineno = take(f"'{keyword} <count>'")
+def _read_table(lines, start, keyword, fields, parse, what, invalid):
+    """The (count, len(fields)) table of dtype parse whose '<keyword> <count>'
+    line is lines[start]; the count is checked against the lines that follow
+    before allocating.  Each row, in file order, is split, parsed (a ValueError
+    is a bad what) and checked: invalid(values, text) is an error message or None."""
+    if start >= len(lines):
+        raise FormatError(f"unexpected end of file, expected '{keyword} <count>'", line=start + 1)
+    text, rest = lines[start], len(lines) - start - 1
     parts = text.split()
     if len(parts) != 2 or parts[0] != keyword:
-        raise FormatError(f"expected '{keyword} <count>', got {text!r}", line=lineno)
+        raise FormatError(f"expected '{keyword} <count>', got {text!r}", line=start + 1)
     try:
         count = int(parts[1])
     except ValueError:
-        raise FormatError(f"bad count in {text!r}", line=lineno) from None
+        raise FormatError(f"bad count in {text!r}", line=start + 1) from None
     if count < 0:
-        raise FormatError(f"negative count in {text!r}", line=lineno)
-    return count
+        raise FormatError(f"negative count in {text!r}", line=start + 1)
+    if count > rest:
+        message = f"unexpected end of file: line {start + 1} announces {count} {keyword}, {rest} lines follow"
+        raise FormatError(message, line=len(lines) + 1)
+    table = np.empty((count, len(fields.split())), dtype=parse)
+    for row, (lineno, text) in zip(table, enumerate(lines[start + 1:start + 1 + count], start + 2)):
+        parts = text.split()
+        if len(parts) != len(row):
+            raise FormatError(f"expected '{fields}', got {text!r}", line=lineno)
+        try:
+            values = [parse(p) for p in parts]
+        except ValueError:
+            raise FormatError(f"bad {what} in {text!r}", line=lineno) from None
+        message = invalid(values, text)
+        if message:
+            raise FormatError(message, line=lineno)
+        row[:] = values
+    return table

@@ -7,6 +7,7 @@ import pytest
 
 from robinfem import (
     DegenerateSequence,
+    InvalidParameter,
     Method,
     MissingExactSolution,
     ProblemData,
@@ -229,3 +230,38 @@ def test_zero_solution_of_zero_problem_has_zero_errors():
     assert l2_error(mesh, data, sol, dm) == 0.0
     err, _ = energy_error(mesh, Scheme(NIT), data, sol, dofmap=dm)
     assert err == 0.0
+
+
+@pytest.mark.parametrize("length", ["longer", "shorter"])
+@pytest.mark.parametrize("norm", ["l2_error", "energy_error", "error_report"])
+def test_a_solution_of_the_wrong_length_is_rejected(norm, length):
+    # unchecked, a longer vector gives the errors of its first n_dofs entries and a shorter one an IndexError
+    mesh = generate_disk_mesh(2)
+    scheme, dm = Scheme(NIT), build_dofmap(mesh, 1, continuous=True)
+    solution = np.zeros(dm.n_dofs + (1 if length == "longer" else -1))
+    call = {
+        "l2_error": lambda: l2_error(mesh, zero_exact_data(), solution, dm),
+        "energy_error": lambda: energy_error(mesh, scheme, zero_exact_data(), solution, dofmap=dm),
+        "error_report": lambda: error_report(mesh, scheme, zero_exact_data(), solution, dm),
+    }[norm]
+    with pytest.raises(InvalidParameter, match="solution has shape"):
+        call()
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_standalone_error_report_builds_no_assembly_space(method, degree):
+    from robinfem.assembly import _SPACES
+
+    mesh = generate_disk_mesh(3)
+    scheme, data = Scheme(method, degree=degree), get_problem("sinsin").make_data(1.0)
+    solution = np.linspace(-1.0, 1.0, build_dofmap(mesh, degree, scheme.continuous).n_dofs)
+    fresh = generate_disk_mesh(3)
+    spaces = len(_SPACES)
+    report = error_report(fresh, scheme, data, solution, build_dofmap(fresh, degree, scheme.continuous))
+    default = energy_error(fresh, scheme, data, solution)
+    assert fresh not in _SPACES and len(_SPACES) == spaces
+    # the same errors, bitwise, as on the dof map of the assembled system
+    system = assemble(mesh, scheme, data)
+    assert report == error_report(mesh, scheme, data, solution, system.dofmap)
+    assert default == energy_error(mesh, scheme, data, solution, dofmap=system.dofmap)

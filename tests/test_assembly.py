@@ -25,10 +25,12 @@ from robinfem import (
     consistency_residual,
     continuous_embedding,
     dof_points,
+    energy_error,
     generate_disk_mesh,
     generate_square_mesh,
     get_problem,
     interpolate,
+    l2_error,
     min_eigenvalue_dense,
     norm_matrix,
     reference_basis,
@@ -709,3 +711,28 @@ def test_memo_entry_is_released_with_its_mesh():
     gc.collect()
     assert mesh_ref() is None and dofmap_ref() is None
     assert len(_SPACES) == before
+
+
+def _mismatched_space_calls():
+    """Each form or error norm given pieces of two different spaces."""
+    mesh, data = generate_disk_mesh(3), get_problem("sinsin").make_data(1.0)
+    dg1, dg2 = Scheme(Method.SIPDG, degree=1), Scheme(Method.SIPDG, degree=2)
+    p2, p1 = build_dofmap(mesh, 2, continuous=True), reference_basis(1)
+    ring4 = build_dofmap(generate_disk_mesh(4), 1, continuous=False)
+    dg_p1 = build_dofmap(mesh, 1, continuous=False)
+    return {
+        "volume P2 map P1 basis": lambda: assemble_volume(mesh, p2, p1),
+        "boundary P2 map P1 basis": lambda: assemble_nitsche_boundary(mesh, p2, p1, dg1),
+        "load P2 map P1 basis": lambda: assemble_load(mesh, p2, p1, dg1, data),
+        "interior penalty P2 map P1 basis": lambda: assemble_interior_penalty(mesh, p2, p1, dg1),
+        "interior penalty 4-ring map": lambda: assemble_interior_penalty(mesh, ring4, p1, dg1),
+        "energy error P1 map P2 scheme": lambda: energy_error(mesh, dg2, data, np.zeros(dg_p1.n_dofs), dofmap=dg_p1),
+        "l2 error 4-ring map": lambda: l2_error(mesh, data, np.zeros(ring4.n_dofs), ring4),
+    }
+
+
+@pytest.mark.parametrize("case", list(_mismatched_space_calls()))
+def test_pieces_of_different_spaces_are_rejected(case):
+    # unchecked, each ends in a numpy shape error or, with the 4-ring map, a matrix of the wrong size
+    with pytest.raises(InvalidParameter, match="the dof map has"):
+        _mismatched_space_calls()[case]()

@@ -408,6 +408,11 @@ def test_read_mesh_accepts_trailing_comments(tmp_path):
         (lambda L: L[:6] + ["triangles -1"] + L[7:], 7),
         (lambda L: L[:7] + ["0 1 9"] + L[8:], 8),
         (lambda L: L + ["stray words"], 10),
+        pytest.param(lambda L: L[:1], 2, id="no-vertices-line"),
+        pytest.param(lambda L: L[:6], 7, id="no-triangles-line"),
+        # rows are checked in file order: the first bad row is reported, not the malformed one after it
+        pytest.param(lambda L: L[:4] + ["1 nan", "0.0 zzz"] + L[6:], 5, id="non-finite-then-malformed"),
+        pytest.param(lambda L: L[:7] + ["0 1 9", "0 1"] + L[9:], 8, id="out-of-range-then-malformed"),
     ],
 )
 def test_read_mesh_reports_line_numbers(tmp_path, mutate, bad_line):
