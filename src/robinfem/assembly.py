@@ -151,8 +151,8 @@ class SparseSystem:
     """Assembled matrix and load vector, with the dof map they refer to.
 
     prolongation embeds continuous P1 on the same mesh into the space;
-    the solver's two-level preconditioner uses it as its coarse space.
-    None when there is no smaller coarse space (continuous P1).
+    the solver's multilevel preconditioner uses it as its first coarse
+    space.  None when there is no smaller such space (continuous P1).
     """
 
     matrix: sp.csr_matrix

@@ -280,10 +280,15 @@ def read_mesh(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        lines = raw.decode("utf-8").splitlines()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"byte {exc.start} is not UTF-8 text", line=line) from None
+    # lines end at "\n" alone (str.splitlines also breaks at \f, \x85, U+2028, ...),
+    # each dropping one "\r" so that CRLF files read too
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    if lines[-1] == "":
+        lines.pop()  # the text after the final newline
     if not lines:
         raise FormatError("unexpected end of file, expected header", line=1)
     if lines[0].strip() != "meshfmt 1":
@@ -305,6 +310,14 @@ def read_mesh(path):
     return Mesh(verts, tris)
 
 
+def _ascii(token):
+    """token, if it is spelt in ASCII without underscores as write_mesh writes
+    numerals; int and float would also read "1_0" as 10 and "\u0663" as 3."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII numeral: {token!r}")
+    return token
+
+
 def _read_table(lines, start, keyword, fields, parse, what, invalid):
     """The (count, len(fields)) table of dtype parse whose '<keyword> <count>'
     line is lines[start]; the count is checked against the lines that follow
@@ -317,7 +330,7 @@ def _read_table(lines, start, keyword, fields, parse, what, invalid):
     if len(parts) != 2 or parts[0] != keyword:
         raise FormatError(f"expected '{keyword} <count>', got {text!r}", line=start + 1)
     try:
-        count = int(parts[1])
+        count = int(_ascii(parts[1]))
     except ValueError:
         raise FormatError(f"bad count in {text!r}", line=start + 1) from None
     if count < 0:
@@ -331,7 +344,7 @@ def _read_table(lines, start, keyword, fields, parse, what, invalid):
         if len(parts) != len(row):
             raise FormatError(f"expected '{fields}', got {text!r}", line=lineno)
         try:
-            values = [parse(p) for p in parts]
+            values = [parse(_ascii(p)) for p in parts]
         except ValueError:
             raise FormatError(f"bad {what} in {text!r}", line=lineno) from None
         message = invalid(values, text)

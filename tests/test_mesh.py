@@ -497,6 +497,55 @@ def test_overflowing_coordinates_are_rejected(tmp_path, vertices):
         read_mesh(path)
 
 
+# every character but "\n" and "\r" at which str.splitlines breaks a line
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=repr)
+def test_read_mesh_breaks_lines_only_at_newlines(tmp_path, char):
+    mesh = generate_square_mesh(1)
+    path = tmp_path / "m.mesh"
+    write_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    # a whitespace character ending the header is part of line 1, not a line break
+    path.write_text("\n".join([lines[0] + char] + lines[1:]) + "\n")
+    clone = read_mesh(path)
+    assert np.array_equal(clone.vertices, mesh.vertices) and np.array_equal(clone.triangles, mesh.triangles)
+    # two lines joined by one are one line, reported as line 1
+    path.write_text("\n".join([lines[0] + char + lines[1]] + lines[2:]) + "\n")
+    with pytest.raises(FormatError, match="expected 'meshfmt 1'") as err:
+        read_mesh(path)
+    assert err.value.line == 1
+    # a line number after such a character still counts "\n" alone
+    path.write_text("\n".join(lines[:2] + [lines[2] + char] + lines[3:7] + ["0 1 9"] + lines[8:]) + "\n")
+    with pytest.raises(FormatError, match="out of range") as err:
+        read_mesh(path)
+    assert err.value.line == 8
+
+
+def test_read_mesh_reads_crlf_files(tmp_path):
+    mesh = generate_square_mesh(1)
+    path = tmp_path / "m.mesh"
+    write_mesh(mesh, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    clone = read_mesh(path)
+    assert np.array_equal(clone.vertices, mesh.vertices) and np.array_equal(clone.triangles, mesh.triangles)
+
+
+@pytest.mark.parametrize("numeral", ["0_1", "\u0661", "\uff11"], ids=["underscore", "arabic-indic", "full-width"])
+@pytest.mark.parametrize(
+    "field, line, message",
+    [("count", 2, "bad count"), ("coordinate", 4, "bad coordinate"), ("vertex index", 8, "bad vertex index")],
+)
+def test_read_mesh_reads_only_ascii_numerals(tmp_path, numeral, field, line, message):
+    # int and float read each of these numerals as 1; write_mesh never writes them
+    path = tmp_path / "m.mesh"
+    write_mesh(generate_square_mesh(1), path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = {"count": f"vertices {numeral}", "coordinate": f"{numeral} 0", "vertex index": f"0 {numeral} 3"}[field]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=message) as err:
+        read_mesh(path)
+    assert err.value.line == line
+
+
 def test_read_mesh_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "m.mesh"
     path.write_bytes(b"meshfmt 1\nvertices 1\n\x80 0\n")

@@ -8,14 +8,17 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robinfem.solver
 from robinfem import (
     FormatError,
+    IndefiniteMatrix,
     InvalidParameter,
     Method,
     Mesh,
@@ -56,11 +59,11 @@ def base_mesh(kind, n):
 
 
 @st.composite
-def meshes(draw, kinds=("disk", "square")):
-    """A small disk (2-3 rings) or square (1-3 cells a side) mesh whose
-    interior vertices move by up to a tenth of its shortest edge."""
+def meshes(draw, kinds=("disk", "square"), rings=(2, 3)):
+    """A small disk (2-3 rings by default) or square (1-3 cells a side) mesh
+    whose interior vertices move by up to a tenth of its shortest edge."""
     kind = draw(st.sampled_from(kinds))
-    base = base_mesh(kind, draw(st.integers(2, 3) if kind == "disk" else st.integers(1, 3)))
+    base = base_mesh(kind, draw(st.integers(*rings) if kind == "disk" else st.integers(1, 3)))
     amplitude = draw(st.floats(0.0, 0.1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h_min = min(base.boundary_edges.h_e.min(), base.interior_edges.h_e.min(initial=np.inf))
@@ -118,6 +121,25 @@ def test_dg_restricted_to_continuous_functions_is_nitsche(mesh, degree, eps, gam
     restricted, target = (E.T @ dg.matrix @ E).toarray(), nitsche.matrix.toarray()
     assert np.max(np.abs(restricted - target)) <= 1e-12 * np.max(np.abs(target))
     np.testing.assert_allclose(E.T @ dg.rhs, nitsche.rhs, rtol=0, atol=1e-12 * np.max(np.abs(nitsche.rhs)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(meshes(kinds=("disk",), rings=(4, 6)), st.sampled_from([(NIT, 1), (NIT, 2), (DG, 1)]), EPSILONS)
+def test_multilevel_preconditioner_detects_large_gamma_and_matches_dense(mesh, space, eps):
+    # a direct limit of 3 dofs puts two or more aggregation levels under these meshes
+    method, degree = space
+    data = get_problem("sinsin").make_data(eps)
+    solver = robinfem.solver
+    with mock.patch.object(solver, "_DIRECT_LIMIT", 3), \
+            mock.patch.object(solver, "_smoothed_aggregation", wraps=solver._smoothed_aggregation) as spy:
+        with pytest.raises(IndefiniteMatrix):
+            solve(assemble(mesh, Scheme(method, degree, eps, 100.0), data))
+        system = assemble(mesh, Scheme(method, degree, eps, 0.1), data)
+        spy.reset_mock()
+        x, report = solve(system, SolverConfig(rel_tolerance=1e-12))
+        assert spy.call_count >= 2 and report.coarse_dofs <= 3  # 0: the bottom level is weakly coupled and ends in Jacobi
+    x_dense, _ = solve(system, SolverConfig(method=SolverMethod.DENSE))
+    assert np.abs(x - x_dense).max() <= 1e-8 * np.abs(x_dense).max()
 
 
 @settings(max_examples=25, deadline=None)

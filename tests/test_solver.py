@@ -276,3 +276,69 @@ def test_repeat_two_level_solve_is_bitwise_deterministic():
     x2, rep2 = solve(system)
     assert np.array_equal(x1, x2)
     assert rep1.iterations == rep2.iterations
+
+
+def _level_system(method, degree, level):
+    problem = get_problem("sinsin")
+    return assemble(level_mesh(problem.domain, level), Scheme(method, degree=degree), problem.make_data(1.0))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_multilevel_iterations_stay_flat_above_the_direct_limit(degree):
+    # Nitsche P1 has no continuous-P1 coarse space, so here every coarse level is
+    # aggregated; Jacobi-CG doubles its count per level (240 -> 485 for P1)
+    limit = robinfem.solver._DIRECT_LIMIT
+    counts = []
+    for level in (4, 5):
+        system = _level_system(Method.NITSCHE, degree, level)
+        assert system.dofmap.n_dofs > limit
+        _, report = solve(system)
+        assert 0 < report.coarse_dofs <= limit
+        counts.append(report.iterations)
+    assert max(counts) <= 60 and counts[1] <= 1.3 * counts[0], counts
+
+
+def test_repeat_multilevel_solve_is_bitwise_deterministic():
+    system = _level_system(Method.NITSCHE, 1, 4)
+    x1, rep1 = solve(system)
+    x2, rep2 = solve(system)
+    assert rep1.coarse_dofs > 0  # the hierarchy has an aggregation level
+    assert np.array_equal(x1, x2)
+    assert rep1.iterations == rep2.iterations
+
+
+def _jacobi_pcg(A, b, tol):
+    """(x, iterations) of textbook Jacobi-preconditioned CG."""
+    inv_diag = 1.0 / A.diagonal()
+    x, r = np.zeros_like(b), b.copy()
+    z = inv_diag * r
+    p, rz = z.copy(), r @ z
+    for it in range(1, 10 * len(b)):
+        ap = A @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) / np.linalg.norm(b) <= tol:
+            return x, it
+        z = inv_diag * r
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise AssertionError("Jacobi-PCG did not converge")
+
+
+def test_a_matrix_rhs_pair_above_the_direct_limit_is_jacobi():
+    system = _level_system(Method.NITSCHE, 1, 4)
+    assert system.dofmap.n_dofs > robinfem.solver._DIRECT_LIMIT
+    x, report = solve((system.matrix, system.rhs))
+    x_ref, iterations = _jacobi_pcg(system.matrix.tocsr(), system.rhs, 1e-10)
+    assert report.iterations == iterations and report.coarse_dofs == 0
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+def test_a_system_without_strong_couplings_ends_in_jacobi():
+    # no node has a strong neighbour, so aggregation finds no coarser level
+    n = robinfem.solver._DIRECT_LIMIT + 1
+    A = sp.diags(np.linspace(1.0, 2.0, n)).tocsr()
+    x, report = solve(SparseSystem(A, np.ones(n), None))
+    assert report.coarse_dofs == 0 and report.iterations == 1
+    np.testing.assert_allclose(x, 1.0 / A.diagonal(), rtol=1e-14)
