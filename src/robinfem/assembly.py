@@ -489,9 +489,13 @@ def norm_matrix(mesh, scheme, variant="energy"):
     """
     if variant not in ("energy", "augmented"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
+    return _matrix(mesh, scheme, _norm_coefs(mesh, scheme, variant), 8)
+
+
+def _norm_coefs(mesh, scheme, variant):
+    """The energy-norm coefficients, (E, m, m) per edge table of the scheme."""
     tables = _edge_tables(mesh, scheme.method)
-    coefs = [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables]
-    return _matrix(mesh, scheme, coefs, 8)
+    return [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables]
 
 
 def consistency_residual(mesh, scheme, data):
@@ -505,7 +509,7 @@ def consistency_residual(mesh, scheme, data):
     """
     if data.exact_u is None or data.exact_grad is None:
         raise MissingExactSolution("consistency check needs exact_u and exact_grad")
-    basis, dofmap = _assembly_space(mesh, scheme)[:2]
+    basis, dofmap = reference_basis(scheme.degree), build_dofmap(mesh, scheme.degree, scheme.continuous)
     vrule = triangle_rule(6)
 
     # volume: (grad u, grad phi_i) - (f, phi_i)
@@ -523,8 +527,11 @@ def consistency_residual(mesh, scheme, data):
         parts.append(_edge_vector(mesh, dofmap, basis, edges, form(scheme, edges), trace, 8))
     defect = _vector(parts, dofmap.n_dofs)
 
-    # the squared norms of phi_i: the diagonal of the augmented Gram matrix
-    gram_diag = norm_matrix(mesh, scheme, "augmented").diagonal()
+    # the squared norms of phi_i: the diagonal of the augmented Gram matrix, from
+    # the block diagonals of its parts (the dofs of one block are distinct)
+    tables = zip(_edge_tables(mesh, scheme.method), _norm_coefs(mesh, scheme, "augmented"))
+    blocks = [_volume_part(mesh, dofmap, basis)] + [_edge_part(mesh, dofmap, basis, e, c, 8) for e, c in tables]
+    gram_diag = _vector([(d, np.diagonal(b, axis1=1, axis2=2)) for d, b in blocks], dofmap.n_dofs)
     return float(np.max(np.abs(defect) / np.sqrt(gram_diag)))
 
 

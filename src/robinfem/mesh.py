@@ -311,11 +311,18 @@ def read_mesh(path):
 
 
 def _ascii(token):
-    """token, if it is spelt in ASCII without underscores as write_mesh writes
-    numerals; int and float would also read "1_0" as 10 and "\u0663" as 3."""
-    if not token.isascii() or "_" in token:
+    """token, if it is spelt in printable ASCII without underscores as write_mesh
+    writes numerals; int and float would also read "1_0" as 10, "\u0663" as 3
+    and "1\\v" as 1."""
+    if not (token.isascii() and token.isprintable()) or "_" in token:
         raise ValueError(f"not an ASCII numeral: {token!r}")
     return token
+
+
+def _fields(text):
+    """A line's fields, split at ASCII spaces and tabs alone (str.split also splits
+    at U+00A0, \\x85, \\x1c-\\x1f, ...); whitespace at either end is no field."""
+    return [field for field in text.strip().replace("\t", " ").split(" ") if field]
 
 
 def _read_table(lines, start, keyword, fields, parse, what, invalid):
@@ -326,7 +333,7 @@ def _read_table(lines, start, keyword, fields, parse, what, invalid):
     if start >= len(lines):
         raise FormatError(f"unexpected end of file, expected '{keyword} <count>'", line=start + 1)
     text, rest = lines[start], len(lines) - start - 1
-    parts = text.split()
+    parts = _fields(text)
     if len(parts) != 2 or parts[0] != keyword:
         raise FormatError(f"expected '{keyword} <count>', got {text!r}", line=start + 1)
     try:
@@ -340,7 +347,7 @@ def _read_table(lines, start, keyword, fields, parse, what, invalid):
         raise FormatError(message, line=len(lines) + 1)
     table = np.empty((count, len(fields.split())), dtype=parse)
     for row, (lineno, text) in zip(table, enumerate(lines[start + 1:start + 1 + count], start + 2)):
-        parts = text.split()
+        parts = _fields(text)
         if len(parts) != len(row):
             raise FormatError(f"expected '{fields}', got {text!r}", line=lineno)
         try:

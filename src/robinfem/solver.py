@@ -11,14 +11,15 @@ additive multilevel B_0 of the hierarchy A_0 = A, A_k+1 = P_k^T A_k P_k:
 
     B_k = D_k^-1 + P_k B_k+1 P_k^T,    B_L = A_L^-1 (SuperLU),
 
-with D_k the diagonal of A_k.  P_0 is the embedding of continuous P1 on
-the same mesh (SparseSystem.prolongation), after Dobrev, Lazarov,
-Vassilevski & Zikatanov, "Two-level preconditioning of discontinuous
-Galerkin approximations of second-order elliptic equations" (NLAA
-2006).  Below it (from A itself for continuous P1, which has no such
-space), smoothed aggregation (Vanek, Mandel & Brezina, Computing 1996)
-adds levels while the coarsest matrix has more than _DIRECT_LIMIT = 5000
-dofs:
+with D_k the diagonal of A_k, each level set up by one recursive call
+(_level) that checks D_k, picks P_k and returns B_k(r) = D_k^-1 r +
+P_k B_k+1(P_k^T r).  P_0 is the embedding of continuous P1 on the same
+mesh (SparseSystem.prolongation), after Dobrev, Lazarov, Vassilevski &
+Zikatanov, "Two-level preconditioning of discontinuous Galerkin
+approximations of second-order elliptic equations" (NLAA 2006).  Below
+it (from A itself for continuous P1, which has no such space), smoothed
+aggregation (Vanek, Mandel & Brezina, Computing 1996) adds levels while
+the coarsest matrix has more than _DIRECT_LIMIT = 5000 dofs:
 
 - strength: j is a strong neighbour of i if |a_ij| >= 0.08 sqrt(a_ii a_jj);
 - roots: a distance-2 independent set of the strength graph, chosen in
@@ -78,7 +79,9 @@ paths run on the right-hand side scaled by the power of two that brings
 max|b| into [1/2, 1): the scaling is exact, so ordinary solves are
 bitwise unchanged, and a tiny or huge b can neither underflow into a
 false verdict nor overflow, in CG or in the dense residual.  A zero b
-returns x = 0 at once.
+returns x = 0 without an iteration, but only after the set-up (the
+hierarchy or the dense factor), so an indefinite A still raises
+IndefiniteMatrix.
 """
 
 import enum
@@ -143,7 +146,7 @@ class SolverConfig:
 class SolveReport:
     iterations: int
     residual: float
-    wall_time: float
+    wall_time: float = 0.0  # set by solve
     min_eigenvalue: Optional[float] = None
     coarse_dofs: int = 0
 
@@ -165,12 +168,12 @@ def solve(system, config=None):
     prolongation = getattr(system, "prolongation", None)
     if rhs is None:
         raise InvalidParameter("solve needs a right-hand side")
+    matrix = sp.csr_matrix(matrix, dtype=float)  # the one matrix every check and path reads
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != len(rhs):
         raise InvalidParameter("matrix and right-hand side sizes do not match")
     if prolongation is not None and prolongation.shape[0] != len(rhs):
         raise InvalidParameter("prolongation rows do not match the matrix size")
-    values = matrix.tocsr().data if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-    if not (np.isfinite(values).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(matrix.data).all() and np.isfinite(rhs).all()):
         raise InvalidParameter("matrix or right-hand side has a non-finite entry")
     start = time.perf_counter()
     # exact power-of-two scaling to max|b| in [1/2, 1), see the module docstring
@@ -185,9 +188,14 @@ def solve(system, config=None):
     return np.ldexp(x, k), report
 
 
-def _solve_dense(matrix, rhs):
+def _symmetric_dense(matrix):
+    """The dense symmetric part of a sparse or dense matrix, which drops roundoff asymmetry."""
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-    dense = 0.5 * (dense + dense.T)  # symmetrize roundoff before factoring
+    return 0.5 * (dense + dense.T)
+
+
+def _solve_dense(matrix, rhs):
+    dense = _symmetric_dense(matrix)
     try:
         factor = scipy.linalg.cho_factor(dense, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -196,53 +204,31 @@ def _solve_dense(matrix, rhs):
     resid = np.linalg.norm(dense @ x - rhs)
     scale = np.linalg.norm(rhs)
     resid = resid / scale if scale > 0.0 else resid
-    report = SolveReport(iterations=1, residual=float(resid), wall_time=0.0)
-    if dense.shape[0] <= _DENSE_EIG_LIMIT:
-        report.min_eigenvalue = float(np.linalg.eigvalsh(dense)[0])
-    return x, report
+    eig = float(np.linalg.eigvalsh(dense)[0]) if dense.shape[0] <= _DENSE_EIG_LIMIT else None
+    return x, SolveReport(iterations=1, residual=float(resid), min_eigenvalue=eig)
 
 
-def _preconditioner(matrix, kind, system):
-    """(precond, coarse_dofs): z = precond(r) applies M^-1 = B_0.
-
-    Raises IndefiniteMatrix when setting M up proves that A is not SPD.
-    """
-    if kind is Preconditioner.NONE:
-        return (lambda r: r.copy()), 0
-    levels = []  # (D_k^-1, P_k, P_k^T) of every level above the bottom
-    prolongation = None if system is None else system.prolongation
-    while True:
-        diag = matrix.diagonal()
-        if np.any(diag <= 0.0):
-            where = "matrix" if not levels else f"level-{len(levels)} matrix P^T A P"
-            raise IndefiniteMatrix(f"{where} has a nonpositive diagonal entry")
-        inv_diag = 1.0 / diag
-        if prolongation is None and (system is None or matrix.shape[0] <= _DIRECT_LIMIT):
-            break
-        if prolongation is None:
-            prolongation = _smoothed_aggregation(matrix, diag)
-            if not 0 < prolongation.shape[1] < matrix.shape[0]:
-                break  # no coarser level: this one ends in Jacobi
-        restrict = sp.csr_matrix(prolongation.T)
-        levels.append((inv_diag, prolongation, restrict))
-        matrix = sp.csr_matrix(restrict @ matrix @ prolongation)
-        prolongation = None
-    if levels and matrix.shape[0] <= _DIRECT_LIMIT:
-        bottom = _bottom_factor(matrix).solve
-        coarse_dofs = matrix.shape[0]
-    else:
-        bottom, coarse_dofs = (lambda r: inv_diag * r), 0
-
-    def precond(r):
-        down = [r]
-        for _, _, restrict in levels:
-            down.append(restrict @ down[-1])
-        z = bottom(down.pop())
-        for (inv_diag_k, prolongation_k, _), r_k in zip(reversed(levels), reversed(down)):
-            z = inv_diag_k * r_k + prolongation_k @ z
-        return z
-
-    return precond, coarse_dofs
+def _level(matrix, prolongation, aggregate, depth):
+    """(B_k, bottom_dofs) of the level-depth matrix A_k: z = B_k(r), and
+    bottom_dofs is the size of the factored bottom matrix (0 for Jacobi).  P_k
+    is prolongation, or if aggregate and A_k is above _DIRECT_LIMIT smoothed
+    aggregation's.  Raises IndefiniteMatrix when the set-up proves A not SPD."""
+    diag = matrix.diagonal()
+    if np.any(diag <= 0.0):
+        where = f"level-{depth} matrix P^T A P" if depth else "matrix"
+        raise IndefiniteMatrix(f"{where} has a nonpositive diagonal entry")
+    inv_diag, n = 1.0 / diag, matrix.shape[0]
+    if prolongation is None and aggregate and n > _DIRECT_LIMIT:
+        prolongation = _smoothed_aggregation(matrix, diag)
+        if not 0 < prolongation.shape[1] < n:
+            prolongation = None  # no coarser level
+    if prolongation is None:
+        if depth and n <= _DIRECT_LIMIT:
+            return _bottom_factor(matrix).solve, n
+        return (lambda r: inv_diag * r), 0
+    restrict = sp.csr_matrix(prolongation.T)
+    coarse, bottom_dofs = _level(sp.csr_matrix(restrict @ matrix @ prolongation), None, aggregate, depth + 1)
+    return (lambda r: inv_diag * r + prolongation @ coarse(restrict @ r)), bottom_dofs
 
 
 def _bottom_factor(matrix):
@@ -309,17 +295,17 @@ def _smoothed_aggregation(matrix, diag):
 
 
 def _solve_cg(matrix, rhs, config, system):
-    matrix = sp.csr_matrix(matrix)
     n = matrix.shape[0]
     max_iter = config.max_iterations
     if max_iter is None:
         max_iter = int(20.0 * math.sqrt(n)) + 200
-    precond, coarse_dofs = _preconditioner(matrix, config.preconditioner, system)
+    if config.preconditioner is Preconditioner.NONE:
+        precond, coarse_dofs = (lambda r: r.copy()), 0
+    else:
+        precond, coarse_dofs = _level(matrix, getattr(system, "prolongation", None), system is not None, 0)
     b_norm = np.linalg.norm(rhs)
     if not np.any(rhs):
-        return np.zeros(n), SolveReport(
-            iterations=0, residual=0.0, wall_time=0.0, coarse_dofs=coarse_dofs
-        )
+        return np.zeros(n), SolveReport(iterations=0, residual=0.0, coarse_dofs=coarse_dofs)
     x = np.zeros(n)
     r = rhs.copy()
     z = precond(r)
@@ -344,9 +330,7 @@ def _solve_cg(matrix, rhs, config, system):
                 f"non-finite residual at iteration {it}", residual_history=history
             )
         if rel <= config.rel_tolerance:
-            return x, SolveReport(
-                iterations=it, residual=rel, wall_time=0.0, coarse_dofs=coarse_dofs
-            )
+            return x, SolveReport(iterations=it, residual=rel, coarse_dofs=coarse_dofs)
         z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
@@ -360,9 +344,7 @@ def _solve_cg(matrix, rhs, config, system):
 def min_eigenvalue_dense(system):
     """Smallest eigenvalue of the symmetrized matrix; refuses large systems."""
     matrix, _ = _matrix_rhs(system)
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-    n = dense.shape[0]
+    n = np.shape(matrix)[0]
     if n > _DENSE_EIG_LIMIT:
         raise TooLarge(f"dense eigenvalue check limited to {_DENSE_EIG_LIMIT}, got {n}")
-    dense = 0.5 * (dense + dense.T)
-    return float(np.linalg.eigvalsh(dense)[0])
+    return float(np.linalg.eigvalsh(_symmetric_dense(matrix))[0])

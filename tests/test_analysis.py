@@ -265,3 +265,19 @@ def test_a_standalone_error_report_builds_no_assembly_space(method, degree):
     system = assemble(mesh, scheme, data)
     assert report == error_report(mesh, scheme, data, solution, system.dofmap)
     assert default == energy_error(mesh, scheme, data, solution, dofmap=system.dofmap)
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_standalone_consistency_residual_builds_no_assembly_space(method, degree):
+    from robinfem.assembly import _SPACES
+
+    scheme, data = Scheme(method, degree=degree), get_problem("sinsin").make_data(1.0)
+    fresh = generate_disk_mesh(3)
+    spaces = len(_SPACES)
+    residual = consistency_residual(fresh, scheme, data)
+    assert fresh not in _SPACES and len(_SPACES) == spaces
+    # the same residual, bitwise, on a mesh whose space assemble has built
+    mesh = generate_disk_mesh(3)
+    assemble(mesh, scheme, data)
+    assert mesh in _SPACES and consistency_residual(mesh, scheme, data) == residual

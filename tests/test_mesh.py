@@ -581,3 +581,21 @@ def test_a_non_integer_count_is_a_typed_error(name):
     error, call = NON_INTEGER_COUNTS[name]
     with pytest.raises(error):
         call()
+
+
+# str.split also splits a row at each of these; write_mesh separates fields by one space
+@pytest.mark.parametrize("char", ["\u00a0", "\u2003", "\x85", "\x1c", "\x1d", "\x1e", "\x1f"], ids=repr)
+@pytest.mark.parametrize("line, row", [(2, "vertices{}4"), (4, "1{}0"), (8, "0{}1 3"), (9, "0 3 \v{}2")])
+def test_read_mesh_splits_rows_only_at_spaces_and_tabs(tmp_path, char, line, row):
+    path = tmp_path / "m.mesh"
+    write_mesh(generate_square_mesh(1), path)
+    lines = path.read_text().splitlines()
+    # tabs and runs of blanks still separate fields
+    path.write_text("\n".join(lines[:3] + [" 1\t 0\t"] + lines[4:]) + "\n")
+    assert np.array_equal(read_mesh(path).vertices[1], [1.0, 0.0])
+    # on line 9 a field starts with "\v", which int alone would strip
+    lines[line - 1] = row.format(char)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_mesh(path)
+    assert err.value.line == line

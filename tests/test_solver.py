@@ -342,3 +342,44 @@ def test_a_system_without_strong_couplings_ends_in_jacobi():
     x, report = solve(SparseSystem(A, np.ones(n), None))
     assert report.coarse_dofs == 0 and report.iterations == 1
     np.testing.assert_allclose(x, 1.0 / A.diagonal(), rtol=1e-14)
+
+
+_SADDLE = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # positive diagonal, eigenvalues 3 and -1
+
+
+@pytest.mark.parametrize(
+    "matrix, prolongation, message",
+    [
+        (sp.diags([1.0, -2.0, 3.0]).tocsr(), None, "matrix has a nonpositive diagonal entry"),
+        (_SADDLE, sp.csr_matrix(np.array([[1.0], [-1.0]])), "level-1 matrix P^T A P has a nonpositive diagonal entry"),
+        (_SADDLE, sp.identity(2, format="csr"), "coarse matrix P^T A P has a nonpositive pivot -3.000e+00"),
+    ],
+    ids=["level-0 diagonal", "level-1 diagonal", "bottom pivot"],
+)
+@pytest.mark.parametrize("rhs", [1.0, 0.0], ids=["rhs", "zero rhs"])
+def test_each_hierarchy_check_raises_its_own_message(matrix, prolongation, message, rhs):
+    # a zero right-hand side returns early only after the set-up has passed
+    system = SparseSystem(matrix, np.full(matrix.shape[0], rhs), None, prolongation)
+    with pytest.raises(IndefiniteMatrix) as err:
+        solve(system)
+    assert str(err.value) == message
+
+
+def test_an_indefinite_matrix_with_a_zero_rhs_still_raises():
+    for config, message in [(CG, "matrix has a nonpositive diagonal entry"), (DENSE, "dense factorization failed")]:
+        with pytest.raises(IndefiniteMatrix, match=message):
+            solve((sp.diags([1.0, -2.0, 3.0]).tocsr(), np.zeros(3)), config)
+
+
+def test_a_coarse_level_without_strong_couplings_ends_in_jacobi(monkeypatch):
+    # the given P leaves more than the direct limit, and aggregation of that
+    # diagonal level finds no coarser one, so B = D^-1 + I D^-1 I^T
+    calls = []
+    aggregate = robinfem.solver._smoothed_aggregation
+    monkeypatch.setattr(robinfem.solver, "_smoothed_aggregation", lambda *a: calls.append(a) or aggregate(*a))
+    n = robinfem.solver._DIRECT_LIMIT + 1
+    A = sp.diags(np.linspace(1.0, 2.0, n)).tocsr()
+    x, report = solve(SparseSystem(A, np.ones(n), None, sp.identity(n, format="csr")))
+    assert len(calls) == 1 and calls[0][0].shape == (n, n)
+    assert report.coarse_dofs == 0 and report.iterations == 1
+    np.testing.assert_allclose(x, 1.0 / A.diagonal(), rtol=1e-14)
