@@ -41,15 +41,24 @@ def _require_exact(data):
         raise MissingExactSolution("error norms need exact_u and exact_grad")
 
 
+def _volume_error_sq(mesh, data, solution, dofmap):
+    """(gradient, L2): the squared broken H1-seminorm and L2 errors, from one
+    mapping of the rule-6 points and one call of exact_grad and exact_u."""
+    rule, basis = triangle_rule(6), reference_basis(dofmap.degree)
+    x = mesh.physical_points(rule.points)  # (T, q, 2)
+    grad, u = (np.asarray(f(x[..., 0], x[..., 1]), dtype=float) for f in (data.exact_grad, data.exact_u))
+    del x  # freed before the (T, q, 2) products below, which lowers the peak memory
+    local = solution[dofmap.cell_dofs]
+    grad = grad - np.tensordot(local, basis.eval_grad(rule.points), (1, 1)) @ mesh.invB  # now the errors
+    u = u - local @ basis.eval(rule.points).T
+    return float(mesh.det @ (np.sum(grad * grad, axis=2) @ rule.weights)), float(mesh.det @ ((u * u) @ rule.weights))
+
+
 def l2_error(mesh, data, solution, dofmap):
     """L2 distance between the exact solution and the finite element one."""
     _require_exact(data)
     _check_space(mesh, dofmap, dofmap.degree, solution)
-    rule = triangle_rule(6)
-    x = mesh.physical_points(rule.points)
-    uh = solution[dofmap.cell_dofs] @ reference_basis(dofmap.degree).eval(rule.points).T  # (T, q)
-    diff = np.asarray(data.exact_u(x[..., 0], x[..., 1]), dtype=float) - uh
-    return math.sqrt(float(mesh.det @ ((diff * diff) @ rule.weights)))
+    return math.sqrt(_volume_error_sq(mesh, data, solution, dofmap)[1])
 
 
 def energy_error(mesh, scheme, data, solution, dofmap=None):
@@ -61,26 +70,21 @@ def energy_error(mesh, scheme, data, solution, dofmap=None):
     weight the error trace as the augmented norm_matrix does.  dofmap
     defaults to the numbering that assemble uses.
     """
+    return _errors(mesh, scheme, data, solution, dofmap)[1:]
+
+
+def _errors(mesh, scheme, data, solution, dofmap):
+    """(L2 error, energy error, its squared components) of one solution."""
     _require_exact(data)
     dofmap = build_dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
     _check_space(mesh, dofmap, scheme.degree, solution)
-    basis = reference_basis(scheme.degree)
-    vrule = triangle_rule(6)
-
-    x = mesh.physical_points(vrule.points)
-    guh = np.tensordot(solution[dofmap.cell_dofs], basis.eval_grad(vrule.points), (1, 1)) @ mesh.invB
-    diff = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float) - guh  # (T, q, 2)
-    grad_sq = float(mesh.det @ (np.sum(diff * diff, axis=2) @ vrule.weights))
-
-    def edge_sq(edges):
-        return _edge_error_sq(mesh, dofmap, basis, scheme, edges, data, solution).tolist()
-
-    trace_sq, bflux_sq = edge_sq(mesh.boundary_edges)
+    grad_sq, l2_sq = _volume_error_sq(mesh, data, solution, dofmap)
+    trace_sq, bflux_sq = _edge_error_sq(mesh, dofmap, scheme, mesh.boundary_edges, data, solution)
     components = {"gradient": grad_sq, "boundary_trace": trace_sq, "boundary_flux": bflux_sq}
     if scheme.method is Method.SIPDG:
-        jump_sq, dn_sq, dtau_sq = edge_sq(mesh.interior_edges)
+        jump_sq, dn_sq, dtau_sq = _edge_error_sq(mesh, dofmap, scheme, mesh.interior_edges, data, solution)
         components.update(jump=jump_sq, interior_flux=dn_sq + dtau_sq)
-    return math.sqrt(sum(components.values())), components
+    return math.sqrt(l2_sq), math.sqrt(sum(components.values())), components
 
 
 def eoc(errors):
@@ -108,8 +112,7 @@ def eoc(errors):
 
 def error_report(mesh, scheme, data, solution, dofmap):
     """Bundle the error norms for one solve into an ErrorReport."""
-    err_e, components = energy_error(mesh, scheme, data, solution, dofmap)
-    err_l2 = l2_error(mesh, data, solution, dofmap)
+    err_l2, err_e, components = _errors(mesh, scheme, data, solution, dofmap)
     err_n = math.sqrt(components["gradient"] + components["boundary_trace"])
     jump = None
     if "jump" in components:

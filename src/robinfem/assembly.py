@@ -31,18 +31,18 @@ per edge and element and T the block diagonal of the fixed tables R_c(s)
 sum_q w_q t^T C t is then W = A^T C A contracted with K = sum_q w_q T (x) T,
 one GEMM per class tuple: 6 on boundary and 36 on interior edges.  Loads
 sum_q w_q (C d).t and squared norms sum_q w_q diag(C) e^2 evaluate the
-data trace d and the error e at the physical points; the boundary load
-is thus l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the
-same contraction on each element, whose map x = v0 + B xi, det B and
-B^-1 live on the Mesh.
+data trace d and the error e at all physical points of a table at once;
+the boundary load is thus l(v) = b_Robin((u0 + eps*g, 0), v).  The
+volume stiffness is the same contraction on each element, whose map
+x = v0 + B xi, det B and B^-1 live on the Mesh.
 
 Every matrix form contributes (dofs, blocks) triplets, every load or
 residual (dofs, values) parts, and every matrix and every vector is one
-bincount of them, which sums each entry's terms in their own order.  The
-triplets of all the forms on one space share one stable sort of the int64
-key row*n + col, which gives the CSR pattern and the CSR entry (slot) of
-every triplet; the pattern is structural (an entry whose sum is exactly
-zero is kept); a vector needs no sort, its dofs are its bins.  The space
+bincount of them, which adds each entry's terms in input order.  The
+triplets of all the forms on one space share one sort of the int64 key
+row*n + col (stable only for speed), which gives the CSR pattern and the
+CSR entry (slot) of every triplet; the pattern is structural (exact-zero
+sums are kept); a vector needs no sort, its dofs are its bins.  The space
 of a mesh, degree and method is built on first use and memoized in a
 table keyed weakly by the Mesh, so it lives as long as the mesh: basis,
 dof map, continuous-P1 prolongation, the volume stiffness summed onto the
@@ -59,6 +59,7 @@ read-only.
 import enum
 import functools
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -117,6 +118,9 @@ class Scheme:
             raise InvalidParameter(f"unknown method {self.method!r}")
         if not (is_count(self.degree, 1) and self.degree <= 2):
             raise InvalidParameter(f"degree must be the integer 1 or 2, got {self.degree!r}")
+        for name in ("epsilon", "gamma"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidParameter(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InvalidParameter(f"epsilon must be positive, got {self.epsilon}")
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
@@ -278,23 +282,23 @@ def _per_class(classes, rows, tensors):
 
 
 def _at(func, x):
-    """A scalar field at points x (E, 2), broadcast to (E,)."""
-    return np.broadcast_to(np.asarray(func(x[:, 0], x[:, 1]), dtype=float), (len(x),))
+    """A scalar field at points x (..., 2), broadcast to x.shape[:-1]."""
+    return np.broadcast_to(np.asarray(func(x[..., 0], x[..., 1]), dtype=float), x.shape[:-1])
 
 
 def _exact_trace(data, edges, x):
-    """The exact solution's trace vector on one edge table at the points x:
-    its value on a boundary table or its zero jump on an interior one, then
-    its derivatives along the edge frame.  (E, m)"""
-    grad = np.asarray(data.exact_grad(x[:, 0], x[:, 1]), dtype=float)
-    first = _at(data.exact_u, x) if _is_boundary(edges) else np.zeros(len(x))
-    return np.column_stack([first, (grad[:, None, :] @ _edge_frame(edges))[:, 0]])
+    """The exact solution's trace vector on one edge table at the points x
+    (..., E, 2): its value on a boundary table or its zero jump on an
+    interior one, then its derivatives along the edge frame.  (..., E, m)"""
+    grad = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)
+    first = _at(data.exact_u, x) if _is_boundary(edges) else np.zeros(x.shape[:-1])
+    return np.concatenate([first[..., None], (grad[..., None, :] @ _edge_frame(edges))[..., 0, :]], axis=-1)
 
 
 def _robin_data(scheme, data, x):
-    """The boundary data trace (u0 + eps*g, 0) at the points x.  (E, 2)"""
+    """The boundary data trace (u0 + eps*g, 0) at the points x (..., 2).  (..., 2)"""
     d = _at(data.u0, x) + scheme.epsilon * _at(data.g, x)
-    return np.column_stack([d, np.zeros(len(x))])
+    return np.stack([d, np.zeros_like(d)], axis=-1)
 
 
 def _edge_dofs(dofmap, edges):
@@ -313,31 +317,29 @@ def _edge_part(mesh, dofmap, basis, edges, coef, order=None):
 
 
 def _edge_vector(mesh, dofmap, basis, edges, coef, trace, order=None):
-    """The (dofs, values) part sum_q w_q (C d).t, with the data trace d = trace(x):
-    per class tuple, w_q A^T C d at every point of its edges times its T."""
+    """The (dofs, values) part sum_q w_q (C d).t, with d = trace(x) on all rule
+    points x (q, E, 2) at once: per class tuple, w_q A^T C d times its T."""
     points, weights, lift, classes, (tables, _) = _edge_kernel(mesh, basis, edges, order)
-    pull = lift.transpose(0, 2, 1) @ coef
-    z = np.stack([w * (pull @ trace(x)[:, :, None])[:, :, 0] for x, w in zip(points, weights)], axis=1)
-    return _edge_dofs(dofmap, edges), _per_class(classes, z.reshape(len(edges), tables.shape[1]), tables)
+    z = weights[:, None, None] * (lift.transpose(0, 2, 1) @ coef @ trace(points)[..., None])[..., 0]  # (q, E, 3k)
+    z = z.transpose(1, 0, 2).reshape(len(edges), tables.shape[1])
+    return _edge_dofs(dofmap, edges), _per_class(classes, z, tables)
 
 
-def _edge_error_sq(mesh, dofmap, basis, scheme, edges, data, solution):
+def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
     """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
     with e the exact trace minus the trace A T c of the dof vector solution."""
-    points, weights, lift, classes, (tables, _) = _edge_kernel(mesh, basis, edges, 8)
+    points, weights, lift, classes, (tables, _) = _edge_kernel(mesh, reference_basis(scheme.degree), edges, 8)
     ref = _per_class(classes, solution[_edge_dofs(dofmap, edges)], tables.transpose(0, 2, 1))
-    uh = lift[:, None] @ ref.reshape(len(edges), len(weights), lift.shape[2], 1)  # (E, q, m, 1)
-    diag, total = _norm_form(scheme, edges, "augmented"), 0.0
-    for x, w, u in zip(points, weights, uh.transpose(1, 0, 2, 3)):
-        e = _exact_trace(data, edges, x) - u[:, :, 0]
-        total = total + w * np.sum(diag * e * e, axis=0)
-    return total
+    uh = (lift[:, None] @ ref.reshape(len(edges), len(weights), lift.shape[2], 1))[..., 0]  # (E, q, m)
+    e = _exact_trace(data, edges, points) - uh.transpose(1, 0, 2)  # (q, E, m)
+    # summed over E, then over q in rule order
+    return np.sum(weights[:, None] * np.sum(_norm_form(scheme, edges, "augmented") * e * e, axis=1), axis=0).tolist()
 
 
 def _sort(dofs, n):
-    """The CSR pattern of (E, k, k) blocks on (E, k) dofs, from one stable
-    sort of the keys row*n + col: (slots, indices, indptr), slots the CSR
-    entry of every triplet in block order."""
+    """The CSR pattern of (E, k, k) blocks on (E, k) dofs, from one stable sort
+    (any sort gives the same; stable is the fastest here) of the keys row*n + col:
+    (slots, indices, indptr), slots the CSR entry of every triplet in block order."""
     ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in dofs])
     keys = np.empty(ends[-1], dtype=np.int64)
     for d, a, b in zip(dofs, ends, ends[1:]):
@@ -355,7 +357,7 @@ def _sort(dofs, n):
 
 def _compress(parts, n):
     """Deterministic COO -> CSR of the (dofs, blocks) parts: one bincount
-    sums each entry's triplets in their own order, which the stable sort keeps."""
+    over the slots sums each entry's triplets in input order."""
     slots, indices, indptr = _sort([d for d, _ in parts], n)
     values = np.bincount(slots, np.concatenate([b.ravel() for _, b in parts]), len(indices))
     return sp.csr_matrix((values, indices, indptr), shape=(n, n))
@@ -417,20 +419,19 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
     return _compress([_edge_part(mesh, dofmap, basis, mesh.interior_edges, coef)], dofmap.n_dofs)
 
 
-def _volume_load(mesh, dofmap, basis, f, rule=None):
-    """The (dofs, values) part (f, phi_i) over all elements."""
-    rule = rule if rule is not None else _default_volume_rule(basis.degree)
-    x = mesh.physical_points(rule.points)  # (T, q, 2)
-    fval = np.broadcast_to(np.asarray(f(x[..., 0], x[..., 1]), dtype=float), x.shape[:2])
-    return dofmap.cell_dofs, mesh.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
+def _volume_load(mesh, basis, rule, fval):
+    """The values (f, phi_i) per element, from f at the mapped rule points (T, q)."""
+    return mesh.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
 
 
 def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
     _check_space(mesh, dofmap, basis.degree)
+    rule = _default_volume_rule(basis.degree)
+    load = _volume_load(mesh, basis, rule, _at(data.f, mesh.physical_points(rule.points)))
     edges, given = mesh.boundary_edges, functools.partial(_robin_data, scheme, data)
     robin = _edge_vector(mesh, dofmap, basis, edges, _robin_form(scheme, edges), given)
-    return _vector([_volume_load(mesh, dofmap, basis, data.f), robin], dofmap.n_dofs)
+    return _vector([(dofmap.cell_dofs, load), robin], dofmap.n_dofs)
 
 
 _SPACES = weakref.WeakKeyDictionary()  # Mesh -> {(degree, method): _assembly_space result}
@@ -512,13 +513,13 @@ def consistency_residual(mesh, scheme, data):
     basis, dofmap = reference_basis(scheme.degree), build_dofmap(mesh, scheme.degree, scheme.continuous)
     vrule = triangle_rule(6)
 
-    # volume: (grad u, grad phi_i) - (f, phi_i)
+    # volume: (grad u, grad phi_i) - (f, phi_i), at the rule points mapped once
     x = mesh.physical_points(vrule.points)
     gu = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)  # (T, q, 2)
     pulled = vrule.weights[:, None] * (gu @ mesh.invB.transpose(0, 2, 1))  # B^-1 grad u
     local = mesh.det[:, None] * np.tensordot(pulled, basis.eval_grad(vrule.points), ([1, 2], [0, 2]))
-    dofs, load = _volume_load(mesh, dofmap, basis, data.f, vrule)
-    parts = [(dofs, -load), (dofs, local)]
+    load = _volume_load(mesh, basis, vrule, _at(data.f, x))
+    parts = [(dofmap.cell_dofs, -load), (dofmap.cell_dofs, local)]
 
     # edges: each edge form applied to the exact trace minus the data trace (none inside)
     for edges, form in zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form)):

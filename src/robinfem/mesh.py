@@ -65,6 +65,18 @@ class EdgeTable:
         return len(self.h_e)
 
 
+def _array(values, kinds, rule):
+    """values as an array of a dtype kind in kinds, else InvalidParameter
+    saying rule; numpy refuses ragged rows."""
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise InvalidParameter(f"{rule}, given in rows of equal length") from None
+    if array.size and array.dtype.kind not in kinds:
+        raise InvalidParameter(f"{rule}, got {array.dtype} values")
+    return array
+
+
 class Mesh:
     """Immutable triangle mesh with full edge topology and the affine map
     x = v0 + B xi of every element onto the reference triangle.
@@ -76,11 +88,8 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, level=0):
-        self.vertices = np.array(vertices, dtype=float)
-        indices = np.asarray(triangles)
-        if indices.size and indices.dtype.kind not in "iu":
-            raise InvalidParameter(f"vertex indices must be integers, got {indices.dtype} values")
-        self.triangles = indices.astype(np.int64)
+        self.vertices = np.array(_array(vertices, "biuf", "vertex coordinates must be real numbers"), dtype=float)
+        self.triangles = _array(triangles, "iu", "vertex indices must be integers").astype(np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise InvalidParameter("vertices must have shape (n, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:

@@ -86,6 +86,7 @@ IndefiniteMatrix.
 
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -131,10 +132,13 @@ class SolverConfig:
     preconditioner: Preconditioner = Preconditioner.MULTILEVEL
 
     def __post_init__(self):
+        for name, kind in (("method", SolverMethod), ("preconditioner", Preconditioner)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidParameter(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         # below machine epsilon the recursive residual can underflow p.A.p to 0
-        if not (_EPS <= self.rel_tolerance < 1.0):
+        if not (isinstance(self.rel_tolerance, numbers.Real) and _EPS <= self.rel_tolerance < 1.0):
             raise InvalidParameter(
-                f"rel_tolerance must lie in [{_EPS:.3g}, 1), got {self.rel_tolerance}"
+                f"rel_tolerance must be a real number in [{_EPS:.3g}, 1), got {self.rel_tolerance!r}"
             )
         if self.max_iterations is not None and not is_count(self.max_iterations, 1):
             raise InvalidParameter(
@@ -168,6 +172,11 @@ def solve(system, config=None):
     prolongation = getattr(system, "prolongation", None)
     if rhs is None:
         raise InvalidParameter("solve needs a right-hand side")
+    rhs, dtype = np.asarray(rhs), matrix.dtype if sp.issparse(matrix) else np.asarray(matrix).dtype
+    if dtype.kind not in "biuf" or rhs.dtype.kind not in "biuf" or rhs.ndim != 1:
+        raise InvalidParameter(
+            f"solve needs a real matrix and a real rhs vector, got {dtype} and {rhs.dtype} values of shape {rhs.shape}"
+        )
     matrix = sp.csr_matrix(matrix, dtype=float)  # the one matrix every check and path reads
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != len(rhs):
         raise InvalidParameter("matrix and right-hand side sizes do not match")

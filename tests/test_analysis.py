@@ -15,6 +15,7 @@ from robinfem import (
     Mesh,
     assemble,
     assemble_interior_penalty,
+    assemble_load,
     build_dofmap,
     energy_error,
     eoc,
@@ -24,9 +25,11 @@ from robinfem import (
     get_problem,
     l2_error,
     consistency_residual,
+    edge_rule,
     norm_matrix,
     reference_basis,
     solve,
+    triangle_rule,
 )
 
 NIT = Method.NITSCHE
@@ -281,3 +284,46 @@ def test_a_standalone_consistency_residual_builds_no_assembly_space(method, degr
     mesh = generate_disk_mesh(3)
     assemble(mesh, scheme, data)
     assert mesh in _SPACES and consistency_residual(mesh, scheme, data) == residual
+
+
+def _counting(data):
+    """data whose callables record the shape of each call's x, by field name."""
+    calls = {}
+
+    def counted(name, func):
+        def call(x, y):
+            calls.setdefault(name, []).append(np.shape(x))
+            return func(x, y)
+        return call
+
+    return ProblemData(**{name: counted(name, func) for name, func in vars(data).items()}), calls
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_each_point_set_is_mapped_and_evaluated_once(monkeypatch, method, degree):
+    mesh, scheme = generate_disk_mesh(3), Scheme(method, degree=degree)
+    dofmap, basis = build_dofmap(mesh, degree, scheme.continuous), reference_basis(degree)
+    mapped, physical_points = [], Mesh.physical_points
+    monkeypatch.setattr(Mesh, "physical_points", lambda self, ref: mapped.append(len(ref)) or physical_points(self, ref))
+    nq, ne = len(triangle_rule(6).points), len(edge_rule(8).points)
+    volume, boundary = (mesh.n_triangles, nq), (ne, len(mesh.boundary_edges))
+    interior = [(ne, len(mesh.interior_edges))] if method is DG else []
+
+    # the rule-6 points once, and each data call on a whole point set: the volume, then each edge table
+    data, calls = _counting(get_problem("sinsin_flux").make_data(0.5))
+    error_report(mesh, scheme, data, np.linspace(-1.0, 1.0, dofmap.n_dofs), dofmap)
+    assert mapped == [nq] and calls == {"exact_grad": [volume, boundary] + interior, "exact_u": [volume, boundary]}
+
+    mapped.clear()
+    data, calls = _counting(get_problem("sinsin_flux").make_data(0.5))
+    assemble_load(mesh, dofmap, basis, scheme, data)
+    robin = (len(edge_rule(4 if degree == 1 else 8).points), len(mesh.boundary_edges))
+    assert len(mapped) == 1 and calls == {"f": [(mesh.n_triangles, mapped[0])], "u0": [robin], "g": [robin]}
+
+    mapped.clear()
+    data, calls = _counting(get_problem("sinsin_flux").make_data(0.5))
+    consistency_residual(mesh, scheme, data)
+    assert mapped == [nq]
+    assert calls == {"exact_grad": [volume, boundary] + interior, "f": [volume], "exact_u": [boundary],
+                     "u0": [boundary], "g": [boundary]}

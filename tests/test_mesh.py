@@ -573,6 +573,8 @@ NON_INTEGER_COUNTS = {  # each a count argument that is not an integer
     "cg iterations True": (InvalidParameter, lambda: SolverConfig(max_iterations=True)),
     "degree 2.0": (InvalidParameter, lambda: Scheme(Method.NITSCHE, degree=2.0)),
     "degree True": (InvalidParameter, lambda: Scheme(Method.NITSCHE, degree=True)),
+    "dof map degree 2.0": (InvalidParameter, lambda: build_dofmap(generate_disk_mesh(2), 2.0, True)),
+    "dof map degree True": (InvalidParameter, lambda: build_dofmap(generate_disk_mesh(2), True, False)),
 }
 
 
@@ -581,6 +583,38 @@ def test_a_non_integer_count_is_a_typed_error(name):
     error, call = NON_INTEGER_COUNTS[name]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("degree, continuous", [(3, True), (3, False), (0, False), (0, True), (-1, True)])
+def test_a_dof_map_has_degree_1_or_2(degree, continuous):
+    with pytest.raises(InvalidParameter, match="degree must be the integer 1 or 2"):
+        build_dofmap(generate_disk_mesh(2), degree, continuous)
+
+
+_CORNERS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+NOT_REAL_NUMBERS = {  # each an argument that is not a real number, or not an array of them
+    "epsilon str": lambda: Scheme(Method.NITSCHE, epsilon="1"),
+    "epsilon None": lambda: Scheme(Method.NITSCHE, epsilon=None),
+    "epsilon complex": lambda: Scheme(Method.SIPDG, epsilon=1 + 0j),
+    "gamma str": lambda: Scheme(Method.NITSCHE, gamma="0.1"),
+    "gamma complex": lambda: Scheme(Method.SIPDG, gamma=np.complex128(0.1)),
+    "vertices str": lambda: Mesh([["0", "0"], ["1", "0"], ["0", "1"]], [[0, 1, 2]]),
+    "vertices ragged": lambda: Mesh([[0.0, 0.0], [1.0], [0.0, 1.0]], [[0, 1, 2]]),
+    "vertices complex": lambda: Mesh(np.array(_CORNERS) + 1j, [[0, 1, 2]]),
+    "triangles ragged": lambda: Mesh(_CORNERS, [[0, 1, 2], [0, 1]]),
+    "matrix complex": lambda: solve((sp.identity(2, format="csr") * (1 + 1j), np.ones(2))),
+    "dense matrix complex": lambda: solve((np.eye(2) * (1 + 1j), np.ones(2))),
+    "rhs column": lambda: solve((sp.identity(2, format="csr"), np.ones((2, 1)))),
+    "rhs object": lambda: solve((sp.identity(2, format="csr"), np.array([1.0, 2.0], dtype=object))),
+    "rhs str": lambda: solve((sp.identity(2, format="csr"), np.array(["1", "2"]))),
+    "rhs complex": lambda: solve((sp.identity(2, format="csr"), np.ones(2) + 1j)),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_REAL_NUMBERS))
+def test_an_argument_that_is_not_real_is_a_typed_error(name):
+    with pytest.raises(InvalidParameter):
+        NOT_REAL_NUMBERS[name]()
 
 
 # str.split also splits a row at each of these; write_mesh separates fields by one space

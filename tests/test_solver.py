@@ -185,6 +185,12 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(InvalidParameter):
         solve((sp.identity(3, format="csr"), np.ones(4)))
+    # the enum members themselves, and a tolerance that is a real number
+    for bad in (dict(method="dense"), dict(method="qr"), dict(method=Preconditioner.NONE),
+                dict(preconditioner="none"), dict(preconditioner=SolverMethod.CG), dict(preconditioner=None),
+                dict(rel_tolerance="1e-8"), dict(rel_tolerance=None), dict(rel_tolerance=1e-8 + 0j)):
+        with pytest.raises(InvalidParameter):
+            SolverConfig(**bad)
 
 
 @pytest.mark.parametrize("tol", [1e-300, 1e-17, 0.5 * np.finfo(float).eps])
