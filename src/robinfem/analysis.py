@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _check_space, _edge_error_sq
-from .errors import DegenerateSequence, MissingExactSolution
+from .assembly import Method, _check_space, _edge_error_sq, _require_exact
+from .errors import DegenerateSequence
 from .felib import build_dofmap, reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
@@ -36,11 +36,6 @@ class ErrorReport:
     eoc_l2: Optional[float] = None
 
 
-def _require_exact(data):
-    if data.exact_u is None or data.exact_grad is None:
-        raise MissingExactSolution("error norms need exact_u and exact_grad")
-
-
 def _volume_error_sq(mesh, data, solution, dofmap):
     """(gradient, L2): the squared broken H1-seminorm and L2 errors, from one
     mapping of the rule-6 points and one call of exact_grad and exact_u."""
@@ -56,7 +51,7 @@ def _volume_error_sq(mesh, data, solution, dofmap):
 
 def l2_error(mesh, data, solution, dofmap):
     """L2 distance between the exact solution and the finite element one."""
-    _require_exact(data)
+    _require_exact(data, "error norms need")
     _check_space(mesh, dofmap, dofmap.degree, solution)
     return math.sqrt(_volume_error_sq(mesh, data, solution, dofmap)[1])
 
@@ -75,7 +70,7 @@ def energy_error(mesh, scheme, data, solution, dofmap=None):
 
 def _errors(mesh, scheme, data, solution, dofmap):
     """(L2 error, energy error, its squared components) of one solution."""
-    _require_exact(data)
+    _require_exact(data, "error norms need")
     dofmap = build_dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
     _check_space(mesh, dofmap, scheme.degree, solution)
     grad_sq, l2_sq = _volume_error_sq(mesh, data, solution, dofmap)

@@ -119,8 +119,9 @@ class Scheme:
         if not (is_count(self.degree, 1) and self.degree <= 2):
             raise InvalidParameter(f"degree must be the integer 1 or 2, got {self.degree!r}")
         for name in ("epsilon", "gamma"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InvalidParameter(f"{name} must be a real number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):  # a bool is a numbers.Real
+                raise InvalidParameter(f"{name} must be a real number, got {value!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InvalidParameter(f"epsilon must be positive, got {self.epsilon}")
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
@@ -397,6 +398,12 @@ def _check_space(mesh, dofmap, degree, solution=None):
         raise InvalidParameter(f"the solution has shape {np.shape(solution)}, the dof map {dofmap.n_dofs} dofs")
 
 
+def _require_exact(data, needs):
+    """Raise MissingExactSolution, its message opening with `needs`, unless data has exact_u and exact_grad."""
+    if data.exact_u is None or data.exact_grad is None:
+        raise MissingExactSolution(f"{needs} exact_u and exact_grad")
+
+
 def assemble_volume(mesh, dofmap, basis):
     """Stiffness contribution (grad w, grad v) over all elements."""
     _check_space(mesh, dofmap, basis.degree)
@@ -508,8 +515,7 @@ def consistency_residual(mesh, scheme, data):
     that fills the domain exactly this is quadrature-level small; on the
     disk it measures the boundary-skin perturbation.
     """
-    if data.exact_u is None or data.exact_grad is None:
-        raise MissingExactSolution("consistency check needs exact_u and exact_grad")
+    _require_exact(data, "consistency check needs")
     basis, dofmap = reference_basis(scheme.degree), build_dofmap(mesh, scheme.degree, scheme.continuous)
     vrule = triangle_rule(6)
 

@@ -68,26 +68,24 @@ class MissingExactSolution(RobinFemError):
     """Problem data has no exact solution to compare against."""
 
 
-class NotConverged(RobinFemError):
-    """Iterative solver exhausted its iteration budget.
-
-    The relative residual history is attached as ``residual_history``.
-    """
+class _SolverFailure:
+    """The relative residual history of a failed solve, as ``residual_history``;
+    a mixin, so that each solver failure stays a direct RobinFemError subclass."""
 
     def __init__(self, message, residual_history=None):
         self.residual_history = list(residual_history or [])
         super().__init__(message)
 
 
-class IndefiniteMatrix(RobinFemError):
+class NotConverged(_SolverFailure, RobinFemError):
+    """Iterative solver exhausted its iteration budget."""
+
+
+class IndefiniteMatrix(_SolverFailure, RobinFemError):
     """Matrix is not positive definite (coercivity failure, gamma too large).
 
     Carries the CG residual history accumulated before detection, if any.
     """
-
-    def __init__(self, message, residual_history=None):
-        self.residual_history = list(residual_history or [])
-        super().__init__(message)
 
 
 class TooLarge(RobinFemError):

@@ -212,6 +212,8 @@ def build_dofmap(mesh, degree, continuous):
     """Build the dof map for P1/P2, continuous or element-local, on a mesh."""
     if not (is_count(degree, 1) and degree <= 2):
         raise InvalidParameter(f"degree must be the integer 1 or 2, got {degree!r}")
+    if not isinstance(continuous, (bool, np.bool_)):
+        raise InvalidParameter(f"continuous must be a bool, got {continuous!r}")
     triangles = np.asarray(mesh.triangles)
     n_tri = len(triangles)
     n_vert = len(mesh.vertices)

@@ -43,37 +43,34 @@ class Domain:
     kind: DomainKind
 
     def signed_distance(self, points):
-        """Signed distance to the boundary: negative inside, zero on it."""
-        pts, single = _as_points(points)
+        """Signed distance to the boundary, (..., 2) -> (...): negative inside, zero on it."""
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
         if self.kind is DomainKind.UNIT_DISK:
-            d = np.hypot(pts[:, 0], pts[:, 1]) - 1.0
-        else:
-            dx = np.maximum(-pts[:, 0], pts[:, 0] - 1.0)
-            dy = np.maximum(-pts[:, 1], pts[:, 1] - 1.0)
-            outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
-            inside = np.minimum(np.maximum(dx, dy), 0.0)
-            d = outside + inside
-        return d[0] if single else d
+            return np.hypot(x, y) - 1.0
+        dx = np.maximum(-x, x - 1.0)
+        dy = np.maximum(-y, y - 1.0)
+        outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+        inside = np.minimum(np.maximum(dx, dy), 0.0)
+        return outside + inside
 
     def project(self, points):
-        """Orthogonal projection onto the boundary, for points in the tube."""
-        pts, single = _as_points(points)
+        """Orthogonal projection onto the boundary, (..., 2) -> (..., 2), for points in the tube."""
+        pts = np.asarray(points, dtype=float)
         if np.any(np.abs(self.signed_distance(pts)) >= _PROJECTION_TUBE):
             raise DegenerateProjection(
                 f"point outside the projection tube |d| < {_PROJECTION_TUBE}"
             )
         nu = self.normal_field(pts)
         if self.kind is DomainKind.UNIT_DISK:
-            proj = nu
-        else:
-            # inside, move onto the nearest side; on or outside the square, clamp
-            onto_side = np.where(nu != 0.0, 0.5 * (nu + 1.0), pts)
-            outside = np.any((pts <= 0.0) | (pts >= 1.0), axis=1, keepdims=True)
-            proj = np.where(outside, np.clip(pts, 0.0, 1.0), onto_side)
-        return proj[0] if single else proj
+            return nu
+        # inside, move onto the nearest side; on or outside the square, clamp
+        onto_side = np.where(nu != 0.0, 0.5 * (nu + 1.0), pts)
+        outside = np.any((pts <= 0.0) | (pts >= 1.0), axis=-1, keepdims=True)
+        return np.where(outside, np.clip(pts, 0.0, 1.0), onto_side)
 
     def normal(self, points):
-        """Outward unit normal at points on the boundary."""
+        """Outward unit normal at points on the boundary, (..., 2) -> (..., 2)."""
         d = np.abs(self.signed_distance(points))
         if np.any(d > _ON_BOUNDARY_TOL):
             raise NotOnBoundary(f"point at signed distance {np.max(d):.3e} from the boundary")
@@ -95,13 +92,6 @@ class Domain:
 
 # outward normals of the square's sides: left, bottom, top, right
 _SIDE_NORMALS = np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [1.0, 0.0]])
-
-
-def _as_points(points):
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
 
 
 def unit_disk():
@@ -129,18 +119,14 @@ class SkinDiagnostics:
 def skin_diagnostics(domain, mesh):
     """Sample boundary edges of a mesh against the exact domain boundary."""
     edges = mesh.boundary_edges
-    if not edges:
-        return SkinDiagnostics(0.0, 0.0, 0.0)
     rule = edge_rule(8)
     a, b = np.asarray(mesh.vertices)[edges.vertex_ids.T]
-    # points edge by edge, rule points in order within each edge
-    pts = (a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]).reshape(-1, 2)
-    normals_h = np.repeat(edges.normal, len(rule.points), axis=0)
+    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]  # (E, q, 2)
     dist = domain.signed_distance(pts)
     proj = domain.project(pts)
     nu = domain.normal(proj)
     return SkinDiagnostics(
         max_abs_distance=float(np.max(np.abs(dist))),
-        max_normal_deviation=float(np.max(np.linalg.norm(normals_h - nu, axis=1))),
-        max_tstar=float(np.max(np.linalg.norm(pts - proj, axis=1))),
+        max_normal_deviation=float(np.max(np.linalg.norm(edges.normal[:, None, :] - nu, axis=-1))),
+        max_tstar=float(np.max(np.linalg.norm(pts - proj, axis=-1))),
     )

@@ -95,44 +95,40 @@ def write_svg(reports, path):
     width, height = 640.0, 480.0
     left, right, top, bottom = 80.0, 20.0, 20.0, 60.0
     hs = [r.h_max for r in reports]
-    series = [  # legend, colour, errors
-        ("energy error", "#1f77b4", [r.err_energy for r in reports]),
-        ("L2 error", "#d62728", [r.err_l2 for r in reports]),
+    xs = [math.log10(h) for h in hs]
+    series = [  # legend, colour, decades of the errors
+        ("energy error", "#1f77b4", [math.log10(r.err_energy) for r in reports]),
+        ("L2 error", "#d62728", [math.log10(r.err_l2) for r in reports]),
     ]
-    slopes = [  # dashes, and the slope-p line through 0.7 times the coarsest energy error
-        (dash, [0.7 * reports[0].err_energy * (h / hs[0]) ** p for h in hs])
+    slopes = [  # dashes, and the decades at both ends of the slope-p line through 0.7 times the coarsest energy error
+        (dash, [math.log10(0.7 * reports[0].err_energy * (h / hs[0]) ** p) for h in (hs[0], hs[-1])])
         for p, dash in ((1, "6 4"), (2, "2 3"))
     ]
-    values = [e for _, _, errs in series for e in errs] + [ref[k] for _, ref in slopes for k in (0, -1)]
-    xs = [math.log10(h) for h in hs]
-    ys = [math.log10(e) for e in values if e > 0.0]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
-    x_pad = 0.05 * (x_max - x_min)
-    y_pad = 0.05 * (y_max - y_min)
-    x_min, x_max = x_min - x_pad, x_max + x_pad
-    y_min, y_max = y_min - y_pad, y_max + y_pad
 
-    def sx(h):
-        t = (math.log10(h) - x_min) / (x_max - x_min)
-        return left + t * (width - left - right)
+    def padded(decades):  # the range, widened by 5 % at each end
+        lo, hi = min(decades), max(decades)
+        return lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
 
-    def sy(e):
-        t = (math.log10(e) - y_min) / (y_max - y_min)
-        return height - bottom - t * (height - top - bottom)
+    x_min, x_max = padded(xs)
+    decades = [k for _, _, ks in series for k in ks] + [k for _, ref in slopes for k in ref]
+    y_min, y_max = padded([k for k in decades if not math.isnan(k)])  # a NaN error is drawn as "nan" but sets no range
+
+    def sx(k):  # the decade k = log10(h) on the page
+        return left + (k - x_min) / (x_max - x_min) * (width - left - right)
+
+    def sy(k):
+        return height - bottom - (k - y_min) / (y_max - y_min) * (height - top - bottom)
 
     def text(x, y, body, attributes, size=13):
         return f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" font-size="{size}" {attributes}>{body}</text>'
 
     tick_cmds, labels = [], []
     for k in range(math.ceil(x_min), math.floor(x_max) + 1):
-        px = left + (k - x_min) / (x_max - x_min) * (width - left - right)
-        tick_cmds.append(f"M {px:.2f} {height - bottom:.2f} v 6")
-        labels.append(text(px, height - bottom + 22, f"1e{k}", 'text-anchor="middle"'))
+        tick_cmds.append(f"M {sx(k):.2f} {height - bottom:.2f} v 6")
+        labels.append(text(sx(k), height - bottom + 22, f"1e{k}", 'text-anchor="middle"'))
     for k in range(math.ceil(y_min), math.floor(y_max) + 1):
-        py = height - bottom - (k - y_min) / (y_max - y_min) * (height - top - bottom)
-        tick_cmds.append(f"M {left:.2f} {py:.2f} h -6")
-        labels.append(text(left - 10, py + 4, f"1e{k}", 'text-anchor="end"'))
+        tick_cmds.append(f"M {left:.2f} {sy(k):.2f} h -6")
+        labels.append(text(left - 10, sy(k) + 4, f"1e{k}", 'text-anchor="end"'))
     frame = f"M {left:.2f} {top:.2f} H {width - right:.2f} V {height - bottom:.2f} H {left:.2f} Z"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -143,11 +139,11 @@ def write_svg(reports, path):
     ]
     for dash, ref in slopes:
         parts.append(
-            f'<line x1="{sx(hs[0]):.2f}" y1="{sy(ref[0]):.2f}" x2="{sx(hs[-1]):.2f}" y2="{sy(ref[-1]):.2f}" '
+            f'<line x1="{sx(xs[0]):.2f}" y1="{sy(ref[0]):.2f}" x2="{sx(xs[-1]):.2f}" y2="{sy(ref[-1]):.2f}" '
             f'stroke="#888888" stroke-dasharray="{dash}"/>'
         )
-    for _, colour, errs in series:
-        points = " ".join(f"{sx(h):.2f},{sy(e):.2f}" for h, e in zip(hs, errs))
+    for _, colour, ks in series:
+        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ks))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{colour}" stroke-width="2"/>')
     for row, (legend, colour, _) in enumerate(series, start=1):
         parts.append(text(width - right - 150.0, top + 20 * row, legend, f'fill="{colour}"'))

@@ -223,6 +223,8 @@ def test_error_norms_require_exact_solution():
         l2_error(mesh, data, np.zeros(dm.n_dofs), dm)
     with pytest.raises(MissingExactSolution):
         energy_error(mesh, Scheme(NIT), data, np.zeros(dm.n_dofs), dofmap=dm)
+    with pytest.raises(MissingExactSolution):
+        consistency_residual(mesh, Scheme(NIT), data)
 
 
 def test_zero_solution_of_zero_problem_has_zero_errors():

@@ -200,6 +200,8 @@ def test_volume_load_constant_source():
 
 
 def test_scheme_validation():
+    with pytest.raises(InvalidParameter, match="unknown method"):
+        Scheme("nitsche")
     with pytest.raises(InvalidParameter):
         Scheme(NIT, degree=3)
     with pytest.raises(InvalidParameter):

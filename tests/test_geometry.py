@@ -149,6 +149,26 @@ def test_normal_unit_length():
     np.testing.assert_allclose(norms, 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("domain", [unit_disk(), unit_square()], ids=["disk", "square"])
+def test_domain_methods_take_points_of_any_leading_shape(domain):
+    rng = np.random.default_rng(11)
+    if domain == unit_disk():  # radii 0.6 to 1.4, inside the projection tube
+        theta, r = rng.uniform(0.0, 2 * np.pi, (4, 5)), rng.uniform(0.6, 1.4, (4, 5))
+        pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    else:
+        pts = rng.uniform(-0.3, 1.3, (4, 5, 2))
+    on_boundary = domain.project(pts)
+    for method, points in [
+        (domain.signed_distance, pts), (domain.project, pts), (domain.normal_field, pts), (domain.normal, on_boundary)
+    ]:
+        got, flat = method(points), method(points.reshape(-1, 2))
+        assert got.shape == (4, 5) + flat.shape[1:]
+        np.testing.assert_array_equal(got, flat.reshape(got.shape))
+    # a single point gives a NumPy float or one (2,) array
+    assert type(domain.signed_distance(pts[0, 0])) is np.float64
+    assert domain.project(pts[0, 0]).shape == domain.normal(on_boundary[0, 0]).shape == (2,)
+
+
 def test_skin_diagnostics_against_chord_geometry():
     # boundary chords of the ring mesh subtend angle 2*alpha with
     # alpha = pi/(6N); the deepest sampled point is the chord midpoint

@@ -314,6 +314,8 @@ def test_mesh_validation():
         Mesh(verts, np.array([[0, 2, 1]]))  # clockwise, negative area
     with pytest.raises(InvalidParameter):
         Mesh(verts.ravel(), np.array([[0, 1, 2]]))
+    with pytest.raises(InvalidParameter, match=r"triangles must have shape \(n, 3\)"):
+        Mesh(verts, np.array([0, 1, 2]))
 
 
 @pytest.mark.parametrize(
@@ -591,13 +593,24 @@ def test_a_dof_map_has_degree_1_or_2(degree, continuous):
         build_dofmap(generate_disk_mesh(2), degree, continuous)
 
 
+@pytest.mark.parametrize("continuous", ["no", None, 1, 0, np.float64(1.0)], ids=repr)
+def test_a_dof_map_flag_is_a_bool(continuous):
+    # the flag was only tested for truth: "no" gave a continuous map and None a discontinuous one
+    mesh = generate_disk_mesh(2)
+    with pytest.raises(InvalidParameter, match="continuous must be a bool"):
+        build_dofmap(mesh, 2, continuous)
+    assert build_dofmap(mesh, 2, np.True_).n_dofs == build_dofmap(mesh, 2, True).n_dofs
+
+
 _CORNERS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 NOT_REAL_NUMBERS = {  # each an argument that is not a real number, or not an array of them
     "epsilon str": lambda: Scheme(Method.NITSCHE, epsilon="1"),
     "epsilon None": lambda: Scheme(Method.NITSCHE, epsilon=None),
     "epsilon complex": lambda: Scheme(Method.SIPDG, epsilon=1 + 0j),
+    "epsilon True": lambda: Scheme(Method.NITSCHE, epsilon=True),
     "gamma str": lambda: Scheme(Method.NITSCHE, gamma="0.1"),
     "gamma complex": lambda: Scheme(Method.SIPDG, gamma=np.complex128(0.1)),
+    "gamma True": lambda: Scheme(Method.NITSCHE, gamma=True),
     "vertices str": lambda: Mesh([["0", "0"], ["1", "0"], ["0", "1"]], [[0, 1, 2]]),
     "vertices ragged": lambda: Mesh([[0.0, 0.0], [1.0], [0.0, 1.0]], [[0, 1, 2]]),
     "vertices complex": lambda: Mesh(np.array(_CORNERS) + 1j, [[0, 1, 2]]),

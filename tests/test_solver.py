@@ -185,6 +185,8 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(InvalidParameter):
         solve((sp.identity(3, format="csr"), np.ones(4)))
+    with pytest.raises(InvalidParameter, match="prolongation rows"):
+        solve(SparseSystem(sp.identity(3, format="csr"), np.ones(3), None, sp.identity(2, format="csr")))
     # the enum members themselves, and a tolerance that is a real number
     for bad in (dict(method="dense"), dict(method="qr"), dict(method=Preconditioner.NONE),
                 dict(preconditioner="none"), dict(preconditioner=SolverMethod.CG), dict(preconditioner=None),
