@@ -86,18 +86,20 @@ def eoc(errors):
     """Observed convergence orders from a list of (h, error) pairs.
 
     Consecutive pairs give log(e_i/e_{i+1}) / log(h_i/h_{i+1}).  Raises
-    DegenerateSequence on nonpositive errors or nonincreasing mesh
-    sizes; pairs where both errors sit at rounding level give nan.
+    DegenerateSequence unless every h and error is a positive finite
+    number and the mesh sizes decrease; pairs where both errors sit at
+    rounding level give nan.
     """
     errors = list(errors)
     if len(errors) < 2:
         raise DegenerateSequence("need at least two (h, error) pairs")
+    for h, e in errors:
+        if not (0.0 < h < math.inf and 0.0 < e < math.inf):  # a NaN fails every comparison
+            raise DegenerateSequence(f"mesh sizes and errors must be positive and finite, got h={h}, error={e}")
     rates = []
     for (h0, e0), (h1, e1) in zip(errors, errors[1:]):
         if not (h1 < h0):
             raise DegenerateSequence(f"mesh sizes must decrease, got {h0} -> {h1}")
-        if e0 <= 0.0 or e1 <= 0.0:
-            raise DegenerateSequence(f"errors must be positive, got {e0} -> {e1}")
         if e0 < _PLATEAU and e1 < _PLATEAU:
             rates.append(float("nan"))
         else:

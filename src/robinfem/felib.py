@@ -121,7 +121,9 @@ class ReferenceBasis:
     """Lagrange basis of degree 1 or 2 on the reference triangle.
 
     Node ordering: the three vertices (0,0), (1,0), (0,1); for degree 2
-    additionally the edge midpoints (1/2,0), (1/2,1/2), (0,1/2).
+    additionally the edge midpoints (1/2,0), (1/2,1/2), (0,1/2), node 3+k
+    on the edge from vertex k to vertex k+1 (mod 3), as the dof map
+    numbers them.  The nodes are read-only rows of one table.
     """
 
     degree: int
@@ -133,40 +135,25 @@ class ReferenceBasis:
 
     def eval(self, points):
         """Basis values at reference points, shape (npoints, n_nodes)."""
-        points = np.atleast_2d(points)
-        lam = _barycentric(points)
+        lam = _barycentric(np.atleast_2d(points))
         if self.degree == 1:
             return lam
-        l0, l1, l2 = lam[:, 0], lam[:, 1], lam[:, 2]
-        return np.column_stack(
-            [
-                l0 * (2.0 * l0 - 1.0),
-                l1 * (2.0 * l1 - 1.0),
-                l2 * (2.0 * l2 - 1.0),
-                4.0 * l0 * l1,
-                4.0 * l1 * l2,
-                4.0 * l2 * l0,
-            ]
-        )
+        return np.concatenate([lam * (2.0 * lam - 1.0), 4.0 * lam * np.roll(lam, -1, axis=1)], axis=1)
 
     def eval_grad(self, points):
         """Reference gradients at reference points, shape (npoints, n_nodes, 2)."""
         points = np.atleast_2d(points)
-        m = len(points)
         if self.degree == 1:
-            return np.broadcast_to(_GRAD_LAMBDA, (m, 3, 2)).copy()
-        lam = _barycentric(points)
-        grads = np.empty((m, 6, 2))
-        for i in range(3):
-            grads[:, i, :] = (4.0 * lam[:, i, None] - 1.0) * _GRAD_LAMBDA[i]
-        for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-            grads[:, 3 + k, :] = 4.0 * (
-                lam[:, j, None] * _GRAD_LAMBDA[i] + lam[:, i, None] * _GRAD_LAMBDA[j]
-            )
-        return grads
+            return np.broadcast_to(_GRAD_LAMBDA, (len(points), 3, 2)).copy()
+        lam = _barycentric(points)[:, :, None]
+        vertices = (4.0 * lam - 1.0) * _GRAD_LAMBDA
+        edges = 4.0 * (np.roll(lam, -1, axis=1) * _GRAD_LAMBDA + lam * np.roll(_GRAD_LAMBDA, -1, axis=0))
+        return np.concatenate([vertices, edges], axis=1)
 
 
 _GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+_NODES.setflags(write=False)
 
 
 def _barycentric(points):
@@ -175,22 +162,10 @@ def _barycentric(points):
 
 
 def reference_basis(degree):
-    if degree == 1:
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    elif degree == 2:
-        nodes = np.array(
-            [
-                [0.0, 0.0],
-                [1.0, 0.0],
-                [0.0, 1.0],
-                [0.5, 0.0],
-                [0.5, 0.5],
-                [0.0, 0.5],
-            ]
-        )
-    else:
-        raise InvalidParameter(f"unsupported polynomial degree {degree}")
-    return ReferenceBasis(degree, nodes)
+    """The Lagrange basis of degree 1 (3 nodes) or 2 (6 nodes)."""
+    if not (is_count(degree, 1) and degree <= 2):
+        raise InvalidParameter(f"degree must be the integer 1 or 2, got {degree!r}")
+    return ReferenceBasis(degree, _NODES[:3] if degree == 1 else _NODES)
 
 
 @dataclass(frozen=True)
@@ -210,14 +185,12 @@ class DofMap:
 
 def build_dofmap(mesh, degree, continuous):
     """Build the dof map for P1/P2, continuous or element-local, on a mesh."""
-    if not (is_count(degree, 1) and degree <= 2):
-        raise InvalidParameter(f"degree must be the integer 1 or 2, got {degree!r}")
+    per_cell = reference_basis(degree).n_nodes
     if not isinstance(continuous, (bool, np.bool_)):
         raise InvalidParameter(f"continuous must be a bool, got {continuous!r}")
     triangles = np.asarray(mesh.triangles)
     n_tri = len(triangles)
     n_vert = len(mesh.vertices)
-    per_cell = 3 if degree == 1 else 6
     if not continuous:
         cell_dofs = np.arange(n_tri * per_cell, dtype=np.int64).reshape(n_tri, per_cell)
         return DofMap(False, degree, n_tri * per_cell, cell_dofs)

@@ -89,9 +89,13 @@ def write_svg(reports, path):
 
     Exactly two data polylines (energy and L2 error) and two dashed
     reference lines with slopes 1 and 2, anchored at the coarsest level.
+    Raises DegenerateSequence, as eoc does, unless every h and error is a
+    positive finite number and h decreases.
     """
     if len(reports) < 2:
         raise InvalidParameter("plot needs at least two levels")
+    for error in ("err_energy", "err_l2"):
+        eoc([(r.h_max, getattr(r, error)) for r in reports])
     width, height = 640.0, 480.0
     left, right, top, bottom = 80.0, 20.0, 20.0, 60.0
     hs = [r.h_max for r in reports]
@@ -111,7 +115,7 @@ def write_svg(reports, path):
 
     x_min, x_max = padded(xs)
     decades = [k for _, _, ks in series for k in ks] + [k for _, ref in slopes for k in ref]
-    y_min, y_max = padded([k for k in decades if not math.isnan(k)])  # a NaN error is drawn as "nan" but sets no range
+    y_min, y_max = padded(decades)
 
     def sx(k):  # the decade k = log10(h) on the page
         return left + (k - x_min) / (x_max - x_min) * (width - left - right)

@@ -71,6 +71,19 @@ def test_eoc_degenerate_sequences():
         eoc([(0.4, 0.1), (0.2, 0.0)])
     with pytest.raises(DegenerateSequence):
         eoc([(0.4, -0.1), (0.2, 0.05)])
+    # every h and error must be a positive finite number
+    nan, inf = float("nan"), float("inf")
+    for pairs in (
+        [(0.5, nan), (0.25, 0.1)],
+        [(0.5, 0.1), (0.25, nan)],
+        [(0.5, inf), (0.25, 0.1)],
+        [(inf, 0.1), (0.25, 0.05)],
+        [(0.5, 0.1), (nan, 0.05)],
+        [(0.5, 0.1), (0.0, 0.05)],
+        [(0.5, 0.1), (-0.25, 0.05)],
+    ):
+        with pytest.raises(DegenerateSequence):
+            eoc(pairs)
 
 
 def test_l2_error_of_constant():

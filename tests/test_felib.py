@@ -125,9 +125,84 @@ def test_p2_reproduces_quadratics():
     np.testing.assert_allclose(grads, q_grad(xi, eta), atol=1e-12)
 
 
+def reference_values(degree, points):
+    """The basis values written one node at a time: the reference for ReferenceBasis.eval."""
+    points = np.atleast_2d(points)
+    xi, eta = points[:, 0], points[:, 1]
+    l0, l1, l2 = 1.0 - xi - eta, xi, eta
+    if degree == 1:
+        return np.column_stack([l0, l1, l2])
+    return np.column_stack(
+        [
+            l0 * (2.0 * l0 - 1.0),
+            l1 * (2.0 * l1 - 1.0),
+            l2 * (2.0 * l2 - 1.0),
+            4.0 * l0 * l1,
+            4.0 * l1 * l2,
+            4.0 * l2 * l0,
+        ]
+    )
+
+
+def reference_gradients(degree, points):
+    """The basis gradients written one node at a time: the reference for ReferenceBasis.eval_grad."""
+    points = np.atleast_2d(points)
+    grad_lambda = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    if degree == 1:
+        return np.broadcast_to(grad_lambda, (len(points), 3, 2)).copy()
+    lam = reference_values(1, points)
+    grads = np.empty((len(points), 6, 2))
+    for i in range(3):
+        grads[:, i, :] = (4.0 * lam[:, i, None] - 1.0) * grad_lambda[i]
+    for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+        grads[:, 3 + k, :] = 4.0 * (lam[:, j, None] * grad_lambda[i] + lam[:, i, None] * grad_lambda[j])
+    return grads
+
+
+def random_reference_points(n, seed):
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0, 1, n)
+    return np.column_stack([xi, rng.uniform(0, 1, n) * (1 - xi)])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize(
+    "points",
+    [
+        random_reference_points(500, 3),
+        triangle_rule(2).points,
+        triangle_rule(4).points,
+        triangle_rule(6).points,
+        np.array([0.3, 0.2]),
+        np.zeros((0, 2)),
+    ],
+    ids=["random", "rule2", "rule4", "rule6", "one point", "no points"],
+)
+def test_basis_matches_per_node_formulas(degree, points):
+    basis = reference_basis(degree)
+    values, grads = basis.eval(points), basis.eval_grad(points)
+    assert values.dtype == grads.dtype == np.float64
+    assert np.array_equal(values, reference_values(degree, points))
+    assert np.array_equal(grads, reference_gradients(degree, points))
+
+
+def test_reference_nodes_are_one_read_only_table():
+    nodes = reference_basis(2).nodes
+    np.testing.assert_array_equal(reference_basis(1).nodes, nodes[:3])
+    # node 3+k is the midpoint of the edge from vertex k to vertex k+1 (mod 3), as the dof map numbers them
+    for k in range(3):
+        np.testing.assert_array_equal(nodes[3 + k], (nodes[k] + nodes[(k + 1) % 3]) / 2)
+    for degree in (1, 2):
+        nodes = reference_basis(degree).nodes
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0, 0] = 0.5
+
+
 def test_reference_basis_rejects_other_degrees():
-    with pytest.raises(InvalidParameter):
-        reference_basis(3)
+    for degree in (3, 0, -1, 1.0, 2.0, True, "1", None):
+        with pytest.raises(InvalidParameter, match="degree must be the integer 1 or 2"):
+            reference_basis(degree)
 
 
 def test_dofmap_counts_square():

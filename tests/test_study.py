@@ -1,5 +1,6 @@
 """Study driver and the CSV/SVG/solution writers."""
 
+import dataclasses
 import gc
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from robinfem import (
+    DegenerateSequence,
     InvalidParameter,
     Method,
     Scheme,
@@ -133,6 +135,31 @@ def test_svg_contents(tmp_path, sinsin_reports):
     assert path.read_bytes() == (tmp_path / "plot2.svg").read_bytes()
     with pytest.raises(InvalidParameter):
         write_svg(sinsin_reports[:1], tmp_path / "bad.svg")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("err_energy", 0.0),
+        ("err_l2", -1e-3),
+        ("err_energy", math.nan),
+        ("err_l2", math.inf),
+        ("h_max", 0.0),
+        ("h_max", -0.1),
+        ("h_max", math.nan),
+        ("h_max", "middle"),  # the middle level's h, so two levels share it
+    ],
+)
+@pytest.mark.parametrize("level", [0, 2])
+def test_svg_rejects_what_it_cannot_plot(tmp_path, sinsin_reports, field, value, level):
+    # no log-log plot shows these: the typed error comes before any file is written
+    reports = [dataclasses.replace(r) for r in sinsin_reports]
+    if value == "middle":
+        value = reports[1].h_max
+    setattr(reports[level], field, value)
+    with pytest.raises(DegenerateSequence):
+        write_svg(reports, tmp_path / "bad.svg")
+    assert not (tmp_path / "bad.svg").exists()
 
 
 def test_run_single_writes_artifacts(tmp_path):
