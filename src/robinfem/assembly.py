@@ -496,9 +496,13 @@ def norm_matrix(mesh, scheme, variant="energy"):
     """
     if variant not in ("energy", "augmented"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
+    return _matrix(mesh, scheme, _norm_coefs(mesh, scheme, variant), 8)
+
+
+def _norm_coefs(mesh, scheme, variant):
+    """The energy-norm coefficients, (E, m, m) per edge table of the scheme."""
     tables = _edge_tables(mesh, scheme.method)
-    coefs = [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables]
-    return _matrix(mesh, scheme, coefs, 8)
+    return [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables]
 
 
 def consistency_residual(mesh, scheme, data):
@@ -529,17 +533,11 @@ def consistency_residual(mesh, scheme, data):
         parts.append(_edge_vector(mesh, dofmap, basis, edges, form(scheme, edges), trace, 8))
     defect = _vector(parts, dofmap.n_dofs)
 
-    # the squared norms of phi_i: the block diagonals of the augmented Gram matrix (a block's
-    # dofs are distinct), on an edge table W = A^T diag(c) A times the diagonal columns of K
-    dofs, blocks = _volume_part(mesh, dofmap, basis)
-    parts = [(dofs, np.diagonal(blocks, axis1=1, axis2=2))]
-    for edges in _edge_tables(mesh, scheme.method):
-        _, _, lift, classes, (_, tensors) = _edge_kernel(mesh, basis, edges, 8)
-        w = (lift.transpose(0, 2, 1) * _norm_form(scheme, edges, "augmented")[:, None, :]) @ lift
-        dofs = _edge_dofs(dofmap, edges)
-        w = w.reshape(len(edges), tensors.shape[1])
-        parts.append((dofs, _per_class(classes, w, tensors[:, :, :: dofs.shape[1] + 1])))
-    gram_diag = _vector(parts, dofmap.n_dofs)
+    # the squared norms of phi_i: the diagonal of the augmented Gram matrix, from
+    # the block diagonals of its parts (the dofs of one block are distinct)
+    tables = zip(_edge_tables(mesh, scheme.method), _norm_coefs(mesh, scheme, "augmented"))
+    blocks = [_volume_part(mesh, dofmap, basis)] + [_edge_part(mesh, dofmap, basis, e, c, 8) for e, c in tables]
+    gram_diag = _vector([(d, np.diagonal(b, axis1=1, axis2=2)) for d, b in blocks], dofmap.n_dofs)
     return float(np.max(np.abs(defect) / np.sqrt(gram_diag)))
 
 

@@ -162,6 +162,14 @@ def test_svg_rejects_what_it_cannot_plot(tmp_path, sinsin_reports, field, value,
     assert not (tmp_path / "bad.svg").exists()
 
 
+@pytest.mark.parametrize("order", [[2, 1, 0], [0, 2, 1]])  # ascending h, then non-monotone h
+def test_svg_rejects_mesh_sizes_that_do_not_decrease(tmp_path, sinsin_reports, order):
+    # the plot reads coarsest first, as eoc does
+    with pytest.raises(DegenerateSequence):
+        write_svg([sinsin_reports[i] for i in order], tmp_path / "bad.svg")
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_run_single_writes_artifacts(tmp_path):
     mesh_path = tmp_path / "out.mesh"
     sol_path = tmp_path / "solution.txt"
