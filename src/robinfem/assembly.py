@@ -36,13 +36,28 @@ the boundary load is thus l(v) = b_Robin((u0 + eps*g, 0), v).  The
 volume stiffness is the same contraction on each element, whose map
 x = v0 + B xi, det B and B^-1 live on the Mesh.
 
-Every matrix form contributes (dofs, blocks) triplets, every load or
-residual (dofs, values) parts, and every matrix and every vector is one
-bincount of them, which adds each entry's terms in input order.  The
-triplets of all the forms on one space share one sort of the int64 key
-row*n + col (stable only for speed), which gives the CSR pattern and the
-CSR entry (slot) of every triplet; the pattern is structural (exact-zero
-sums are kept); a vector needs no sort, its dofs are its bins.  The space
+Every form contributes (elements, blocks) parts, and every load or
+residual (elements, values) parts: a row per element or edge over the
+dofs of its k elements.  Every matrix and every vector is one bincount
+of them, which adds each entry's terms in input order.  All the forms on
+one space share one pattern, from one sort.  In a discontinuous space
+element t owns the dofs t*nb .. t*nb + nb - 1 (the forms refuse a
+discontinuous DofMap numbered otherwise), so the sort is of the element
+pairs (t, t') of the parts, by the int64 key t*T + t' (stable
+only for speed): 43k keys, not 385k dof triplets, for SIPDG P1 on 6144
+triangles.  It gives the block CSR pattern (bptr, bind) and the block
+slot s of every pair; each block then expands by arithmetic.  Row
+t*nb + i lists the columns nb*bind + j of block row t, and the triplet
+(s, i, j) is CSR entry nb ((nb - 1) bptr[t] + s) + i nb blen[t] + j
+(slot), with blen[t] the blocks in row t.  A continuous space is the
+case nb = 1: its sort is of the dof pairs, and the expansion is the
+identity.  The pattern is structural (exact-zero sums are kept); a
+vector needs no sort, its dofs are its bins.
+
+What no form, rule or degree changes on an edge table (the class tuple
+of every edge, its edges grouped per class tuple by one stable sort, and
+the trace coefficients A) is found once and memoized in a table keyed
+weakly by the EdgeTable, so it lives as long as the mesh.  The space
 of a mesh, degree and method is built on first use and memoized in a
 table keyed weakly by the Mesh, so it lives as long as the mesh: basis,
 dof map, continuous-P1 prolongation, the volume stiffness summed onto the
@@ -255,29 +270,49 @@ def _edge_tensors(degree, order, k):
     return diag.reshape(n, nq * 3 * k, k * nb), tensors
 
 
+_EDGE_FACTS = weakref.WeakKeyDictionary()  # EdgeTable -> _edge_facts result
+
+
+def _edge_facts(mesh, edges):
+    """What no form, rule or degree changes on an edge table of mesh, memoized
+    in a table keyed weakly by the EdgeTable: the class tuple (E,) of every
+    edge, its edges grouped per class tuple ((c, ascending edge ids), by one
+    stable sort) and the trace coefficients A (E, m, 3k) (side sigma, v1 on
+    element_ids[:, 0], in columns 3 sigma ..).  All read-only."""
+    if edges not in _EDGE_FACTS:
+        frame, k = _edge_frame(edges), edges.element_ids.shape[1]
+        lift, classes = np.zeros((len(edges), frame.shape[2] + 1, 3 * k)), 0
+        for side, elems in enumerate(edges.element_ids.T):
+            a, b = (np.argmax(mesh.triangles[elems] == v[:, None], axis=1) for v in edges.vertex_ids.T)
+            classes = len(_CLASSES) * classes + 2 * a + b - (b > a)  # the index of (a, b) in _CLASSES
+            lift[:, 0, 3 * side] = -1.0 if side else 1.0
+            lift[:, 1:, 3 * side + 1:3 * side + 3] = (mesh.invB[elems] @ frame).transpose(0, 2, 1) / k
+        order = np.argsort(classes, kind="stable")
+        cuts = np.flatnonzero(np.diff(classes[order])) + 1
+        groups = [(int(classes[ids[0]]), ids) for ids in np.split(order, cuts) if len(ids)]
+        for array in [classes, lift] + [ids for _, ids in groups]:
+            array.setflags(write=False)
+        _EDGE_FACTS[edges] = classes, tuple(groups), lift
+    return _EDGE_FACTS[edges]
+
+
 def _edge_kernel(mesh, basis, edges, order=None):
     """One edge table under edge rule order (by default the degree's): the
-    rule points x (q, E, 2) and weights, the trace coefficients A (E, m, 3k)
-    (side sigma, v1 on element_ids[:, 0], in columns 3 sigma ..), the class
-    tuple (E,) of every edge and the (T, K) of _edge_tensors."""
+    rule points x (q, E, 2) and weights, the trace coefficients A and the
+    class-tuple groups of _edge_facts, and the (T, K) of _edge_tensors."""
     order = order or (4 if basis.degree == 1 else 8)
-    rule, frame, k = edge_rule(order), _edge_frame(edges), edges.element_ids.shape[1]
-    lift, classes = np.zeros((len(edges), frame.shape[2] + 1, 3 * k)), 0
-    for side, elems in enumerate(edges.element_ids.T):
-        a, b = (np.argmax(mesh.triangles[elems] == v[:, None], axis=1) for v in edges.vertex_ids.T)
-        classes = len(_CLASSES) * classes + 2 * a + b - (b > a)  # the index of (a, b) in _CLASSES
-        lift[:, 0, 3 * side] = -1.0 if side else 1.0
-        lift[:, 1:, 3 * side + 1:3 * side + 3] = (mesh.invB[elems] @ frame).transpose(0, 2, 1) / k
+    rule, k = edge_rule(order), edges.element_ids.shape[1]
+    _, groups, lift = _edge_facts(mesh, edges)
     pa, pb = mesh.vertices[edges.vertex_ids.T]
     points = pa + rule.points[:, None, None] * (pb - pa)
-    return points, rule.weights, lift, classes, _edge_tensors(basis.degree, order, k)
+    return points, rule.weights, lift, groups, _edge_tensors(basis.degree, order, k)
 
 
-def _per_class(classes, rows, tensors):
-    """rows[e] @ tensors[classes[e]] for every edge e: one GEMM per class tuple."""
+def _per_class(groups, rows, tensors):
+    """rows[e] @ tensors[c] for every edge e of class tuple c: one GEMM per group."""
     out = np.empty((len(rows), tensors.shape[2]))
-    for c in np.unique(classes):
-        out[classes == c] = rows[classes == c] @ tensors[c]
+    for c, ids in groups:
+        out[ids] = rows[ids] @ tensors[c]
     return out
 
 
@@ -307,42 +342,54 @@ def _edge_dofs(dofmap, edges):
     return dofmap.cell_dofs[edges.element_ids].reshape(len(edges), width)
 
 
-def _edge_part(mesh, dofmap, basis, edges, coef, order=None):
-    """The (dofs, blocks) part sum_q w_q t^T C t of one edge table: per
+def _edge_part(mesh, basis, edges, coef, order=None):
+    """The (elements, blocks) part sum_q w_q t^T C t of one edge table: per
     class tuple, the W = A^T C A of its edges times its K."""
-    _, _, lift, classes, (_, tensors) = _edge_kernel(mesh, basis, edges, order)
+    _, _, lift, groups, (_, tensors) = _edge_kernel(mesh, basis, edges, order)
     w = (lift.transpose(0, 2, 1) @ coef @ lift).reshape(len(edges), tensors.shape[1])
-    dofs = _edge_dofs(dofmap, edges)
-    return dofs, _per_class(classes, w, tensors).reshape(-1, dofs.shape[1], dofs.shape[1])
+    width = edges.element_ids.shape[1] * basis.n_nodes
+    return edges.element_ids, _per_class(groups, w, tensors).reshape(-1, width, width)
 
 
-def _edge_vector(mesh, dofmap, basis, edges, coef, trace, order=None):
-    """The (dofs, values) part sum_q w_q (C d).t, with d = trace(x) on all rule
-    points x (q, E, 2) at once: per class tuple, w_q A^T C d times its T."""
-    points, weights, lift, classes, (tables, _) = _edge_kernel(mesh, basis, edges, order)
+def _edge_vector(kernel, coef, trace):
+    """The values sum_q w_q (C d).t (E, k*nb) of one edge kernel, with d =
+    trace(x) on all its rule points x (q, E, 2) at once: per class tuple,
+    w_q A^T C d times its T."""
+    points, weights, lift, groups, (tables, _) = kernel
     z = weights[:, None, None] * (lift.transpose(0, 2, 1) @ coef @ trace(points)[..., None])[..., 0]  # (q, E, 3k)
-    z = z.transpose(1, 0, 2).reshape(len(edges), tables.shape[1])
-    return _edge_dofs(dofmap, edges), _per_class(classes, z, tables)
+    return _per_class(groups, z.transpose(1, 0, 2).reshape(len(lift), tables.shape[1]), tables)
+
+
+def _edge_diagonal(kernel, coef):
+    """The diagonals (E, k*nb) of the blocks sum_q w_q t^T C t of one edge
+    kernel, for diagonal coefficients coef (E, m), with no block formed: per
+    class tuple, the W = A^T C A of its edges times the diagonal of its K,
+    sum_q w_q T_ra T_sa = K[(r, s), (a, a)]."""
+    _, _, lift, groups, (tables, tensors) = kernel
+    w = (lift.transpose(0, 2, 1) @ (coef[:, :, None] * lift)).reshape(len(lift), tensors.shape[1])
+    width = tables.shape[2]
+    return _per_class(groups, w, np.diagonal(tensors.reshape(len(tensors), -1, width, width), axis1=2, axis2=3))
 
 
 def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
     """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
     with e the exact trace minus the trace A T c of the dof vector solution."""
-    points, weights, lift, classes, (tables, _) = _edge_kernel(mesh, reference_basis(scheme.degree), edges, 8)
-    ref = _per_class(classes, solution[_edge_dofs(dofmap, edges)], tables.transpose(0, 2, 1))
+    points, weights, lift, groups, (tables, _) = _edge_kernel(mesh, reference_basis(scheme.degree), edges, 8)
+    ref = _per_class(groups, solution[_edge_dofs(dofmap, edges)], tables.transpose(0, 2, 1))
     uh = (lift[:, None] @ ref.reshape(len(edges), len(weights), lift.shape[2], 1))[..., 0]  # (E, q, m)
     e = _exact_trace(data, edges, points) - uh.transpose(1, 0, 2)  # (q, E, m)
     # summed over E, then over q in rule order
     return np.sum(weights[:, None] * np.sum(_norm_form(scheme, edges, "augmented") * e * e, axis=1), axis=0).tolist()
 
 
-def _sort(dofs, n):
-    """The CSR pattern of (E, k, k) blocks on (E, k) dofs, from one stable sort
-    (any sort gives the same; stable is the fastest here) of the keys row*n + col:
-    (slots, indices, indptr), slots the CSR entry of every triplet in block order."""
-    ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in dofs])
+def _sort(ids, n):
+    """The CSR pattern of (E, k, k) blocks on (E, k) ids below n, from one
+    stable sort (any sort gives the same; stable is the fastest here) of the
+    keys row*n + col: (slots, indices, indptr), slots the CSR entry of every
+    triplet in block order."""
+    ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in ids])
     keys = np.empty(ends[-1], dtype=np.int64)
-    for d, a, b in zip(dofs, ends, ends[1:]):
+    for d, a, b in zip(ids, ends, ends[1:]):
         np.add(d[:, :, None] * n, d[:, None, :], out=keys[a:b].reshape(len(d), d.shape[1], d.shape[1]))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -355,23 +402,57 @@ def _sort(dofs, n):
     return slots, cols.astype(itype), indptr.astype(itype)
 
 
-def _compress(parts, n):
-    """Deterministic COO -> CSR of the (dofs, blocks) parts: one bincount
+def _pattern(elements, dofmap):
+    """_sort's (slots, indices, indptr) of the (E, k*nb, k*nb) blocks of parts
+    on (E, k) elements, from a sort of blocks of nb dofs: in a discontinuous
+    space element t owns the block t*nb .. t*nb + nb - 1, so the elements are
+    sorted and each element block is expanded to its nb x nb entries by
+    arithmetic; a continuous space is the case nb = 1, its dofs the blocks."""
+    if dofmap.continuous:  # nb = 1: the expansion is the identity
+        return _sort([dofmap.cell_dofs[e].reshape(len(e), -1) for e in elements], dofmap.n_dofs)
+    nb, n_blocks = dofmap.cell_dofs.shape[1], len(dofmap.cell_dofs)
+    bslots, bind, bptr = _sort(elements, n_blocks)
+    itype = np.int32 if max(dofmap.n_dofs, nb * nb * len(bslots)) <= np.iinfo(np.int32).max else np.int64
+    bslots, bind, bptr = bslots.astype(itype), bind.astype(itype), bptr.astype(itype)
+    local, blen = np.arange(nb, dtype=itype), np.diff(bptr)
+    # row t*nb + i starts at nb^2 bptr[t] + i nb blen[t] and lists nb*bind + j for every block of block row t
+    starts = nb * nb * bptr[:-1, None] + nb * blen[:, None] * local
+    indptr = np.append(starts.ravel(), nb * nb * bptr[-1])
+    block_cols = (nb * bind[:, None] + local).ravel()
+    source = np.repeat((nb * bptr[:-1, None] - starts).ravel(), np.repeat(nb * blen, nb))
+    indices = block_cols[source + np.arange(len(source), dtype=itype)]
+    # triplet (block slot s in block row t, local i, j) sits at nb (nb - 1) bptr[t] + i nb blen[t] + nb s + j
+    slots, ends = np.empty(nb * nb * len(bslots), dtype=itype), np.cumsum([0] + [e.size * e.shape[1] for e in elements])
+    for e, a, b in zip(elements, ends, ends[1:]):
+        k = e.shape[1]
+        row = nb * (nb - 1) * bptr[e][:, :, None] + nb * blen[e][:, :, None] * local  # (E, k, nb)
+        col = (nb * bslots[a:b, None] + local).reshape(len(e), k, 1, k * nb)
+        np.add(row[..., None], col, out=slots[nb * nb * a:nb * nb * b].reshape(len(e), k, nb, k * nb))
+    return slots, indices, indptr
+
+
+def _compress(parts, dofmap):
+    """Deterministic COO -> CSR of the (elements, blocks) parts: one bincount
     over the slots sums each entry's triplets in input order."""
-    slots, indices, indptr = _sort([d for d, _ in parts], n)
+    slots, indices, indptr = _pattern([e for e, _ in parts], dofmap)
     values = np.bincount(slots, np.concatenate([b.ravel() for _, b in parts]), len(indices))
-    return sp.csr_matrix((values, indices, indptr), shape=(n, n))
+    return sp.csr_matrix((values, indices, indptr), shape=(dofmap.n_dofs, dofmap.n_dofs))
 
 
-def _vector(parts, n):
-    """The length-n sum of the (dofs, values) parts: one bincount adds each
-    dof's values in part order."""
-    dofs, values = zip(*parts)
-    return np.bincount(np.concatenate([d.ravel() for d in dofs]), np.concatenate([v.ravel() for v in values]), n)
+def _vector(parts, dofmap):
+    """The sum of the (elements, values) parts over the dofs of dofmap: one
+    bincount adds each dof's values in part order."""
+    dofs = np.concatenate([dofmap.cell_dofs[e].ravel() for e, _ in parts])
+    return np.bincount(dofs, np.concatenate([v.ravel() for _, v in parts]), dofmap.n_dofs)
 
 
-def _volume_part(mesh, dofmap, basis):
-    """The (dofs, blocks) part of the stiffness (grad w, grad v).
+def _cells(mesh):
+    """Every element as a part of one element: (T, 1)."""
+    return np.arange(mesh.n_triangles)[:, None]
+
+
+def _volume_part(mesh, basis):
+    """The (elements, blocks) part of the stiffness (grad w, grad v).
 
     K[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j is built once from the
     rule; the blocks are one matrix product of K with the geometry tensors
@@ -383,16 +464,21 @@ def _volume_part(mesh, dofmap, basis):
     g_geo = np.einsum("t,tac,tbc->tab", mesh.det, mesh.invB, mesh.invB)
     nb = basis.n_nodes
     blocks = g_geo.reshape(-1, 4) @ k_ref.reshape(4, nb * nb)
-    return dofmap.cell_dofs, blocks.reshape(-1, nb, nb)
+    return _cells(mesh), blocks.reshape(-1, nb, nb)
 
 
 def _check_space(mesh, dofmap, degree, solution=None):
     """Raise InvalidParameter unless dofmap numbers degree-`degree` dofs on
-    every triangle of mesh and solution, if given, has one entry per dof."""
+    every triangle of mesh, a discontinuous one in element blocks (as
+    _pattern needs), and solution, if given, has one entry per dof."""
     if dofmap.degree != degree:
         raise InvalidParameter(f"the dof map has degree {dofmap.degree}, the basis or scheme degree {degree}")
     if len(dofmap.cell_dofs) != mesh.n_triangles:
         raise InvalidParameter(f"the dof map has {len(dofmap.cell_dofs)} cells, the mesh {mesh.n_triangles} triangles")
+    if not dofmap.continuous:
+        blocked = np.arange(dofmap.cell_dofs.size).reshape(dofmap.cell_dofs.shape)
+        if dofmap.n_dofs != blocked.size or not np.array_equal(dofmap.cell_dofs, blocked):
+            raise InvalidParameter("the dof map is discontinuous but does not number element t's nb dofs t*nb .. t*nb + nb - 1")
     if solution is not None and np.shape(solution) != (dofmap.n_dofs,):
         raise InvalidParameter(f"the solution has shape {np.shape(solution)}, the dof map {dofmap.n_dofs} dofs")
 
@@ -406,14 +492,14 @@ def _require_exact(data, needs):
 def assemble_volume(mesh, dofmap, basis):
     """Stiffness contribution (grad w, grad v) over all elements."""
     _check_space(mesh, dofmap, basis.degree)
-    return _compress([_volume_part(mesh, dofmap, basis)], dofmap.n_dofs)
+    return _compress([_volume_part(mesh, basis)], dofmap)
 
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme):
     """Boundary form shared by both schemes: the Robin form."""
     _check_space(mesh, dofmap, basis.degree)
     coef = _robin_form(scheme, mesh.boundary_edges)
-    return _compress([_edge_part(mesh, dofmap, basis, mesh.boundary_edges, coef)], dofmap.n_dofs)
+    return _compress([_edge_part(mesh, basis, mesh.boundary_edges, coef)], dofmap)
 
 
 def assemble_interior_penalty(mesh, dofmap, basis, scheme):
@@ -422,7 +508,7 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
     _check_space(mesh, dofmap, basis.degree)
     coef = _penalty_form(scheme, mesh.interior_edges)
-    return _compress([_edge_part(mesh, dofmap, basis, mesh.interior_edges, coef)], dofmap.n_dofs)
+    return _compress([_edge_part(mesh, basis, mesh.interior_edges, coef)], dofmap)
 
 
 def _volume_load(mesh, basis, rule, fval):
@@ -436,8 +522,8 @@ def assemble_load(mesh, dofmap, basis, scheme, data):
     rule = _default_volume_rule(basis.degree)
     load = _volume_load(mesh, basis, rule, _at(data.f, mesh.physical_points(rule.points)))
     edges, given = mesh.boundary_edges, functools.partial(_robin_data, scheme, data)
-    robin = _edge_vector(mesh, dofmap, basis, edges, _robin_form(scheme, edges), given)
-    return _vector([(dofmap.cell_dofs, load), robin], dofmap.n_dofs)
+    robin = _edge_vector(_edge_kernel(mesh, basis, edges), _robin_form(scheme, edges), given)
+    return _vector([(_cells(mesh), load), (edges.element_ids, robin)], dofmap)
 
 
 _SPACES = weakref.WeakKeyDictionary()  # Mesh -> {(degree, method): _assembly_space result}
@@ -454,11 +540,11 @@ def _assembly_space(mesh, scheme):
         dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
         dofmap.cell_dofs.setflags(write=False)
         n = dofmap.n_dofs
-        dofs = [dofmap.cell_dofs] + [_edge_dofs(dofmap, e) for e in _edge_tables(mesh, scheme.method)]
         p1 = scheme.continuous and scheme.degree == 1
         prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
-        slots, indices, indptr = _sort(dofs, n)
-        vol = _volume_part(mesh, dofmap, basis)[1].ravel()
+        elements = [_cells(mesh)] + [e.element_ids for e in _edge_tables(mesh, scheme.method)]
+        slots, indices, indptr = _pattern(elements, dofmap)
+        vol = _volume_part(mesh, basis)[1].ravel()
         volume = sp.csr_matrix((np.bincount(slots[:len(vol)], vol, len(indices)), indices, indptr), shape=(n, n))
         spaces[key] = (basis, dofmap, prolongation, volume, slots[len(vol):].copy())
     return spaces[key]
@@ -469,7 +555,7 @@ def _matrix(mesh, scheme, coefs, order=None):
     coefficients coefs, one per edge table, on the memoized pattern."""
     basis, dofmap, _, volume, edge_slots = _assembly_space(mesh, scheme)
     tables = zip(_edge_tables(mesh, scheme.method), coefs)
-    blocks = [_edge_part(mesh, dofmap, basis, edges, coef, order)[1].ravel() for edges, coef in tables]
+    blocks = [_edge_part(mesh, basis, edges, coef, order)[1].ravel() for edges, coef in tables]
     values = np.bincount(edge_slots, np.concatenate(blocks), volume.nnz) + volume.data
     return sp.csr_matrix((values, volume.indices.copy(), volume.indptr.copy()), shape=volume.shape)
 
@@ -524,20 +610,22 @@ def consistency_residual(mesh, scheme, data):
     pulled = vrule.weights[:, None] * (gu @ mesh.invB.transpose(0, 2, 1))  # B^-1 grad u
     local = mesh.det[:, None] * np.tensordot(pulled, basis.eval_grad(vrule.points), ([1, 2], [0, 2]))
     load = _volume_load(mesh, basis, vrule, _at(data.f, x))
-    parts = [(dofmap.cell_dofs, -load), (dofmap.cell_dofs, local)]
+    parts = [(_cells(mesh), -load), (_cells(mesh), local)]
 
-    # edges: each edge form applied to the exact trace minus the data trace (none inside)
+    # the squared norms of phi_i: the diagonal of the augmented Gram matrix, from
+    # the diagonals of its volume blocks and of its edge blocks (the dofs of one block are distinct)
+    cells, stiffness = _volume_part(mesh, basis)
+    diagonals = [(cells, np.diagonal(stiffness, axis1=1, axis2=2))]
+
+    # edges: each edge form applied to the exact trace minus the data trace (none
+    # inside), and the norm's diagonal, from one kernel per edge table
     for edges, form in zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form)):
         def trace(x, edges=edges):
             return _exact_trace(data, edges, x) - (_robin_data(scheme, data, x) if _is_boundary(edges) else 0.0)
-        parts.append(_edge_vector(mesh, dofmap, basis, edges, form(scheme, edges), trace, 8))
-    defect = _vector(parts, dofmap.n_dofs)
-
-    # the squared norms of phi_i: the diagonal of the augmented Gram matrix, from
-    # the block diagonals of its parts (the dofs of one block are distinct)
-    tables = zip(_edge_tables(mesh, scheme.method), _norm_coefs(mesh, scheme, "augmented"))
-    blocks = [_volume_part(mesh, dofmap, basis)] + [_edge_part(mesh, dofmap, basis, e, c, 8) for e, c in tables]
-    gram_diag = _vector([(d, np.diagonal(b, axis1=1, axis2=2)) for d, b in blocks], dofmap.n_dofs)
+        kernel = _edge_kernel(mesh, basis, edges, 8)
+        parts.append((edges.element_ids, _edge_vector(kernel, form(scheme, edges), trace)))
+        diagonals.append((edges.element_ids, _edge_diagonal(kernel, _norm_form(scheme, edges, "augmented"))))
+    defect, gram_diag = _vector(parts, dofmap), _vector(diagonals, dofmap)
     return float(np.max(np.abs(defect) / np.sqrt(gram_diag)))
 
 

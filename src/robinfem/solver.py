@@ -261,15 +261,15 @@ def _bottom_factor(matrix):
     return factor
 
 
-def _smoothed_aggregation(matrix, diag):
-    """Smoothed-aggregation prolongation P = (I - 4/(3 rho) D^-1 A) T of a CSR
-    matrix with a positive diagonal D; see the module docstring."""
+def _aggregates(matrix, diag):
+    """(is_root, agg) of smoothed aggregation on a CSR matrix with a positive
+    diagonal: the roots, and the aggregate of every node (-1 for none); see
+    the module docstring."""
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    on_diag = rows == indices
     root = np.sqrt(diag)  # sqrt(a_ii) sqrt(a_jj) cannot overflow where a_ii a_jj would
-    strong = on_diag | (np.abs(matrix.data) >= _STRENGTH * root[rows] * root[indices])
+    strong = (rows == indices) | (np.abs(matrix.data) >= _STRENGTH * root[rows] * root[indices])
     # the strength graph, each row holding its diagonal, so no row is empty
     s_indices = indices[strong].astype(np.intp)
     s_start = np.concatenate(([0], np.cumsum(strong)[indptr[1:-1] - 1]))
@@ -281,16 +281,39 @@ def _smoothed_aggregation(matrix, diag):
     # uint32, where 0 also stands for a decided node: only node 0 has priority 0,
     # and the smallest priority never outranks an undecided neighbour anyway
     priority = (np.arange(n, dtype=np.uint64) * _PRIORITY_HASH % 2**32).astype(np.uint32)
-    undecided = np.diff(np.append(s_start, len(s_indices))) > 1
+    lengths = np.diff(np.append(s_start, len(s_indices)))
+    undecided = lengths > 1
     is_root = np.zeros(n, dtype=bool)
+    # the strength rows a round reads: all at first, then those of the undecided nodes
+    # and of their neighbours, the only rows whose values two passes carry to an undecided node
+    near, near_indices, near_lengths = np.arange(n), s_indices, lengths
+
+    def near_max(values):
+        """neighbour_max at the nodes near, 0 at the others."""
+        out = np.zeros_like(values)
+        out[near] = np.maximum.reduceat(values[near_indices], np.cumsum(near_lengths) - near_lengths)
+        return out
+
     while undecided.any():
-        best = neighbour_max(neighbour_max(np.where(undecided, priority, 0)))
+        best = near_max(near_max(np.where(undecided, priority, 0)))
         new = undecided & (best == priority)
         is_root |= new
-        undecided &= ~neighbour_max(neighbour_max(new))
+        undecided &= ~near_max(near_max(new))
+        reached = np.zeros(n, dtype=bool)
+        reached[near_indices[np.repeat(undecided[near], near_lengths)]] = True
+        keep = reached[near]
+        near, near_indices, near_lengths = near[keep], near_indices[np.repeat(keep, near_lengths)], near_lengths[keep]
     ids = np.where(is_root, np.cumsum(is_root) - 1, -1)
     agg = np.where(is_root, ids, neighbour_max(ids))  # a root and its neighbours
-    agg = np.where(agg >= 0, agg, neighbour_max(agg))  # then their neighbours
+    return is_root, np.where(agg >= 0, agg, neighbour_max(agg))  # then their neighbours
+
+
+def _smoothed_aggregation(matrix, diag):
+    """Smoothed-aggregation prolongation P = (I - 4/(3 rho) D^-1 A) T of a CSR
+    matrix with a positive diagonal D; see the module docstring."""
+    is_root, agg = _aggregates(matrix, diag)
+    n, indptr, indices = matrix.shape[0], matrix.indptr, matrix.indices
+    rows = np.repeat(np.arange(n), np.diff(indptr))
     member = agg >= 0
     tentative = sp.csr_matrix(
         (np.ones(np.count_nonzero(member)), agg[member], np.concatenate(([0], np.cumsum(member)))),
@@ -299,7 +322,7 @@ def _smoothed_aggregation(matrix, diag):
     scaled = matrix.data / diag[rows]  # D^-1 A
     omega = 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), indptr[:-1]).max())
     smoother = sp.csr_matrix((-omega * scaled, indices, indptr), shape=(n, n))
-    smoother.data[on_diag] += 1.0
+    smoother.data[rows == indices] += 1.0
     return smoother @ tentative
 
 

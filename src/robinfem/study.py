@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ._atomic import write_lines
 from .analysis import eoc, error_report
 from .assembly import Scheme, assemble
-from .errors import InvalidParameter, is_count
+from .errors import DegenerateSequence, InvalidParameter, is_count
 from .mesh import level_mesh, write_mesh
 from .problems import get_problem
 from .solver import SolverConfig, solve
@@ -90,7 +90,8 @@ def write_svg(reports, path):
     Exactly two data polylines (energy and L2 error) and two dashed
     reference lines with slopes 1 and 2, anchored at the coarsest level.
     Raises DegenerateSequence, as eoc does, unless every h and error is a
-    positive finite number and h decreases.
+    positive finite number and h decreases, and also where a reference
+    line underflows to 0 at the finest h.
     """
     if len(reports) < 2:
         raise InvalidParameter("plot needs at least two levels")
@@ -104,10 +105,14 @@ def write_svg(reports, path):
         ("energy error", "#1f77b4", [math.log10(r.err_energy) for r in reports]),
         ("L2 error", "#d62728", [math.log10(r.err_l2) for r in reports]),
     ]
-    slopes = [  # dashes, and the decades at both ends of the slope-p line through 0.7 times the coarsest energy error
-        (dash, [math.log10(0.7 * reports[0].err_energy * (h / hs[0]) ** p) for h in (hs[0], hs[-1])])
-        for p, dash in ((1, "6 4"), (2, "2 3"))
-    ]
+
+    def slope_decade(p, h):  # of the slope-p line through 0.7 times the coarsest energy error
+        value = 0.7 * reports[0].err_energy * (h / hs[0]) ** p
+        if not value > 0.0:
+            raise DegenerateSequence(f"the slope-{p} reference line underflows to 0 at h={h}")
+        return math.log10(value)
+
+    slopes = [(dash, [slope_decade(p, h) for h in (hs[0], hs[-1])]) for p, dash in ((1, "6 4"), (2, "2 3"))]
 
     def padded(decades):  # the range, widened by 5 % at each end
         lo, hi = min(decades), max(decades)

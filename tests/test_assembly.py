@@ -1,5 +1,6 @@
 """Assembly checks against closed-form element matrices and identities."""
 
+import functools
 import gc
 import math
 import weakref
@@ -9,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from robinfem import (
+    DofMap,
     InvalidParameter,
     IndefiniteMatrix,
     Method,
@@ -31,16 +33,33 @@ from robinfem import (
     get_problem,
     interpolate,
     l2_error,
+    level_mesh,
     min_eigenvalue_dense,
     norm_matrix,
     reference_basis,
     robin_weights,
     solve,
     triangle_rule,
+    unit_disk,
     write_matrix,
 )
 
-from robinfem.assembly import _edge_kernel
+from robinfem.assembly import (
+    _CLASSES,
+    _EDGE_FACTS,
+    _assembly_space,
+    _edge_diagonal,
+    _edge_dofs,
+    _edge_facts,
+    _edge_kernel,
+    _edge_part,
+    _edge_tables,
+    _norm_coefs,
+    _penalty_form,
+    _robin_form,
+    _sort,
+    _volume_part,
+)
 
 NIT = Method.NITSCHE
 DG = Method.SIPDG
@@ -349,7 +368,7 @@ def test_forms_are_invariant_under_rotated_vertex_orders(method, degree, eps):
     turned, shifts = rotated(mesh)
     # two counterclockwise triangles walk their shared edge in opposite directions, so of
     # the 36 interior class pairs the 18 with one forward and one backward side can occur
-    classes = _edge_kernel(turned, reference_basis(degree), turned.interior_edges)[3]
+    classes = _edge_facts(turned, turned.interior_edges)[0]
     assert len(np.unique(classes)) == 18
     scheme = Scheme(method, degree=degree, epsilon=eps, gamma=0.1)
     data = get_problem("sinsin").make_data(eps)
@@ -738,3 +757,123 @@ def test_pieces_of_different_spaces_are_rejected(case):
     # unchecked, each ends in a numpy shape error or, with the 4-ring map, a matrix of the wrong size
     with pytest.raises(InvalidParameter, match="the dof map has"):
         _mismatched_space_calls()[case]()
+
+
+def _dof_level_pattern(dofmap, tables):
+    """_sort of every dof triplet of the volume and the edge tables, as the
+    pattern was built before it sorted element blocks."""
+    return _sort([dofmap.cell_dofs] + [_edge_dofs(dofmap, e) for e in tables], dofmap.n_dofs)
+
+
+def _dof_level_matrix(parts, dofmap):
+    """The (dofs, blocks) parts compressed on the dof-level pattern."""
+    slots, indices, indptr = _sort([d for d, _ in parts], dofmap.n_dofs)
+    values = np.bincount(slots, np.concatenate([b.ravel() for _, b in parts]), len(indices))
+    return values, indices, indptr
+
+
+def assert_same_arrays(got, want, what):
+    for name, a, b in zip(("data/slots", "indices", "indptr"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), (what, name)
+
+
+PATTERN_MESHES = {f"disk level {level}": functools.partial(level_mesh, unit_disk(), level) for level in range(4)}
+PATTERN_MESHES["square"] = functools.partial(generate_square_mesh, 5)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("make_mesh", PATTERN_MESHES.values(), ids=PATTERN_MESHES.keys())
+def test_element_block_pattern_equals_the_dof_triplet_sort(make_mesh, degree):
+    mesh, scheme = make_mesh(), Scheme(DG, degree=degree, epsilon=0.5)
+    _, dofmap, _, volume, edge_slots = _assembly_space(mesh, scheme)
+    tables = [mesh.boundary_edges, mesh.interior_edges]
+    slots, indices, indptr = _dof_level_pattern(dofmap, tables)
+    n_volume = dofmap.cell_dofs.size * dofmap.cell_dofs.shape[1]
+    assert_same_arrays((edge_slots, volume.indices, volume.indptr), (slots[n_volume:], indices, indptr), "space")
+    basis = reference_basis(degree)
+    _, stiffness = _volume_part(mesh, basis)
+    assert np.array_equal(volume.data, np.bincount(slots[:n_volume], stiffness.ravel(), len(indices)))
+    # every standalone form, on the pattern of its own triplets
+    forms = {
+        "volume": (assemble_volume(mesh, dofmap, basis), [(dofmap.cell_dofs, stiffness)]),
+        "boundary": (assemble_nitsche_boundary(mesh, dofmap, basis, scheme),
+                     [(_edge_dofs(dofmap, tables[0]), _edge_part(mesh, basis, tables[0], _robin_form(scheme, tables[0]))[1])]),
+        "interior": (assemble_interior_penalty(mesh, dofmap, basis, scheme),
+                     [(_edge_dofs(dofmap, tables[1]), _edge_part(mesh, basis, tables[1], _penalty_form(scheme, tables[1]))[1])]),
+    }
+    for name, (matrix, parts) in forms.items():
+        assert_same_arrays((matrix.data, matrix.indices, matrix.indptr), _dof_level_matrix(parts, dofmap), name)
+
+
+@pytest.mark.parametrize("kind", ["boundary", "interior"])
+def test_memoized_edge_classes_equal_a_fresh_search(kind):
+    mesh = rotated(generate_disk_mesh(6))[0]
+    edges = getattr(mesh, f"{kind}_edges")
+    classes, groups, lift = _edge_facts(mesh, edges)
+    assert _edge_facts(mesh, edges)[0] is classes  # memoized
+    want = 0
+    for elems in edges.element_ids.T:
+        a, b = (np.argmax(mesh.triangles[elems] == v[:, None], axis=1) for v in edges.vertex_ids.T)
+        want = 6 * want + np.array([_CLASSES.index((int(i), int(j))) for i, j in zip(a, b)])
+    assert np.array_equal(classes, want)
+    assert [c for c, _ in groups] == sorted(set(classes.tolist()))
+    for c, ids in groups:
+        assert np.array_equal(ids, np.flatnonzero(classes == c))
+    for array in [classes, lift] + [ids for _, ids in groups]:
+        assert not array.flags.writeable
+
+
+def test_edge_facts_are_released_with_their_mesh():
+    gc.collect()
+    mesh = generate_disk_mesh(3)
+    before = len(_EDGE_FACTS)
+    assemble(mesh, Scheme(DG, degree=1), get_problem("sinsin").make_data(1.0))
+    assert len(_EDGE_FACTS) == before + 2
+    mesh_ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert mesh_ref() is None and len(_EDGE_FACTS) == before
+
+
+def _scrambled_dofmaps(mesh, degree):
+    """Discontinuous dof maps of the right size whose numbering is not element t's block t*nb .. t*nb + nb - 1."""
+    blocked = build_dofmap(mesh, degree, continuous=False)
+    nb, n = blocked.cell_dofs.shape[1], blocked.n_dofs
+    return {
+        "local order reversed": blocked.cell_dofs[:, ::-1].copy(),
+        "elements reversed": blocked.cell_dofs[::-1].copy(),
+        "node-major": np.arange(n).reshape(nb, -1).T.copy(),
+        "one dof moved": np.where(blocked.cell_dofs == 0, n - 1, np.where(blocked.cell_dofs == n - 1, 0, blocked.cell_dofs)),
+    }
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_discontinuous_map_in_another_numbering_is_rejected(degree):
+    # each form would put its blocks where element t's blocks sit in the blocked numbering
+    mesh, data = generate_disk_mesh(3), get_problem("sinsin").make_data(1.0)
+    scheme, basis = Scheme(DG, degree=degree), reference_basis(degree)
+    for name, cell_dofs in _scrambled_dofmaps(mesh, degree).items():
+        dofmap = DofMap(False, degree, cell_dofs.size, cell_dofs)
+        calls = {
+            "volume": lambda: assemble_volume(mesh, dofmap, basis),
+            "boundary": lambda: assemble_nitsche_boundary(mesh, dofmap, basis, scheme),
+            "interior": lambda: assemble_interior_penalty(mesh, dofmap, basis, scheme),
+            "load": lambda: assemble_load(mesh, dofmap, basis, scheme, data),
+            "energy error": lambda: energy_error(mesh, scheme, data, np.zeros(dofmap.n_dofs), dofmap=dofmap),
+        }
+        for call, run in calls.items():
+            with pytest.raises(InvalidParameter, match="does not number element t's nb dofs"):
+                run()
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("make_mesh", [lambda: generate_disk_mesh(5), lambda: generate_square_mesh(4)], ids=["disk", "square"])
+def test_edge_gram_diagonals_equal_the_diagonals_of_the_blocks(make_mesh, method, degree):
+    # the diagonal sums its terms in another order than the full block, so a few ulps apart
+    mesh, basis = make_mesh(), reference_basis(degree)
+    scheme = Scheme(method, degree=degree, epsilon=0.5)
+    for edges, coef in zip(_edge_tables(mesh, method), _norm_coefs(mesh, scheme, "augmented")):
+        want = np.diagonal(_edge_part(mesh, basis, edges, coef, 8)[1], axis1=1, axis2=2)
+        got = _edge_diagonal(_edge_kernel(mesh, basis, edges, 8), np.diagonal(coef, axis1=1, axis2=2))
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()

@@ -27,7 +27,6 @@ from robinfem import (
     SolverConfig,
     SolverMethod,
     assemble,
-    build_dofmap,
     continuous_embedding,
     edge_rule,
     error_report,
@@ -40,7 +39,7 @@ from robinfem import (
     solve,
     write_mesh,
 )
-from robinfem.assembly import _edge_kernel, _edge_part
+from robinfem.assembly import _edge_facts, _edge_kernel, _edge_part
 
 NIT = Method.NITSCHE
 DG = Method.SIPDG
@@ -187,8 +186,9 @@ def test_tabulated_traces_and_edge_blocks_match_the_pull_back(degree, order, kin
     shifts = rng.integers(0, 3, mesh.n_triangles)
     mesh = Mesh(mesh.vertices, [np.roll(tri, s) for tri, s in zip(mesh.triangles, shifts)])
     edges, basis = getattr(mesh, f"{kind}_edges"), reference_basis(degree)
-    points, weights, lift, classes, (tables, _) = _edge_kernel(mesh, basis, edges, order)
+    points, weights, lift, _, (tables, _) = _edge_kernel(mesh, basis, edges, order)
     assert not tables.flags.writeable and _edge_kernel(mesh, basis, edges, order)[4][0] is tables
+    classes = _edge_facts(mesh, edges)[0]
     expected = pulled_back_traces(mesh, basis, edges, edge_rule(order))
     nq, m, width = expected.shape[0], expected.shape[2], expected.shape[3]
     tabulated = lift[:, None] @ tables[classes].reshape(len(edges), nq, lift.shape[2], width)
@@ -197,7 +197,7 @@ def test_tabulated_traces_and_edge_blocks_match_the_pull_back(degree, order, kin
     coef = rng.standard_normal((len(edges), m, m))
     coef += coef.transpose(0, 2, 1)
     want = np.einsum("q,qemi,emn,qenj->eij", weights, expected, coef, expected)
-    _, blocks = _edge_part(mesh, build_dofmap(mesh, degree, continuous=False), basis, edges, coef, order)
+    _, blocks = _edge_part(mesh, basis, edges, coef, order)
     assert np.abs(blocks - want).max() <= 1e-13 * np.abs(want).max()
 
 

@@ -352,6 +352,71 @@ def test_a_system_without_strong_couplings_ends_in_jacobi():
     np.testing.assert_allclose(x, 1.0 / A.diagonal(), rtol=1e-14)
 
 
+def _whole_pattern_aggregation(matrix, diag):
+    """(is_root, agg, P) of smoothed aggregation whose root rounds pass over the
+    whole strength pattern, as the solver did before its rounds were restricted."""
+    n = matrix.shape[0]
+    indptr, indices = matrix.indptr, matrix.indices
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    on_diag = rows == indices
+    root = np.sqrt(diag)
+    strong = on_diag | (np.abs(matrix.data) >= robinfem.solver._STRENGTH * root[rows] * root[indices])
+    s_indices = indices[strong].astype(np.intp)
+    s_start = np.concatenate(([0], np.cumsum(strong)[indptr[1:-1] - 1]))
+
+    def neighbour_max(values):
+        return np.maximum.reduceat(values[s_indices], s_start)
+
+    priority = (np.arange(n, dtype=np.uint64) * robinfem.solver._PRIORITY_HASH % 2**32).astype(np.uint32)
+    undecided = np.diff(np.append(s_start, len(s_indices))) > 1
+    is_root = np.zeros(n, dtype=bool)
+    while undecided.any():
+        best = neighbour_max(neighbour_max(np.where(undecided, priority, 0)))
+        new = undecided & (best == priority)
+        is_root |= new
+        undecided &= ~neighbour_max(neighbour_max(new))
+    ids = np.where(is_root, np.cumsum(is_root) - 1, -1)
+    agg = np.where(is_root, ids, neighbour_max(ids))
+    agg = np.where(agg >= 0, agg, neighbour_max(agg))
+    member = agg >= 0
+    tentative = sp.csr_matrix(
+        (np.ones(np.count_nonzero(member)), agg[member], np.concatenate(([0], np.cumsum(member)))),
+        shape=(n, int(is_root.sum())),
+    )
+    scaled = matrix.data / diag[rows]
+    omega = 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), indptr[:-1]).max())
+    smoother = sp.csr_matrix((-omega * scaled, indices, indptr), shape=(n, n))
+    smoother.data[on_diag] += 1.0
+    return is_root, agg, smoother @ tentative
+
+
+def _aggregated_matrices():
+    """Matrices the solver aggregates, and some it never meets: every aggregated
+    level of continuous P1 at level 4, the P1 coarse matrix of continuous P2 at
+    level 4, and a random SPD matrix with a nonsymmetric strength graph."""
+    p1 = _level_system(Method.NITSCHE, 1, 4).matrix
+    yield "nitsche P1 level 4", p1
+    prolongation = robinfem.solver._smoothed_aggregation(p1, p1.diagonal())
+    yield "its first Galerkin level", sp.csr_matrix(prolongation.T @ p1 @ prolongation)
+    p2 = _level_system(Method.NITSCHE, 2, 4)
+    yield "P1 coarse matrix of nitsche P2 level 4", sp.csr_matrix(p2.prolongation.T @ p2.matrix @ p2.prolongation)
+    rng = np.random.default_rng(3)
+    b = sp.random(3000, 3000, density=0.002, random_state=rng, format="csr")
+    yield "random", sp.csr_matrix(b @ b.T + sp.diags(rng.uniform(0.5, 2.0, 3000)) + 0.3 * sp.triu(b, 1))
+
+
+def test_root_rounds_on_nearby_rows_equal_the_whole_pattern_rounds():
+    for name, matrix in _aggregated_matrices():
+        diag = matrix.diagonal()
+        want_roots, want_agg, want_p = _whole_pattern_aggregation(matrix, diag)
+        is_root, agg = robinfem.solver._aggregates(matrix, diag)
+        assert np.array_equal(is_root, want_roots) and np.array_equal(agg, want_agg), name
+        assert 1 < want_roots.sum() < len(diag), name
+        p = robinfem.solver._smoothed_aggregation(matrix, diag)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(p, part), getattr(want_p, part)), (name, part)
+
+
 _SADDLE = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # positive diagonal, eigenvalues 3 and -1
 
 

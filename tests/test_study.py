@@ -16,6 +16,7 @@ from robinfem import (
     Method,
     Scheme,
     StudyConfig,
+    eoc,
     generate_disk_mesh,
     read_mesh,
     run_convergence,
@@ -137,26 +138,39 @@ def test_svg_contents(tmp_path, sinsin_reports):
         write_svg(sinsin_reports[:1], tmp_path / "bad.svg")
 
 
+_UNPLOTTABLE = [
+    ("err_energy", 0.0),
+    ("err_l2", -1e-3),
+    ("err_energy", math.nan),
+    ("err_l2", math.inf),
+    ("h_max", 0.0),
+    ("h_max", -0.1),
+    ("h_max", math.nan),
+    ("h_max", "middle"),  # the middle level's h, so two levels share it
+]
+# valid ladders (h, error) on which a slope-p reference line, 0.7 err_0 (h / h_0)^p, underflows to 0
+_UNDERFLOWING = {
+    "tiny errors": [(1.0, 1e-310), (1e-5, 3e-311), (1e-10, 1e-311)],
+    "wide h": [(1e300, 1e300), (1.0, 1.0), (1e-300, 1e-300)],
+}
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [
-        ("err_energy", 0.0),
-        ("err_l2", -1e-3),
-        ("err_energy", math.nan),
-        ("err_l2", math.inf),
-        ("h_max", 0.0),
-        ("h_max", -0.1),
-        ("h_max", math.nan),
-        ("h_max", "middle"),  # the middle level's h, so two levels share it
-    ],
+    "level, field, value",
+    [(level, field, value) for level in (0, 2) for field, value in _UNPLOTTABLE]
+    + [pytest.param(None, "ladder", ladder, id=name) for name, ladder in _UNDERFLOWING.items()],
 )
-@pytest.mark.parametrize("level", [0, 2])
 def test_svg_rejects_what_it_cannot_plot(tmp_path, sinsin_reports, field, value, level):
     # no log-log plot shows these: the typed error comes before any file is written
     reports = [dataclasses.replace(r) for r in sinsin_reports]
-    if value == "middle":
-        value = reports[1].h_max
-    setattr(reports[level], field, value)
+    if field == "ladder":  # every level's h and both errors
+        for r, (h, error) in zip(reports, value):
+            r.h_max, r.err_energy, r.err_l2 = h, error, error
+        eoc([(r.h_max, r.err_energy) for r in reports])  # which eoc accepts
+    else:
+        if value == "middle":
+            value = reports[1].h_max
+        setattr(reports[level], field, value)
     with pytest.raises(DegenerateSequence):
         write_svg(reports, tmp_path / "bad.svg")
     assert not (tmp_path / "bad.svg").exists()
