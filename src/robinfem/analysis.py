@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _check_space, _edge_error_sq, _require_exact
-from .errors import DegenerateSequence
+from .assembly import Method, _check_space, _edge_error_sq
+from .errors import DegenerateSequence, MissingExactSolution
 from .felib import build_dofmap, reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
@@ -49,9 +49,15 @@ def _volume_error_sq(mesh, data, solution, dofmap):
     return float(mesh.det @ (np.sum(grad * grad, axis=2) @ rule.weights)), float(mesh.det @ ((u * u) @ rule.weights))
 
 
+def _require_exact(data):
+    """Raise MissingExactSolution unless data has exact_u and exact_grad."""
+    if data.exact_u is None or data.exact_grad is None:
+        raise MissingExactSolution("error norms need exact_u and exact_grad")
+
+
 def l2_error(mesh, data, solution, dofmap):
     """L2 distance between the exact solution and the finite element one."""
-    _require_exact(data, "error norms need")
+    _require_exact(data)
     _check_space(mesh, dofmap, dofmap.degree, solution)
     return math.sqrt(_volume_error_sq(mesh, data, solution, dofmap)[1])
 
@@ -70,7 +76,7 @@ def energy_error(mesh, scheme, data, solution, dofmap=None):
 
 def _errors(mesh, scheme, data, solution, dofmap):
     """(L2 error, energy error, its squared components) of one solution."""
-    _require_exact(data, "error norms need")
+    _require_exact(data)
     dofmap = build_dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
     _check_space(mesh, dofmap, scheme.degree, solution)
     grad_sq, l2_sq = _volume_error_sq(mesh, data, solution, dofmap)

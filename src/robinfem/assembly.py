@@ -36,8 +36,8 @@ the boundary load is thus l(v) = b_Robin((u0 + eps*g, 0), v).  The
 volume stiffness is the same contraction on each element, whose map
 x = v0 + B xi, det B and B^-1 live on the Mesh.
 
-Every form contributes (elements, blocks) parts, and every load or
-residual (elements, values) parts: a row per element or edge over the
+Every form contributes (elements, blocks) parts, and every load
+(elements, values) parts: a row per element or edge over the
 dofs of its k elements.  Every matrix and every vector is one bincount
 of them, which adds each entry's terms in input order.  All the forms on
 one space share one pattern, from one sort.  In a discontinuous space
@@ -83,9 +83,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._atomic import write_lines
-from .errors import InvalidParameter, MissingExactSolution, SchemeMismatch
+from .errors import InvalidParameter, SchemeMismatch
 from .felib import (
     DofMap,
+    _check_dofs,
     build_dofmap,
     continuous_embedding,
     edge_rule,
@@ -105,7 +106,6 @@ __all__ = [
     "assemble_interior_penalty",
     "assemble_load",
     "norm_matrix",
-    "consistency_residual",
     "write_matrix",
 ]
 
@@ -360,17 +360,6 @@ def _edge_vector(kernel, coef, trace):
     return _per_class(groups, z.transpose(1, 0, 2).reshape(len(lift), tables.shape[1]), tables)
 
 
-def _edge_diagonal(kernel, coef):
-    """The diagonals (E, k*nb) of the blocks sum_q w_q t^T C t of one edge
-    kernel, for diagonal coefficients coef (E, m), with no block formed: per
-    class tuple, the W = A^T C A of its edges times the diagonal of its K,
-    sum_q w_q T_ra T_sa = K[(r, s), (a, a)]."""
-    _, _, lift, groups, (tables, tensors) = kernel
-    w = (lift.transpose(0, 2, 1) @ (coef[:, :, None] * lift)).reshape(len(lift), tensors.shape[1])
-    width = tables.shape[2]
-    return _per_class(groups, w, np.diagonal(tensors.reshape(len(tensors), -1, width, width), axis1=2, axis2=3))
-
-
 def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
     """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
     with e the exact trace minus the trace A T c of the dof vector solution."""
@@ -468,25 +457,19 @@ def _volume_part(mesh, basis):
 
 
 def _check_space(mesh, dofmap, degree, solution=None):
-    """Raise InvalidParameter unless dofmap numbers degree-`degree` dofs on
-    every triangle of mesh, a discontinuous one in element blocks (as
-    _pattern needs), and solution, if given, has one entry per dof."""
+    """Raise InvalidParameter unless dofmap numbers degree-`degree` dofs
+    within 0 .. n_dofs - 1 on every triangle of mesh, a discontinuous one in
+    element blocks (as _pattern needs), and solution, if given, has one
+    entry per dof."""
     if dofmap.degree != degree:
         raise InvalidParameter(f"the dof map has degree {dofmap.degree}, the basis or scheme degree {degree}")
-    if len(dofmap.cell_dofs) != mesh.n_triangles:
-        raise InvalidParameter(f"the dof map has {len(dofmap.cell_dofs)} cells, the mesh {mesh.n_triangles} triangles")
+    _check_dofs(mesh.n_triangles, dofmap)
     if not dofmap.continuous:
         blocked = np.arange(dofmap.cell_dofs.size).reshape(dofmap.cell_dofs.shape)
         if dofmap.n_dofs != blocked.size or not np.array_equal(dofmap.cell_dofs, blocked):
             raise InvalidParameter("the dof map is discontinuous but does not number element t's nb dofs t*nb .. t*nb + nb - 1")
     if solution is not None and np.shape(solution) != (dofmap.n_dofs,):
         raise InvalidParameter(f"the solution has shape {np.shape(solution)}, the dof map {dofmap.n_dofs} dofs")
-
-
-def _require_exact(data, needs):
-    """Raise MissingExactSolution, its message opening with `needs`, unless data has exact_u and exact_grad."""
-    if data.exact_u is None or data.exact_grad is None:
-        raise MissingExactSolution(f"{needs} exact_u and exact_grad")
 
 
 def assemble_volume(mesh, dofmap, basis):
@@ -511,16 +494,12 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
     return _compress([_edge_part(mesh, basis, mesh.interior_edges, coef)], dofmap)
 
 
-def _volume_load(mesh, basis, rule, fval):
-    """The values (f, phi_i) per element, from f at the mapped rule points (T, q)."""
-    return mesh.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
-
-
 def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
     _check_space(mesh, dofmap, basis.degree)
     rule = _default_volume_rule(basis.degree)
-    load = _volume_load(mesh, basis, rule, _at(data.f, mesh.physical_points(rule.points)))
+    fval = _at(data.f, mesh.physical_points(rule.points))  # (T, q)
+    load = mesh.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
     edges, given = mesh.boundary_edges, functools.partial(_robin_data, scheme, data)
     robin = _edge_vector(_edge_kernel(mesh, basis, edges), _robin_form(scheme, edges), given)
     return _vector([(_cells(mesh), load), (edges.element_ids, robin)], dofmap)
@@ -589,44 +568,6 @@ def _norm_coefs(mesh, scheme, variant):
     """The energy-norm coefficients, (E, m, m) per edge table of the scheme."""
     tables = _edge_tables(mesh, scheme.method)
     return [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables]
-
-
-def consistency_residual(mesh, scheme, data):
-    """Max normalized defect of the exact solution in the discrete system.
-
-    Evaluates a_h(u, phi_i) - l_h(phi_i) with the analytic solution and
-    gradient in place of u, using the high-order quadrature rules, and
-    scales each entry by the augmented energy norm of phi_i.  On a mesh
-    that fills the domain exactly this is quadrature-level small; on the
-    disk it measures the boundary-skin perturbation.
-    """
-    _require_exact(data, "consistency check needs")
-    basis, dofmap = reference_basis(scheme.degree), build_dofmap(mesh, scheme.degree, scheme.continuous)
-    vrule = triangle_rule(6)
-
-    # volume: (grad u, grad phi_i) - (f, phi_i), at the rule points mapped once
-    x = mesh.physical_points(vrule.points)
-    gu = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)  # (T, q, 2)
-    pulled = vrule.weights[:, None] * (gu @ mesh.invB.transpose(0, 2, 1))  # B^-1 grad u
-    local = mesh.det[:, None] * np.tensordot(pulled, basis.eval_grad(vrule.points), ([1, 2], [0, 2]))
-    load = _volume_load(mesh, basis, vrule, _at(data.f, x))
-    parts = [(_cells(mesh), -load), (_cells(mesh), local)]
-
-    # the squared norms of phi_i: the diagonal of the augmented Gram matrix, from
-    # the diagonals of its volume blocks and of its edge blocks (the dofs of one block are distinct)
-    cells, stiffness = _volume_part(mesh, basis)
-    diagonals = [(cells, np.diagonal(stiffness, axis1=1, axis2=2))]
-
-    # edges: each edge form applied to the exact trace minus the data trace (none
-    # inside), and the norm's diagonal, from one kernel per edge table
-    for edges, form in zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form)):
-        def trace(x, edges=edges):
-            return _exact_trace(data, edges, x) - (_robin_data(scheme, data, x) if _is_boundary(edges) else 0.0)
-        kernel = _edge_kernel(mesh, basis, edges, 8)
-        parts.append((edges.element_ids, _edge_vector(kernel, form(scheme, edges), trace)))
-        diagonals.append((edges.element_ids, _edge_diagonal(kernel, _norm_form(scheme, edges, "augmented"))))
-    defect, gram_diag = _vector(parts, dofmap), _vector(diagonals, dofmap)
-    return float(np.max(np.abs(defect) / np.sqrt(gram_diag)))
 
 
 def write_matrix(matrix, path):

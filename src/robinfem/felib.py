@@ -202,9 +202,18 @@ def build_dofmap(mesh, degree, continuous):
     return DofMap(True, 2, n_vert + n_edges, cell_dofs)
 
 
+def _check_dofs(n_triangles, dofmap):
+    """Raise InvalidParameter unless dofmap numbers dofs 0 .. n_dofs - 1 on each of n_triangles triangles."""
+    if len(dofmap.cell_dofs) != n_triangles:
+        raise InvalidParameter(f"the dof map has {len(dofmap.cell_dofs)} cells, the mesh {n_triangles} triangles")
+    if np.any((dofmap.cell_dofs < 0) | (dofmap.cell_dofs >= dofmap.n_dofs)):
+        raise InvalidParameter(f"the dof map numbers a dof outside 0 .. {dofmap.n_dofs - 1}")
+
+
 def dof_points(mesh, dofmap):
     """Physical coordinates of every global dof, shape (n_dofs, 2): the
     reference nodes under each element's map, scattered by cell_dofs."""
+    _check_dofs(mesh.n_triangles, dofmap)
     pts = np.empty((dofmap.n_dofs, 2))
     pts[dofmap.cell_dofs] = mesh.physical_points(reference_basis(dofmap.degree).nodes)
     return pts
@@ -228,6 +237,7 @@ def continuous_embedding(dofmap, dofmap_cont):
         raise InvalidParameter("the embedded dof map must be continuous")
     if dofmap_cont.degree > dofmap.degree:
         raise InvalidParameter("the embedded space must not have a higher degree")
+    _check_dofs(len(dofmap.cell_dofs), dofmap_cont)  # both on one mesh
     hats = reference_basis(dofmap_cont.degree).eval(reference_basis(dofmap.degree).nodes)
     dofs, first = np.unique(dofmap.cell_dofs, return_index=True)
     elem, node = np.divmod(first, dofmap.cell_dofs.shape[1])

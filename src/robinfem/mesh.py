@@ -300,7 +300,7 @@ def read_mesh(path):
         lines.pop()  # the text after the final newline
     if not lines:
         raise FormatError("unexpected end of file, expected header", line=1)
-    if lines[0].strip() != "meshfmt 1":
+    if lines[0].strip(" \t") != "meshfmt 1":
         raise FormatError(f"expected 'meshfmt 1', got {lines[0]!r}", line=1)
 
     def finite(xy, text):
@@ -314,7 +314,7 @@ def read_mesh(path):
     tris = _read_table(lines, 2 + len(verts), "triangles", "i j k", int, "vertex index", in_range)
     end = 3 + len(verts) + len(tris)
     for lineno, text in enumerate(lines[end:], end + 1):
-        if text.strip() and not text.lstrip().startswith("#"):
+        if text.strip(" \t") and not text.lstrip(" \t").startswith("#"):
             raise FormatError(f"unexpected content {text!r}", line=lineno)
     return Mesh(verts, tris)
 
@@ -330,8 +330,8 @@ def _ascii(token):
 
 def _fields(text):
     """A line's fields, split at ASCII spaces and tabs alone (str.split also splits
-    at U+00A0, \\x85, \\x1c-\\x1f, ...); whitespace at either end is no field."""
-    return [field for field in text.strip().replace("\t", " ").split(" ") if field]
+    at U+00A0, \\x85, \\x1c-\\x1f, ...), which make no field at either end."""
+    return [field for field in text.replace("\t", " ").split(" ") if field]
 
 
 def _read_table(lines, start, keyword, fields, parse, what, invalid):

@@ -172,18 +172,13 @@ def solve(system, config=None):
     prolongation = getattr(system, "prolongation", None)
     if rhs is None:
         raise InvalidParameter("solve needs a right-hand side")
-    rhs, dtype = np.asarray(rhs), matrix.dtype if sp.issparse(matrix) else np.asarray(matrix).dtype
-    if dtype.kind not in "biuf" or rhs.dtype.kind not in "biuf" or rhs.ndim != 1:
-        raise InvalidParameter(
-            f"solve needs a real matrix and a real rhs vector, got {dtype} and {rhs.dtype} values of shape {rhs.shape}"
-        )
-    matrix = sp.csr_matrix(matrix, dtype=float)  # the one matrix every check and path reads
-    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != len(rhs):
-        raise InvalidParameter("matrix and right-hand side sizes do not match")
+    matrix, rhs = _checked_matrix(matrix), np.asarray(rhs)  # the one matrix every check and path reads
+    if rhs.dtype.kind not in "biuf" or rhs.shape != (matrix.shape[0],):
+        raise InvalidParameter(f"solve needs a real rhs of {matrix.shape[0]} entries, got {rhs.dtype} values of shape {rhs.shape}")
     if prolongation is not None and prolongation.shape[0] != len(rhs):
         raise InvalidParameter("prolongation rows do not match the matrix size")
-    if not (np.isfinite(matrix.data).all() and np.isfinite(rhs).all()):
-        raise InvalidParameter("matrix or right-hand side has a non-finite entry")
+    if not np.isfinite(rhs).all():
+        raise InvalidParameter("the right-hand side has a non-finite entry")
     start = time.perf_counter()
     # exact power-of-two scaling to max|b| in [1/2, 1), see the module docstring
     k = math.frexp(float(np.max(np.abs(rhs), initial=0.0)))[1]
@@ -197,9 +192,22 @@ def solve(system, config=None):
     return np.ldexp(x, k), report
 
 
+def _checked_matrix(matrix):
+    """matrix as a float CSR matrix; raises InvalidParameter unless it is real, square and finite."""
+    dtype = matrix.dtype if sp.issparse(matrix) else np.asarray(matrix).dtype
+    if dtype.kind not in "biuf":
+        raise InvalidParameter(f"the matrix must be real, got {dtype} values")
+    matrix = sp.csr_matrix(matrix, dtype=float)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise InvalidParameter(f"the matrix must be square, got shape {matrix.shape}")
+    if not np.isfinite(matrix.data).all():
+        raise InvalidParameter("the matrix has a non-finite entry")
+    return matrix
+
+
 def _symmetric_dense(matrix):
-    """The dense symmetric part of a sparse or dense matrix, which drops roundoff asymmetry."""
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
+    """The dense symmetric part of a CSR matrix, which drops roundoff asymmetry."""
+    dense = matrix.toarray()
     return 0.5 * (dense + dense.T)
 
 
@@ -261,15 +269,15 @@ def _bottom_factor(matrix):
     return factor
 
 
-def _aggregates(matrix, diag):
-    """(is_root, agg) of smoothed aggregation on a CSR matrix with a positive
-    diagonal: the roots, and the aggregate of every node (-1 for none); see
-    the module docstring."""
+def _smoothed_aggregation(matrix, diag):
+    """Smoothed-aggregation prolongation P = (I - 4/(3 rho) D^-1 A) T of a CSR
+    matrix with a positive diagonal D; see the module docstring."""
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
     rows = np.repeat(np.arange(n), np.diff(indptr))
+    on_diag = rows == indices
     root = np.sqrt(diag)  # sqrt(a_ii) sqrt(a_jj) cannot overflow where a_ii a_jj would
-    strong = (rows == indices) | (np.abs(matrix.data) >= _STRENGTH * root[rows] * root[indices])
+    strong = on_diag | (np.abs(matrix.data) >= _STRENGTH * root[rows] * root[indices])
     # the strength graph, each row holding its diagonal, so no row is empty
     s_indices = indices[strong].astype(np.intp)
     s_start = np.concatenate(([0], np.cumsum(strong)[indptr[1:-1] - 1]))
@@ -281,39 +289,16 @@ def _aggregates(matrix, diag):
     # uint32, where 0 also stands for a decided node: only node 0 has priority 0,
     # and the smallest priority never outranks an undecided neighbour anyway
     priority = (np.arange(n, dtype=np.uint64) * _PRIORITY_HASH % 2**32).astype(np.uint32)
-    lengths = np.diff(np.append(s_start, len(s_indices)))
-    undecided = lengths > 1
+    undecided = np.diff(np.append(s_start, len(s_indices))) > 1
     is_root = np.zeros(n, dtype=bool)
-    # the strength rows a round reads: all at first, then those of the undecided nodes
-    # and of their neighbours, the only rows whose values two passes carry to an undecided node
-    near, near_indices, near_lengths = np.arange(n), s_indices, lengths
-
-    def near_max(values):
-        """neighbour_max at the nodes near, 0 at the others."""
-        out = np.zeros_like(values)
-        out[near] = np.maximum.reduceat(values[near_indices], np.cumsum(near_lengths) - near_lengths)
-        return out
-
     while undecided.any():
-        best = near_max(near_max(np.where(undecided, priority, 0)))
+        best = neighbour_max(neighbour_max(np.where(undecided, priority, 0)))
         new = undecided & (best == priority)
         is_root |= new
-        undecided &= ~near_max(near_max(new))
-        reached = np.zeros(n, dtype=bool)
-        reached[near_indices[np.repeat(undecided[near], near_lengths)]] = True
-        keep = reached[near]
-        near, near_indices, near_lengths = near[keep], near_indices[np.repeat(keep, near_lengths)], near_lengths[keep]
+        undecided &= ~neighbour_max(neighbour_max(new))
     ids = np.where(is_root, np.cumsum(is_root) - 1, -1)
     agg = np.where(is_root, ids, neighbour_max(ids))  # a root and its neighbours
-    return is_root, np.where(agg >= 0, agg, neighbour_max(agg))  # then their neighbours
-
-
-def _smoothed_aggregation(matrix, diag):
-    """Smoothed-aggregation prolongation P = (I - 4/(3 rho) D^-1 A) T of a CSR
-    matrix with a positive diagonal D; see the module docstring."""
-    is_root, agg = _aggregates(matrix, diag)
-    n, indptr, indices = matrix.shape[0], matrix.indptr, matrix.indices
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    agg = np.where(agg >= 0, agg, neighbour_max(agg))  # then their neighbours
     member = agg >= 0
     tentative = sp.csr_matrix(
         (np.ones(np.count_nonzero(member)), agg[member], np.concatenate(([0], np.cumsum(member)))),
@@ -322,7 +307,7 @@ def _smoothed_aggregation(matrix, diag):
     scaled = matrix.data / diag[rows]  # D^-1 A
     omega = 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), indptr[:-1]).max())
     smoother = sp.csr_matrix((-omega * scaled, indices, indptr), shape=(n, n))
-    smoother.data[rows == indices] += 1.0
+    smoother.data[on_diag] += 1.0
     return smoother @ tentative
 
 
@@ -374,9 +359,8 @@ def _solve_cg(matrix, rhs, config, system):
 
 
 def min_eigenvalue_dense(system):
-    """Smallest eigenvalue of the symmetrized matrix; refuses large systems."""
-    matrix, _ = _matrix_rhs(system)
-    n = np.shape(matrix)[0]
-    if n > _DENSE_EIG_LIMIT:
-        raise TooLarge(f"dense eigenvalue check limited to {_DENSE_EIG_LIMIT}, got {n}")
+    """Smallest eigenvalue of the symmetrized matrix; refuses large and invalid matrices."""
+    matrix = _checked_matrix(_matrix_rhs(system)[0])
+    if matrix.shape[0] > _DENSE_EIG_LIMIT:
+        raise TooLarge(f"dense eigenvalue check limited to {_DENSE_EIG_LIMIT}, got {matrix.shape[0]}")
     return float(np.linalg.eigvalsh(_symmetric_dense(matrix))[0])

@@ -24,13 +24,14 @@ from robinfem import (
     generate_square_mesh,
     get_problem,
     l2_error,
-    consistency_residual,
     edge_rule,
     norm_matrix,
     reference_basis,
     solve,
     triangle_rule,
 )
+
+from oracles import consistency_residual
 
 NIT = Method.NITSCHE
 DG = Method.SIPDG
@@ -236,8 +237,6 @@ def test_error_norms_require_exact_solution():
         l2_error(mesh, data, np.zeros(dm.n_dofs), dm)
     with pytest.raises(MissingExactSolution):
         energy_error(mesh, Scheme(NIT), data, np.zeros(dm.n_dofs), dofmap=dm)
-    with pytest.raises(MissingExactSolution):
-        consistency_residual(mesh, Scheme(NIT), data)
 
 
 def test_zero_solution_of_zero_problem_has_zero_errors():
@@ -285,22 +284,6 @@ def test_a_standalone_error_report_builds_no_assembly_space(method, degree):
     assert default == energy_error(mesh, scheme, data, solution, dofmap=system.dofmap)
 
 
-@pytest.mark.parametrize("method", [NIT, DG])
-@pytest.mark.parametrize("degree", [1, 2])
-def test_a_standalone_consistency_residual_builds_no_assembly_space(method, degree):
-    from robinfem.assembly import _SPACES
-
-    scheme, data = Scheme(method, degree=degree), get_problem("sinsin").make_data(1.0)
-    fresh = generate_disk_mesh(3)
-    spaces = len(_SPACES)
-    residual = consistency_residual(fresh, scheme, data)
-    assert fresh not in _SPACES and len(_SPACES) == spaces
-    # the same residual, bitwise, on a mesh whose space assemble has built
-    mesh = generate_disk_mesh(3)
-    assemble(mesh, scheme, data)
-    assert mesh in _SPACES and consistency_residual(mesh, scheme, data) == residual
-
-
 def _counting(data):
     """data whose callables record the shape of each call's x, by field name."""
     calls = {}
@@ -335,10 +318,3 @@ def test_each_point_set_is_mapped_and_evaluated_once(monkeypatch, method, degree
     assemble_load(mesh, dofmap, basis, scheme, data)
     robin = (len(edge_rule(4 if degree == 1 else 8).points), len(mesh.boundary_edges))
     assert len(mapped) == 1 and calls == {"f": [(mesh.n_triangles, mapped[0])], "u0": [robin], "g": [robin]}
-
-    mapped.clear()
-    data, calls = _counting(get_problem("sinsin_flux").make_data(0.5))
-    consistency_residual(mesh, scheme, data)
-    assert mapped == [nq]
-    assert calls == {"exact_grad": [volume, boundary] + interior, "f": [volume], "exact_u": [boundary],
-                     "u0": [boundary], "g": [boundary]}

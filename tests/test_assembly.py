@@ -24,7 +24,6 @@ from robinfem import (
     assemble_nitsche_boundary,
     assemble_volume,
     build_dofmap,
-    consistency_residual,
     continuous_embedding,
     dof_points,
     energy_error,
@@ -48,18 +47,16 @@ from robinfem.assembly import (
     _CLASSES,
     _EDGE_FACTS,
     _assembly_space,
-    _edge_diagonal,
     _edge_dofs,
     _edge_facts,
-    _edge_kernel,
     _edge_part,
-    _edge_tables,
-    _norm_coefs,
     _penalty_form,
     _robin_form,
     _sort,
     _volume_part,
 )
+
+from oracles import consistency_residual
 
 NIT = Method.NITSCHE
 DG = Method.SIPDG
@@ -866,14 +863,24 @@ def test_a_discontinuous_map_in_another_numbering_is_rejected(degree):
                 run()
 
 
-@pytest.mark.parametrize("method", [NIT, DG])
 @pytest.mark.parametrize("degree", [1, 2])
-@pytest.mark.parametrize("make_mesh", [lambda: generate_disk_mesh(5), lambda: generate_square_mesh(4)], ids=["disk", "square"])
-def test_edge_gram_diagonals_equal_the_diagonals_of_the_blocks(make_mesh, method, degree):
-    # the diagonal sums its terms in another order than the full block, so a few ulps apart
-    mesh, basis = make_mesh(), reference_basis(degree)
-    scheme = Scheme(method, degree=degree, epsilon=0.5)
-    for edges, coef in zip(_edge_tables(mesh, method), _norm_coefs(mesh, scheme, "augmented")):
-        want = np.diagonal(_edge_part(mesh, basis, edges, coef, 8)[1], axis1=1, axis2=2)
-        got = _edge_diagonal(_edge_kernel(mesh, basis, edges, 8), np.diagonal(coef, axis1=1, axis2=2))
-        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+@pytest.mark.parametrize("shift", [5, -1], ids=["past the end", "negative"])
+def test_a_continuous_map_with_dofs_out_of_range_is_rejected(degree, shift):
+    # unchecked, a shift of 5 made assemble_load return 5 entries too many, assemble_volume
+    # raise a scipy ValueError and l2_error an IndexError; a negative dof raised a ValueError
+    # in the forms, and dof_points wrapped it round to the last dof
+    mesh, data = generate_disk_mesh(3), get_problem("sinsin").make_data(1.0)
+    scheme, basis, good = Scheme(NIT, degree=degree), reference_basis(degree), build_dofmap(mesh, degree, True)
+    dofmap = DofMap(True, degree, good.n_dofs, good.cell_dofs + shift)
+    calls = {
+        "volume": lambda: assemble_volume(mesh, dofmap, basis),
+        "boundary": lambda: assemble_nitsche_boundary(mesh, dofmap, basis, scheme),
+        "load": lambda: assemble_load(mesh, dofmap, basis, scheme, data),
+        "l2 error": lambda: l2_error(mesh, data, np.zeros(dofmap.n_dofs), dofmap),
+        "energy error": lambda: energy_error(mesh, scheme, data, np.zeros(dofmap.n_dofs), dofmap=dofmap),
+        "dof points": lambda: dof_points(mesh, dofmap),
+        "interpolate": lambda: interpolate(mesh, dofmap, lambda x, y: x + y),
+    }
+    for call, run in calls.items():
+        with pytest.raises(InvalidParameter, match=f"the dof map numbers a dof outside 0 .. {good.n_dofs - 1}"):
+            run()

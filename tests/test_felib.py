@@ -278,3 +278,17 @@ def test_continuous_embedding(degree):
     if degree == 2:
         with pytest.raises(InvalidParameter):
             continuous_embedding(build_dofmap(mesh, 1, continuous=False), dm_c)
+
+
+@pytest.mark.parametrize("continuous", [True, False])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_dof_maps_of_another_mesh_are_rejected(degree, continuous):
+    # unchecked, dof_points and interpolate raised a numpy broadcast error, and the
+    # embedding of P1 on 96 triangles into P2-DG on 54 gave a 324 x 61 matrix
+    coarse, fine = generate_disk_mesh(3), generate_disk_mesh(4)
+    other = build_dofmap(fine, degree, continuous)
+    for call in (lambda: dof_points(coarse, other), lambda: interpolate(coarse, other, lambda x, y: x + y)):
+        with pytest.raises(InvalidParameter, match="the dof map has 96 cells, the mesh 54 triangles"):
+            call()
+    with pytest.raises(InvalidParameter, match="the dof map has 96 cells, the mesh 54 triangles"):
+        continuous_embedding(build_dofmap(coarse, 2, continuous), build_dofmap(fine, degree, continuous=True))

@@ -506,20 +506,27 @@ def test_read_mesh_breaks_lines_only_at_newlines(tmp_path, char):
     path = tmp_path / "m.mesh"
     write_mesh(mesh, path)
     lines = path.read_text().splitlines()
-    # a whitespace character ending the header is part of line 1, not a line break
+    # such a character ending the header is part of line 1, neither a line break nor
+    # whitespace the reader strips (it strips ASCII spaces and tabs alone)
     path.write_text("\n".join([lines[0] + char] + lines[1:]) + "\n")
-    clone = read_mesh(path)
-    assert np.array_equal(clone.vertices, mesh.vertices) and np.array_equal(clone.triangles, mesh.triangles)
+    with pytest.raises(FormatError, match="expected 'meshfmt 1'") as err:
+        read_mesh(path)
+    assert err.value.line == 1
     # two lines joined by one are one line, reported as line 1
     path.write_text("\n".join([lines[0] + char + lines[1]] + lines[2:]) + "\n")
     with pytest.raises(FormatError, match="expected 'meshfmt 1'") as err:
         read_mesh(path)
     assert err.value.line == 1
-    # a line number after such a character still counts "\n" alone
-    path.write_text("\n".join(lines[:2] + [lines[2] + char] + lines[3:7] + ["0 1 9"] + lines[8:]) + "\n")
-    with pytest.raises(FormatError, match="out of range") as err:
+    # a row ending in one is a bad row, at its own line
+    path.write_text("\n".join(lines[:2] + [lines[2] + char] + lines[3:]) + "\n")
+    with pytest.raises(FormatError, match="bad coordinate") as err:
         read_mesh(path)
-    assert err.value.line == 8
+    assert err.value.line == 3
+    # a line number after such a character, in a comment below the tables, still counts "\n" alone
+    path.write_text("\n".join(lines + ["# note" + char + "0 1 9", "0 1 9"]) + "\n")
+    with pytest.raises(FormatError, match="unexpected content '0 1 9'") as err:
+        read_mesh(path)
+    assert err.value.line == len(lines) + 2
 
 
 def test_read_mesh_reads_crlf_files(tmp_path):

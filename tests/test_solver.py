@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -352,44 +353,6 @@ def test_a_system_without_strong_couplings_ends_in_jacobi():
     np.testing.assert_allclose(x, 1.0 / A.diagonal(), rtol=1e-14)
 
 
-def _whole_pattern_aggregation(matrix, diag):
-    """(is_root, agg, P) of smoothed aggregation whose root rounds pass over the
-    whole strength pattern, as the solver did before its rounds were restricted."""
-    n = matrix.shape[0]
-    indptr, indices = matrix.indptr, matrix.indices
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    on_diag = rows == indices
-    root = np.sqrt(diag)
-    strong = on_diag | (np.abs(matrix.data) >= robinfem.solver._STRENGTH * root[rows] * root[indices])
-    s_indices = indices[strong].astype(np.intp)
-    s_start = np.concatenate(([0], np.cumsum(strong)[indptr[1:-1] - 1]))
-
-    def neighbour_max(values):
-        return np.maximum.reduceat(values[s_indices], s_start)
-
-    priority = (np.arange(n, dtype=np.uint64) * robinfem.solver._PRIORITY_HASH % 2**32).astype(np.uint32)
-    undecided = np.diff(np.append(s_start, len(s_indices))) > 1
-    is_root = np.zeros(n, dtype=bool)
-    while undecided.any():
-        best = neighbour_max(neighbour_max(np.where(undecided, priority, 0)))
-        new = undecided & (best == priority)
-        is_root |= new
-        undecided &= ~neighbour_max(neighbour_max(new))
-    ids = np.where(is_root, np.cumsum(is_root) - 1, -1)
-    agg = np.where(is_root, ids, neighbour_max(ids))
-    agg = np.where(agg >= 0, agg, neighbour_max(agg))
-    member = agg >= 0
-    tentative = sp.csr_matrix(
-        (np.ones(np.count_nonzero(member)), agg[member], np.concatenate(([0], np.cumsum(member)))),
-        shape=(n, int(is_root.sum())),
-    )
-    scaled = matrix.data / diag[rows]
-    omega = 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), indptr[:-1]).max())
-    smoother = sp.csr_matrix((-omega * scaled, indices, indptr), shape=(n, n))
-    smoother.data[on_diag] += 1.0
-    return is_root, agg, smoother @ tentative
-
-
 def _aggregated_matrices():
     """Matrices the solver aggregates, and some it never meets: every aggregated
     level of continuous P1 at level 4, the P1 coarse matrix of continuous P2 at
@@ -405,16 +368,44 @@ def _aggregated_matrices():
     yield "random", sp.csr_matrix(b @ b.T + sp.diags(rng.uniform(0.5, 2.0, 3000)) + 0.3 * sp.triu(b, 1))
 
 
-def test_root_rounds_on_nearby_rows_equal_the_whole_pattern_rounds():
+def _rounds(matrix):
+    """(is_root, agg) of _smoothed_aggregation on matrix: its roots and the
+    aggregate of every node (-1 for none), read from its locals as it returns."""
+    seen, code, previous = {}, robinfem.solver._smoothed_aggregation.__code__, sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            seen.update(is_root=frame.f_locals["is_root"].copy(), agg=frame.f_locals["agg"].copy())
+
+    sys.setprofile(profile)
+    try:
+        robinfem.solver._smoothed_aggregation(matrix, matrix.diagonal())
+    finally:
+        sys.setprofile(previous)
+    return seen["is_root"], seen["agg"]
+
+
+def test_root_rounds_give_independent_roots_and_aggregates_that_hold_them():
     for name, matrix in _aggregated_matrices():
-        diag = matrix.diagonal()
-        want_roots, want_agg, want_p = _whole_pattern_aggregation(matrix, diag)
-        is_root, agg = robinfem.solver._aggregates(matrix, diag)
-        assert np.array_equal(is_root, want_roots) and np.array_equal(agg, want_agg), name
-        assert 1 < want_roots.sum() < len(diag), name
-        p = robinfem.solver._smoothed_aggregation(matrix, diag)
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(p, part), getattr(want_p, part)), (name, part)
+        is_root, agg = _rounds(matrix)
+        n, roots = len(agg), np.flatnonzero(is_root)
+        assert 1 < len(roots) < n, name
+        # the strength graph, with the diagonal, and its paths of at most two strong steps
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        scale = np.sqrt(matrix.diagonal())
+        strong = (rows == matrix.indices) | (np.abs(matrix.data) >= robinfem.solver._STRENGTH * scale[rows] * scale[matrix.indices])
+        graph = sp.csr_matrix((np.ones(strong.sum()), (rows[strong], matrix.indices[strong])), shape=(n, n))
+        near = (graph @ graph)[roots][:, roots] != 0
+        # no two roots lie within two strong steps of each other both ways; on a symmetric
+        # strength graph (all but the random matrix) that is a distance-2 independent set
+        assert (near.multiply(near.T) != 0).nnz == len(roots), name
+        if (graph != graph.T).nnz == 0:
+            assert near.nnz == len(roots), name
+        # each aggregate holds its root, and a node joins one exactly when it has a strong neighbour
+        assert np.array_equal(agg[roots], np.arange(len(roots))), name
+        lonely = np.diff(graph.indptr) == 1
+        assert np.all(agg[lonely] == -1) and np.all((agg[~lonely] >= 0) & (agg[~lonely] < len(roots))), name
+        assert lonely.any() == (name == "random"), name
 
 
 _SADDLE = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # positive diagonal, eigenvalues 3 and -1
@@ -456,3 +447,18 @@ def test_a_coarse_level_without_strong_couplings_ends_in_jacobi(monkeypatch):
     assert len(calls) == 1 and calls[0][0].shape == (n, n)
     assert report.coarse_dofs == 0 and report.iterations == 1
     np.testing.assert_allclose(x, 1.0 / A.diagonal(), rtol=1e-14)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[2.0, np.nan], [np.nan, 2.0]]),
+    sp.csr_matrix(np.array([[2.0, np.inf], [np.inf, 2.0]])),
+    np.ones((2, 3)),
+    sp.csr_matrix(np.ones((3, 2))),
+    np.array([[1.0 + 1.0j, 0.0], [0.0, 1.0]]),
+], ids=["nan", "inf", "2x3", "3x2", "complex"])
+def test_min_eigenvalue_rejects_what_solve_rejects(matrix):
+    # unchecked, a nan returned 0.0 and a 2x3 matrix raised a numpy broadcast error
+    with pytest.raises(InvalidParameter, match="the matrix"):
+        min_eigenvalue_dense(matrix)
+    with pytest.raises(InvalidParameter, match="the matrix"):
+        solve((matrix, np.ones(matrix.shape[0])))
