@@ -83,7 +83,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._atomic import write_lines
-from .errors import InvalidParameter, SchemeMismatch
+from .errors import InvalidParameter, SchemeMismatch, as_array
 from .felib import (
     DofMap,
     _check_dofs,
@@ -316,16 +316,22 @@ def _per_class(groups, rows, tensors):
     return out
 
 
-def _at(func, x):
-    """A scalar field at points x (..., 2), broadcast to x.shape[:-1]."""
-    return np.broadcast_to(np.asarray(func(x[..., 0], x[..., 1]), dtype=float), x.shape[:-1])
+def _at(func, x, shape=()):
+    """A ProblemData field at points x (..., 2), broadcast to x.shape[:-1] + shape;
+    raises InvalidParameter unless its values are real and broadcast so."""
+    shape = x.shape[:-1] + shape
+    values = as_array(func(x[..., 0], x[..., 1]), "biuf", "problem data must be real")
+    try:
+        return np.broadcast_to(values.astype(float, copy=False), shape)
+    except ValueError:
+        raise InvalidParameter(f"problem data of shape {values.shape} does not broadcast to the points' {shape}") from None
 
 
 def _exact_trace(data, edges, x):
     """The exact solution's trace vector on one edge table at the points x
     (..., E, 2): its value on a boundary table or its zero jump on an
     interior one, then its derivatives along the edge frame.  (..., E, m)"""
-    grad = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)
+    grad = _at(data.exact_grad, x, (2,))
     first = _at(data.exact_u, x) if _is_boundary(edges) else np.zeros(x.shape[:-1])
     return np.concatenate([first[..., None], (grad[..., None, :] @ _edge_frame(edges))[..., 0, :]], axis=-1)
 

@@ -1,7 +1,9 @@
-"""Exception types raised across the library, and the count test that
-guards the integer arguments."""
+"""Exception types raised across the library, and the guards of integer
+and array arguments."""
 
 import numbers
+
+import numpy as np
 
 __all__ = [
     "RobinFemError",
@@ -23,6 +25,18 @@ __all__ = [
 def is_count(value, minimum):
     """Whether value is an integer (not a whole float or a bool) of at least minimum."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
+
+
+def as_array(values, kinds, rule):
+    """values as an array of a dtype kind in kinds, else InvalidParameter
+    saying rule; numpy refuses ragged rows."""
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise InvalidParameter(f"{rule}, given in rows of equal length") from None
+    if array.size and array.dtype.kind not in kinds:
+        raise InvalidParameter(f"{rule}, got {array.dtype} values")
+    return array
 
 
 class RobinFemError(Exception):

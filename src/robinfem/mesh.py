@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import write_lines
-from .errors import FormatError, InvalidParameter, NonManifoldMesh, is_count
+from .errors import FormatError, InvalidParameter, NonManifoldMesh, as_array, is_count
 from .geometry import DomainKind
 
 __all__ = [
@@ -65,18 +65,6 @@ class EdgeTable:
         return len(self.h_e)
 
 
-def _array(values, kinds, rule):
-    """values as an array of a dtype kind in kinds, else InvalidParameter
-    saying rule; numpy refuses ragged rows."""
-    try:
-        array = np.asarray(values)
-    except ValueError:
-        raise InvalidParameter(f"{rule}, given in rows of equal length") from None
-    if array.size and array.dtype.kind not in kinds:
-        raise InvalidParameter(f"{rule}, got {array.dtype} values")
-    return array
-
-
 class Mesh:
     """Immutable triangle mesh with full edge topology and the affine map
     x = v0 + B xi of every element onto the reference triangle.
@@ -88,8 +76,8 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, level=0):
-        self.vertices = np.array(_array(vertices, "biuf", "vertex coordinates must be real numbers"), dtype=float)
-        self.triangles = _array(triangles, "iu", "vertex indices must be integers").astype(np.int64)
+        self.vertices = np.array(as_array(vertices, "biuf", "vertex coordinates must be real numbers"), dtype=float)
+        self.triangles = as_array(triangles, "iu", "vertex indices must be integers").astype(np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise InvalidParameter("vertices must have shape (n, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:

@@ -17,9 +17,10 @@ P_k B_k+1(P_k^T r).  P_0 is the embedding of continuous P1 on the same
 mesh (SparseSystem.prolongation), after Dobrev, Lazarov, Vassilevski &
 Zikatanov, "Two-level preconditioning of discontinuous Galerkin
 approximations of second-order elliptic equations" (NLAA 2006).  Below
-it (from A itself for continuous P1, which has no such space), smoothed
-aggregation (Vanek, Mandel & Brezina, Computing 1996) adds levels while
-the coarsest matrix has more than _DIRECT_LIMIT = 5000 dofs:
+it (from A itself for continuous P1 and for a (matrix, rhs) pair, which
+have no such space), smoothed aggregation (Vanek, Mandel & Brezina,
+Computing 1996) adds levels while the coarsest matrix has more than
+_DIRECT_LIMIT = 5000 dofs:
 
 - strength: j is a strong neighbour of i if |a_ij| >= 0.08 sqrt(a_ii a_jj);
 - roots: a distance-2 independent set of the strength graph, chosen in
@@ -38,9 +39,7 @@ cut the sweep's four solves from 0.85 to 0.67 s.  Under the 3,169-dof
 P1 coarse space of SIPDG P1 level 3, one level gives 47 iterations
 against 32 for 0.050 against 0.059 s, no clear gain, so that space
 stays direct.  The hierarchy is built once per solve and dropped on
-return.  Only a SparseSystem gets one: a bare matrix or a (matrix, rhs)
-pair is preconditioned by exactly Jacobi, as is continuous P1 up to
-5000 dofs.
+return.
 
 Every D_k^-1 is SPD once its diagonal is positive, every other term is
 symmetric positive semidefinite, and B_L is SPD once its factor passes
@@ -56,8 +55,11 @@ IndefiniteMatrix:
 
 For 1 and 2 the proof is Sylvester's law of inertia: A_k = Q^T A Q, with
 Q = P_0 ... P_k-1, is SPD if A is and Q has full column rank.  The P1
-embedding has full column rank, and so has T: its columns indicate
-disjoint, non-empty aggregates (each holds its root).  The smoothed
+embedding has full column rank.  A given P_0 must be real, finite and
+2-D, with n rows, at most n columns and a nonzero in each column
+(InvalidParameter otherwise); other rank deficiency is not detected, and
+can make 1 or 2 raise on an SPD A.  T has full column rank: its columns
+indicate disjoint, non-empty aggregates (each holds its root).  The smoothed
 P = S T, S = I - 4/(3 rho) D^-1 A, keeps it unless some nonzero T c is
 an eigenvector of D^-1 A for exactly the eigenvalue 3 rho / 4, a
 coincidence that is not checked.  Once 1 and 2 pass, B_0 is SPD, so
@@ -96,7 +98,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import IndefiniteMatrix, InvalidParameter, NotConverged, TooLarge, is_count
+from .errors import IndefiniteMatrix, InvalidParameter, NotConverged, TooLarge, as_array, is_count
 
 __all__ = [
     "SolverMethod",
@@ -151,34 +153,27 @@ class SolveReport:
     iterations: int
     residual: float
     wall_time: float = 0.0  # set by solve
-    min_eigenvalue: Optional[float] = None
     coarse_dofs: int = 0
 
 
-def _matrix_rhs(system):
-    """(matrix, rhs) of a SparseSystem, a (matrix, rhs) tuple, or a bare
-    matrix, whose rhs is None."""
-    if hasattr(system, "matrix"):
-        return system.matrix, system.rhs
-    if isinstance(system, tuple):
-        return system
-    return system, None
-
-
 def solve(system, config=None):
-    """Solve A x = b; returns (x, SolveReport)."""
+    """Solve A x = b for a SparseSystem or a (matrix, rhs) pair; returns (x, SolveReport)."""
     config = config if config is not None else SolverConfig()
-    matrix, rhs = _matrix_rhs(system)
+    if not (hasattr(system, "matrix") or isinstance(system, tuple) and len(system) == 2):
+        raise InvalidParameter(f"solve needs a SparseSystem or a (matrix, rhs) pair, got a {type(system).__name__}")
+    matrix, rhs = (system.matrix, system.rhs) if hasattr(system, "matrix") else system
     prolongation = getattr(system, "prolongation", None)
-    if rhs is None:
-        raise InvalidParameter("solve needs a right-hand side")
-    matrix, rhs = _checked_matrix(matrix), np.asarray(rhs)  # the one matrix every check and path reads
+    matrix, rhs = _checked(matrix), as_array(rhs, "biuf", "the right-hand side must be real")  # the one matrix every path reads
     if rhs.dtype.kind not in "biuf" or rhs.shape != (matrix.shape[0],):
         raise InvalidParameter(f"solve needs a real rhs of {matrix.shape[0]} entries, got {rhs.dtype} values of shape {rhs.shape}")
-    if prolongation is not None and prolongation.shape[0] != len(rhs):
-        raise InvalidParameter("prolongation rows do not match the matrix size")
     if not np.isfinite(rhs).all():
         raise InvalidParameter("the right-hand side has a non-finite entry")
+    if prolongation is not None:  # O(nnz(P)), with no format conversion of a CSR P
+        prolongation, n = _checked(prolongation, "the prolongation", square=False), len(rhs)
+        if not (prolongation.shape[0] == n >= prolongation.shape[1] and np.bincount(
+                prolongation.indices[prolongation.data != 0], minlength=prolongation.shape[1]).all()):
+            raise InvalidParameter(f"the prolongation must have {n} rows, at most {n} columns and a nonzero "
+                                   f"in each column, got shape {prolongation.shape}")
     start = time.perf_counter()
     # exact power-of-two scaling to max|b| in [1/2, 1), see the module docstring
     k = math.frexp(float(np.max(np.abs(rhs), initial=0.0)))[1]
@@ -186,23 +181,21 @@ def solve(system, config=None):
     if config.method is SolverMethod.DENSE:
         x, report = _solve_dense(matrix, scaled)
     else:
-        # only an assembled system gets the hierarchy; a bare pair stays Jacobi
-        x, report = _solve_cg(matrix, scaled, config, system if hasattr(system, "matrix") else None)
+        x, report = _solve_cg(matrix, scaled, config, prolongation)
     report.wall_time = time.perf_counter() - start
     return np.ldexp(x, k), report
 
 
-def _checked_matrix(matrix):
-    """matrix as a float CSR matrix; raises InvalidParameter unless it is real, square and finite."""
-    dtype = matrix.dtype if sp.issparse(matrix) else np.asarray(matrix).dtype
-    if dtype.kind not in "biuf":
-        raise InvalidParameter(f"the matrix must be real, got {dtype} values")
-    matrix = sp.csr_matrix(matrix, dtype=float)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise InvalidParameter(f"the matrix must be square, got shape {matrix.shape}")
-    if not np.isfinite(matrix.data).all():
-        raise InvalidParameter("the matrix has a non-finite entry")
-    return matrix
+def _checked(matrix, name="the matrix", square=True):
+    """matrix as a float CSR matrix; raises InvalidParameter, naming it,
+    unless it is real, finite and 2-D, and square if square."""
+    array = matrix if sp.issparse(matrix) else as_array(matrix, "biuf", f"{name} must be real")
+    if array.dtype.kind not in "biuf" or array.ndim != 2 or square and array.shape[0] != array.shape[1]:
+        raise InvalidParameter(f"{name} must be real, 2-D{' and square' * square}, got {array.dtype} values of shape {array.shape}")
+    array = sp.csr_matrix(array, dtype=float)
+    if not np.isfinite(array.data).all():
+        raise InvalidParameter(f"{name} has a non-finite entry")
+    return array
 
 
 def _symmetric_dense(matrix):
@@ -218,24 +211,21 @@ def _solve_dense(matrix, rhs):
     except np.linalg.LinAlgError as exc:
         raise IndefiniteMatrix(f"dense factorization failed: {exc}") from exc
     x = scipy.linalg.cho_solve(factor, rhs)
-    resid = np.linalg.norm(dense @ x - rhs)
-    scale = np.linalg.norm(rhs)
-    resid = resid / scale if scale > 0.0 else resid
-    eig = float(np.linalg.eigvalsh(dense)[0]) if dense.shape[0] <= _DENSE_EIG_LIMIT else None
-    return x, SolveReport(iterations=1, residual=float(resid), min_eigenvalue=eig)
+    resid = np.linalg.norm(dense @ x - rhs) / (np.linalg.norm(rhs) or 1.0)
+    return x, SolveReport(iterations=1, residual=float(resid))
 
 
-def _level(matrix, prolongation, aggregate, depth):
+def _level(matrix, prolongation, depth):
     """(B_k, bottom_dofs) of the level-depth matrix A_k: z = B_k(r), and
     bottom_dofs is the size of the factored bottom matrix (0 for Jacobi).  P_k
-    is prolongation, or if aggregate and A_k is above _DIRECT_LIMIT smoothed
-    aggregation's.  Raises IndefiniteMatrix when the set-up proves A not SPD."""
+    is prolongation, or if A_k is above _DIRECT_LIMIT smoothed aggregation's.
+    Raises IndefiniteMatrix when the set-up proves A not SPD."""
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
         where = f"level-{depth} matrix P^T A P" if depth else "matrix"
         raise IndefiniteMatrix(f"{where} has a nonpositive diagonal entry")
     inv_diag, n = 1.0 / diag, matrix.shape[0]
-    if prolongation is None and aggregate and n > _DIRECT_LIMIT:
+    if prolongation is None and n > _DIRECT_LIMIT:
         prolongation = _smoothed_aggregation(matrix, diag)
         if not 0 < prolongation.shape[1] < n:
             prolongation = None  # no coarser level
@@ -244,7 +234,7 @@ def _level(matrix, prolongation, aggregate, depth):
             return _bottom_factor(matrix).solve, n
         return (lambda r: inv_diag * r), 0
     restrict = sp.csr_matrix(prolongation.T)
-    coarse, bottom_dofs = _level(sp.csr_matrix(restrict @ matrix @ prolongation), None, aggregate, depth + 1)
+    coarse, bottom_dofs = _level(sp.csr_matrix(restrict @ matrix @ prolongation), None, depth + 1)
     return (lambda r: inv_diag * r + prolongation @ coarse(restrict @ r)), bottom_dofs
 
 
@@ -311,15 +301,13 @@ def _smoothed_aggregation(matrix, diag):
     return smoother @ tentative
 
 
-def _solve_cg(matrix, rhs, config, system):
+def _solve_cg(matrix, rhs, config, prolongation):
     n = matrix.shape[0]
-    max_iter = config.max_iterations
-    if max_iter is None:
-        max_iter = int(20.0 * math.sqrt(n)) + 200
+    max_iter = config.max_iterations or int(20.0 * math.sqrt(n)) + 200
     if config.preconditioner is Preconditioner.NONE:
         precond, coarse_dofs = (lambda r: r.copy()), 0
     else:
-        precond, coarse_dofs = _level(matrix, getattr(system, "prolongation", None), system is not None, 0)
+        precond, coarse_dofs = _level(matrix, prolongation, 0)
     b_norm = np.linalg.norm(rhs)
     if not np.any(rhs):
         return np.zeros(n), SolveReport(iterations=0, residual=0.0, coarse_dofs=coarse_dofs)
@@ -358,9 +346,11 @@ def _solve_cg(matrix, rhs, config, system):
     )
 
 
-def min_eigenvalue_dense(system):
-    """Smallest eigenvalue of the symmetrized matrix; refuses large and invalid matrices."""
-    matrix = _checked_matrix(_matrix_rhs(system)[0])
+def min_eigenvalue_dense(matrix):
+    """Smallest eigenvalue of the symmetrized matrix; refuses large, empty and invalid matrices."""
+    matrix = _checked(matrix)
+    if matrix.shape[0] == 0:
+        raise InvalidParameter("an empty matrix has no eigenvalue")
     if matrix.shape[0] > _DENSE_EIG_LIMIT:
         raise TooLarge(f"dense eigenvalue check limited to {_DENSE_EIG_LIMIT}, got {matrix.shape[0]}")
     return float(np.linalg.eigvalsh(_symmetric_dense(matrix))[0])

@@ -1,6 +1,8 @@
 """Error norms, convergence-rate arithmetic, and norm cross-checks."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +239,22 @@ def test_error_norms_require_exact_solution():
         l2_error(mesh, data, np.zeros(dm.n_dofs), dm)
     with pytest.raises(MissingExactSolution):
         energy_error(mesh, Scheme(NIT), data, np.zeros(dm.n_dofs), dofmap=dm)
+
+
+@pytest.mark.parametrize("name", ["f", "u0", "g", "exact_u", "exact_grad"])
+@pytest.mark.parametrize("bad", ["complex", "extra axis"])
+def test_problem_data_that_is_not_real_or_does_not_broadcast_is_rejected(name, bad):
+    # unchecked, complex values lost their imaginary part with only a warning,
+    # and a value of the wrong shape raised a numpy broadcast error
+    mesh, scheme, data = generate_disk_mesh(3), Scheme(NIT), get_problem("sinsin").make_data(1.0)
+    good = getattr(data, name)
+    worse = (lambda x, y: 1j * good(x, y)) if bad == "complex" else (lambda x, y: np.ones(np.shape(x) + (3,)))
+    data = dataclasses.replace(data, **{name: worse})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match="problem data"):
+            system = assemble(mesh, scheme, data)  # reads f, u0 and g
+            error_report(mesh, scheme, data, np.zeros(system.dofmap.n_dofs), system.dofmap)
 
 
 def test_zero_solution_of_zero_problem_has_zero_errors():

@@ -45,9 +45,8 @@ def test_small_spd_system():
         x, report = solve((A, b), config)
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-10)
         assert report.residual <= 1e-10
-    # dense path reports the extreme eigenvalue for small systems
-    _, report = solve((A, b), DENSE)
-    assert abs(report.min_eigenvalue - 1.0) < 1e-12
+    # the dense solve computes no eigenvalue; min_eigenvalue_dense is the one check
+    assert abs(min_eigenvalue_dense(A) - 1.0) < 1e-12
 
 
 def test_diagonal_system():
@@ -162,14 +161,34 @@ def test_stiffness_matrix_is_singular_but_not_indefinite():
 
 
 def test_min_eigenvalue_takes_every_system_form():
+    # it takes the matrix only: a system or a (matrix, rhs) pair is refused
     mesh = generate_disk_mesh(2)
     system = assemble(mesh, Scheme(Method.NITSCHE), get_problem("sinsin").make_data(1.0))
-    lam = min_eigenvalue_dense(system.matrix)
-    assert lam > 0.0
-    assert min_eigenvalue_dense(system) == lam
-    assert min_eigenvalue_dense((system.matrix, system.rhs)) == lam
+    assert min_eigenvalue_dense(system.matrix) > 0.0
+    for other in (system, (system.matrix, system.rhs)):
+        with pytest.raises(InvalidParameter, match="the matrix"):
+            min_eigenvalue_dense(other)
     with pytest.raises(InvalidParameter):
         solve(system.matrix)  # a bare matrix has no right-hand side
+
+
+@pytest.mark.parametrize("config", [CG, DENSE], ids=["cg", "dense"])
+def test_an_empty_matrix_has_no_eigenvalue_but_solves(config):
+    empty = sp.csr_matrix((0, 0))
+    with pytest.raises(InvalidParameter, match="no eigenvalue"):
+        min_eigenvalue_dense(empty)
+    x, report = solve((empty, np.zeros(0)), config)
+    assert x.shape == (0,) and report.residual == 0.0
+
+
+@pytest.mark.parametrize("system", [
+    (sp.identity(2, format="csr"), np.ones(2), None),
+    [sp.identity(2, format="csr"), np.ones(2)],
+], ids=["3-tuple", "list"])
+def test_solve_takes_only_a_system_or_a_pair(system):
+    # unchecked, a 3-tuple failed to unpack and a list asked for a right-hand side
+    with pytest.raises(InvalidParameter, match="a SparseSystem or a \\(matrix, rhs\\) pair"):
+        solve(system)
 
 
 def test_dense_eigenvalue_guard():
@@ -186,7 +205,9 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(InvalidParameter):
         solve((sp.identity(3, format="csr"), np.ones(4)))
-    with pytest.raises(InvalidParameter, match="prolongation rows"):
+    with pytest.raises(InvalidParameter, match="the right-hand side must be real"):
+        solve((sp.identity(3, format="csr"), [[1.0], [1.0, 2.0], [3.0]]))  # ragged
+    with pytest.raises(InvalidParameter, match="the prolongation must have 3 rows"):
         solve(SparseSystem(sp.identity(3, format="csr"), np.ones(3), None, sp.identity(2, format="csr")))
     # the enum members themselves, and a tolerance that is a real number
     for bad in (dict(method="dense"), dict(method="qr"), dict(method=Preconditioner.NONE),
@@ -335,13 +356,49 @@ def _jacobi_pcg(A, b, tol):
     raise AssertionError("Jacobi-PCG did not converge")
 
 
-def test_a_matrix_rhs_pair_above_the_direct_limit_is_jacobi():
+def test_a_matrix_rhs_pair_above_the_direct_limit_gets_the_hierarchy_of_a_system():
     system = _level_system(Method.NITSCHE, 1, 4)
     assert system.dofmap.n_dofs > robinfem.solver._DIRECT_LIMIT
+    x, report = solve((system.matrix, system.rhs))
+    x_system, report_system = solve(SparseSystem(system.matrix, system.rhs, None))
+    assert report.coarse_dofs > 0 and np.array_equal(x, x_system)
+    assert (report.iterations, report.residual, report.coarse_dofs) == (
+        report_system.iterations, report_system.residual, report_system.coarse_dofs)
+
+
+def test_a_matrix_rhs_pair_at_or_below_the_direct_limit_is_jacobi():
+    system = _level_system(Method.NITSCHE, 1, 3)
+    assert system.dofmap.n_dofs <= robinfem.solver._DIRECT_LIMIT
     x, report = solve((system.matrix, system.rhs))
     x_ref, iterations = _jacobi_pcg(system.matrix.tocsr(), system.rhs, 1e-10)
     assert report.iterations == iterations and report.coarse_dofs == 0
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+_TRIDIAGONAL = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("prolongation, message", [
+    (sp.csr_matrix(np.array([[1.0], [np.nan], [0.0]])), "the prolongation has a non-finite entry"),
+    (sp.csr_matrix(np.ones((3, 5))), "the prolongation must have 3 rows, at most 3 columns"),
+    (sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])), "a nonzero in each column"),
+    (sp.csr_matrix(([1.0, 0.0], [0, 1], [0, 1, 1, 2]), shape=(3, 2)), "a nonzero in each column"),
+    (sp.csr_matrix(np.array([[1.0 + 1.0j], [0.0], [0.0]])), "the prolongation must be real"),
+    (np.array([1.0, 0.0, 0.0]), "the prolongation must be real, 2-D"),
+    ([1.0, 0.0, 0.0], "the prolongation must be real, 2-D"),
+], ids=["nan", "3x5", "zero column", "stored zeros", "complex", "1-D", "list"])
+def test_a_malformed_prolongation_is_invalid_not_indefinite(prolongation, message):
+    # unchecked, an SPD matrix raised IndefiniteMatrix, or numpy and attribute errors
+    with pytest.raises(InvalidParameter, match=message):
+        solve(SparseSystem(_TRIDIAGONAL, np.ones(3), None, prolongation))
+
+
+def test_a_well_formed_prolongation_in_any_format_gives_the_same_solution():
+    x, _ = solve((_TRIDIAGONAL, np.ones(3)))
+    for prolongation in (sp.csc_matrix(np.array([[1.0], [0.0], [1.0]])), np.array([[1.0], [0.0], [1.0]]),
+                         [[1.0], [0.0], [1.0]], sp.csr_matrix((3, 0))):
+        y, _ = solve(SparseSystem(_TRIDIAGONAL, np.ones(3), None, prolongation))
+        np.testing.assert_allclose(y, x, rtol=1e-12)
 
 
 def test_a_system_without_strong_couplings_ends_in_jacobi():
