@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _at, _check_space, _edge_error_sq
-from .errors import DegenerateSequence, MissingExactSolution
+from .assembly import Method, _check_space, _edge_error_sq
+from .errors import DegenerateSequence, MissingExactSolution, values_at
 from .felib import build_dofmap, reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
@@ -41,7 +41,7 @@ def _volume_error_sq(mesh, data, solution, dofmap):
     mapping of the rule-6 points and one call of exact_grad and exact_u."""
     rule, basis = triangle_rule(6), reference_basis(dofmap.degree)
     x = mesh.physical_points(rule.points)  # (T, q, 2)
-    grad, u = _at(data.exact_grad, x, (2,)), _at(data.exact_u, x)
+    grad, u = values_at(data.exact_grad, x, (2,)), values_at(data.exact_u, x)
     del x  # freed before the (T, q, 2) products below, which lowers the peak memory
     local = solution[dofmap.cell_dofs]
     grad = grad - np.tensordot(local, basis.eval_grad(rule.points), (1, 1)) @ mesh.invB  # now the errors

@@ -1,5 +1,5 @@
 """Exception types raised across the library, and the guards of integer
-and array arguments."""
+and array arguments and of function values."""
 
 import numbers
 
@@ -37,6 +37,17 @@ def as_array(values, kinds, rule):
     if array.size and array.dtype.kind not in kinds:
         raise InvalidParameter(f"{rule}, got {array.dtype} values")
     return array
+
+
+def values_at(func, x, shape=()):
+    """func(x, y) at the points x (..., 2), broadcast to x.shape[:-1] + shape;
+    raises InvalidParameter unless its values are real and broadcast so."""
+    shape = x.shape[:-1] + shape
+    values = as_array(func(x[..., 0], x[..., 1]), "biuf", "problem data must be real")
+    try:
+        return np.broadcast_to(values.astype(float, copy=False), shape)
+    except ValueError:
+        raise InvalidParameter(f"problem data of shape {values.shape} does not broadcast to the points' {shape}") from None
 
 
 class RobinFemError(Exception):

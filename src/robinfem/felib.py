@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameter, UnsupportedOrder, is_count
+from .errors import InvalidParameter, UnsupportedOrder, is_count, values_at
 
 __all__ = [
     "QuadratureRule",
@@ -74,8 +74,8 @@ def triangle_rule(order):
     Supported exactness orders: 2 (3 points), 4 (6 points), 6 (12 points).
     Each rule is built once; its arrays are read-only.
     """
-    if order not in (2, 4, 6):
-        raise UnsupportedOrder(f"no triangle rule of order {order}")
+    if not (is_count(order, 2) and order in (2, 4, 6)):
+        raise UnsupportedOrder(f"no triangle rule of order {order!r}")
     return _triangle_rule(int(order))
 
 
@@ -203,10 +203,14 @@ def build_dofmap(mesh, degree, continuous):
 
 
 def _check_dofs(n_triangles, dofmap):
-    """Raise InvalidParameter unless dofmap numbers dofs 0 .. n_dofs - 1 on each of n_triangles triangles."""
-    if len(dofmap.cell_dofs) != n_triangles:
-        raise InvalidParameter(f"the dof map has {len(dofmap.cell_dofs)} cells, the mesh {n_triangles} triangles")
-    if np.any((dofmap.cell_dofs < 0) | (dofmap.cell_dofs >= dofmap.n_dofs)):
+    """Raise InvalidParameter unless dofmap's cell_dofs is an integer array of
+    n_triangles rows, one column per node of its degree, of dofs 0 .. n_dofs - 1."""
+    cells, shape = dofmap.cell_dofs, (n_triangles, reference_basis(dofmap.degree).n_nodes)
+    if np.ndim(cells) and len(cells) != n_triangles:
+        raise InvalidParameter(f"the dof map has {len(cells)} cells, the mesh {n_triangles} triangles")
+    if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "iu" and cells.shape == shape):
+        raise InvalidParameter(f"the dof map's cell_dofs must be an integer array of shape {shape}")
+    if np.any((cells < 0) | (cells >= dofmap.n_dofs)):
         raise InvalidParameter(f"the dof map numbers a dof outside 0 .. {dofmap.n_dofs - 1}")
 
 
@@ -220,9 +224,9 @@ def dof_points(mesh, dofmap):
 
 
 def interpolate(mesh, dofmap, func):
-    """Nodal interpolation of ``func(x, y)`` into the FE space."""
-    pts = dof_points(mesh, dofmap)
-    return np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
+    """Nodal interpolation of ``func(x, y)`` into the FE space: a new array of
+    n_dofs floats; InvalidParameter unless func's values are real and broadcast."""
+    return np.array(values_at(func, dof_points(mesh, dofmap)))
 
 
 def continuous_embedding(dofmap, dofmap_cont):
@@ -237,7 +241,8 @@ def continuous_embedding(dofmap, dofmap_cont):
         raise InvalidParameter("the embedded dof map must be continuous")
     if dofmap_cont.degree > dofmap.degree:
         raise InvalidParameter("the embedded space must not have a higher degree")
-    _check_dofs(len(dofmap.cell_dofs), dofmap_cont)  # both on one mesh
+    for space in (dofmap, dofmap_cont):  # both on one mesh
+        _check_dofs(len(dofmap.cell_dofs), space)
     hats = reference_basis(dofmap_cont.degree).eval(reference_basis(dofmap.degree).nodes)
     dofs, first = np.unique(dofmap.cell_dofs, return_index=True)
     elem, node = np.divmod(first, dofmap.cell_dofs.shape[1])

@@ -84,6 +84,8 @@ class Mesh:
             raise InvalidParameter("triangles must have shape (n, 3)")
         if len(self.triangles) == 0:
             raise InvalidParameter("mesh has no triangles")
+        if not is_count(level, 0):
+            raise InvalidParameter(f"level must be a nonnegative integer, got {level!r}")
         outside = ((self.triangles < 0) | (self.triangles >= len(self.vertices))).any(axis=1)
         if outside.any():
             bad = int(np.argmax(outside))
@@ -105,7 +107,12 @@ class Mesh:
             bad = int(np.argmin(self.det))
             raise InvalidParameter(f"triangle {bad} has non-positive signed area {0.5 * self.det[bad]:.3e}")
         adj = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=-1)
-        self.invB = adj.reshape(-1, 2, 2) / self.det[:, None, None]
+        with np.errstate(over="ignore"):
+            self.invB = adj.reshape(-1, 2, 2) / self.det[:, None, None]
+        inverted = np.isfinite(self.invB).all(axis=(1, 2))
+        if not inverted.all():
+            bad = int(np.argmin(inverted))
+            raise InvalidParameter(f"triangle {bad} has area {0.5 * self.det[bad]:.3e}, too small to invert its map")
         used = np.zeros(len(self.vertices), dtype=bool)
         used[self.triangles] = True
         if not used.all():

@@ -4,7 +4,6 @@ import numpy as np
 
 from robinfem import build_dofmap, norm_matrix, reference_basis, triangle_rule
 from robinfem.assembly import (
-    _at,
     _cells,
     _edge_kernel,
     _edge_tables,
@@ -16,6 +15,7 @@ from robinfem.assembly import (
     _robin_form,
     _vector,
 )
+from robinfem.errors import values_at
 
 
 def consistency_residual(mesh, scheme, data):
@@ -36,7 +36,7 @@ def consistency_residual(mesh, scheme, data):
     gu = np.asarray(data.exact_grad(x[..., 0], x[..., 1]), dtype=float)  # (T, q, 2)
     pulled = rule.weights[:, None] * (gu @ mesh.invB.transpose(0, 2, 1))  # B^-1 grad u
     stiffness = mesh.det[:, None] * np.tensordot(pulled, basis.eval_grad(rule.points), ([1, 2], [0, 2]))
-    load = mesh.det[:, None] * ((_at(data.f, x) * rule.weights) @ basis.eval(rule.points))
+    load = mesh.det[:, None] * ((values_at(data.f, x) * rule.weights) @ basis.eval(rule.points))
     parts = [(_cells(mesh), -load), (_cells(mesh), stiffness)]
 
     # edges: each edge form applied to the exact trace minus the data trace (none inside)

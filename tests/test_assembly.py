@@ -46,10 +46,11 @@ from robinfem import (
 from robinfem.assembly import (
     _CLASSES,
     _EDGE_FACTS,
-    _assembly_space,
     _edge_dofs,
     _edge_facts,
     _edge_part,
+    _edge_tables,
+    _norm_coefs,
     _penalty_form,
     _robin_form,
     _sort,
@@ -756,16 +757,16 @@ def test_pieces_of_different_spaces_are_rejected(case):
         _mismatched_space_calls()[case]()
 
 
-def _dof_level_pattern(dofmap, tables):
-    """_sort of every dof triplet of the volume and the edge tables, as the
-    pattern was built before it sorted element blocks."""
-    return _sort([dofmap.cell_dofs] + [_edge_dofs(dofmap, e) for e in tables], dofmap.n_dofs)
-
-
-def _dof_level_matrix(parts, dofmap):
-    """The (dofs, blocks) parts compressed on the dof-level pattern."""
-    slots, indices, indptr = _sort([d for d, _ in parts], dofmap.n_dofs)
-    values = np.bincount(slots, np.concatenate([b.ravel() for _, b in parts]), len(indices))
+def _dof_level_matrix(dofmap, parts, volume=None):
+    """(data, indices, indptr) of the (dofs, blocks) parts on the CSR pattern of
+    one _sort of their dof triplets, as the pattern was built before it sorted
+    blocks.  A volume part joins the sort, and its bincount is added after that
+    of the parts, as _matrix adds the memoized volume."""
+    slots, indices, indptr = _sort([d for d, _ in ([volume] if volume else []) + parts], dofmap.n_dofs)
+    n = volume[1].size if volume else 0
+    values = np.bincount(slots[n:], np.concatenate([b.ravel() for _, b in parts]), len(indices))
+    if volume:
+        values += np.bincount(slots[:n], volume[1].ravel(), len(indices))
     return values, indices, indptr
 
 
@@ -781,25 +782,38 @@ PATTERN_MESHES["square"] = functools.partial(generate_square_mesh, 5)
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("make_mesh", PATTERN_MESHES.values(), ids=PATTERN_MESHES.keys())
 def test_element_block_pattern_equals_the_dof_triplet_sort(make_mesh, degree):
-    mesh, scheme = make_mesh(), Scheme(DG, degree=degree, epsilon=0.5)
-    _, dofmap, _, volume, edge_slots = _assembly_space(mesh, scheme)
-    tables = [mesh.boundary_edges, mesh.interior_edges]
-    slots, indices, indptr = _dof_level_pattern(dofmap, tables)
-    n_volume = dofmap.cell_dofs.size * dofmap.cell_dofs.shape[1]
-    assert_same_arrays((edge_slots, volume.indices, volume.indptr), (slots[n_volume:], indices, indptr), "space")
-    basis = reference_basis(degree)
-    _, stiffness = _volume_part(mesh, basis)
-    assert np.array_equal(volume.data, np.bincount(slots[:n_volume], stiffness.ravel(), len(indices)))
-    # every standalone form, on the pattern of its own triplets
-    forms = {
-        "volume": (assemble_volume(mesh, dofmap, basis), [(dofmap.cell_dofs, stiffness)]),
-        "boundary": (assemble_nitsche_boundary(mesh, dofmap, basis, scheme),
-                     [(_edge_dofs(dofmap, tables[0]), _edge_part(mesh, basis, tables[0], _robin_form(scheme, tables[0]))[1])]),
-        "interior": (assemble_interior_penalty(mesh, dofmap, basis, scheme),
-                     [(_edge_dofs(dofmap, tables[1]), _edge_part(mesh, basis, tables[1], _penalty_form(scheme, tables[1]))[1])]),
-    }
-    for name, (matrix, parts) in forms.items():
-        assert_same_arrays((matrix.data, matrix.indices, matrix.indptr), _dof_level_matrix(parts, dofmap), name)
+    # every matrix, a bincount onto BSR data that scipy converts to CSR, is bitwise the
+    # bincount of its dof triplets onto the CSR pattern of one sort of those triplets
+    mesh, basis = make_mesh(), reference_basis(degree)
+    for method in (NIT, DG):
+        scheme = Scheme(method, degree=degree, epsilon=0.5)
+        dofmap, tables = build_dofmap(mesh, degree, scheme.continuous), _edge_tables(mesh, method)
+        volume = (dofmap.cell_dofs, _volume_part(mesh, basis)[1])
+
+        def part(edges, coef, order=None):
+            return _edge_dofs(dofmap, edges), _edge_part(mesh, basis, edges, coef, order)[1]
+
+        robin, penalty = _robin_form(scheme, tables[0]), _penalty_form(scheme, mesh.interior_edges)
+        system = assemble(mesh, scheme, get_problem("sinsin").make_data(0.5))
+        forms = {  # the forms on the space's pattern, with the volume
+            "assemble": (system.matrix, [part(e, c) for e, c in zip(tables, (robin, penalty))]),
+            **{f"{variant} norm": (norm_matrix(mesh, scheme, variant),
+                                   [part(e, c, 8) for e, c in zip(tables, _norm_coefs(mesh, scheme, variant))])
+               for variant in ("energy", "augmented")},
+        }
+        for name, (matrix, parts) in forms.items():
+            assert isinstance(matrix, sp.csr_matrix) and matrix.has_sorted_indices, (method, name)
+            got = (matrix.data, matrix.indices, matrix.indptr)
+            assert_same_arrays(got, _dof_level_matrix(dofmap, parts, volume), (method, name))
+        standalone = {  # each form on the pattern of its own triplets
+            "volume": (assemble_volume(mesh, dofmap, basis), [volume]),
+            "boundary": (assemble_nitsche_boundary(mesh, dofmap, basis, scheme), [part(tables[0], robin)]),
+        }
+        if method is DG:
+            ip = assemble_interior_penalty(mesh, dofmap, basis, scheme)
+            standalone["interior"] = (ip, [part(mesh.interior_edges, penalty)])
+        for name, (matrix, parts) in standalone.items():
+            assert_same_arrays((matrix.data, matrix.indices, matrix.indptr), _dof_level_matrix(dofmap, parts), (method, name))
 
 
 @pytest.mark.parametrize("kind", ["boundary", "interior"])
@@ -861,6 +875,29 @@ def test_a_discontinuous_map_in_another_numbering_is_rejected(degree):
         for call, run in calls.items():
             with pytest.raises(InvalidParameter, match="does not number element t's nb dofs"):
                 run()
+
+
+@pytest.mark.parametrize("cells", ["2 columns", "4 columns", "float"])
+def test_a_dof_map_of_the_wrong_width_or_dtype_is_rejected(cells):
+    # unchecked, the forms raised a bincount ValueError, a numpy UFuncTypeError or a
+    # TypeError, l2_error and dof_points a shape ValueError or an IndexError
+    mesh, data = generate_disk_mesh(2), get_problem("sinsin").make_data(1.0)
+    good, basis, scheme = build_dofmap(mesh, 1, True), reference_basis(1), Scheme(NIT)
+    cell_dofs = {"2 columns": good.cell_dofs[:, :2], "4 columns": good.cell_dofs[:, [0, 1, 2, 0]],
+                 "float": good.cell_dofs.astype(float)}[cells]
+    dofmap = DofMap(True, 1, good.n_dofs, cell_dofs)
+    calls = {
+        "volume": lambda: assemble_volume(mesh, dofmap, basis),
+        "load": lambda: assemble_load(mesh, dofmap, basis, scheme, data),
+        "l2 error": lambda: l2_error(mesh, data, np.zeros(dofmap.n_dofs), dofmap),
+        "dof points": lambda: dof_points(mesh, dofmap),
+        "interpolate": lambda: interpolate(mesh, dofmap, lambda x, y: x + y),
+        "embedding": lambda: continuous_embedding(build_dofmap(mesh, 2, continuous=False), dofmap),
+        "embedded into": lambda: continuous_embedding(DofMap(False, 1, good.n_dofs, cell_dofs), good),
+    }
+    for call, run in calls.items():
+        with pytest.raises(InvalidParameter, match=r"cell_dofs must be an integer array of shape \(24, 3\)"):
+            run()
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -71,10 +71,11 @@ def test_rules_are_built_once_and_read_only(make_rule, order):
 
 
 def test_unsupported_orders():
-    for bad in (1, 3, 5, 8):
+    # triangle_rule(4.0) returned the order-4 rule, where edge_rule(4.0) is refused
+    for bad in (1, 3, 5, 8, 4.0, True, "4"):
         with pytest.raises(UnsupportedOrder):
             triangle_rule(bad)
-    for bad in (1, 3, 10):
+    for bad in (1, 3, 10, 4.0, True, "4"):
         with pytest.raises(UnsupportedOrder):
             edge_rule(bad)
 
@@ -278,6 +279,29 @@ def test_continuous_embedding(degree):
     if degree == 2:
         with pytest.raises(InvalidParameter):
             continuous_embedding(build_dofmap(mesh, 1, continuous=False), dm_c)
+
+
+@pytest.mark.parametrize("func, message", [
+    (lambda x, y: x + 1j * y, "must be real"),
+    (lambda x, y: np.ones(3), r"shape \(3,\) does not broadcast"),
+    (lambda x, y: np.stack([x, y], axis=-1), "does not broadcast"),
+], ids=["complex", "three values", "a vector per point"])
+def test_interpolating_a_function_that_is_not_real_or_does_not_broadcast_is_rejected(func, message):
+    # unchecked, the complex values lost their imaginary part and the others came back as they were
+    mesh = generate_disk_mesh(3)
+    with pytest.raises(InvalidParameter, match=message):
+        interpolate(mesh, build_dofmap(mesh, 2, continuous=True), func)
+
+
+def test_interpolation_is_a_new_writable_array_of_floats():
+    mesh = generate_disk_mesh(3)
+    dm = build_dofmap(mesh, 2, continuous=False)
+    constant = interpolate(mesh, dm, lambda x, y: 2)  # a 0-d array before
+    assert constant.shape == (dm.n_dofs,) and constant.dtype == float and np.all(constant == 2.0)
+    constant[0] = 1.0  # writable
+    given = np.arange(dm.n_dofs, dtype=float)
+    values = interpolate(mesh, dm, lambda x, y: given)
+    assert values is not given and np.array_equal(values, given) and values.flags.writeable
 
 
 @pytest.mark.parametrize("continuous", [True, False])

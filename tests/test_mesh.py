@@ -499,6 +499,14 @@ def test_overflowing_coordinates_are_rejected(tmp_path, vertices):
         read_mesh(path)
 
 
+def test_a_triangle_too_thin_to_invert_is_rejected(tmp_path):
+    # a positive but denormal area: the inverse Jacobian would overflow to inf
+    path = tmp_path / "m.mesh"
+    path.write_text("meshfmt 1\nvertices 4\n0 0\n1 0\n0 1\n1 1e-320\ntriangles 2\n0 1 3\n0 3 2\n")
+    with pytest.raises(InvalidParameter, match="triangle 0 has area .*, too small to invert its map"):
+        read_mesh(path)
+
+
 # every character but "\n" and "\r" at which str.splitlines breaks a line
 @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=repr)
 def test_read_mesh_breaks_lines_only_at_newlines(tmp_path, char):
@@ -568,6 +576,15 @@ def test_level_mesh_rejects_a_level_that_is_not_a_nonnegative_integer(level):
     for domain in (unit_disk(), unit_square()):
         with pytest.raises(InvalidParameter, match="level"):
             level_mesh(domain, level)
+
+
+@pytest.mark.parametrize("level", [-3, "x", 1.5, True], ids=repr)
+def test_a_mesh_level_is_a_nonnegative_integer(level):
+    # unchecked, the level went as given into ErrorReport.level and the study CSV
+    verts, tris = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]])
+    with pytest.raises(InvalidParameter, match="level must be a nonnegative integer"):
+        Mesh(verts, tris, level=level)
+    assert Mesh(verts, tris, level=np.int64(3)).level == 3
 
 
 NON_INTEGER_COUNTS = {  # each a count argument that is not an integer
