@@ -274,7 +274,8 @@ def _edge_facts(mesh, edges):
         frame, k = _edge_frame(edges), edges.element_ids.shape[1]
         lift, classes = np.zeros((len(edges), frame.shape[2] + 1, 3 * k)), 0
         for side, elems in enumerate(edges.element_ids.T):
-            a, b = (np.argmax(mesh.triangles[elems] == v[:, None], axis=1) for v in edges.vertex_ids.T)
+            tri = mesh.triangles[elems]  # a and b: the local indices of the edge's two vertices
+            a, b = (np.where(tri[:, 0] == v, 0, np.where(tri[:, 1] == v, 1, 2)) for v in edges.vertex_ids.T)
             classes = len(_CLASSES) * classes + 2 * a + b - (b > a)  # the index of (a, b) in _CLASSES
             lift[:, 0, 3 * side] = -1.0 if side else 1.0
             lift[:, 1:, 3 * side + 1:3 * side + 3] = (mesh.invB[elems] @ frame).transpose(0, 2, 1) / k
@@ -360,17 +361,21 @@ def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
 def _sort(ids, n, nb=1):
     """The BSR pattern (slots, indices, indptr) of nb x nb blocks on the (E, k)
     block ids below n of parts, from one stable sort (any sort gives the same;
-    stable is the fastest here) of the keys row*n + col.  slots is the data
-    entry of every triplet: (e, s*nb + i, t*nb + j) is nb^2 bslot[e, s, t] + nb i + j."""
+    stable is the fastest here) of the keys row*n + col.  Row r's blocks start
+    where the distinct sorted keys reach r*n (a searchsorted), and each column
+    is its key minus that, with no division.  slots is the data entry of every
+    triplet: (e, s*nb + i, t*nb + j) is nb^2 bslot[e, s, t] + nb i + j."""
     ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in ids])
     keys = np.empty(ends[-1], dtype=np.int64)
     for d, a, b in zip(ids, ends, ends[1:]):
         np.add(d[:, :, None] * n, d[:, None, :], out=keys[a:b].reshape(len(d), d.shape[1], d.shape[1]))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.diff(keys, prepend=-1) != 0  # keys >= 0: entry 0 starts a run
-    rows, cols = np.divmod(keys[first], n)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    first = np.ones(len(keys), dtype=bool)  # whether each sorted key starts a run
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    unique = keys[first]
+    indptr = np.searchsorted(unique, np.arange(n + 1) * n)
+    cols = unique - np.repeat(np.arange(n) * n, np.diff(indptr))
     itype = np.int32 if nb * max(n, nb * len(keys)) <= np.iinfo(np.int32).max else np.int64
     bslots = np.empty(len(order), dtype=itype)
     bslots[order] = nb * nb * (np.cumsum(first, dtype=itype) - 1)
@@ -428,14 +433,17 @@ def _volume_part(mesh, basis):
 
     K[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j is built once from the
     rule; the blocks are one matrix product of K with the geometry tensors
-    det * B^-1 B^-T of all elements.
+    det * B^-1 B^-T of all elements, as columns (det J_a0) J_b0 + (det J_a1) J_b1
+    of J = B^-1.  That association is einsum's ("t,tac,tbc->tab"), whose bits
+    the matrices keep.
     """
     rule = _default_volume_rule(basis.degree)
     gref = basis.eval_grad(rule.points)  # (q, nb, 2)
     k_ref = np.einsum("q,qia,qjb->abij", rule.weights, gref, gref)
-    g_geo = np.einsum("t,tac,tbc->tab", mesh.det, mesh.invB, mesh.invB)
+    d, inv = mesh.det, mesh.invB
+    g_geo = np.stack([d * inv[:, a, 0] * inv[:, b, 0] + d * inv[:, a, 1] * inv[:, b, 1] for a in (0, 1) for b in (0, 1)], -1)
     nb = basis.n_nodes
-    blocks = g_geo.reshape(-1, 4) @ k_ref.reshape(4, nb * nb)
+    blocks = g_geo @ k_ref.reshape(4, nb * nb)
     return _cells(mesh), blocks.reshape(-1, nb, nb)
 
 

@@ -39,15 +39,16 @@ def as_array(values, kinds, rule):
     return array
 
 
-def values_at(func, x, shape=()):
+def values_at(func, x, shape=(), what="problem data"):
     """func(x, y) at the points x (..., 2), broadcast to x.shape[:-1] + shape;
-    raises InvalidParameter unless its values are real and broadcast so."""
+    raises InvalidParameter, naming func as what, unless its values are real
+    and broadcast so."""
     shape = x.shape[:-1] + shape
-    values = as_array(func(x[..., 0], x[..., 1]), "biuf", "problem data must be real")
+    values = as_array(func(x[..., 0], x[..., 1]), "biuf", f"{what} must be real")
     try:
         return np.broadcast_to(values.astype(float, copy=False), shape)
     except ValueError:
-        raise InvalidParameter(f"problem data of shape {values.shape} does not broadcast to the points' {shape}") from None
+        raise InvalidParameter(f"{what} of shape {values.shape} does not broadcast to the points' {shape}") from None
 
 
 class RobinFemError(Exception):

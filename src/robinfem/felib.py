@@ -226,7 +226,7 @@ def dof_points(mesh, dofmap):
 def interpolate(mesh, dofmap, func):
     """Nodal interpolation of ``func(x, y)`` into the FE space: a new array of
     n_dofs floats; InvalidParameter unless func's values are real and broadcast."""
-    return np.array(values_at(func, dof_points(mesh, dofmap)))
+    return np.array(values_at(func, dof_points(mesh, dofmap), what="the interpolated function"))
 
 
 def continuous_embedding(dofmap, dofmap_cont):

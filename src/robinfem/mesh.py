@@ -86,19 +86,17 @@ class Mesh:
             raise InvalidParameter("mesh has no triangles")
         if not is_count(level, 0):
             raise InvalidParameter(f"level must be a nonnegative integer, got {level!r}")
-        outside = ((self.triangles < 0) | (self.triangles >= len(self.vertices))).any(axis=1)
-        if outside.any():
-            bad = int(np.argmax(outside))
+        # each check is one whole-array test; the row to name is looked for only when it fails
+        if self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices):
+            bad = int(np.argmax(((self.triangles < 0) | (self.triangles >= len(self.vertices))).any(axis=1)))
             tri = self.triangles[bad].tolist()
             raise InvalidParameter(f"triangle {bad} {tri} has a vertex index outside 0..{len(self.vertices) - 1}")
-        finite = np.isfinite(self.vertices).all(axis=1)
-        if not finite.all():
-            raise InvalidParameter(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
-        size = np.abs(self.vertices).max(axis=1)
-        if size.max() > _MAX_COORDINATE:
-            raise InvalidParameter(
-                f"vertex {int(np.argmax(size))} has a coordinate above {_MAX_COORDINATE:g} in magnitude"
-            )
+        if not np.isfinite(self.vertices).all():
+            bad = int(np.argmin(np.isfinite(self.vertices).all(axis=1)))
+            raise InvalidParameter(f"vertex {bad} has a non-finite coordinate")
+        if np.abs(self.vertices).max() > _MAX_COORDINATE:
+            bad = int(np.argmax(np.abs(self.vertices).max(axis=1)))
+            raise InvalidParameter(f"vertex {bad} has a coordinate above {_MAX_COORDINATE:g} in magnitude")
         self.v0 = self.vertices[self.triangles[:, 0]]
         e1, e2 = (self.vertices[self.triangles[:, k]] - self.v0 for k in (1, 2))
         self.B = np.stack([e1, e2], axis=-1)
@@ -109,9 +107,8 @@ class Mesh:
         adj = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=-1)
         with np.errstate(over="ignore"):
             self.invB = adj.reshape(-1, 2, 2) / self.det[:, None, None]
-        inverted = np.isfinite(self.invB).all(axis=(1, 2))
-        if not inverted.all():
-            bad = int(np.argmin(inverted))
+        if not np.isfinite(self.invB).all():
+            bad = int(np.argmin(np.isfinite(self.invB).all(axis=(1, 2))))
             raise InvalidParameter(f"triangle {bad} has area {0.5 * self.det[bad]:.3e}, too small to invert its map")
         used = np.zeros(len(self.vertices), dtype=bool)
         used[self.triangles] = True
@@ -178,31 +175,33 @@ def build_edge_topology(vertices, triangles):
     # stable sort: half-edges of one edge stay in ascending triangle order
     key = lo * len(verts) + hi
     order = np.argsort(key, kind="stable")
+    key = key[order]
     is_first = np.ones(len(order), dtype=bool)
-    is_first[1:] = np.diff(key[order]) != 0
+    np.not_equal(key[1:], key[:-1], out=is_first[1:])
     starts = np.flatnonzero(is_first)
     counts = np.diff(np.append(starts, len(order)))
-    keys = np.column_stack([lo, hi])[order[starts]]
+    lo, hi = lo[order[starts]], hi[order[starts]]  # every edge's vertex pair
     if np.any(counts > 2):
-        pair = tuple(int(v) for v in keys[np.argmax(counts > 2)])
-        raise NonManifoldMesh(f"edge {pair} is shared by more than two triangles")
+        bad = np.argmax(counts > 2)
+        raise NonManifoldMesh(f"edge {(int(lo[bad]), int(hi[bad]))} is shared by more than two triangles")
     inner = counts == 2
     ascending = (tail < head)[order]
     same_way = inner & (ascending[starts] == ascending[starts + inner])
     if np.any(same_way):
-        pair = tuple(int(v) for v in keys[np.argmax(same_way)])
-        raise NonManifoldMesh(f"edge {pair} is walked the same way by both its triangles")
+        bad = np.argmax(same_way)
+        raise NonManifoldMesh(f"edge {(int(lo[bad]), int(hi[bad]))} is walked the same way by both its triangles")
     cell_edges = np.empty(len(order), dtype=np.int64)
     cell_edges[order] = np.cumsum(is_first) - 1
     owners = order // 3
-    tang = verts[keys[:, 1]] - verts[keys[:, 0]]
+    tang = verts[hi] - verts[lo]
     h_e = np.hypot(tang[:, 0], tang[:, 1])
     # right of the ascending tangent, so out of t0 where t0 walks the edge ascending
     nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / h_e[:, None]
     nrm = np.where(ascending[starts, None], nrm, -nrm)
-    elems = np.column_stack([owners[starts], owners[starts + inner]])  # t0 twice on boundary edges
-    interior = EdgeTable(keys[inner], elems[inner], h_e[inner], nrm[inner])
-    boundary = EdgeTable(keys[~inner], elems[~inner, :1], h_e[~inner], nrm[~inner])
+    ins, outs = np.flatnonzero(inner), np.flatnonzero(~inner)
+    pair = np.column_stack([owners[starts[ins]], owners[starts[ins] + 1]])
+    interior = EdgeTable(np.column_stack([lo[ins], hi[ins]]), pair, h_e[ins], nrm[ins])
+    boundary = EdgeTable(np.column_stack([lo[outs], hi[outs]]), owners[starts[outs], None], h_e[outs], nrm[outs])
     return interior, boundary, cell_edges.reshape(-1, 3)
 
 

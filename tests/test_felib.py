@@ -282,9 +282,9 @@ def test_continuous_embedding(degree):
 
 
 @pytest.mark.parametrize("func, message", [
-    (lambda x, y: x + 1j * y, "must be real"),
-    (lambda x, y: np.ones(3), r"shape \(3,\) does not broadcast"),
-    (lambda x, y: np.stack([x, y], axis=-1), "does not broadcast"),
+    (lambda x, y: x + 1j * y, "^the interpolated function must be real"),
+    (lambda x, y: np.ones(3), r"^the interpolated function of shape \(3,\) does not broadcast"),
+    (lambda x, y: np.stack([x, y], axis=-1), r"^the interpolated function of shape \(\d+, 2\) does not broadcast"),
 ], ids=["complex", "three values", "a vector per point"])
 def test_interpolating_a_function_that_is_not_real_or_does_not_broadcast_is_rejected(func, message):
     # unchecked, the complex values lost their imaginary part and the others came back as they were

@@ -507,6 +507,38 @@ def test_a_triangle_too_thin_to_invert_is_rejected(tmp_path):
         read_mesh(path)
 
 
+def two_bad_rows(check):
+    """(vertices, triangles) that fail one Mesh check in two rows."""
+    mesh = generate_square_mesh(3)
+    verts, tris = mesh.vertices.copy(), mesh.triangles.copy()
+    if check == "index":
+        tris[4, 1], tris[11, 2] = 16, -1
+    elif check == "finite":
+        verts[5, 1], verts[9, 0] = math.inf, math.nan
+    elif check == "size":  # the largest coordinate is named: here a tie, which goes to the first
+        verts[5, 0], verts[9, 1] = -1e200, 1e200
+    else:  # two positive areas too small to invert
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1e-320], [2.0, 0.0], [2.0, 1e-320]])
+        tris = np.array([[0, 3, 2], [0, 1, 3], [1, 4, 5]])
+    return verts, tris
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ("index", r"^triangle 4 \[2, 16, 7\] has a vertex index outside 0\.\.15$"),
+        ("finite", "^vertex 5 has a non-finite coordinate$"),
+        ("size", "^vertex 5 has a coordinate above 1e[+]150 in magnitude$"),
+        ("invert", "^triangle 1 has area 5.000e-321, too small to invert its map$"),
+    ],
+    ids=["index", "finite", "size", "invert"],
+)
+def test_a_failing_mesh_check_names_the_first_bad_row(check, message):
+    # each check tests the whole array first and looks for the row only when it fails
+    with pytest.raises(InvalidParameter, match=message):
+        Mesh(*two_bad_rows(check))
+
+
 # every character but "\n" and "\r" at which str.splitlines breaks a line
 @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=repr)
 def test_read_mesh_breaks_lines_only_at_newlines(tmp_path, char):
