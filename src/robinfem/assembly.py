@@ -29,12 +29,14 @@ one of 6 classes: t = A T, with A = [[+-1, 0, 0], [0, (B^-1 frame)^T / k]]
 per edge and element and T the block diagonal of the fixed tables R_c(s)
 (3, nb) of basis values and reference gradients.  A matrix block
 sum_q w_q t^T C t is then W = A^T C A contracted with K = sum_q w_q T (x) T,
-one GEMM per class tuple: 6 on boundary and 36 on interior edges.  Loads
-sum_q w_q (C d).t and squared norms sum_q w_q diag(C) e^2 evaluate the
-data trace d and the error e at all physical points of a table at once;
-the boundary load is thus l(v) = b_Robin((u0 + eps*g, 0), v).  The
-volume stiffness is the same contraction on each element, whose map
-x = v0 + B xi, det B and B^-1 live on the Mesh.
+one GEMM per class tuple: 6 on boundary and 36 on interior edges, at no
+physical point.  Loads sum_q w_q (C d).t and squared norms sum_q w_q
+diag(C) e^2 evaluate the data trace d and the error e at once on the rule
+points of a table that Mesh.edge_points maps; the boundary load is thus
+l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the same
+contraction on each element, whose map x = v0 + B xi, det B and B^-1 live
+on the Mesh.  _default_rules picks each degree's triangle and edge rule,
+exact on the stiffness and every edge matrix.
 
 Every form contributes (elements, blocks) parts and every load
 (elements, values) parts, a row per element or edge over the dofs of its
@@ -55,11 +57,10 @@ dof map, continuous-P1 prolongation, the volume stiffness as BSR data on
 the block pattern of all its forms (0 where only edge forms couple), and
 the data entries of its edge triplets.  assemble and norm_matrix add one
 bincount of their edge forms to that volume, so the Gram matrix of the
-energy norm sits on the system's pattern; both triangle rules integrate the
-stiffness exactly.  An eps sweep sorts once and sums the volume once, and
-its entries are bitwise those of an unmemoized run.  Matrices get their
-own index arrays from the conversion, systems a copy of the prolongation;
-the shared dof map is read-only.
+energy norm sits on the system's pattern.  An eps sweep sorts once and
+sums the volume once, and its entries are bitwise those of an unmemoized
+run.  Matrices get their own index arrays from the conversion, systems a
+copy of the prolongation; the shared dof map is read-only.
 """
 
 import enum
@@ -213,8 +214,10 @@ def _norm_form(scheme, edges, variant):
     return np.stack([first] + [flux] * edges.element_ids.shape[1], axis=-1)
 
 
-def _default_volume_rule(degree):
-    return triangle_rule(4 if degree == 1 else 6)
+def _default_rules(degree):
+    """The forms' triangle rule and edge rule order: each integrates the
+    stiffness and every edge matrix of the degree exactly."""
+    return (triangle_rule(4), 4) if degree == 1 else (triangle_rule(6), 8)
 
 
 def _is_boundary(edges):
@@ -288,18 +291,6 @@ def _edge_facts(mesh, edges):
     return _EDGE_FACTS[edges]
 
 
-def _edge_kernel(mesh, basis, edges, order=None):
-    """One edge table under edge rule order (by default the degree's): the
-    rule points x (q, E, 2) and weights, the trace coefficients A and the
-    class-tuple groups of _edge_facts, and the (T, K) of _edge_tensors."""
-    order = order or (4 if basis.degree == 1 else 8)
-    rule, k = edge_rule(order), edges.element_ids.shape[1]
-    _, groups, lift = _edge_facts(mesh, edges)
-    pa, pb = mesh.vertices[edges.vertex_ids.T]
-    points = pa + rule.points[:, None, None] * (pb - pa)
-    return points, rule.weights, lift, groups, _edge_tensors(basis.degree, order, k)
-
-
 def _per_class(groups, rows, tensors):
     """rows[e] @ tensors[c] for every edge e of class tuple c: one GEMM per group."""
     out = np.empty((len(rows), tensors.shape[2]))
@@ -329,33 +320,36 @@ def _edge_dofs(dofmap, edges):
     return dofmap.cell_dofs[edges.element_ids].reshape(len(edges), width)
 
 
-def _edge_part(mesh, basis, edges, coef, order=None):
-    """The (elements, blocks) part sum_q w_q t^T C t of one edge table: per
-    class tuple, the W = A^T C A of its edges times its K."""
-    _, _, lift, groups, (_, tensors) = _edge_kernel(mesh, basis, edges, order)
+def _edge_part(mesh, basis, edges, coef):
+    """The (elements, blocks) part sum_q w_q t^T C t of one edge table on the
+    degree's edge rule: per class tuple, the W = A^T C A of its edges times its K."""
+    (_, groups, lift), k = _edge_facts(mesh, edges), edges.element_ids.shape[1]
+    tensors = _edge_tensors(basis.degree, _default_rules(basis.degree)[1], k)[1]
     w = (lift.transpose(0, 2, 1) @ coef @ lift).reshape(len(edges), tensors.shape[1])
-    width = edges.element_ids.shape[1] * basis.n_nodes
-    return edges.element_ids, _per_class(groups, w, tensors).reshape(-1, width, width)
+    return edges.element_ids, _per_class(groups, w, tensors).reshape(-1, k * basis.n_nodes, k * basis.n_nodes)
 
 
-def _edge_vector(kernel, coef, trace):
-    """The values sum_q w_q (C d).t (E, k*nb) of one edge kernel, with d =
-    trace(x) on all its rule points x (q, E, 2) at once: per class tuple,
-    w_q A^T C d times its T."""
-    points, weights, lift, groups, (tables, _) = kernel
-    z = weights[:, None, None] * (lift.transpose(0, 2, 1) @ coef @ trace(points)[..., None])[..., 0]  # (q, E, 3k)
+def _edge_vector(mesh, degree, edges, order, coef, trace):
+    """The values sum_q w_q (C d).t (E, k*nb) of one edge table under edge rule
+    order, with d = trace(x) on all its rule points x (q, E, 2) at once: per
+    class tuple, w_q A^T C d times its T."""
+    rule, (_, groups, lift) = edge_rule(order), _edge_facts(mesh, edges)
+    tables = _edge_tensors(degree, order, edges.element_ids.shape[1])[0]
+    d = trace(mesh.edge_points(edges, rule.points))
+    z = rule.weights[:, None, None] * (lift.transpose(0, 2, 1) @ coef @ d[..., None])[..., 0]  # (q, E, 3k)
     return _per_class(groups, z.transpose(1, 0, 2).reshape(len(lift), tables.shape[1]), tables)
 
 
 def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
-    """Per component, sum_q w_q diag(C) e^2 for the augmented energy norm,
-    with e the exact trace minus the trace A T c of the dof vector solution."""
-    points, weights, lift, groups, (tables, _) = _edge_kernel(mesh, reference_basis(scheme.degree), edges, 8)
+    """Per component, sum_q w_q diag(C) e^2 of the augmented energy norm on edge
+    rule 8, with e the exact trace minus the trace A T c of the dof vector solution."""
+    rule, (_, groups, lift) = edge_rule(8), _edge_facts(mesh, edges)
+    tables = _edge_tensors(scheme.degree, 8, edges.element_ids.shape[1])[0]
     ref = _per_class(groups, solution[_edge_dofs(dofmap, edges)], tables.transpose(0, 2, 1))
-    uh = (lift[:, None] @ ref.reshape(len(edges), len(weights), lift.shape[2], 1))[..., 0]  # (E, q, m)
-    e = _exact_trace(data, edges, points) - uh.transpose(1, 0, 2)  # (q, E, m)
+    uh = (lift[:, None] @ ref.reshape(len(edges), len(rule.weights), lift.shape[2], 1))[..., 0]  # (E, q, m)
+    e = _exact_trace(data, edges, mesh.edge_points(edges, rule.points)) - uh.transpose(1, 0, 2)  # (q, E, m)
     # summed over E, then over q in rule order
-    return np.sum(weights[:, None] * np.sum(_norm_form(scheme, edges, "augmented") * e * e, axis=1), axis=0).tolist()
+    return np.sum(rule.weights[:, None] * np.sum(_norm_form(scheme, edges, "augmented") * e * e, axis=1), axis=0).tolist()
 
 
 def _sort(ids, n, nb=1):
@@ -410,10 +404,10 @@ def _csr(matrix):
     return matrix.tocsr()
 
 
-def _compress(parts, dofmap):
-    """Deterministic COO -> CSR of the (elements, blocks) parts, through BSR."""
-    slots, bind, bptr = _pattern([e for e, _ in parts], dofmap)
-    return _csr(_bsr(slots, np.concatenate([b.ravel() for _, b in parts]), bind, bptr, dofmap.n_dofs))
+def _compress(elements, blocks, dofmap):
+    """Deterministic COO -> CSR of one (elements, blocks) part, through BSR."""
+    slots, bind, bptr = _pattern([elements], dofmap)
+    return _csr(_bsr(slots, blocks.ravel(), bind, bptr, dofmap.n_dofs))
 
 
 def _vector(parts, dofmap):
@@ -437,7 +431,7 @@ def _volume_part(mesh, basis):
     of J = B^-1.  That association is einsum's ("t,tac,tbc->tab"), whose bits
     the matrices keep.
     """
-    rule = _default_volume_rule(basis.degree)
+    rule = _default_rules(basis.degree)[0]
     gref = basis.eval_grad(rule.points)  # (q, nb, 2)
     k_ref = np.einsum("q,qia,qjb->abij", rule.weights, gref, gref)
     d, inv = mesh.det, mesh.invB
@@ -466,14 +460,14 @@ def _check_space(mesh, dofmap, degree, solution=None):
 def assemble_volume(mesh, dofmap, basis):
     """Stiffness contribution (grad w, grad v) over all elements."""
     _check_space(mesh, dofmap, basis.degree)
-    return _compress([_volume_part(mesh, basis)], dofmap)
+    return _compress(*_volume_part(mesh, basis), dofmap)
 
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme):
     """Boundary form shared by both schemes: the Robin form."""
     _check_space(mesh, dofmap, basis.degree)
     coef = _robin_form(scheme, mesh.boundary_edges)
-    return _compress([_edge_part(mesh, basis, mesh.boundary_edges, coef)], dofmap)
+    return _compress(*_edge_part(mesh, basis, mesh.boundary_edges, coef), dofmap)
 
 
 def assemble_interior_penalty(mesh, dofmap, basis, scheme):
@@ -482,17 +476,17 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
     _check_space(mesh, dofmap, basis.degree)
     coef = _penalty_form(scheme, mesh.interior_edges)
-    return _compress([_edge_part(mesh, basis, mesh.interior_edges, coef)], dofmap)
+    return _compress(*_edge_part(mesh, basis, mesh.interior_edges, coef), dofmap)
 
 
 def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
     _check_space(mesh, dofmap, basis.degree)
-    rule = _default_volume_rule(basis.degree)
+    rule, order = _default_rules(basis.degree)
     fval = values_at(data.f, mesh.physical_points(rule.points))  # (T, q)
     load = mesh.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
     edges, given = mesh.boundary_edges, functools.partial(_robin_data, scheme, data)
-    robin = _edge_vector(_edge_kernel(mesh, basis, edges), _robin_form(scheme, edges), given)
+    robin = _edge_vector(mesh, basis.degree, edges, order, _robin_form(scheme, edges), given)
     return _vector([(_cells(mesh), load), (edges.element_ids, robin)], dofmap)
 
 
@@ -519,12 +513,12 @@ def _assembly_space(mesh, scheme):
     return spaces[key]
 
 
-def _matrix(mesh, scheme, coefs, order=None):
+def _matrix(mesh, scheme, coefs):
     """The memoized volume plus one bincount of the edge forms with
     coefficients coefs, one per edge table, on the memoized pattern."""
     basis, dofmap, _, volume, edge_slots = _assembly_space(mesh, scheme)
     tables = zip(_edge_tables(mesh, scheme.method), coefs)
-    blocks = [_edge_part(mesh, basis, edges, coef, order)[1].ravel() for edges, coef in tables]
+    blocks = [_edge_part(mesh, basis, edges, coef)[1].ravel() for edges, coef in tables]
     matrix = _bsr(edge_slots, np.concatenate(blocks), volume.indices, volume.indptr, dofmap.n_dofs)
     matrix.data += volume.data
     return _csr(matrix)
@@ -552,13 +546,8 @@ def norm_matrix(mesh, scheme, variant="energy"):
     """
     if variant not in ("energy", "augmented"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
-    return _matrix(mesh, scheme, _norm_coefs(mesh, scheme, variant), 8)
-
-
-def _norm_coefs(mesh, scheme, variant):
-    """The energy-norm coefficients, (E, m, m) per edge table of the scheme."""
     tables = _edge_tables(mesh, scheme.method)
-    return [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables]
+    return _matrix(mesh, scheme, [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables])
 
 
 def write_matrix(matrix, path):

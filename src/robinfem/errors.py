@@ -1,5 +1,5 @@
-"""Exception types raised across the library, and the guards of integer
-and array arguments and of function values."""
+"""Exception types raised across the library, and the guards of integer,
+typed and array arguments and of function values."""
 
 import numbers
 
@@ -25,6 +25,12 @@ __all__ = [
 def is_count(value, minimum):
     """Whether value is an integer (not a whole float or a bool) of at least minimum."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
+
+
+def check_type(value, kind, name):
+    """Raise InvalidParameter, naming value as name, unless it is a kind."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def as_array(values, kinds, rule):

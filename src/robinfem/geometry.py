@@ -119,14 +119,12 @@ class SkinDiagnostics:
 def skin_diagnostics(domain, mesh):
     """Sample boundary edges of a mesh against the exact domain boundary."""
     edges = mesh.boundary_edges
-    rule = edge_rule(8)
-    a, b = np.asarray(mesh.vertices)[edges.vertex_ids.T]
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]  # (E, q, 2)
+    pts = mesh.edge_points(edges, edge_rule(8).points)  # (q, E, 2)
     dist = domain.signed_distance(pts)
     proj = domain.project(pts)
     nu = domain.normal(proj)
     return SkinDiagnostics(
         max_abs_distance=float(np.max(np.abs(dist))),
-        max_normal_deviation=float(np.max(np.linalg.norm(edges.normal[:, None, :] - nu, axis=-1))),
+        max_normal_deviation=float(np.max(np.linalg.norm(edges.normal - nu, axis=-1))),
         max_tstar=float(np.max(np.linalg.norm(pts - proj, axis=-1))),
     )

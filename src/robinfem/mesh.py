@@ -139,6 +139,11 @@ class Mesh:
         bx = (self.B.reshape(-1, 2) @ ref_points.T).reshape(len(self.B), 2, -1)
         return self.v0[:, None, :] + bx.transpose(0, 2, 1)
 
+    def edge_points(self, edges, params):
+        """Map edge parameters s (q,) in [0, 1] onto every edge of edges, lower to higher vertex: (q, E, 2)."""
+        pa, pb = self.vertices[edges.vertex_ids.T]
+        return pa + params[:, None, None] * (pb - pa)
+
     def min_angle_degrees(self):
         """Smallest interior angle over all triangles."""
         v = self.vertices[self.triangles]  # (T, 3, 2)

@@ -98,7 +98,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import IndefiniteMatrix, InvalidParameter, NotConverged, TooLarge, as_array, is_count
+from .errors import IndefiniteMatrix, InvalidParameter, NotConverged, TooLarge, as_array, check_type, is_count
 
 __all__ = [
     "SolverMethod",
@@ -134,9 +134,8 @@ class SolverConfig:
     preconditioner: Preconditioner = Preconditioner.MULTILEVEL
 
     def __post_init__(self):
-        for name, kind in (("method", SolverMethod), ("preconditioner", Preconditioner)):
-            if not isinstance(getattr(self, name), kind):
-                raise InvalidParameter(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        check_type(self.method, SolverMethod, "method")
+        check_type(self.preconditioner, Preconditioner, "preconditioner")
         # below machine epsilon the recursive residual can underflow p.A.p to 0
         if not (isinstance(self.rel_tolerance, numbers.Real) and _EPS <= self.rel_tolerance < 1.0):
             raise InvalidParameter(
@@ -159,6 +158,7 @@ class SolveReport:
 def solve(system, config=None):
     """Solve A x = b for a SparseSystem or a (matrix, rhs) pair; returns (x, SolveReport)."""
     config = config if config is not None else SolverConfig()
+    check_type(config, SolverConfig, "the solver config")
     if not (hasattr(system, "matrix") or isinstance(system, tuple) and len(system) == 2):
         raise InvalidParameter(f"solve needs a SparseSystem or a (matrix, rhs) pair, got a {type(system).__name__}")
     matrix, rhs = (system.matrix, system.rhs) if hasattr(system, "matrix") else system
@@ -205,6 +205,8 @@ def _symmetric_dense(matrix):
 
 
 def _solve_dense(matrix, rhs):
+    if matrix.shape[0] > _DIRECT_LIMIT:
+        raise TooLarge(f"the dense solve is limited to {_DIRECT_LIMIT} dofs, got {matrix.shape[0]}")
     dense = _symmetric_dense(matrix)
     try:
         factor = scipy.linalg.cho_factor(dense, lower=True)

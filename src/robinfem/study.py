@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ._atomic import write_lines
 from .analysis import eoc, error_report
 from .assembly import Scheme, assemble
-from .errors import DegenerateSequence, InvalidParameter, is_count
+from .errors import DegenerateSequence, InvalidParameter, check_type, is_count
 from .mesh import level_mesh, write_mesh
 from .problems import get_problem
 from .solver import SolverConfig, solve
@@ -35,6 +35,8 @@ class StudyConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        check_type(self.scheme, Scheme, "scheme")
+        check_type(self.solver, SolverConfig, "solver")
         if not is_count(self.levels, 2):
             raise InvalidParameter(f"a study needs an integer of at least 2 levels, got {self.levels!r}")
 
@@ -57,11 +59,12 @@ def run_convergence(config, mesh_out=None):
 
 def run_single(problem_name, scheme, level=0, solver=None, mesh_out=None, solution_out=None):
     """One mesh, one solve.  Returns (mesh, system, solution, report)."""
+    check_type(scheme, Scheme, "scheme")
     problem = get_problem(problem_name)
     mesh = level_mesh(problem.domain, level)
     data = problem.make_data(scheme.epsilon)
     system = assemble(mesh, scheme, data)
-    solution, _ = solve(system, solver if solver is not None else SolverConfig())
+    solution, _ = solve(system, solver)
     report = error_report(mesh, scheme, data, solution, system.dofmap)
     if mesh_out:
         write_mesh(mesh, mesh_out)

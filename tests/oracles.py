@@ -5,7 +5,6 @@ import numpy as np
 from robinfem import build_dofmap, norm_matrix, reference_basis, triangle_rule
 from robinfem.assembly import (
     _cells,
-    _edge_kernel,
     _edge_tables,
     _edge_vector,
     _exact_trace,
@@ -43,7 +42,6 @@ def consistency_residual(mesh, scheme, data):
     for edges, form in zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form)):
         def trace(x, edges=edges):
             return _exact_trace(data, edges, x) - (_robin_data(scheme, data, x) if _is_boundary(edges) else 0.0)
-        kernel = _edge_kernel(mesh, basis, edges, 8)
-        parts.append((edges.element_ids, _edge_vector(kernel, form(scheme, edges), trace)))
+        parts.append((edges.element_ids, _edge_vector(mesh, scheme.degree, edges, 8, form(scheme, edges), trace)))
     defect = _vector(parts, dofmap)
     return float(np.max(np.abs(defect) / np.sqrt(norm_matrix(mesh, scheme, "augmented").diagonal())))

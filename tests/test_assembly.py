@@ -50,7 +50,7 @@ from robinfem.assembly import (
     _edge_facts,
     _edge_part,
     _edge_tables,
-    _norm_coefs,
+    _norm_form,
     _penalty_form,
     _robin_form,
     _sort,
@@ -599,6 +599,24 @@ def test_physical_points_are_the_affine_map():
             np.testing.assert_allclose(x[t, q], expected, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_edge_matrices_map_no_rule_points(monkeypatch, degree):
+    # only the data integrals (loads, error norms) evaluate anything at the edge rule points
+    def refuse(self, edges, params):
+        raise AssertionError("an edge matrix mapped rule points")
+
+    monkeypatch.setattr(Mesh, "edge_points", refuse)
+    mesh, basis = generate_disk_mesh(6), reference_basis(degree)
+    scheme = Scheme(DG, degree=degree, epsilon=0.5)
+    dofmap = build_dofmap(mesh, degree, continuous=False)
+    for matrix in (assemble_nitsche_boundary(mesh, dofmap, basis, scheme),
+                   assemble_interior_penalty(mesh, dofmap, basis, scheme),
+                   norm_matrix(mesh, scheme, "energy"), norm_matrix(mesh, scheme, "augmented")):
+        assert matrix.shape == (dofmap.n_dofs, dofmap.n_dofs) and matrix.nnz > 0
+    with pytest.raises(AssertionError, match="mapped rule points"):
+        assemble_load(mesh, dofmap, basis, scheme, get_problem("sinsin").make_data(0.5))
+
+
 def test_write_matrix_leaves_its_argument_unchanged(tmp_path):
     # row 0 holds column 1, then column 0 twice: unsorted, with a duplicate
     data, indices, indptr = np.array([1.0, 2.0, 3.0]), np.array([1, 0, 0]), np.array([0, 3, 3])
@@ -790,15 +808,21 @@ def test_element_block_pattern_equals_the_dof_triplet_sort(make_mesh, degree):
         dofmap, tables = build_dofmap(mesh, degree, scheme.continuous), _edge_tables(mesh, method)
         volume = (dofmap.cell_dofs, _volume_part(mesh, basis)[1])
 
-        def part(edges, coef, order=None):
-            return _edge_dofs(dofmap, edges), _edge_part(mesh, basis, edges, coef, order)[1]
+        def part(edges, coef):
+            return _edge_dofs(dofmap, edges), _edge_part(mesh, basis, edges, coef)[1]
+
+        def norm_part(edges, variant):  # the norm's diagonal coefficients, with exact zeros off it
+            diag = _norm_form(scheme, edges, variant)
+            coef = np.zeros(diag.shape + diag.shape[1:])
+            coef[:, np.arange(diag.shape[1]), np.arange(diag.shape[1])] = diag
+            return part(edges, coef)
 
         robin, penalty = _robin_form(scheme, tables[0]), _penalty_form(scheme, mesh.interior_edges)
         system = assemble(mesh, scheme, get_problem("sinsin").make_data(0.5))
         forms = {  # the forms on the space's pattern, with the volume
             "assemble": (system.matrix, [part(e, c) for e, c in zip(tables, (robin, penalty))]),
             **{f"{variant} norm": (norm_matrix(mesh, scheme, variant),
-                                   [part(e, c, 8) for e, c in zip(tables, _norm_coefs(mesh, scheme, variant))])
+                                   [norm_part(e, variant) for e in tables])
                for variant in ("energy", "augmented")},
         }
         for name, (matrix, parts) in forms.items():

@@ -215,6 +215,13 @@ def test_overflowing_robin_weight_exits_1_without_a_traceback(solver, gamma, exp
     assert result.stderr.splitlines() == [f"robinfem: error: {expected}"]
 
 
+def test_dense_solve_above_the_direct_limit_exits_1():
+    # SIPDG P1 on the level-3 square has 6,144 dofs: the dense matrix alone would take 302 MB
+    result = _run_as_process("single", "--problem", "linear_patch", "--scheme", "dg", "--level", "3", "--solver", "dense")
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == ["robinfem: error: the dense solve is limited to 5000 dofs, got 6144"]
+
+
 @pytest.mark.parametrize("gamma", ["10", "100"])
 def test_largest_epsilon_with_large_gamma_is_indefinite_without_warnings(gamma):
     # eps*gamma*h_E overflows, but the Robin weights do not: the verdict is the indefinite matrix

@@ -8,6 +8,7 @@ import pytest
 from robinfem import (
     Mesh,
     build_dofmap,
+    edge_rule,
     generate_disk_mesh,
     generate_square_mesh,
     get_problem,
@@ -148,3 +149,30 @@ def test_edge_classes_equal_the_argmax_search(mesh, kind):
         a, b = (np.argmax(mesh.triangles[elems] == v[:, None], axis=1) for v in edges.vertex_ids.T)
         want = len(_CLASSES) * want + 2 * a + b - (b > a)
     assert same(_edge_facts(mesh, edges)[0], want)
+
+
+
+def edge_points_old(mesh, edges, s):
+    """The edge rule-point maps that Mesh.edge_points replaces: the (q, E, 2)
+    one of the assembly kernel and the (E, q, 2) one of skin_diagnostics."""
+    pa, pb = mesh.vertices[edges.vertex_ids.T]
+    return pa + s[:, None, None] * (pb - pa), pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+
+
+@pytest.mark.parametrize("order", [4, 8])
+@pytest.mark.parametrize("kind", ["boundary", "interior"])
+def test_edge_points_equal_the_kernel_and_skin_maps(mesh, kind, order):
+    edges, s = getattr(mesh, f"{kind}_edges"), edge_rule(order).points
+    kernel, skin = edge_points_old(mesh, edges, s)
+    got = mesh.edge_points(edges, s)
+    assert got.shape == (len(s), len(edges), 2)
+    assert same(got, kernel) and same(got, skin.transpose(1, 0, 2))
+
+
+def test_edge_points_of_an_empty_table():
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    s = edge_rule(8).points
+    kernel, skin = edge_points_old(mesh, mesh.interior_edges, s)
+    got = mesh.edge_points(mesh.interior_edges, s)
+    assert got.shape == (len(s), 0, 2)
+    assert same(got, kernel) and same(got, skin.transpose(1, 0, 2))

@@ -39,7 +39,7 @@ from robinfem import (
     solve,
     write_mesh,
 )
-from robinfem.assembly import _edge_facts, _edge_kernel, _edge_part
+from robinfem.assembly import _default_rules, _edge_facts, _edge_part, _edge_tensors
 
 NIT = Method.NITSCHE
 DG = Method.SIPDG
@@ -186,18 +186,20 @@ def test_tabulated_traces_and_edge_blocks_match_the_pull_back(degree, order, kin
     shifts = rng.integers(0, 3, mesh.n_triangles)
     mesh = Mesh(mesh.vertices, [np.roll(tri, s) for tri, s in zip(mesh.triangles, shifts)])
     edges, basis = getattr(mesh, f"{kind}_edges"), reference_basis(degree)
-    points, weights, lift, _, (tables, _) = _edge_kernel(mesh, basis, edges, order)
-    assert not tables.flags.writeable and _edge_kernel(mesh, basis, edges, order)[4][0] is tables
-    classes = _edge_facts(mesh, edges)[0]
+    tables = _edge_tensors(degree, order, edges.element_ids.shape[1])[0]
+    assert not tables.flags.writeable and _edge_tensors(degree, order, edges.element_ids.shape[1])[0] is tables
+    classes, _, lift = _edge_facts(mesh, edges)
     expected = pulled_back_traces(mesh, basis, edges, edge_rule(order))
     nq, m, width = expected.shape[0], expected.shape[2], expected.shape[3]
     tabulated = lift[:, None] @ tables[classes].reshape(len(edges), nq, lift.shape[2], width)
     assert np.abs(tabulated.transpose(1, 0, 2, 3) - expected).max() <= 1e-13 * np.abs(expected).max()
+    if order != _default_rules(degree)[1]:
+        return  # every edge matrix integrates on the degree's rule
     # the blocks sum_q w_q t^T C t of a random symmetric coefficient per edge
     coef = rng.standard_normal((len(edges), m, m))
     coef += coef.transpose(0, 2, 1)
-    want = np.einsum("q,qemi,emn,qenj->eij", weights, expected, coef, expected)
-    _, blocks = _edge_part(mesh, basis, edges, coef, order)
+    want = np.einsum("q,qemi,emn,qenj->eij", edge_rule(order).weights, expected, coef, expected)
+    _, blocks = _edge_part(mesh, basis, edges, coef)
     assert np.abs(blocks - want).max() <= 1e-13 * np.abs(want).max()
 
 

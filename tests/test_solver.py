@@ -196,6 +196,12 @@ def test_dense_eigenvalue_guard():
         min_eigenvalue_dense(sp.identity(2001, format="csr"))
 
 
+def test_dense_solve_refuses_what_it_cannot_hold():
+    # 5001 dofs, one above the direct limit: refused before the dense copy is made
+    with pytest.raises(TooLarge, match="the dense solve is limited to 5000 dofs, got 5001"):
+        solve((sp.identity(5001, format="csr"), np.ones(5001)), SolverConfig(method=SolverMethod.DENSE))
+
+
 def test_solver_config_validation():
     with pytest.raises(InvalidParameter):
         SolverConfig(rel_tolerance=0.0)
@@ -209,6 +215,9 @@ def test_solver_config_validation():
         solve((sp.identity(3, format="csr"), [[1.0], [1.0, 2.0], [3.0]]))  # ragged
     with pytest.raises(InvalidParameter, match="the prolongation must have 3 rows"):
         solve(SparseSystem(sp.identity(3, format="csr"), np.ones(3), None, sp.identity(2, format="csr")))
+    for config in ("cg", SolverMethod.DENSE, {"method": SolverMethod.CG}):
+        with pytest.raises(InvalidParameter, match="the solver config must be a SolverConfig"):
+            solve((sp.identity(2, format="csr"), np.ones(2)), config)
     # the enum members themselves, and a tolerance that is a real number
     for bad in (dict(method="dense"), dict(method="qr"), dict(method=Preconditioner.NONE),
                 dict(preconditioner="none"), dict(preconditioner=SolverMethod.CG), dict(preconditioner=None),

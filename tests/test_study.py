@@ -15,6 +15,8 @@ from robinfem import (
     InvalidParameter,
     Method,
     Scheme,
+    SolverConfig,
+    SolverMethod,
     StudyConfig,
     eoc,
     generate_disk_mesh,
@@ -53,8 +55,23 @@ def test_run_convergence_reports(sinsin_reports):
 
 
 def test_study_config_validation():
-    with pytest.raises(InvalidParameter):
-        StudyConfig(problem="sinsin", scheme=Scheme(Method.NITSCHE), levels=1)
+    fields = dict(problem="sinsin", scheme=Scheme(Method.NITSCHE), levels=2, solver=SolverConfig())
+    for field, value, message in [("levels", 1, "at least 2 levels"), ("scheme", "x", "scheme must be a Scheme"),
+                                  ("scheme", Method.NITSCHE, "scheme must be a Scheme"),
+                                  ("solver", "cg", "solver must be a SolverConfig"),
+                                  ("solver", SolverMethod.DENSE, "solver must be a SolverConfig")]:
+        with pytest.raises(InvalidParameter, match=message):
+            StudyConfig(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("scheme, solver, message", [
+    ("n", None, "scheme must be a Scheme"),
+    (Scheme(Method.NITSCHE), "dense", "the solver config must be a SolverConfig"),
+    (Scheme(Method.NITSCHE), SolverMethod.DENSE, "the solver config must be a SolverConfig"),
+])
+def test_run_single_rejects_a_mistyped_scheme_or_solver(scheme, solver, message):
+    with pytest.raises(InvalidParameter, match=message):
+        run_single("sinsin", scheme, 0, solver)
 
 
 def test_csv_format(tmp_path, sinsin_reports):
