@@ -38,29 +38,24 @@ contraction on each element, whose map x = v0 + B xi, det B and B^-1 live
 on the Mesh.  _default_rules picks each degree's triangle and edge rule,
 exact on the stiffness and every edge matrix.
 
-Every form contributes (elements, blocks) parts and every load
-(elements, values) parts, a row per element or edge over the dofs of its
-k elements.  A block is a dof (nb = 1) in a continuous space and element
-t's dofs t*nb .. t*nb + nb - 1 in a discontinuous one.  All the forms on
-a space share one block pattern, from one sort of their block pairs.  A
-matrix is one bincount of its parts onto the BSR data of that pattern
-(each entry's terms in input order, exact-zero sums kept), which scipy
-converts to CSR; a vector is one bincount onto its dofs, with no sort.
+Every form contributes (elements, blocks) parts and every load (elements, values) parts, a row per
+element or edge over the dofs of its k elements.  A block is a dof (nb = 1) in a continuous space
+and element t's dofs t*nb .. t*nb + nb - 1 in a discontinuous one.  All the forms on a space share
+one block pattern, read off the mesh graph with no sort of triplets (_pattern); a standalone form
+keeps the blocks it couples.  A matrix is one bincount of its parts onto the BSR data of that
+pattern (each entry's terms in input order, exact-zero sums kept), which scipy converts to CSR; a
+vector is one bincount onto its dofs.
 
-What no form, rule or degree changes on an edge table (the class tuple
-of every edge, its edges grouped per class tuple by one stable sort, and
-the trace coefficients A) is found once and memoized in a table keyed
-weakly by the EdgeTable, so it lives as long as the mesh.  The space
-of a mesh, degree and method is built on first use and memoized in a
-table keyed weakly by the Mesh, so it lives as long as the mesh: basis,
-dof map, continuous-P1 prolongation, the volume stiffness as BSR data on
-the block pattern of all its forms (0 where only edge forms couple), and
-the data entries of its edge triplets.  assemble and norm_matrix add one
-bincount of their edge forms to that volume, so the Gram matrix of the
-energy norm sits on the system's pattern.  An eps sweep sorts once and
-sums the volume once, and its entries are bitwise those of an unmemoized
-run.  Matrices get their own index arrays from the conversion, systems a
-copy of the prolongation; the shared dof map is read-only.
+What no form, rule or degree changes on an edge table (the class tuple of every edge, its edges
+grouped per class tuple by one stable sort, and the trace coefficients A) is found once and memoized
+in a table keyed weakly by the EdgeTable.  The space of a mesh, degree and method is built on first
+use and memoized in a table keyed weakly by the Mesh: basis, dof map, continuous-P1 prolongation,
+the volume stiffness as BSR data on the block pattern of all its forms (0 where only edge forms
+couple), and the data entries of its edge triplets.  Both live as long as the mesh.  assemble and
+norm_matrix add one bincount of their edge forms to that volume, so the Gram matrix of the energy
+norm sits on the system's pattern.  An eps sweep builds the pattern and sums the volume once,
+bitwise as an unmemoized run.  Matrices get their own index arrays, systems a copy of the
+prolongation; the shared dof map is read-only.
 """
 
 import enum
@@ -79,6 +74,7 @@ from .errors import InvalidParameter, SchemeMismatch, values_at
 from .felib import (
     DofMap,
     _check_dofs,
+    _block_pairs,
     build_dofmap,
     continuous_embedding,
     edge_rule,
@@ -179,10 +175,9 @@ def robin_weights(scheme, h_e):
     """
     denom = scheme.epsilon + scheme.gamma * h_e
     if np.any(denom <= _SMALLEST_DENOMINATOR):
-        h_min = float(np.min(h_e))
         raise InvalidParameter(
             f"the Robin weight 1/(epsilon + gamma*h_E) overflows at epsilon={scheme.epsilon}, "
-            f"gamma={scheme.gamma} and h_E={h_min:.3g}"
+            f"gamma={scheme.gamma} and h_E={float(np.min(h_e)):.3g}"
         )
     c1 = scheme.gamma * h_e / denom
     c2 = 1.0 / denom
@@ -352,67 +347,70 @@ def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
     return np.sum(rule.weights[:, None] * np.sum(_norm_form(scheme, edges, "augmented") * e * e, axis=1), axis=0).tolist()
 
 
-def _sort(ids, n, nb=1):
-    """The BSR pattern (slots, indices, indptr) of nb x nb blocks on the (E, k)
-    block ids below n of parts, from one stable sort (any sort gives the same;
-    stable is the fastest here) of the keys row*n + col.  Row r's blocks start
-    where the distinct sorted keys reach r*n (a searchsorted), and each column
-    is its key minus that, with no division.  slots is the data entry of every
-    triplet: (e, s*nb + i, t*nb + j) is nb^2 bslot[e, s, t] + nb i + j."""
-    ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in ids])
-    keys = np.empty(ends[-1], dtype=np.int64)
-    for d, a, b in zip(ids, ends, ends[1:]):
-        np.add(d[:, :, None] * n, d[:, None, :], out=keys[a:b].reshape(len(d), d.shape[1], d.shape[1]))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)  # whether each sorted key starts a run
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    unique = keys[first]
-    indptr = np.searchsorted(unique, np.arange(n + 1) * n)
-    cols = unique - np.repeat(np.arange(n) * n, np.diff(indptr))
-    itype = np.int32 if nb * max(n, nb * len(keys)) <= np.iinfo(np.int32).max else np.int64
-    bslots = np.empty(len(order), dtype=itype)
-    bslots[order] = nb * nb * (np.cumsum(first, dtype=itype) - 1)
-    local = np.arange(nb * nb, dtype=itype).reshape(nb, 1, nb)  # nb i + j
-    slots = [bslots[a:b].reshape(len(d), d.shape[1], 1, d.shape[1], 1) + local for d, a, b in zip(ids, ends, ends[1:])]
-    return np.concatenate([s.ravel() for s in slots]), cols.astype(itype), indptr.astype(itype)
+def _graph(n, lo, hi):
+    """The CSR pattern (indices, indptr) of n blocks coupled by the distinct pairs lo < hi, and the entry
+    of every diagonal (n,) and pair (lo, hi) and (hi, lo): row i holds its lower neighbours, itself, then
+    its upper ones, by a sort of the keys lo*n + hi (edges come sorted) and one of hi*n + lo."""
+    n_lower, n_upper = np.bincount(hi, minlength=n), np.bincount(lo, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(n_lower + n_upper + 1)])
+    diag, seq, indices = indptr[:-1] + n_lower, np.arange(len(lo)), np.empty(indptr[-1], dtype=np.int64)
+    upper, lower, indices[diag] = np.empty_like(seq), np.empty_like(seq), np.arange(n)
+    for entry, row, col, first in ((upper, lo, hi, diag + 1 - np.cumsum(n_upper) + n_upper),
+                                   (lower, hi, lo, indptr[:-1] - np.cumsum(n_lower) + n_lower)):
+        order = np.argsort(row * n + col)  # distinct keys, so any sort gives this order
+        at = seq + first[row[order]]  # the entry of pair order[q]: its row's first one, plus its rank
+        entry[order], indices[at] = at, col[order]
+    return indices, indptr, diag, upper, lower
 
 
-def _pattern(elements, dofmap):
-    """_sort's pattern of parts on (E, k) elements.  A block is a dof (nb = 1)
-    in a continuous space and element t's dofs t*nb .. t*nb + nb - 1 in a
-    discontinuous one (_check_space refuses other numberings)."""
-    nb = 1 if dofmap.continuous else dofmap.cell_dofs.shape[1]
-    blocks = dofmap.cell_dofs[:, ::nb] // nb  # every element's blocks: its dofs, or itself
-    return _sort([blocks[e].reshape(len(e), e.shape[1] * blocks.shape[1]) for e in elements], dofmap.n_dofs // nb, nb)
+def _pattern(mesh, dofmap, elements, sub=False):
+    """The BSR pattern (slots, indices, indptr) of nb x nb blocks of parts on (E, k) elements, from the
+    graph of _block_pairs with no sort of triplets; a discontinuous space's one (E, 2) part is its interior
+    edges.  The parts of a space cover its graph; with sub, only the blocks they couple are kept, renumbered
+    by a cumsum.  (e, s*nb + i, t*nb + j) has the data entry nb^2 bslot[e, s, t] + nb i + j, in int32
+    unless nb * max(blocks, nb * block triplets) is larger."""
+    nb, (blocks, local, ids) = 1 if dofmap.continuous else dofmap.cell_dofs.shape[1], _block_pairs(mesh, dofmap)
+    n, triplets = dofmap.n_dofs // nb, sum(len(e) * (e.shape[1] * dofmap.cell_dofs.shape[1] // nb) ** 2 for e in elements)
+    itype = np.int32 if nb * max(n, nb * triplets) <= np.iinfo(np.int32).max else np.int64
+    first, second = blocks[local[:, 0]], blocks[local[:, 1]]
+    pairs = np.empty((2, ids.max(initial=-1) + 1), dtype=np.int64)  # every pair's blocks, from each row with it
+    pairs[0, ids], pairs[1, ids] = np.minimum(first, second), np.maximum(first, second)
+    indices, indptr, diag, upper, lower = (a.astype(itype) for a in _graph(n, *pairs))
+    table = np.empty((blocks.shape[1], len(blocks), len(blocks)), dtype=itype)  # of every row's (a, b)
+    table[:, np.arange(len(blocks)), np.arange(len(blocks))] = diag[blocks.T]
+    for (a, b), ab, pair in zip(local, first < second, ids):
+        table[:, a, b], table[:, b, a] = np.where(ab, upper[pair], lower[pair]), np.where(ab, lower[pair], upper[pair])
+    bslots = [table[np.concatenate([e[:, 0] for e in elements])]] if dofmap.continuous else \
+        [table if e.shape[1] == 2 else diag[e][:, :, None] for e in elements]
+    if sub:
+        used = np.bincount(np.concatenate([s.ravel() for s in bslots]), minlength=len(indices)) > 0
+        kept = np.cumsum(used, dtype=itype)
+        bslots, indices, indptr = [kept[s] - 1 for s in bslots], indices[used], np.insert(kept, 0, 0)[indptr]
+    slots, start = np.empty(nb * nb * sum(s.size for s in bslots), dtype=itype), 0
+    for s in bslots:  # nb^2 bslot + nb i + j, written in place
+        out = slots[start:start + nb * nb * s.size].reshape(len(s), s.shape[1], nb, s.shape[1], nb)
+        start += np.add(nb * nb * s[:, :, None, :, None], np.arange(nb * nb, dtype=itype).reshape(nb, 1, nb), out=out).size
+    return slots, indices, indptr
 
 
 def _bsr(slots, weights, bind, bptr, n):
-    """The n x n BSR matrix on the block pattern (bind, bptr) whose data is one
-    bincount of weights over slots: each entry's terms in input order."""
+    """The n x n BSR matrix on the block pattern (bind, bptr) whose data is one bincount of weights over
+    slots (each entry's terms in input order); at nb = 1 CSR on copies of bind and bptr, built in 0.3 ms
+    where scipy's conversion from BSR takes 2.4 ms (566,785 entries, one x86_64 core)."""
     nb = n // (len(bptr) - 1)
     values = np.bincount(slots, weights, nb * nb * len(bind))
-    return sp.bsr_matrix((values.reshape(-1, nb, nb), bind, bptr), shape=(n, n))
+    return (sp.csr_matrix((values, bind.copy(), bptr.copy()), shape=(n, n)) if nb == 1
+            else sp.bsr_matrix((values.reshape(-1, nb, nb), bind, bptr), shape=(n, n)))
 
 
-def _csr(matrix):
-    """A BSR matrix in CSR, with index arrays of its own.  At nb = 1 its data is
-    the CSR data, which the CSR constructor takes in 0.3 ms where scipy's
-    conversion takes 2.4 ms (566,785 entries, one x86_64 core)."""
-    if matrix.blocksize == (1, 1):
-        return sp.csr_matrix((matrix.data.ravel(), matrix.indices.copy(), matrix.indptr.copy()), shape=matrix.shape)
-    return matrix.tocsr()
-
-
-def _compress(elements, blocks, dofmap):
-    """Deterministic COO -> CSR of one (elements, blocks) part, through BSR."""
-    slots, bind, bptr = _pattern([elements], dofmap)
-    return _csr(_bsr(slots, blocks.ravel(), bind, bptr, dofmap.n_dofs))
+def _compress(mesh, elements, blocks, dofmap):
+    """Deterministic COO -> CSR of one (elements, blocks) part, through _bsr."""
+    slots, bind, bptr = _pattern(mesh, dofmap, [elements], sub=True)
+    return _bsr(slots, blocks.ravel(), bind, bptr, dofmap.n_dofs).tocsr()
 
 
 def _vector(parts, dofmap):
-    """The sum of the (elements, values) parts over the dofs of dofmap: one
-    bincount adds each dof's values in part order."""
+    """The sum of the (elements, values) parts over the dofs of dofmap: one bincount, in part order."""
     dofs = np.concatenate([dofmap.cell_dofs[e].ravel() for e, _ in parts])
     return np.bincount(dofs, np.concatenate([v.ravel() for _, v in parts]), dofmap.n_dofs)
 
@@ -442,17 +440,15 @@ def _volume_part(mesh, basis):
 
 
 def _check_space(mesh, dofmap, degree, solution=None):
-    """Raise InvalidParameter unless dofmap numbers degree-`degree` dofs
-    within 0 .. n_dofs - 1 on every triangle of mesh, a discontinuous one in
-    element blocks (as _pattern needs), and solution, if given, has one
-    entry per dof."""
+    """Raise InvalidParameter unless dofmap numbers degree-`degree` dofs on every triangle of mesh
+    as build_dofmap does (as _pattern needs), and solution, if given, has one entry per dof."""
     if dofmap.degree != degree:
         raise InvalidParameter(f"the dof map has degree {dofmap.degree}, the basis or scheme degree {degree}")
     _check_dofs(mesh.n_triangles, dofmap)
-    if not dofmap.continuous:
-        blocked = np.arange(dofmap.cell_dofs.size).reshape(dofmap.cell_dofs.shape)
-        if dofmap.n_dofs != blocked.size or not np.array_equal(dofmap.cell_dofs, blocked):
-            raise InvalidParameter("the dof map is discontinuous but does not number element t's nb dofs t*nb .. t*nb + nb - 1")
+    own = build_dofmap(mesh, degree, dofmap.continuous)
+    if dofmap.n_dofs != own.n_dofs or not np.array_equal(dofmap.cell_dofs, own.cell_dofs):
+        raise InvalidParameter("the dof map does not number " + ("its dofs as build_dofmap does: vertices, then edge midpoints in "
+                               "edge order" if dofmap.continuous else "element t's nb dofs t*nb .. t*nb + nb - 1"))
     if solution is not None and np.shape(solution) != (dofmap.n_dofs,):
         raise InvalidParameter(f"the solution has shape {np.shape(solution)}, the dof map {dofmap.n_dofs} dofs")
 
@@ -460,14 +456,14 @@ def _check_space(mesh, dofmap, degree, solution=None):
 def assemble_volume(mesh, dofmap, basis):
     """Stiffness contribution (grad w, grad v) over all elements."""
     _check_space(mesh, dofmap, basis.degree)
-    return _compress(*_volume_part(mesh, basis), dofmap)
+    return _compress(mesh, *_volume_part(mesh, basis), dofmap)
 
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme):
     """Boundary form shared by both schemes: the Robin form."""
     _check_space(mesh, dofmap, basis.degree)
     coef = _robin_form(scheme, mesh.boundary_edges)
-    return _compress(*_edge_part(mesh, basis, mesh.boundary_edges, coef), dofmap)
+    return _compress(mesh, *_edge_part(mesh, basis, mesh.boundary_edges, coef), dofmap)
 
 
 def assemble_interior_penalty(mesh, dofmap, basis, scheme):
@@ -475,8 +471,10 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
     if scheme.method is not Method.SIPDG:
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
     _check_space(mesh, dofmap, basis.degree)
+    if dofmap.continuous:  # whose pattern holds no pair across an edge
+        raise SchemeMismatch("interior penalty is only defined on a discontinuous dof map")
     coef = _penalty_form(scheme, mesh.interior_edges)
-    return _compress(*_edge_part(mesh, basis, mesh.interior_edges, coef), dofmap)
+    return _compress(mesh, *_edge_part(mesh, basis, mesh.interior_edges, coef), dofmap)
 
 
 def assemble_load(mesh, dofmap, basis, scheme, data):
@@ -495,7 +493,7 @@ _SPACES = weakref.WeakKeyDictionary()  # Mesh -> {(degree, method): _assembly_sp
 
 def _assembly_space(mesh, scheme):
     """(basis, dofmap, prolongation, volume, edge_slots) of a mesh and scheme,
-    memoized: volume is the stiffness as a BSR matrix on the block pattern of
+    memoized: volume is the stiffness as a _bsr matrix on the block pattern of
     all the forms, edge_slots the data entry of every edge triplet."""
     spaces = _SPACES.setdefault(mesh, {})
     key = (scheme.degree, scheme.method)
@@ -506,7 +504,7 @@ def _assembly_space(mesh, scheme):
         p1 = scheme.continuous and scheme.degree == 1
         prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
         elements = [_cells(mesh)] + [e.element_ids for e in _edge_tables(mesh, scheme.method)]
-        slots, bind, bptr = _pattern(elements, dofmap)
+        slots, bind, bptr = _pattern(mesh, dofmap, elements)
         vol = _volume_part(mesh, basis)[1].ravel()
         volume = _bsr(slots[:len(vol)], vol, bind, bptr, dofmap.n_dofs)
         spaces[key] = (basis, dofmap, prolongation, volume, slots[len(vol):].copy())
@@ -521,7 +519,7 @@ def _matrix(mesh, scheme, coefs):
     blocks = [_edge_part(mesh, basis, edges, coef)[1].ravel() for edges, coef in tables]
     matrix = _bsr(edge_slots, np.concatenate(blocks), volume.indices, volume.indptr, dofmap.n_dofs)
     matrix.data += volume.data
-    return _csr(matrix)
+    return matrix.tocsr()
 
 
 def assemble(mesh, scheme, data):

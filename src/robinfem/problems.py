@@ -118,11 +118,10 @@ _REGISTRY = {p.name: p for p in (
 
 
 def get_problem(name):
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise InvalidParameter(f"unknown problem {name!r}; known: {known}") from None
+    """The registered problem of a name; InvalidParameter unless name is a known str."""
+    if not (isinstance(name, str) and name in _REGISTRY):
+        raise InvalidParameter(f"unknown problem {name!r}; known: {', '.join(sorted(_REGISTRY))}")
+    return _REGISTRY[name]
 
 
 def problem_names():

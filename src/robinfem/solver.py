@@ -27,7 +27,13 @@ _DIRECT_LIMIT = 5000 dofs:
   rounds by the fixed priority i * 2654435761 mod 2^32 (no random
   stream); a root and its strong neighbours form an aggregate, and a
   second pass attaches their strong neighbours; a node with no strong
-  neighbour joins no aggregate (a zero row of T) and is left to D^-1;
+  neighbour joins no aggregate (a zero row of T) and is left to D^-1.
+  Each of these steps is a maximum over every row's strong neighbours.
+  The strength graph is laid out once as a table of each row's first
+  2 nnz / n + 1 neighbours, so every maximum is one np.maximum per
+  column; a longer row (a dense row of a (matrix, rhs) pair) is taken
+  whole by reduceat, so the layout holds at most 3 nnz table entries
+  and nnz long-row entries;
 - P = (I - 4/(3 rho) D^-1 A) T, with T the 0/1 aggregate indicator and
   rho = ||D^-1 A||_inf, a bound on the spectral radius of D^-1 A.
 
@@ -87,6 +93,7 @@ IndefiniteMatrix.
 """
 
 import enum
+import functools
 import math
 import numbers
 import time
@@ -261,27 +268,47 @@ def _bottom_factor(matrix):
     return factor
 
 
-def _smoothed_aggregation(matrix, diag):
-    """Smoothed-aggregation prolongation P = (I - 4/(3 rho) D^-1 A) T of a CSR
-    matrix with a positive diagonal D; see the module docstring."""
+def _layout(s_indices, s_end):
+    """The rows of a graph (s_indices, row i ending at s_end[i], none empty) laid out for
+    _neighbour_max: a (width, n) table of every row's first width entries, a short row
+    repeating its last, with width at most 2 nnz / n + 1, so at most 3 nnz entries; and the
+    rows longer than that, whole, for reduceat (at most nnz entries)."""
+    degree = np.diff(s_end, prepend=0)
+    width = min(int(degree.max()), 2 * len(s_indices) // len(s_end) + 1)
+    table = s_indices[np.minimum(s_end - degree + np.arange(width)[:, None], s_end - 1)]
+    long = degree > width
+    return table, long, s_indices[np.repeat(long, degree)], np.cumsum(degree[long]) - degree[long]
+
+
+def _neighbour_max(layout, values):
+    """The maximum of values over every row of a _layout: one np.maximum per table column,
+    and reduceat on the long rows (max is exact, so any order gives the same)."""
+    table, long, long_indices, long_start = layout
+    out = values[table[0]]
+    for column in table[1:]:
+        np.maximum(out, values[column], out=out)
+    if long_start.size:
+        out[long] = np.maximum.reduceat(values[long_indices], long_start)
+    return out
+
+
+def _tentative(matrix, diag):
+    """The 0/1 aggregate indicator T of smoothed aggregation on a CSR matrix
+    with a positive diagonal; see the module docstring."""
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    on_diag = rows == indices
     root = np.sqrt(diag)  # sqrt(a_ii) sqrt(a_jj) cannot overflow where a_ii a_jj would
-    strong = on_diag | (np.abs(matrix.data) >= _STRENGTH * root[rows] * root[indices])
-    # the strength graph, each row holding its diagonal, so no row is empty
-    s_indices = indices[strong].astype(np.intp)
-    s_start = np.concatenate(([0], np.cumsum(strong)[indptr[1:-1] - 1]))
-
-    def neighbour_max(values):
-        return np.maximum.reduceat(values[s_indices], s_start)
+    strong = (rows == indices) | (np.abs(matrix.data) >= _STRENGTH * root[rows] * root[indices])
+    # the strength graph, each row holding its diagonal, so no row is empty, laid out once
+    s_end = np.cumsum(strong)[indptr[1:] - 1]
+    neighbour_max = functools.partial(_neighbour_max, _layout(indices[strong].astype(np.intp), s_end))
 
     # roots: a distance-2 independent set, by a fixed priority, in rounds
     # uint32, where 0 also stands for a decided node: only node 0 has priority 0,
     # and the smallest priority never outranks an undecided neighbour anyway
     priority = (np.arange(n, dtype=np.uint64) * _PRIORITY_HASH % 2**32).astype(np.uint32)
-    undecided = np.diff(np.append(s_start, len(s_indices))) > 1
+    undecided = np.diff(s_end, prepend=0) > 1
     is_root = np.zeros(n, dtype=bool)
     while undecided.any():
         best = neighbour_max(neighbour_max(np.where(undecided, priority, 0)))
@@ -292,14 +319,21 @@ def _smoothed_aggregation(matrix, diag):
     agg = np.where(is_root, ids, neighbour_max(ids))  # a root and its neighbours
     agg = np.where(agg >= 0, agg, neighbour_max(agg))  # then their neighbours
     member = agg >= 0
-    tentative = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.ones(np.count_nonzero(member)), agg[member], np.concatenate(([0], np.cumsum(member)))),
         shape=(n, int(is_root.sum())),
     )
+
+
+def _smoothed_aggregation(matrix, diag):
+    """Smoothed-aggregation prolongation P = (I - 4/(3 rho) D^-1 A) T of a CSR
+    matrix with a positive diagonal D; see the module docstring."""
+    tentative, indptr = _tentative(matrix, diag), matrix.indptr  # first: its graph is freed before S is built
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(indptr))
     scaled = matrix.data / diag[rows]  # D^-1 A
     omega = 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), indptr[:-1]).max())
-    smoother = sp.csr_matrix((-omega * scaled, indices, indptr), shape=(n, n))
-    smoother.data[on_diag] += 1.0
+    smoother = sp.csr_matrix((-omega * scaled, matrix.indices, indptr), shape=matrix.shape)
+    smoother.data[rows == matrix.indices] += 1.0
     return smoother @ tentative
 
 

@@ -35,6 +35,7 @@ class StudyConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        get_problem(self.problem)  # raises InvalidParameter unless a known problem name
         check_type(self.scheme, Scheme, "scheme")
         check_type(self.solver, SolverConfig, "solver")
         if not is_count(self.levels, 2):
@@ -46,6 +47,7 @@ def run_convergence(config, mesh_out=None):
 
     mesh_out, if given, receives the finest mesh once its level is solved.
     """
+    check_type(config, StudyConfig, "the study config")
     reports = []
     for level in range(config.levels):  # one level's mesh, and its assembly memo, at a time
         finest = level == config.levels - 1

@@ -1,6 +1,8 @@
-"""Oracles: quantities the tests check that no study, CLI command or verdict needs."""
+"""Oracles: quantities the tests check that no study, CLI command or verdict needs, and the
+reference forms that faster library kernels are pinned against."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from robinfem import build_dofmap, norm_matrix, reference_basis, triangle_rule
 from robinfem.assembly import (
@@ -45,3 +47,71 @@ def consistency_residual(mesh, scheme, data):
         parts.append((edges.element_ids, _edge_vector(mesh, scheme.degree, edges, 8, form(scheme, edges), trace)))
     defect = _vector(parts, dofmap)
     return float(np.max(np.abs(defect) / np.sqrt(norm_matrix(mesh, scheme, "augmented").diagonal())))
+
+
+def triplet_pattern(ids, n, nb=1):
+    """The BSR pattern (slots, indices, indptr) of nb x nb blocks on the (E, k) block ids below n of
+    parts, from one stable sort of the keys row*n + col of all their triplets, with run starts from
+    np.diff and rows and columns from np.divmod: slots is the data entry of every triplet, (e, s*nb
+    + i, t*nb + j) at nb^2 bslot[e, s, t] + nb i + j; int32 unless nb * max(n, nb * triplets) is
+    larger.  The library derived this pattern so until it read the pattern off the mesh graph."""
+    ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in ids])
+    keys = np.concatenate([(d[:, :, None] * n + d[:, None, :]).ravel() for d in ids])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    rows, cols = np.divmod(keys[first], n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    itype = np.int32 if nb * max(n, nb * len(keys)) <= np.iinfo(np.int32).max else np.int64
+    bslots = np.empty(len(order), dtype=itype)
+    bslots[order] = nb * nb * (np.cumsum(first, dtype=itype) - 1)
+    local = np.arange(nb * nb, dtype=itype).reshape(nb, 1, nb)
+    slots = [bslots[a:b].reshape(len(d), d.shape[1], 1, d.shape[1], 1) + local for d, a, b in zip(ids, ends, ends[1:])]
+    return np.concatenate([s.ravel() for s in slots]), cols.astype(itype), indptr.astype(itype)
+
+
+def block_ids(dofmap, elements):
+    """The block ids of parts on (E, k) elements: each element's dofs in a continuous space, the
+    element itself in a discontinuous one."""
+    nb = 1 if dofmap.continuous else dofmap.cell_dofs.shape[1]
+    blocks = dofmap.cell_dofs[:, ::nb] // nb
+    return [blocks[e].reshape(len(e), e.shape[1] * blocks.shape[1]) for e in elements]
+
+
+def tentative_by_reduceat(matrix, diag):
+    """Smoothed aggregation's tentative T and prolongation P of a CSR matrix with a positive
+    diagonal, each neighbour maximum one np.maximum.reduceat over the gathered strength graph, as
+    the solver took them until it laid the graph out in columns."""
+    n = matrix.shape[0]
+    indptr, indices = matrix.indptr, matrix.indices
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    on_diag = rows == indices
+    root = np.sqrt(diag)
+    strong = on_diag | (np.abs(matrix.data) >= 0.08 * root[rows] * root[indices])
+    s_indices = indices[strong].astype(np.intp)
+    s_start = np.concatenate(([0], np.cumsum(strong)[indptr[1:-1] - 1]))
+
+    def neighbour_max(values):
+        return np.maximum.reduceat(values[s_indices], s_start)
+
+    priority = (np.arange(n, dtype=np.uint64) * 2654435761 % 2**32).astype(np.uint32)
+    undecided = np.diff(np.append(s_start, len(s_indices))) > 1
+    is_root = np.zeros(n, dtype=bool)
+    while undecided.any():
+        best = neighbour_max(neighbour_max(np.where(undecided, priority, 0)))
+        new = undecided & (best == priority)
+        is_root |= new
+        undecided &= ~neighbour_max(neighbour_max(new))
+    ids = np.where(is_root, np.cumsum(is_root) - 1, -1)
+    agg = np.where(is_root, ids, neighbour_max(ids))
+    agg = np.where(agg >= 0, agg, neighbour_max(agg))
+    member = agg >= 0
+    tentative = sp.csr_matrix(
+        (np.ones(np.count_nonzero(member)), agg[member], np.concatenate(([0], np.cumsum(member)))),
+        shape=(n, int(is_root.sum())),
+    )
+    scaled = matrix.data / diag[rows]
+    omega = 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), indptr[:-1]).max())
+    smoother = sp.csr_matrix((-omega * scaled, indices, indptr), shape=(n, n))
+    smoother.data[on_diag] += 1.0
+    return tentative, smoother @ tentative

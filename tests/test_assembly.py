@@ -53,11 +53,10 @@ from robinfem.assembly import (
     _norm_form,
     _penalty_form,
     _robin_form,
-    _sort,
     _volume_part,
 )
 
-from oracles import consistency_residual
+from oracles import consistency_residual, triplet_pattern
 
 NIT = Method.NITSCHE
 DG = Method.SIPDG
@@ -777,10 +776,10 @@ def test_pieces_of_different_spaces_are_rejected(case):
 
 def _dof_level_matrix(dofmap, parts, volume=None):
     """(data, indices, indptr) of the (dofs, blocks) parts on the CSR pattern of
-    one _sort of their dof triplets, as the pattern was built before it sorted
+    one sort of their dof triplets, as the pattern was built before it sorted
     blocks.  A volume part joins the sort, and its bincount is added after that
     of the parts, as _matrix adds the memoized volume."""
-    slots, indices, indptr = _sort([d for d, _ in ([volume] if volume else []) + parts], dofmap.n_dofs)
+    slots, indices, indptr = triplet_pattern([d for d, _ in ([volume] if volume else []) + parts], dofmap.n_dofs)
     n = volume[1].size if volume else 0
     values = np.bincount(slots[n:], np.concatenate([b.ravel() for _, b in parts]), len(indices))
     if volume:
@@ -899,6 +898,46 @@ def test_a_discontinuous_map_in_another_numbering_is_rejected(degree):
         for call, run in calls.items():
             with pytest.raises(InvalidParameter, match="does not number element t's nb dofs"):
                 run()
+
+
+def _renumbered_continuous_maps(mesh, degree):
+    """Continuous dof maps of the right size, dtype and range whose numbering is not build_dofmap's."""
+    own = build_dofmap(mesh, degree, continuous=True)
+    swap = np.arange(own.n_dofs)
+    swap[[0, -1]] = swap[[-1, 0]]
+    return {
+        "permuted": np.random.default_rng(degree).permutation(own.n_dofs)[own.cell_dofs],
+        "first and last dof swapped": swap[own.cell_dofs],
+    }
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_continuous_map_in_another_numbering_is_rejected(degree):
+    # the pattern is read off the mesh graph in build_dofmap's numbering; a sort of the
+    # triplets of any numbering gave one, so these maps were accepted before
+    mesh, data = generate_disk_mesh(3), get_problem("sinsin").make_data(1.0)
+    scheme, basis, n = Scheme(NIT, degree=degree), reference_basis(degree), build_dofmap(mesh, degree, True).n_dofs
+    for name, cell_dofs in _renumbered_continuous_maps(mesh, degree).items():
+        dofmap = DofMap(True, degree, n, cell_dofs)
+        calls = {
+            "volume": lambda: assemble_volume(mesh, dofmap, basis),
+            "boundary": lambda: assemble_nitsche_boundary(mesh, dofmap, basis, scheme),
+            "load": lambda: assemble_load(mesh, dofmap, basis, scheme, data),
+            "l2 error": lambda: l2_error(mesh, data, np.zeros(n), dofmap),
+            "energy error": lambda: energy_error(mesh, scheme, data, np.zeros(n), dofmap=dofmap),
+        }
+        for call, run in calls.items():
+            with pytest.raises(InvalidParameter, match="does not number its dofs as build_dofmap does"):
+                run()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_interior_penalty_rejects_a_continuous_map(degree):
+    # a continuous space's pattern couples no dofs across an edge that only the penalty would
+    mesh = generate_disk_mesh(3)
+    dofmap = build_dofmap(mesh, degree, continuous=True)
+    with pytest.raises(SchemeMismatch, match="discontinuous dof map"):
+        assemble_interior_penalty(mesh, dofmap, reference_basis(degree), Scheme(DG, degree=degree))
 
 
 @pytest.mark.parametrize("cells", ["2 columns", "4 columns", "float"])

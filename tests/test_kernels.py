@@ -1,25 +1,35 @@
 """The per-element and per-point kernels against the generic numpy expressions
 they replace (einsum, reductions and argmax over axes of length 2 or 3,
-boolean-mask gathers, int64 division): every output equal, with no tolerance."""
+boolean-mask gathers, int64 division, a sort of all triplet keys, reduceat):
+every output equal, with no tolerance."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from robinfem import (
     Mesh,
+    Method,
+    Scheme,
+    assemble,
     build_dofmap,
     edge_rule,
     generate_disk_mesh,
     generate_square_mesh,
     get_problem,
+    level_mesh,
     read_mesh,
     reference_basis,
     triangle_rule,
+    unit_disk,
     write_mesh,
 )
 from robinfem.analysis import _volume_error_sq
-from robinfem.assembly import _CLASSES, _cells, _edge_facts, _pattern, _sort, _volume_part
+from robinfem.assembly import _CLASSES, _cells, _edge_facts, _pattern, _volume_part
 from robinfem.mesh import build_edge_topology
+from robinfem.solver import _layout, _neighbour_max, _smoothed_aggregation, _tentative
+
+from oracles import block_ids, tentative_by_reduceat, triplet_pattern
 
 
 @pytest.fixture(
@@ -74,35 +84,35 @@ def test_volume_errors_equal_the_summed_squares(mesh, degree):
     assert _volume_error_sq(mesh, data, solution, dofmap) == want
 
 
-def sort_by_division(ids, n, nb):
-    """_sort with its run starts from np.diff and its rows and columns from np.divmod."""
-    ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in ids])
-    keys = np.concatenate([(d[:, :, None] * n + d[:, None, :]).ravel() for d in ids])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.diff(keys, prepend=-1) != 0
-    rows, cols = np.divmod(keys[first], n)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    itype = np.int32 if nb * max(n, nb * len(keys)) <= np.iinfo(np.int32).max else np.int64
-    bslots = np.empty(len(order), dtype=itype)
-    bslots[order] = nb * nb * (np.cumsum(first, dtype=itype) - 1)
-    local = np.arange(nb * nb, dtype=itype).reshape(nb, 1, nb)
-    slots = [bslots[a:b].reshape(len(d), d.shape[1], 1, d.shape[1], 1) + local for d, a, b in zip(ids, ends, ends[1:])]
-    return np.concatenate([s.ravel() for s in slots]), cols.astype(itype), indptr.astype(itype)
+def part_sets(mesh, continuous):
+    """{name: (elements, sub)}: the parts of the space, and each form's own part alone."""
+    parts = {"volume": _cells(mesh), "boundary": mesh.boundary_edges.element_ids}
+    if not continuous:
+        parts["interior"] = mesh.interior_edges.element_ids
+    return {"space": (list(parts.values()), False), **{name: ([e], True) for name, e in parts.items()}}
+
+
+def assert_patterns_equal_the_triplet_sort(mesh, degree, continuous):
+    dofmap = build_dofmap(mesh, degree, continuous)
+    nb = 1 if continuous else dofmap.cell_dofs.shape[1]
+    for name, (elements, sub) in part_sets(mesh, continuous).items():
+        want = triplet_pattern(block_ids(dofmap, elements), dofmap.n_dofs // nb, nb)
+        assert all(same(g, w) for g, w in zip(_pattern(mesh, dofmap, elements, sub=sub), want)), name
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("continuous", [True, False])
 def test_sort_equals_the_division_form(mesh, degree, continuous):
-    dofmap = build_dofmap(mesh, degree, continuous)
-    nb = 1 if continuous else dofmap.cell_dofs.shape[1]
-    blocks = dofmap.cell_dofs[:, ::nb] // nb
-    parts = [_cells(mesh), mesh.boundary_edges.element_ids, mesh.interior_edges.element_ids]
-    ids = [blocks[e].reshape(len(e), e.shape[1] * blocks.shape[1]) for e in parts]
-    want = sort_by_division(ids, dofmap.n_dofs // nb, nb)
-    got = _sort(ids, dofmap.n_dofs // nb, nb)
-    assert all(same(g, w) for g, w in zip(got, want))
-    assert all(same(g, w) for g, w in zip(_pattern(parts, dofmap), want))
+    # the pattern read off the mesh graph, for the parts of a space and each standalone form's
+    # sub-pattern, against one sort of all their triplet keys: slots, indices and indptr equal,
+    # dtypes too
+    assert_patterns_equal_the_triplet_sort(mesh, degree, continuous)
+
+
+def test_pattern_of_a_mesh_without_interior_edges():
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    for degree, continuous in ((1, True), (2, True), (1, False), (2, False)):
+        assert_patterns_equal_the_triplet_sort(mesh, degree, continuous)
 
 
 def topology_by_masks(verts, tris):
@@ -176,3 +186,48 @@ def test_edge_points_of_an_empty_table():
     got = mesh.edge_points(mesh.interior_edges, s)
     assert got.shape == (len(s), 0, 2)
     assert same(got, kernel) and same(got, skin.transpose(1, 0, 2))
+
+
+@pytest.fixture(scope="module")
+def aggregation_matrices():
+    """{name: CSR matrix}: the Nitsche P1 level-4 matrix, which the multilevel solve aggregates
+    itself; the P1 Galerkin coarse matrix of the Nitsche P2 level-4 sweep; and a 6,000-dof matrix
+    whose first row couples strongly to every dof."""
+    mesh, data = level_mesh(unit_disk(), 4), get_problem("sinsin").make_data(1.0)
+    system = assemble(mesh, Scheme(Method.NITSCHE, degree=2), data)
+    p = system.prolongation
+    n = 6000
+    dense = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="lil")
+    dense[0, :], dense[:, 0] = -1.0, -1.0
+    dense[0, 0] = 50.0
+    return {
+        "nitsche p1 level 4": assemble(mesh, Scheme(Method.NITSCHE), data).matrix,
+        "sweep p1 coarse": sp.csr_matrix(sp.csr_matrix(p.T) @ system.matrix @ p),
+        "dense row": sp.csr_matrix(dense),
+    }
+
+
+@pytest.mark.parametrize("name", ["nitsche p1 level 4", "sweep p1 coarse", "dense row"])
+def test_aggregation_equals_the_reduceat_form(aggregation_matrices, name):
+    matrix = aggregation_matrices[name]
+    diag = matrix.diagonal()
+    want_t, want_p = tentative_by_reduceat(matrix, diag)
+    for got, want in ((_tentative(matrix, diag), want_t), (_smoothed_aggregation(matrix, diag), want_p)):
+        assert got.shape == want.shape
+        assert all(same(getattr(got, f), getattr(want, f)) for f in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("name", ["nitsche p1 level 4", "sweep p1 coarse", "dense row"])
+def test_neighbour_layout_is_linear_in_the_graph(aggregation_matrices, name):
+    # the layout holds at most 3 nnz table entries and nnz long-row entries, so a dense row
+    # costs its own length, and every neighbour maximum equals reduceat's
+    matrix = aggregation_matrices[name]
+    indices = matrix.indices.astype(np.intp)
+    layout = _layout(indices, matrix.indptr[1:])
+    table, long, long_indices, long_start = layout
+    assert table.size <= 3 * len(indices) and long_indices.size <= len(indices)
+    assert long.any() == (name == "dense row")
+    values = np.random.default_rng(5).integers(0, 2**32, matrix.shape[0], dtype=np.uint32)
+    want = np.maximum.reduceat(values[indices], matrix.indptr[:-1])
+    assert same(_neighbour_max(layout, values), want)
+    assert same(_neighbour_max(layout, values > 2**31), np.maximum.reduceat(values[indices] > 2**31, matrix.indptr[:-1]))

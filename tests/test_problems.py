@@ -151,3 +151,10 @@ def test_registry():
     with pytest.raises(InvalidParameter) as err:
         get_problem("does_not_exist")
     assert "does_not_exist" in str(err.value)
+
+
+@pytest.mark.parametrize("name", [["sinsin"], {"sinsin"}, {"name": "sinsin"}], ids=["list", "set", "dict"])
+def test_a_name_that_is_not_a_str_is_refused(name):
+    # unhashable names used to escape the registry lookup as a bare TypeError
+    with pytest.raises(InvalidParameter, match="unknown problem"):
+        get_problem(name)

@@ -436,8 +436,9 @@ def _aggregated_matrices():
 
 def _rounds(matrix):
     """(is_root, agg) of _smoothed_aggregation on matrix: its roots and the
-    aggregate of every node (-1 for none), read from its locals as it returns."""
-    seen, code, previous = {}, robinfem.solver._smoothed_aggregation.__code__, sys.getprofile()
+    aggregate of every node (-1 for none), read from the locals of _tentative,
+    which takes the rounds, as it returns."""
+    seen, code, previous = {}, robinfem.solver._tentative.__code__, sys.getprofile()
 
     def profile(frame, event, arg):
         if event == "return" and frame.f_code is code:

@@ -64,6 +64,20 @@ def test_study_config_validation():
             StudyConfig(**{**fields, field: value})
 
 
+@pytest.mark.parametrize("name", [42, ["sinsin"], "nope"], ids=["int", "list", "unknown"])
+def test_study_config_refuses_an_unknown_problem(name):
+    # a bad name used to be accepted here and fail only once the study ran
+    with pytest.raises(InvalidParameter, match="unknown problem"):
+        StudyConfig(name, Scheme(Method.NITSCHE))
+
+
+def test_run_single_and_run_convergence_refuse_what_they_cannot_run():
+    with pytest.raises(InvalidParameter, match="unknown problem"):
+        run_single(["sinsin"], Scheme(Method.NITSCHE))
+    with pytest.raises(InvalidParameter, match="the study config must be a StudyConfig"):
+        run_convergence("sinsin")
+
+
 @pytest.mark.parametrize("scheme, solver, message", [
     ("n", None, "scheme must be a Scheme"),
     (Scheme(Method.NITSCHE), "dense", "the solver config must be a SolverConfig"),
