@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, _check_space, _edge_error_sq
-from .errors import DegenerateSequence, MissingExactSolution, values_at
+from .assembly import Method, Scheme, _check_space, _edge_error_sq
+from .errors import DegenerateSequence, MissingExactSolution, check_type, values_at
 from .felib import build_dofmap, reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
@@ -77,6 +77,7 @@ def energy_error(mesh, scheme, data, solution, dofmap=None):
 
 def _errors(mesh, scheme, data, solution, dofmap):
     """(L2 error, energy error, its squared components) of one solution."""
+    check_type(scheme, Scheme, "scheme")
     _require_exact(data)
     dofmap = build_dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
     _check_space(mesh, dofmap, scheme.degree, solution)

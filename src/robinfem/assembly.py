@@ -39,20 +39,20 @@ on the Mesh.  _default_rules picks each degree's triangle and edge rule,
 exact on the stiffness and every edge matrix.
 
 Every form contributes (elements, blocks) parts and every load (elements, values) parts, a row per
-element or edge over the dofs of its k elements.  A block is a dof (nb = 1) in a continuous space
-and element t's dofs t*nb .. t*nb + nb - 1 in a discontinuous one.  All the forms on a space share
-one block pattern, read off the mesh graph with no sort of triplets (_pattern); a standalone form
-keeps the blocks it couples.  A matrix is one bincount of its parts onto the BSR data of that
-pattern (each entry's terms in input order, exact-zero sums kept), which scipy converts to CSR; a
-vector is one bincount onto its dofs.
+element or edge over the dofs of its k elements.  A block, the one slot unit, is a dof (nb = 1) in a
+continuous space and element t's dofs t*nb .. t*nb + nb - 1 in a discontinuous one.  Parts are
+block-major, (E, k, k, nb, nb); the forms on a space share one block pattern, read off the mesh
+graph, with a slot per block (e, s, t) of a part (_pattern).  A matrix is one block scatter of its
+parts onto the BSR data of that pattern (each entry's terms in input order, exact-zero sums kept),
+which scipy converts to CSR; a vector is one bincount onto its dofs.
 
 What no form, rule or degree changes on an edge table (the class tuple of every edge, its edges
 grouped per class tuple by one stable sort, and the trace coefficients A) is found once and memoized
 in a table keyed weakly by the EdgeTable.  The space of a mesh, degree and method is built on first
 use and memoized in a table keyed weakly by the Mesh: basis, dof map, continuous-P1 prolongation,
 the volume stiffness as BSR data on the block pattern of all its forms (0 where only edge forms
-couple), and the data entries of its edge triplets.  Both live as long as the mesh.  assemble and
-norm_matrix add one bincount of their edge forms to that volume, so the Gram matrix of the energy
+couple), and the block slots of its edge parts.  Both live as long as the mesh.  assemble and
+norm_matrix add one block scatter of their edge forms to that volume, so the Gram matrix of the energy
 norm sits on the system's pattern.  An eps sweep builds the pattern and sums the volume once,
 bitwise as an unmemoized run.  Matrices get their own index arrays, systems a copy of the
 prolongation; the shared dof map is read-only.
@@ -70,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._atomic import write_lines
-from .errors import InvalidParameter, SchemeMismatch, values_at
+from .errors import InvalidParameter, SchemeMismatch, check_type, values_at
 from .felib import (
     DofMap,
     _check_dofs,
@@ -173,6 +173,7 @@ def robin_weights(scheme, h_e):
 
     Raises InvalidParameter where 1/(eps + gamma*h_E) would overflow.
     """
+    check_type(scheme, Scheme, "scheme")
     denom = scheme.epsilon + scheme.gamma * h_e
     if np.any(denom <= _SMALLEST_DENOMINATOR):
         raise InvalidParameter(
@@ -286,11 +287,11 @@ def _edge_facts(mesh, edges):
     return _EDGE_FACTS[edges]
 
 
-def _per_class(groups, rows, tensors):
-    """rows[e] @ tensors[c] for every edge e of class tuple c: one GEMM per group."""
-    out = np.empty((len(rows), tensors.shape[2]))
+def _per_class(groups, rows, tensors, out=None):
+    """rows[e] @ tensors[c] for every edge e of class tuple c, into out (E, ...) if given: one GEMM per group."""
+    out = np.empty((len(rows), tensors.shape[2])) if out is None else out
     for c, ids in groups:
-        out[ids] = rows[ids] @ tensors[c]
+        out[ids] = (rows[ids] @ tensors[c]).reshape((len(ids),) + out.shape[1:])
     return out
 
 
@@ -316,12 +317,15 @@ def _edge_dofs(dofmap, edges):
 
 
 def _edge_part(mesh, basis, edges, coef):
-    """The (elements, blocks) part sum_q w_q t^T C t of one edge table on the
-    degree's edge rule: per class tuple, the W = A^T C A of its edges times its K."""
-    (_, groups, lift), k = _edge_facts(mesh, edges), edges.element_ids.shape[1]
+    """The (elements, blocks) part sum_q w_q t^T C t of one edge table on the degree's edge rule, block-major
+    (E, k, k, nb, nb): per class tuple, the W = A^T C A of its edges times its K, written through the
+    (E, k, nb, k, nb) view that is K's column order."""
+    (_, groups, lift), k, nb = _edge_facts(mesh, edges), edges.element_ids.shape[1], basis.n_nodes
     tensors = _edge_tensors(basis.degree, _default_rules(basis.degree)[1], k)[1]
     w = (lift.transpose(0, 2, 1) @ coef @ lift).reshape(len(edges), tensors.shape[1])
-    return edges.element_ids, _per_class(groups, w, tensors).reshape(-1, k * basis.n_nodes, k * basis.n_nodes)
+    blocks = np.empty((len(edges), k, k, nb, nb))
+    _per_class(groups, w, tensors, blocks.transpose(0, 1, 3, 2, 4))
+    return edges.element_ids, blocks
 
 
 def _edge_vector(mesh, degree, edges, order, coef, trace):
@@ -349,64 +353,57 @@ def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
 
 def _graph(n, lo, hi):
     """The CSR pattern (indices, indptr) of n blocks coupled by the distinct pairs lo < hi, and the entry
-    of every diagonal (n,) and pair (lo, hi) and (hi, lo): row i holds its lower neighbours, itself, then
-    its upper ones, by a sort of the keys lo*n + hi (edges come sorted) and one of hi*n + lo."""
-    n_lower, n_upper = np.bincount(hi, minlength=n), np.bincount(lo, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(n_lower + n_upper + 1)])
-    diag, seq, indices = indptr[:-1] + n_lower, np.arange(len(lo)), np.empty(indptr[-1], dtype=np.int64)
-    upper, lower, indices[diag] = np.empty_like(seq), np.empty_like(seq), np.arange(n)
-    for entry, row, col, first in ((upper, lo, hi, diag + 1 - np.cumsum(n_upper) + n_upper),
-                                   (lower, hi, lo, indptr[:-1] - np.cumsum(n_lower) + n_lower)):
-        order = np.argsort(row * n + col)  # distinct keys, so any sort gives this order
-        at = seq + first[row[order]]  # the entry of pair order[q]: its row's first one, plus its rank
-        entry[order], indices[at] = at, col[order]
-    return indices, indptr, diag, upper, lower
+    of every diagonal (n,) and pair (lo, hi) and (hi, lo): scipy's canonical CSR of the list of pairs both
+    ways, then the diagonal, each entry tagged by its place in that list, so row i holds its lower
+    neighbours, itself, then its upper ones.  Tags and indices are int32 where they fit."""
+    itype = np.int32 if 2 * len(lo) + n <= np.iinfo(np.int32).max else np.int64
+    rows, cols = (np.concatenate([a, b, np.arange(n)], dtype=itype) for a, b in ((lo, hi), (hi, lo)))
+    graph = sp.coo_matrix((np.arange(len(rows), dtype=itype), (rows, cols)), shape=(n, n)).tocsr()
+    entry = np.empty_like(graph.data)
+    entry[graph.data] = np.arange(len(entry), dtype=itype)
+    upper, lower, diag = np.split(entry, [len(lo), 2 * len(lo)])
+    return graph.indices, graph.indptr, diag, upper, lower
 
 
 def _pattern(mesh, dofmap, elements, sub=False):
-    """The BSR pattern (slots, indices, indptr) of nb x nb blocks of parts on (E, k) elements, from the
+    """The BSR pattern (bslots, indices, indptr) of nb x nb blocks of parts on (E, k) elements, from the
     graph of _block_pairs with no sort of triplets; a discontinuous space's one (E, 2) part is its interior
-    edges.  The parts of a space cover its graph; with sub, only the blocks they couple are kept, renumbered
-    by a cumsum.  (e, s*nb + i, t*nb + j) has the data entry nb^2 bslot[e, s, t] + nb i + j, in int32
-    unless nb * max(blocks, nb * block triplets) is larger."""
+    edges.  bslots holds the data block of every block (e, s, t) of the parts, in part order.  The parts of
+    a space cover its graph; with sub, only the blocks they couple are kept, renumbered by a cumsum."""
     nb, (blocks, local, ids) = 1 if dofmap.continuous else dofmap.cell_dofs.shape[1], _block_pairs(mesh, dofmap)
-    n, triplets = dofmap.n_dofs // nb, sum(len(e) * (e.shape[1] * dofmap.cell_dofs.shape[1] // nb) ** 2 for e in elements)
-    itype = np.int32 if nb * max(n, nb * triplets) <= np.iinfo(np.int32).max else np.int64
     first, second = blocks[local[:, 0]], blocks[local[:, 1]]
     pairs = np.empty((2, ids.max(initial=-1) + 1), dtype=np.int64)  # every pair's blocks, from each row with it
     pairs[0, ids], pairs[1, ids] = np.minimum(first, second), np.maximum(first, second)
-    indices, indptr, diag, upper, lower = (a.astype(itype) for a in _graph(n, *pairs))
-    table = np.empty((blocks.shape[1], len(blocks), len(blocks)), dtype=itype)  # of every row's (a, b)
+    indices, indptr, diag, upper, lower = _graph(dofmap.n_dofs // nb, *pairs)
+    table = np.empty((blocks.shape[1], len(blocks), len(blocks)), dtype=diag.dtype)  # of every row's (a, b)
     table[:, np.arange(len(blocks)), np.arange(len(blocks))] = diag[blocks.T]
     for (a, b), ab, pair in zip(local, first < second, ids):
         table[:, a, b], table[:, b, a] = np.where(ab, upper[pair], lower[pair]), np.where(ab, lower[pair], upper[pair])
-    bslots = [table[np.concatenate([e[:, 0] for e in elements])]] if dofmap.continuous else \
-        [table if e.shape[1] == 2 else diag[e][:, :, None] for e in elements]
+    bslots = table[np.concatenate([e[:, 0] for e in elements])].ravel() if dofmap.continuous else \
+        np.concatenate([(table if e.shape[1] == 2 else diag[e]).ravel() for e in elements])
     if sub:
-        used = np.bincount(np.concatenate([s.ravel() for s in bslots]), minlength=len(indices)) > 0
-        kept = np.cumsum(used, dtype=itype)
-        bslots, indices, indptr = [kept[s] - 1 for s in bslots], indices[used], np.insert(kept, 0, 0)[indptr]
-    slots, start = np.empty(nb * nb * sum(s.size for s in bslots), dtype=itype), 0
-    for s in bslots:  # nb^2 bslot + nb i + j, written in place
-        out = slots[start:start + nb * nb * s.size].reshape(len(s), s.shape[1], nb, s.shape[1], nb)
-        start += np.add(nb * nb * s[:, :, None, :, None], np.arange(nb * nb, dtype=itype).reshape(nb, 1, nb), out=out).size
-    return slots, indices, indptr
+        used = np.bincount(bslots, minlength=len(indices)) > 0
+        kept = np.cumsum(used, dtype=bslots.dtype)
+        bslots, indices, indptr = kept[bslots] - 1, indices[used], np.insert(kept, 0, 0)[indptr]
+    return bslots, indices, indptr
 
 
-def _bsr(slots, weights, bind, bptr, n):
-    """The n x n BSR matrix on the block pattern (bind, bptr) whose data is one bincount of weights over
-    slots (each entry's terms in input order); at nb = 1 CSR on copies of bind and bptr, built in 0.3 ms
-    where scipy's conversion from BSR takes 2.4 ms (566,785 entries, one x86_64 core)."""
-    nb = n // (len(bptr) - 1)
-    values = np.bincount(slots, weights, nb * nb * len(bind))
-    return (sp.csr_matrix((values, bind.copy(), bptr.copy()), shape=(n, n)) if nb == 1
-            else sp.bsr_matrix((values.reshape(-1, nb, nb), bind, bptr), shape=(n, n)))
+def _bsr(bslots, values, bind, bptr, n):
+    """The n x n BSR matrix on the block pattern (bind, bptr) whose block j sums, in input order, the blocks
+    r of values (R, nb, nb) with bslots[r] = j: at nb = 1 one bincount onto CSR on copies of bind and bptr
+    (0.3 ms where scipy's conversion from BSR takes 2.4 ms, 566,785 entries, one x86_64 core); above, one
+    product of the 0/1 CSC matrix (blocks, R) of bslots with values (R, nb^2), which adds column by column."""
+    nb, r = n // (len(bptr) - 1), len(bslots)
+    if nb == 1:
+        return sp.csr_matrix((np.bincount(bslots, values.ravel(), len(bind)), bind.copy(), bptr.copy()), shape=(n, n))
+    scatter = sp.csc_matrix((np.ones(r), bslots, np.arange(r + 1)), shape=(len(bind), r))
+    return sp.bsr_matrix(((scatter @ values.reshape(r, nb * nb)).reshape(-1, nb, nb), bind, bptr), shape=(n, n))
 
 
 def _compress(mesh, elements, blocks, dofmap):
     """Deterministic COO -> CSR of one (elements, blocks) part, through _bsr."""
-    slots, bind, bptr = _pattern(mesh, dofmap, [elements], sub=True)
-    return _bsr(slots, blocks.ravel(), bind, bptr, dofmap.n_dofs).tocsr()
+    bslots, bind, bptr = _pattern(mesh, dofmap, [elements], sub=True)
+    return _bsr(bslots, blocks, bind, bptr, dofmap.n_dofs).tocsr()
 
 
 def _vector(parts, dofmap):
@@ -461,6 +458,7 @@ def assemble_volume(mesh, dofmap, basis):
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme):
     """Boundary form shared by both schemes: the Robin form."""
+    check_type(scheme, Scheme, "scheme")
     _check_space(mesh, dofmap, basis.degree)
     coef = _robin_form(scheme, mesh.boundary_edges)
     return _compress(mesh, *_edge_part(mesh, basis, mesh.boundary_edges, coef), dofmap)
@@ -468,6 +466,7 @@ def assemble_nitsche_boundary(mesh, dofmap, basis, scheme):
 
 def assemble_interior_penalty(mesh, dofmap, basis, scheme):
     """Symmetric interior-penalty coupling on interior edges."""
+    check_type(scheme, Scheme, "scheme")
     if scheme.method is not Method.SIPDG:
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
     _check_space(mesh, dofmap, basis.degree)
@@ -479,6 +478,7 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
 
 def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
+    check_type(scheme, Scheme, "scheme")
     _check_space(mesh, dofmap, basis.degree)
     rule, order = _default_rules(basis.degree)
     fval = values_at(data.f, mesh.physical_points(rule.points))  # (T, q)
@@ -494,7 +494,7 @@ _SPACES = weakref.WeakKeyDictionary()  # Mesh -> {(degree, method): _assembly_sp
 def _assembly_space(mesh, scheme):
     """(basis, dofmap, prolongation, volume, edge_slots) of a mesh and scheme,
     memoized: volume is the stiffness as a _bsr matrix on the block pattern of
-    all the forms, edge_slots the data entry of every edge triplet."""
+    all the forms, edge_slots the data block of every edge part's block."""
     spaces = _SPACES.setdefault(mesh, {})
     key = (scheme.degree, scheme.method)
     if key not in spaces:
@@ -504,15 +504,16 @@ def _assembly_space(mesh, scheme):
         p1 = scheme.continuous and scheme.degree == 1
         prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
         elements = [_cells(mesh)] + [e.element_ids for e in _edge_tables(mesh, scheme.method)]
-        slots, bind, bptr = _pattern(mesh, dofmap, elements)
-        vol = _volume_part(mesh, basis)[1].ravel()
-        volume = _bsr(slots[:len(vol)], vol, bind, bptr, dofmap.n_dofs)
-        spaces[key] = (basis, dofmap, prolongation, volume, slots[len(vol):].copy())
+        bslots, bind, bptr = _pattern(mesh, dofmap, elements)
+        vol = _volume_part(mesh, basis)[1]
+        n_vol = vol.size if scheme.continuous else len(vol)  # one block per dof pair or per element
+        volume = _bsr(bslots[:n_vol], vol, bind, bptr, dofmap.n_dofs)
+        spaces[key] = (basis, dofmap, prolongation, volume, bslots[n_vol:].copy())
     return spaces[key]
 
 
 def _matrix(mesh, scheme, coefs):
-    """The memoized volume plus one bincount of the edge forms with
+    """The memoized volume plus one block scatter of the edge forms with
     coefficients coefs, one per edge table, on the memoized pattern."""
     basis, dofmap, _, volume, edge_slots = _assembly_space(mesh, scheme)
     tables = zip(_edge_tables(mesh, scheme.method), coefs)
@@ -524,6 +525,7 @@ def _matrix(mesh, scheme, coefs):
 
 def assemble(mesh, scheme, data):
     """Build the full linear system for one mesh and scheme."""
+    check_type(scheme, Scheme, "scheme")
     basis, dofmap, prolongation = _assembly_space(mesh, scheme)[:3]
     tables = zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form))
     matrix = _matrix(mesh, scheme, [form(scheme, edges) for edges, form in tables])
@@ -542,6 +544,7 @@ def norm_matrix(mesh, scheme, variant="energy"):
     (normal derivative on the boundary, mean gradient on interior
     edges) that make the norm control the discrete bilinear form.
     """
+    check_type(scheme, Scheme, "scheme")
     if variant not in ("energy", "augmented"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
     tables = _edge_tables(mesh, scheme.method)

@@ -49,25 +49,22 @@ def consistency_residual(mesh, scheme, data):
     return float(np.max(np.abs(defect) / np.sqrt(norm_matrix(mesh, scheme, "augmented").diagonal())))
 
 
-def triplet_pattern(ids, n, nb=1):
-    """The BSR pattern (slots, indices, indptr) of nb x nb blocks on the (E, k) block ids below n of
-    parts, from one stable sort of the keys row*n + col of all their triplets, with run starts from
-    np.diff and rows and columns from np.divmod: slots is the data entry of every triplet, (e, s*nb
-    + i, t*nb + j) at nb^2 bslot[e, s, t] + nb i + j; int32 unless nb * max(n, nb * triplets) is
-    larger.  The library derived this pattern so until it read the pattern off the mesh graph."""
-    ends = np.cumsum([0] + [d.shape[0] * d.shape[1] ** 2 for d in ids])
+def triplet_pattern(ids, n):
+    """The BSR pattern (bslots, indices, indptr) of the (E, k) block ids below n of parts, from one
+    stable sort of the keys row*n + col of all their block triplets, with run starts from np.diff
+    and rows and columns from np.divmod: bslots is the data block of every triplet (e, s, t), part
+    by part; int32 unless n or the number of blocks is larger.  The library derived this pattern
+    so until it read the pattern off the mesh graph."""
     keys = np.concatenate([(d[:, :, None] * n + d[:, None, :]).ravel() for d in ids])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.diff(keys, prepend=-1) != 0
     rows, cols = np.divmod(keys[first], n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    itype = np.int32 if nb * max(n, nb * len(keys)) <= np.iinfo(np.int32).max else np.int64
+    itype = np.int32 if max(n, len(cols)) <= np.iinfo(np.int32).max else np.int64
     bslots = np.empty(len(order), dtype=itype)
-    bslots[order] = nb * nb * (np.cumsum(first, dtype=itype) - 1)
-    local = np.arange(nb * nb, dtype=itype).reshape(nb, 1, nb)
-    slots = [bslots[a:b].reshape(len(d), d.shape[1], 1, d.shape[1], 1) + local for d, a, b in zip(ids, ends, ends[1:])]
-    return np.concatenate([s.ravel() for s in slots]), cols.astype(itype), indptr.astype(itype)
+    bslots[order] = np.cumsum(first, dtype=itype) - 1
+    return bslots, cols.astype(itype), indptr.astype(itype)
 
 
 def block_ids(dofmap, elements):

@@ -27,6 +27,7 @@ from robinfem import (
     continuous_embedding,
     dof_points,
     energy_error,
+    error_report,
     generate_disk_mesh,
     generate_square_mesh,
     get_problem,
@@ -46,6 +47,7 @@ from robinfem import (
 from robinfem.assembly import (
     _CLASSES,
     _EDGE_FACTS,
+    _assembly_space,
     _edge_dofs,
     _edge_facts,
     _edge_part,
@@ -749,6 +751,40 @@ def test_memo_entry_is_released_with_its_mesh():
     assert len(_SPACES) == before
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_the_sipdg_memo_keeps_one_slot_per_edge_block(degree):
+    # a boundary edge couples one element block, an interior edge the 4 of its two elements;
+    # no slot is kept per dof triplet
+    mesh = generate_disk_mesh(8)
+    edge_slots = _assembly_space(mesh, Scheme(DG, degree=degree))[4]
+    assert edge_slots.shape == (len(mesh.boundary_edges) + 4 * len(mesh.interior_edges),)
+
+
+def _scheme_calls():
+    """Each public function that takes a scheme, given scheme."""
+    mesh, data = generate_disk_mesh(3), get_problem("sinsin").make_data(1.0)
+    p1, dg1 = reference_basis(1), build_dofmap(mesh, 1, continuous=False)
+    solution = np.zeros(dg1.n_dofs)
+    return {
+        "robin_weights": lambda scheme: robin_weights(scheme, 0.5),
+        "assemble": lambda scheme: assemble(mesh, scheme, data),
+        "norm_matrix": lambda scheme: norm_matrix(mesh, scheme),
+        "assemble_nitsche_boundary": lambda scheme: assemble_nitsche_boundary(mesh, dg1, p1, scheme),
+        "assemble_interior_penalty": lambda scheme: assemble_interior_penalty(mesh, dg1, p1, scheme),
+        "assemble_load": lambda scheme: assemble_load(mesh, dg1, p1, scheme, data),
+        "energy_error": lambda scheme: energy_error(mesh, scheme, data, solution, dg1),
+        "error_report": lambda scheme: error_report(mesh, scheme, data, solution, dg1),
+    }
+
+
+@pytest.mark.parametrize("scheme", ["n", None, NIT], ids=["str", "None", "Method"])
+@pytest.mark.parametrize("case", list(_scheme_calls()))
+def test_a_scheme_that_is_not_a_scheme_is_rejected(case, scheme):
+    # unchecked, each ends in an AttributeError on the missing field
+    with pytest.raises(InvalidParameter, match="scheme must be a Scheme"):
+        _scheme_calls()[case](scheme)
+
+
 def _mismatched_space_calls():
     """Each form or error norm given pieces of two different spaces."""
     mesh, data = generate_disk_mesh(3), get_problem("sinsin").make_data(1.0)
@@ -794,21 +830,24 @@ def assert_same_arrays(got, want, what):
 
 PATTERN_MESHES = {f"disk level {level}": functools.partial(level_mesh, unit_disk(), level) for level in range(4)}
 PATTERN_MESHES["square"] = functools.partial(generate_square_mesh, 5)
+PATTERN_CASES = {f"{name}-{degree}": (make_mesh, degree, (NIT, DG))
+                 for name, make_mesh in PATTERN_MESHES.items() for degree in (1, 2)}
+PATTERN_CASES["sipdg disk level 4-2"] = (functools.partial(level_mesh, unit_disk(), 4), 2, (DG,))  # nb = 6
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-@pytest.mark.parametrize("make_mesh", PATTERN_MESHES.values(), ids=PATTERN_MESHES.keys())
-def test_element_block_pattern_equals_the_dof_triplet_sort(make_mesh, degree):
-    # every matrix, a bincount onto BSR data that scipy converts to CSR, is bitwise the
+@pytest.mark.parametrize("make_mesh, degree, methods", PATTERN_CASES.values(), ids=PATTERN_CASES.keys())
+def test_element_block_pattern_equals_the_dof_triplet_sort(make_mesh, degree, methods):
+    # every matrix, a block scatter onto BSR data that scipy converts to CSR, is bitwise the
     # bincount of its dof triplets onto the CSR pattern of one sort of those triplets
     mesh, basis = make_mesh(), reference_basis(degree)
-    for method in (NIT, DG):
+    for method in methods:
         scheme = Scheme(method, degree=degree, epsilon=0.5)
         dofmap, tables = build_dofmap(mesh, degree, scheme.continuous), _edge_tables(mesh, method)
         volume = (dofmap.cell_dofs, _volume_part(mesh, basis)[1])
 
-        def part(edges, coef):
-            return _edge_dofs(dofmap, edges), _edge_part(mesh, basis, edges, coef)[1]
+        def part(edges, coef):  # the blocks (E, k, k, nb, nb) over the pairs of an edge's dofs
+            dofs, blocks = _edge_dofs(dofmap, edges), _edge_part(mesh, basis, edges, coef)[1]
+            return dofs, blocks.transpose(0, 1, 3, 2, 4).reshape(len(dofs), dofs.shape[1], dofs.shape[1])
 
         def norm_part(edges, variant):  # the norm's diagonal coefficients, with exact zeros off it
             diag = _norm_form(scheme, edges, variant)

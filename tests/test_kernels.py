@@ -96,7 +96,7 @@ def assert_patterns_equal_the_triplet_sort(mesh, degree, continuous):
     dofmap = build_dofmap(mesh, degree, continuous)
     nb = 1 if continuous else dofmap.cell_dofs.shape[1]
     for name, (elements, sub) in part_sets(mesh, continuous).items():
-        want = triplet_pattern(block_ids(dofmap, elements), dofmap.n_dofs // nb, nb)
+        want = triplet_pattern(block_ids(dofmap, elements), dofmap.n_dofs // nb)
         assert all(same(g, w) for g, w in zip(_pattern(mesh, dofmap, elements, sub=sub), want)), name
 
 
@@ -104,8 +104,8 @@ def assert_patterns_equal_the_triplet_sort(mesh, degree, continuous):
 @pytest.mark.parametrize("continuous", [True, False])
 def test_sort_equals_the_division_form(mesh, degree, continuous):
     # the pattern read off the mesh graph, for the parts of a space and each standalone form's
-    # sub-pattern, against one sort of all their triplet keys: slots, indices and indptr equal,
-    # dtypes too
+    # sub-pattern, against one sort of all their block triplet keys: the slot of every block,
+    # indices and indptr equal, dtypes too
     assert_patterns_equal_the_triplet_sort(mesh, degree, continuous)
 
 
