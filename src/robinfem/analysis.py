@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, Scheme, _check_space, _edge_error_sq
-from .errors import DegenerateSequence, MissingExactSolution, check_type, values_at
+from .assembly import Method, ProblemData, Scheme, _check_space, _edge_error_sq
+from .errors import DegenerateSequence, MissingExactSolution, as_array, check_type, values_at
 from .felib import build_dofmap, reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
@@ -51,7 +51,8 @@ def _volume_error_sq(mesh, data, solution, dofmap):
 
 
 def _require_exact(data):
-    """Raise MissingExactSolution unless data has exact_u and exact_grad."""
+    """Raise InvalidParameter unless data is a ProblemData, MissingExactSolution unless it has exact_u and exact_grad."""
+    check_type(data, ProblemData, "data")
     if data.exact_u is None or data.exact_grad is None:
         raise MissingExactSolution("error norms need exact_u and exact_grad")
 
@@ -59,6 +60,7 @@ def _require_exact(data):
 def l2_error(mesh, data, solution, dofmap):
     """L2 distance between the exact solution and the finite element one."""
     _require_exact(data)
+    solution = as_array(solution, "biuf", "the solution must be real")
     _check_space(mesh, dofmap, dofmap.degree, solution)
     return math.sqrt(_volume_error_sq(mesh, data, solution, dofmap)[1])
 
@@ -80,6 +82,7 @@ def _errors(mesh, scheme, data, solution, dofmap):
     check_type(scheme, Scheme, "scheme")
     _require_exact(data)
     dofmap = build_dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
+    solution = as_array(solution, "biuf", "the solution must be real")
     _check_space(mesh, dofmap, scheme.degree, solution)
     grad_sq, l2_sq = _volume_error_sq(mesh, data, solution, dofmap)
     trace_sq, bflux_sq = _edge_error_sq(mesh, dofmap, scheme, mesh.boundary_edges, data, solution)

@@ -244,7 +244,8 @@ def _edge_tensors(degree, order, k):
     """Read-only reference tensors of edge rule order on edges of k elements,
     per class tuple c_1 .. c_k (index c_1 6^(k-1) + .. + c_k): T (6^k, q*3k,
     k*nb), the block diagonal of the tables R_c(s_q) at every rule point,
-    and K (6^k, 9k^2, (k*nb)^2) = sum_q w_q T_q (x) T_q."""
+    and K (6^k, 9k^2, (k*nb)^2) = sum_q w_q T_q (x) T_q, its columns in
+    block order (s, t, i, j): side s's basis function i against side t's j."""
     basis, rule = reference_basis(degree), edge_rule(order)
     nq, nb, n = len(rule.points), basis.n_nodes, len(_CLASSES) ** k
     a, b = basis.nodes[np.transpose(_CLASSES)][:, :, None]  # the reference vertices a and b of each class
@@ -253,8 +254,8 @@ def _edge_tensors(degree, order, k):
     diag = np.zeros((n, nq, k, 3, k, nb))
     for side, classes in enumerate(np.indices((len(_CLASSES),) * k).reshape(k, n)):
         diag[:, :, side, :, side] = tables.reshape(len(_CLASSES), nq, 3, nb)[classes]
-    diag = diag.reshape(n, nq, 3 * k, k * nb)
-    tensors = np.einsum("q,cqai,cqbj->cabij", rule.weights, diag, diag).reshape(n, 9 * k * k, -1)
+    diag = diag.reshape(n, nq, 3 * k, k, nb)
+    tensors = np.einsum("q,cqasi,cqbtj->cabstij", rule.weights, diag, diag).reshape(n, 9 * k * k, -1)
     for array in (diag, tensors):
         array.setflags(write=False)
     return diag.reshape(n, nq * 3 * k, k * nb), tensors
@@ -287,11 +288,11 @@ def _edge_facts(mesh, edges):
     return _EDGE_FACTS[edges]
 
 
-def _per_class(groups, rows, tensors, out=None):
-    """rows[e] @ tensors[c] for every edge e of class tuple c, into out (E, ...) if given: one GEMM per group."""
-    out = np.empty((len(rows), tensors.shape[2])) if out is None else out
+def _per_class(groups, rows, tensors):
+    """rows[e] @ tensors[c] (E, tensors.shape[2]) for every edge e of class tuple c: one GEMM per group."""
+    out = np.empty((len(rows), tensors.shape[2]))
     for c, ids in groups:
-        out[ids] = (rows[ids] @ tensors[c]).reshape((len(ids),) + out.shape[1:])
+        out[ids] = rows[ids] @ tensors[c]
     return out
 
 
@@ -318,14 +319,12 @@ def _edge_dofs(dofmap, edges):
 
 def _edge_part(mesh, basis, edges, coef):
     """The (elements, blocks) part sum_q w_q t^T C t of one edge table on the degree's edge rule, block-major
-    (E, k, k, nb, nb): per class tuple, the W = A^T C A of its edges times its K, written through the
-    (E, k, nb, k, nb) view that is K's column order."""
+    (E, k, k, nb, nb): per class tuple, the W = A^T C A of its edges times its K, whose block-order columns
+    make each GEMM row an edge's k^2 blocks."""
     (_, groups, lift), k, nb = _edge_facts(mesh, edges), edges.element_ids.shape[1], basis.n_nodes
     tensors = _edge_tensors(basis.degree, _default_rules(basis.degree)[1], k)[1]
     w = (lift.transpose(0, 2, 1) @ coef @ lift).reshape(len(edges), tensors.shape[1])
-    blocks = np.empty((len(edges), k, k, nb, nb))
-    _per_class(groups, w, tensors, blocks.transpose(0, 1, 3, 2, 4))
-    return edges.element_ids, blocks
+    return edges.element_ids, _per_class(groups, w, tensors).reshape(len(edges), k, k, nb, nb)
 
 
 def _edge_vector(mesh, degree, edges, order, coef, trace):
@@ -479,6 +478,7 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
 def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
     check_type(scheme, Scheme, "scheme")
+    check_type(data, ProblemData, "data")
     _check_space(mesh, dofmap, basis.degree)
     rule, order = _default_rules(basis.degree)
     fval = values_at(data.f, mesh.physical_points(rule.points))  # (T, q)
@@ -517,8 +517,9 @@ def _matrix(mesh, scheme, coefs):
     coefficients coefs, one per edge table, on the memoized pattern."""
     basis, dofmap, _, volume, edge_slots = _assembly_space(mesh, scheme)
     tables = zip(_edge_tables(mesh, scheme.method), coefs)
-    blocks = [_edge_part(mesh, basis, edges, coef)[1].ravel() for edges, coef in tables]
-    matrix = _bsr(edge_slots, np.concatenate(blocks), volume.indices, volume.indptr, dofmap.n_dofs)
+    # the blocks, passed inline, are freed before the conversion to CSR
+    matrix = _bsr(edge_slots, np.concatenate([_edge_part(mesh, basis, edges, coef)[1].ravel() for edges, coef in tables]),
+                  volume.indices, volume.indptr, dofmap.n_dofs)
     matrix.data += volume.data
     return matrix.tocsr()
 
@@ -526,6 +527,7 @@ def _matrix(mesh, scheme, coefs):
 def assemble(mesh, scheme, data):
     """Build the full linear system for one mesh and scheme."""
     check_type(scheme, Scheme, "scheme")
+    check_type(data, ProblemData, "data")
     basis, dofmap, prolongation = _assembly_space(mesh, scheme)[:3]
     tables = zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form))
     matrix = _matrix(mesh, scheme, [form(scheme, edges) for edges, form in tables])

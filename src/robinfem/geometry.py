@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateProjection, NotOnBoundary
+from .errors import DegenerateProjection, NotOnBoundary, check_type
 from .felib import edge_rule
 
 __all__ = [
@@ -41,6 +41,9 @@ class Domain:
     """Analytic domain with closed-form distance, projection and normal field."""
 
     kind: DomainKind
+
+    def __post_init__(self):
+        check_type(self.kind, DomainKind, "the domain kind")
 
     def signed_distance(self, points):
         """Signed distance to the boundary, (..., 2) -> (...): negative inside, zero on it."""
@@ -118,6 +121,7 @@ class SkinDiagnostics:
 
 def skin_diagnostics(domain, mesh):
     """Sample boundary edges of a mesh against the exact domain boundary."""
+    check_type(domain, Domain, "domain")
     edges = mesh.boundary_edges
     pts = mesh.edge_points(edges, edge_rule(8).points)  # (q, E, 2)
     dist = domain.signed_distance(pts)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import write_lines
-from .errors import FormatError, InvalidParameter, NonManifoldMesh, as_array, is_count
-from .geometry import DomainKind
+from .errors import FormatError, InvalidParameter, NonManifoldMesh, as_array, check_type, is_count
+from .geometry import Domain, DomainKind
 
 __all__ = [
     "EdgeTable",
@@ -258,6 +258,7 @@ def generate_square_mesh(n, level=0):
 
 def level_mesh(domain, level):
     """Mesh of the standard ladder at one level: resolution 4 * 2**level."""
+    check_type(domain, Domain, "domain")
     if not is_count(level, 0):
         raise InvalidParameter(f"level must be a nonnegative integer, got {level!r}")
     size = 4 * 2**level

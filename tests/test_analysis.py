@@ -283,6 +283,22 @@ def test_a_solution_of_the_wrong_length_is_rejected(norm, length):
         call()
 
 
+@pytest.mark.parametrize("norm", ["l2_error", "energy_error", "error_report"])
+def test_a_list_solution_gives_the_errors_of_its_array_and_a_complex_one_is_rejected(norm):
+    # unchecked, a list ends in a TypeError at solution[dofmap.cell_dofs]
+    mesh = generate_disk_mesh(2)
+    scheme, dm = Scheme(DG), build_dofmap(mesh, 1, continuous=False)
+    data, solution = get_problem("sinsin").make_data(1.0), np.linspace(-1.0, 1.0, dm.n_dofs)
+    call = {
+        "l2_error": lambda u: l2_error(mesh, data, u, dm),
+        "energy_error": lambda u: energy_error(mesh, scheme, data, u, dofmap=dm),
+        "error_report": lambda u: error_report(mesh, scheme, data, u, dm),
+    }[norm]
+    assert call(solution.tolist()) == call(solution)
+    with pytest.raises(InvalidParameter, match="solution must be real"):
+        call((1j * solution).tolist())
+
+
 @pytest.mark.parametrize("method", [NIT, DG])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_a_standalone_error_report_builds_no_assembly_space(method, degree):

@@ -5,6 +5,8 @@ import pytest
 
 from robinfem import (
     DegenerateProjection,
+    Domain,
+    InvalidParameter,
     NotOnBoundary,
     generate_disk_mesh,
     skin_diagnostics,
@@ -203,3 +205,10 @@ def test_skin_bounds_along_refinement():
         diag = skin_diagnostics(disk, mesh)
         assert diag.max_abs_distance <= mesh.h_max**2 / 4
         assert diag.max_normal_deviation <= mesh.h_max
+
+
+@pytest.mark.parametrize("kind", ["unit_disk", None, 0], ids=["str", "None", "int"])
+def test_a_domain_kind_that_is_not_a_domain_kind_is_rejected(kind):
+    # unchecked, Domain("unit_disk") answers as the square: signed_distance([0, 0]) is 0, not the disk's -1
+    with pytest.raises(InvalidParameter, match="domain kind must be a DomainKind"):
+        Domain(kind)
