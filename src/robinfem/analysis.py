@@ -74,11 +74,12 @@ def energy_error(mesh, scheme, data, solution, dofmap=None):
     weight the error trace as the augmented norm_matrix does.  dofmap
     defaults to the numbering that assemble uses.
     """
-    return _errors(mesh, scheme, data, solution, dofmap)[1:]
+    return _errors(mesh, scheme, data, solution, dofmap)[:2]
 
 
 def _errors(mesh, scheme, data, solution, dofmap):
-    """(L2 error, energy error, its squared components) of one solution."""
+    """(energy error, its squared components, L2 error, dof count) of one solution, on dofmap or,
+    for None, the numbering that assemble uses."""
     check_type(scheme, Scheme, "scheme")
     _require_exact(data)
     dofmap = build_dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
@@ -90,7 +91,7 @@ def _errors(mesh, scheme, data, solution, dofmap):
     if scheme.method is Method.SIPDG:
         jump_sq, dn_sq, dtau_sq = _edge_error_sq(mesh, dofmap, scheme, mesh.interior_edges, data, solution)
         components.update(jump=jump_sq, interior_flux=dn_sq + dtau_sq)
-    return math.sqrt(l2_sq), math.sqrt(sum(components.values())), components
+    return math.sqrt(sum(components.values())), components, math.sqrt(l2_sq), dofmap.n_dofs
 
 
 def eoc(errors):
@@ -120,7 +121,7 @@ def eoc(errors):
 
 def error_report(mesh, scheme, data, solution, dofmap):
     """Bundle the error norms for one solve into an ErrorReport."""
-    err_l2, err_e, components = _errors(mesh, scheme, data, solution, dofmap)
+    err_e, components, err_l2, dof_count = _errors(mesh, scheme, data, solution, dofmap)
     err_n = math.sqrt(components["gradient"] + components["boundary_trace"])
     jump = None
     if "jump" in components:
@@ -128,7 +129,7 @@ def error_report(mesh, scheme, data, solution, dofmap):
     return ErrorReport(
         level=mesh.level,
         h_max=mesh.h_max,
-        dof_count=dofmap.n_dofs,
+        dof_count=dof_count,
         err_energy=err_e,
         err_n=err_n,
         err_l2=err_l2,

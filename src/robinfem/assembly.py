@@ -46,15 +46,14 @@ graph, with a slot per block (e, s, t) of a part (_pattern).  A matrix is one bl
 parts onto the BSR data of that pattern (each entry's terms in input order, exact-zero sums kept),
 which scipy converts to CSR; a vector is one bincount onto its dofs.
 
-What no form, rule or degree changes on an edge table (the class tuple of every edge, its edges
-grouped per class tuple by one stable sort, and the trace coefficients A) is found once and memoized
-in a table keyed weakly by the EdgeTable.  The space of a mesh, degree and method is built on first
-use and memoized in a table keyed weakly by the Mesh: basis, dof map, continuous-P1 prolongation,
-the volume stiffness as BSR data on the block pattern of all its forms (0 where only edge forms
-couple), and the block slots of its edge parts.  Both live as long as the mesh.  assemble and
-norm_matrix add one block scatter of their edge forms to that volume, so the Gram matrix of the energy
-norm sits on the system's pattern.  An eps sweep builds the pattern and sums the volume once,
-bitwise as an unmemoized run.  Matrices get their own index arrays, systems a copy of the
+A mesh's memo, its entry in one table keyed weakly by the Mesh and so released with it, holds only what
+the kernels read.  Under each EdgeTable: its edges grouped per class tuple by one stable sort and the
+trace coefficients A, which no form, rule or degree changes.  Under each (degree, method): the space,
+built on first use, with basis, dof map, continuous-P1 prolongation, the volume stiffness as BSR data on
+the block pattern of all its forms (0 where only edge forms couple) and the block slots of its edge
+parts.  assemble and norm_matrix add one block scatter of their edge forms to that volume, so the Gram
+matrix of the energy norm sits on the system's pattern.  An eps sweep builds the pattern and sums the
+volume once, bitwise as an unmemoized run.  Matrices get their own index arrays, systems a copy of the
 prolongation; the shared dof map is read-only.
 """
 
@@ -81,6 +80,7 @@ from .felib import (
     reference_basis,
     triangle_rule,
 )
+from .mesh import Mesh
 
 __all__ = [
     "Method",
@@ -107,6 +107,14 @@ class Method(enum.Enum):
 _SMALLEST_DENOMINATOR = 1.0 / np.finfo(float).max
 
 
+def _check_epsilon(epsilon):
+    """Raise InvalidParameter unless epsilon is a real number (not a bool), positive and finite."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):  # a bool is a numbers.Real
+        raise InvalidParameter(f"epsilon must be a real number, got {epsilon!r}")
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class Scheme:
     """Discretization choice: method, polynomial degree, Robin parameters."""
@@ -120,12 +128,9 @@ class Scheme:
         if self.method not in (Method.NITSCHE, Method.SIPDG):
             raise InvalidParameter(f"unknown method {self.method!r}")
         reference_basis(self.degree)  # raises InvalidParameter unless the degree is 1 or 2
-        for name in ("epsilon", "gamma"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):  # a bool is a numbers.Real
-                raise InvalidParameter(f"{name} must be a real number, got {value!r}")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise InvalidParameter(f"epsilon must be positive, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):  # a bool is a numbers.Real
+            raise InvalidParameter(f"gamma must be a real number, got {self.gamma!r}")
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
             raise InvalidParameter(f"gamma must be nonnegative, got {self.gamma}")
         if self.method is Method.SIPDG and self.gamma <= _SMALLEST_DENOMINATOR:
@@ -261,16 +266,16 @@ def _edge_tensors(degree, order, k):
     return diag.reshape(n, nq * 3 * k, k * nb), tensors
 
 
-_EDGE_FACTS = weakref.WeakKeyDictionary()  # EdgeTable -> _edge_facts result
+_MEMO = weakref.WeakKeyDictionary()  # Mesh -> {EdgeTable: _edge_facts result, (degree, method): _assembly_space result}
 
 
 def _edge_facts(mesh, edges):
-    """What no form, rule or degree changes on an edge table of mesh, memoized
-    in a table keyed weakly by the EdgeTable: the class tuple (E,) of every
-    edge, its edges grouped per class tuple ((c, ascending edge ids), by one
-    stable sort) and the trace coefficients A (E, m, 3k) (side sigma, v1 on
-    element_ids[:, 0], in columns 3 sigma ..).  All read-only."""
-    if edges not in _EDGE_FACTS:
+    """(groups, lift): what no form, rule or degree changes on an edge table of
+    mesh, memoized under it in the mesh's memo: its edges grouped per class
+    tuple ((c, ascending edge ids), by one stable sort of the class tuples) and
+    the trace coefficients A (E, m, 3k) (side sigma, v1 on element_ids[:, 0],
+    in columns 3 sigma ..).  All read-only."""
+    if edges not in (memo := _MEMO.setdefault(mesh, {})):
         frame, k = _edge_frame(edges), edges.element_ids.shape[1]
         lift, classes = np.zeros((len(edges), frame.shape[2] + 1, 3 * k)), 0
         for side, elems in enumerate(edges.element_ids.T):
@@ -282,10 +287,10 @@ def _edge_facts(mesh, edges):
         order = np.argsort(classes, kind="stable")
         cuts = np.flatnonzero(np.diff(classes[order])) + 1
         groups = [(int(classes[ids[0]]), ids) for ids in np.split(order, cuts) if len(ids)]
-        for array in [classes, lift] + [ids for _, ids in groups]:
+        for array in [lift] + [ids for _, ids in groups]:
             array.setflags(write=False)
-        _EDGE_FACTS[edges] = classes, tuple(groups), lift
-    return _EDGE_FACTS[edges]
+        memo[edges] = tuple(groups), lift
+    return memo[edges]
 
 
 def _per_class(groups, rows, tensors):
@@ -311,27 +316,24 @@ def _robin_data(scheme, data, x):
     return np.stack([d, np.zeros_like(d)], axis=-1)
 
 
-def _edge_dofs(dofmap, edges):
-    """Global dofs of the k elements of every edge, stacked: (E, k*nb)."""
-    width = edges.element_ids.shape[1] * dofmap.cell_dofs.shape[1]
-    return dofmap.cell_dofs[edges.element_ids].reshape(len(edges), width)
-
-
 def _edge_part(mesh, basis, edges, coef):
     """The (elements, blocks) part sum_q w_q t^T C t of one edge table on the degree's edge rule, block-major
-    (E, k, k, nb, nb): per class tuple, the W = A^T C A of its edges times its K, whose block-order columns
-    make each GEMM row an edge's k^2 blocks."""
-    (_, groups, lift), k, nb = _edge_facts(mesh, edges), edges.element_ids.shape[1], basis.n_nodes
+    (E, k, k, nb, nb): per class tuple, the W = A^T C A of its edges, formed for that group alone, times its
+    K, whose block-order columns make each GEMM row an edge's k^2 blocks."""
+    (groups, lift), k, nb = _edge_facts(mesh, edges), edges.element_ids.shape[1], basis.n_nodes
     tensors = _edge_tensors(basis.degree, _default_rules(basis.degree)[1], k)[1]
-    w = (lift.transpose(0, 2, 1) @ coef @ lift).reshape(len(edges), tensors.shape[1])
-    return edges.element_ids, _per_class(groups, w, tensors).reshape(len(edges), k, k, nb, nb)
+    blocks = np.empty((len(edges), tensors.shape[2]))
+    for c, ids in groups:
+        a = lift[ids]
+        blocks[ids] = (a.transpose(0, 2, 1) @ coef[ids] @ a).reshape(len(ids), -1) @ tensors[c]
+    return edges.element_ids, blocks.reshape(len(edges), k, k, nb, nb)
 
 
 def _edge_vector(mesh, degree, edges, order, coef, trace):
     """The values sum_q w_q (C d).t (E, k*nb) of one edge table under edge rule
     order, with d = trace(x) on all its rule points x (q, E, 2) at once: per
     class tuple, w_q A^T C d times its T."""
-    rule, (_, groups, lift) = edge_rule(order), _edge_facts(mesh, edges)
+    rule, (groups, lift) = edge_rule(order), _edge_facts(mesh, edges)
     tables = _edge_tensors(degree, order, edges.element_ids.shape[1])[0]
     d = trace(mesh.edge_points(edges, rule.points))
     z = rule.weights[:, None, None] * (lift.transpose(0, 2, 1) @ coef @ d[..., None])[..., 0]  # (q, E, 3k)
@@ -341,9 +343,10 @@ def _edge_vector(mesh, degree, edges, order, coef, trace):
 def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
     """Per component, sum_q w_q diag(C) e^2 of the augmented energy norm on edge
     rule 8, with e the exact trace minus the trace A T c of the dof vector solution."""
-    rule, (_, groups, lift) = edge_rule(8), _edge_facts(mesh, edges)
+    rule, (groups, lift) = edge_rule(8), _edge_facts(mesh, edges)
     tables = _edge_tensors(scheme.degree, 8, edges.element_ids.shape[1])[0]
-    ref = _per_class(groups, solution[_edge_dofs(dofmap, edges)], tables.transpose(0, 2, 1))
+    local = solution[dofmap.cell_dofs[edges.element_ids]].reshape(len(edges), tables.shape[2])  # (E, k*nb)
+    ref = _per_class(groups, local, tables.transpose(0, 2, 1))
     uh = (lift[:, None] @ ref.reshape(len(edges), len(rule.weights), lift.shape[2], 1))[..., 0]  # (E, q, m)
     e = _exact_trace(data, edges, mesh.edge_points(edges, rule.points)) - uh.transpose(1, 0, 2)  # (q, E, m)
     # summed over E, then over q in rule order
@@ -438,6 +441,7 @@ def _volume_part(mesh, basis):
 def _check_space(mesh, dofmap, degree, solution=None):
     """Raise InvalidParameter unless dofmap numbers degree-`degree` dofs on every triangle of mesh
     as build_dofmap does (as _pattern needs), and solution, if given, has one entry per dof."""
+    check_type(mesh, Mesh, "mesh")
     if dofmap.degree != degree:
         raise InvalidParameter(f"the dof map has degree {dofmap.degree}, the basis or scheme degree {degree}")
     _check_dofs(mesh.n_triangles, dofmap)
@@ -488,15 +492,13 @@ def assemble_load(mesh, dofmap, basis, scheme, data):
     return _vector([(_cells(mesh), load), (edges.element_ids, robin)], dofmap)
 
 
-_SPACES = weakref.WeakKeyDictionary()  # Mesh -> {(degree, method): _assembly_space result}
-
-
 def _assembly_space(mesh, scheme):
     """(basis, dofmap, prolongation, volume, edge_slots) of a mesh and scheme,
-    memoized: volume is the stiffness as a _bsr matrix on the block pattern of
-    all the forms, edge_slots the data block of every edge part's block."""
-    spaces = _SPACES.setdefault(mesh, {})
-    key = (scheme.degree, scheme.method)
+    memoized under (degree, method) in the mesh's memo: volume is the stiffness
+    as a _bsr matrix on the block pattern of all the forms, edge_slots the data
+    block of every edge part's block."""
+    check_type(mesh, Mesh, "mesh")
+    spaces, key = _MEMO.setdefault(mesh, {}), (scheme.degree, scheme.method)
     if key not in spaces:
         basis = reference_basis(scheme.degree)
         dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
@@ -512,13 +514,13 @@ def _assembly_space(mesh, scheme):
     return spaces[key]
 
 
-def _matrix(mesh, scheme, coefs):
-    """The memoized volume plus one block scatter of the edge forms with
-    coefficients coefs, one per edge table, on the memoized pattern."""
+def _matrix(mesh, scheme, forms):
+    """The memoized volume plus one block scatter of the edge forms whose
+    coefficients are forms[i](scheme, edges) on edge table i, on the memoized pattern."""
     basis, dofmap, _, volume, edge_slots = _assembly_space(mesh, scheme)
-    tables = zip(_edge_tables(mesh, scheme.method), coefs)
+    tables = zip(_edge_tables(mesh, scheme.method), forms)
     # the blocks, passed inline, are freed before the conversion to CSR
-    matrix = _bsr(edge_slots, np.concatenate([_edge_part(mesh, basis, edges, coef)[1].ravel() for edges, coef in tables]),
+    matrix = _bsr(edge_slots, np.concatenate([_edge_part(mesh, basis, e, form(scheme, e))[1].ravel() for e, form in tables]),
                   volume.indices, volume.indptr, dofmap.n_dofs)
     matrix.data += volume.data
     return matrix.tocsr()
@@ -529,8 +531,7 @@ def assemble(mesh, scheme, data):
     check_type(scheme, Scheme, "scheme")
     check_type(data, ProblemData, "data")
     basis, dofmap, prolongation = _assembly_space(mesh, scheme)[:3]
-    tables = zip(_edge_tables(mesh, scheme.method), (_robin_form, _penalty_form))
-    matrix = _matrix(mesh, scheme, [form(scheme, edges) for edges, form in tables])
+    matrix = _matrix(mesh, scheme, (_robin_form, _penalty_form))
     rhs = assemble_load(mesh, dofmap, basis, scheme, data)
     prolongation = None if prolongation is None else prolongation.copy()
     return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap, prolongation=prolongation)
@@ -549,8 +550,11 @@ def norm_matrix(mesh, scheme, variant="energy"):
     check_type(scheme, Scheme, "scheme")
     if variant not in ("energy", "augmented"):
         raise InvalidParameter(f"unknown norm variant {variant!r}")
-    tables = _edge_tables(mesh, scheme.method)
-    return _matrix(mesh, scheme, [_norm_form(scheme, e, variant)[:, :, None] * np.eye(e.element_ids.shape[1] + 1) for e in tables])
+
+    def form(scheme, edges):
+        return _norm_form(scheme, edges, variant)[:, :, None] * np.eye(edges.element_ids.shape[1] + 1)
+
+    return _matrix(mesh, scheme, (form, form))
 
 
 def write_matrix(matrix, path):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameter, UnsupportedOrder, is_count, values_at
+from .errors import InvalidParameter, UnsupportedOrder, check_type, is_count, values_at
 
 __all__ = [
     "QuadratureRule",
@@ -185,6 +185,9 @@ class DofMap:
 
 def build_dofmap(mesh, degree, continuous):
     """Build the dof map for P1/P2, continuous or element-local, on a mesh."""
+    from .mesh import Mesh  # mesh imports geometry, which imports this module
+
+    check_type(mesh, Mesh, "mesh")
     per_cell = reference_basis(degree).n_nodes
     if not isinstance(continuous, (bool, np.bool_)):
         raise InvalidParameter(f"continuous must be a bool, got {continuous!r}")
@@ -244,6 +247,9 @@ def _check_dofs(n_triangles, dofmap):
 def dof_points(mesh, dofmap):
     """Physical coordinates of every global dof, shape (n_dofs, 2): the
     reference nodes under each element's map, scattered by cell_dofs."""
+    from .mesh import Mesh  # mesh imports geometry, which imports this module
+
+    check_type(mesh, Mesh, "mesh")
     _check_dofs(mesh.n_triangles, dofmap)
     pts = np.empty((dofmap.n_dofs, 2))
     pts[dofmap.cell_dofs] = mesh.physical_points(reference_basis(dofmap.degree).nodes)

@@ -121,7 +121,10 @@ class SkinDiagnostics:
 
 def skin_diagnostics(domain, mesh):
     """Sample boundary edges of a mesh against the exact domain boundary."""
+    from .mesh import Mesh  # mesh imports this module
+
     check_type(domain, Domain, "domain")
+    check_type(mesh, Mesh, "mesh")
     edges = mesh.boundary_edges
     pts = mesh.edge_points(edges, edge_rule(8).points)  # (q, E, 2)
     dist = domain.signed_distance(pts)

@@ -276,6 +276,7 @@ def refinement_sequence(domain, levels):
 
 def write_mesh(mesh, path):
     """Write the line-oriented text format (17 significant digits)."""
+    check_type(mesh, Mesh, "mesh")
     write_lines(path, itertools.chain(
         ["meshfmt 1", f"vertices {mesh.n_vertices}"],
         (f"{x:.17g} {y:.17g}" for x, y in mesh.vertices),

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import ProblemData
+from .assembly import ProblemData, _check_epsilon
 from .errors import InvalidParameter
 from .geometry import Domain, unit_disk, unit_square
 
@@ -42,7 +42,9 @@ class Problem:
 
         With split_flux the normal derivative is supplied through g and u0
         reduces to the trace of u; otherwise g = 0 and u0 carries the flux.
+        epsilon must be a positive finite real number, as in a Scheme.
         """
+        _check_epsilon(epsilon)
         u, grad = self.exact_u, self.exact_grad
 
         def flux(x, y):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from robinfem import build_dofmap, norm_matrix, reference_basis, triangle_rule
 from robinfem.assembly import (
     _cells,
+    _edge_facts,
     _edge_tables,
     _edge_vector,
     _exact_trace,
@@ -17,6 +18,14 @@ from robinfem.assembly import (
     _vector,
 )
 from robinfem.errors import values_at
+
+
+def edge_classes(mesh, edges):
+    """The class tuple (E,) of every edge of a table, read off the groups that _edge_facts memoizes."""
+    classes = np.full(len(edges), -1)
+    for c, ids in _edge_facts(mesh, edges)[0]:
+        classes[ids] = c
+    return classes
 
 
 def consistency_residual(mesh, scheme, data):

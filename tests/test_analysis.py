@@ -302,20 +302,30 @@ def test_a_list_solution_gives_the_errors_of_its_array_and_a_complex_one_is_reje
 @pytest.mark.parametrize("method", [NIT, DG])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_a_standalone_error_report_builds_no_assembly_space(method, degree):
-    from robinfem.assembly import _SPACES
+    from robinfem.assembly import _MEMO
 
     mesh = generate_disk_mesh(3)
     scheme, data = Scheme(method, degree=degree), get_problem("sinsin").make_data(1.0)
     solution = np.linspace(-1.0, 1.0, build_dofmap(mesh, degree, scheme.continuous).n_dofs)
     fresh = generate_disk_mesh(3)
-    spaces = len(_SPACES)
     report = error_report(fresh, scheme, data, solution, build_dofmap(fresh, degree, scheme.continuous))
     default = energy_error(fresh, scheme, data, solution)
-    assert fresh not in _SPACES and len(_SPACES) == spaces
+    assert (degree, method) not in _MEMO[fresh]  # which holds the edge facts, and no space
     # the same errors, bitwise, as on the dof map of the assembled system
     system = assemble(mesh, scheme, data)
     assert report == error_report(mesh, scheme, data, solution, system.dofmap)
     assert default == energy_error(mesh, scheme, data, solution, dofmap=system.dofmap)
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_an_error_report_on_no_dof_map_is_the_report_on_the_systems_own(method, degree):
+    # None, the numbering that assemble uses, used to end in an AttributeError after every norm
+    mesh = generate_disk_mesh(3)
+    scheme, data = Scheme(method, degree=degree), get_problem("sinsin").make_data(1.0)
+    system = assemble(mesh, scheme, data)
+    solution = solve(system)[0]
+    assert error_report(mesh, scheme, data, solution, None) == error_report(mesh, scheme, data, solution, system.dofmap)
 
 
 def _counting(data):

@@ -25,11 +25,11 @@ from robinfem import (
     write_mesh,
 )
 from robinfem.analysis import _volume_error_sq
-from robinfem.assembly import _CLASSES, _cells, _edge_facts, _pattern, _volume_part
+from robinfem.assembly import _CLASSES, _cells, _pattern, _volume_part
 from robinfem.mesh import build_edge_topology
 from robinfem.solver import _layout, _neighbour_max, _smoothed_aggregation, _tentative
 
-from oracles import block_ids, tentative_by_reduceat, triplet_pattern
+from oracles import block_ids, edge_classes, tentative_by_reduceat, triplet_pattern
 
 
 @pytest.fixture(
@@ -158,7 +158,7 @@ def test_edge_classes_equal_the_argmax_search(mesh, kind):
     for elems in edges.element_ids.T:
         a, b = (np.argmax(mesh.triangles[elems] == v[:, None], axis=1) for v in edges.vertex_ids.T)
         want = len(_CLASSES) * want + 2 * a + b - (b > a)
-    assert same(_edge_facts(mesh, edges)[0], want)
+    assert same(edge_classes(mesh, edges), want)
 
 
 

@@ -153,6 +153,15 @@ def test_registry():
     assert "does_not_exist" in str(err.value)
 
 
+@pytest.mark.parametrize("epsilon", ["x", None, True, 0.0, -1.0, float("nan"), float("inf")])
+def test_an_epsilon_that_a_scheme_refuses_is_refused_by_make_data(epsilon):
+    # "x" used to fail only inside assemble, with a numpy UFuncTypeError; the others gave data
+    with pytest.raises(InvalidParameter, match="epsilon must be"):
+        Scheme(Method.NITSCHE, epsilon=epsilon)
+    with pytest.raises(InvalidParameter, match="epsilon must be"):
+        get_problem("sinsin").make_data(epsilon)
+
+
 @pytest.mark.parametrize("name", [["sinsin"], {"sinsin"}, {"name": "sinsin"}], ids=["list", "set", "dict"])
 def test_a_name_that_is_not_a_str_is_refused(name):
     # unhashable names used to escape the registry lookup as a bare TypeError

@@ -41,6 +41,8 @@ from robinfem import (
 )
 from robinfem.assembly import _default_rules, _edge_facts, _edge_part, _edge_tensors
 
+from oracles import edge_classes
+
 NIT = Method.NITSCHE
 DG = Method.SIPDG
 
@@ -188,7 +190,7 @@ def test_tabulated_traces_and_edge_blocks_match_the_pull_back(degree, order, kin
     edges, basis = getattr(mesh, f"{kind}_edges"), reference_basis(degree)
     tables = _edge_tensors(degree, order, edges.element_ids.shape[1])[0]
     assert not tables.flags.writeable and _edge_tensors(degree, order, edges.element_ids.shape[1])[0] is tables
-    classes, _, lift = _edge_facts(mesh, edges)
+    classes, lift = edge_classes(mesh, edges), _edge_facts(mesh, edges)[1]
     expected = pulled_back_traces(mesh, basis, edges, edge_rule(order))
     nq, m, width = expected.shape[0], expected.shape[2], expected.shape[3]
     tabulated = lift[:, None] @ tables[classes].reshape(len(edges), nq, lift.shape[2], width)

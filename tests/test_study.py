@@ -249,14 +249,14 @@ def test_run_single_levels_pick_mesh_size():
 
 def test_each_ladder_level_is_released_before_the_next(monkeypatch):
     import robinfem.study
-    from robinfem.assembly import _SPACES, assemble
+    from robinfem.assembly import _MEMO, assemble
 
     gc.collect()
-    before, live = len(_SPACES), []
+    before, live = len(_MEMO), []
 
     def counting_assemble(*args):
         system = assemble(*args)
-        live.append(len(_SPACES) - before)  # meshes whose assembly memo is alive
+        live.append(len(_MEMO) - before)  # meshes whose assembly memo is alive
         return system
 
     monkeypatch.setattr(robinfem.study, "assemble", counting_assemble)
