@@ -37,7 +37,7 @@ cli single --problem sinsin --scheme dg --degree 1 --level 3 \
 cli single --problem sinsin_flux --scheme n --degree 2 --level 2 \
   --matrix-out "$out/flux.matrix" --solution-out "$out/flux.solution" > "$out/flux.stdout"
 # continuous P1 on the square, whose vertices are numbered row by row: a second vertex numbering
-# for the pattern that the mesh graph gives
+# for the block pattern
 cli single --problem linear_patch --scheme n --degree 1 --level 3 \
   --matrix-out "$out/square_p1.matrix" > "$out/square_p1.stdout"
 # the dense Cholesky path, the one CLI solver path the runs above do not take

@@ -9,6 +9,7 @@ small and the distinction matters for the eps-uniformity claims.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .assembly import Method, ProblemData, Scheme, _check_space, _edge_error_sq
 from .errors import DegenerateSequence, MissingExactSolution, as_array, check_type, values_at
-from .felib import build_dofmap, reference_basis, triangle_rule
+from .felib import _check_dofs, build_dofmap, reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
 
@@ -61,7 +62,8 @@ def l2_error(mesh, data, solution, dofmap):
     """L2 distance between the exact solution and the finite element one."""
     _require_exact(data)
     solution = as_array(solution, "biuf", "the solution must be real")
-    _check_space(mesh, dofmap, dofmap.degree, solution)
+    _check_dofs(None, dofmap)  # before its degree is read
+    _check_space(mesh, dofmap, reference_basis(dofmap.degree), solution)
     return math.sqrt(_volume_error_sq(mesh, data, solution, dofmap)[1])
 
 
@@ -84,7 +86,7 @@ def _errors(mesh, scheme, data, solution, dofmap):
     _require_exact(data)
     dofmap = build_dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
     solution = as_array(solution, "biuf", "the solution must be real")
-    _check_space(mesh, dofmap, scheme.degree, solution)
+    _check_space(mesh, dofmap, reference_basis(scheme.degree), solution)
     grad_sq, l2_sq = _volume_error_sq(mesh, data, solution, dofmap)
     trace_sq, bflux_sq = _edge_error_sq(mesh, dofmap, scheme, mesh.boundary_edges, data, solution)
     components = {"gradient": grad_sq, "boundary_trace": trace_sq, "boundary_flux": bflux_sq}
@@ -106,7 +108,7 @@ def eoc(errors):
     if len(errors) < 2:
         raise DegenerateSequence("need at least two (h, error) pairs")
     for h, e in errors:
-        if not (0.0 < h < math.inf and 0.0 < e < math.inf):  # a NaN fails every comparison
+        if not all(isinstance(v, numbers.Real) and 0.0 < v < math.inf for v in (h, e)):  # a NaN fails every comparison
             raise DegenerateSequence(f"mesh sizes and errors must be positive and finite, got h={h}, error={e}")
     rates = []
     for (h0, e0), (h1, e1) in zip(errors, errors[1:]):

@@ -41,8 +41,9 @@ exact on the stiffness and every edge matrix.
 Every form contributes (elements, blocks) parts and every load (elements, values) parts, a row per
 element or edge over the dofs of its k elements.  A block, the one slot unit, is a dof (nb = 1) in a
 continuous space and element t's dofs t*nb .. t*nb + nb - 1 in a discontinuous one.  Parts are
-block-major, (E, k, k, nb, nb); the forms on a space share one block pattern, read off the mesh
-graph, with a slot per block (e, s, t) of a part (_pattern).  A matrix is one block scatter of its
+block-major, (E, k, k, nb, nb); the forms on a space share one block pattern, the structure of D^T D
+with D the 0/1 incidence of the parts' rows and the blocks, with a slot per block (e, s, t) of a part
+(_pattern); a standalone form's pattern is that of its one part.  A matrix is one block scatter of its
 parts onto the BSR data of that pattern (each entry's terms in input order, exact-zero sums kept),
 which scipy converts to CSR; a vector is one bincount onto its dofs.
 
@@ -72,8 +73,8 @@ from ._atomic import write_lines
 from .errors import InvalidParameter, SchemeMismatch, check_type, values_at
 from .felib import (
     DofMap,
+    ReferenceBasis,
     _check_dofs,
-    _block_pairs,
     build_dofmap,
     continuous_embedding,
     edge_rule,
@@ -176,9 +177,12 @@ class SparseSystem:
 def robin_weights(scheme, h_e):
     """Robin edge weights (c1, c2, c3); h_e may be an array.
 
-    Raises InvalidParameter where 1/(eps + gamma*h_E) would overflow.
+    Raises InvalidParameter unless every h_E is positive and finite, and
+    where 1/(eps + gamma*h_E) would overflow.
     """
     check_type(scheme, Scheme, "scheme")
+    if not (np.all(np.greater(h_e, 0.0)) and np.all(np.isfinite(h_e))):  # a NaN is not greater than 0
+        raise InvalidParameter(f"h_E must be positive and finite, got {h_e!r}")
     denom = scheme.epsilon + scheme.gamma * h_e
     if np.any(denom <= _SMALLEST_DENOMINATOR):
         raise InvalidParameter(
@@ -353,41 +357,25 @@ def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
     return np.sum(rule.weights[:, None] * np.sum(_norm_form(scheme, edges, "augmented") * e * e, axis=1), axis=0).tolist()
 
 
-def _graph(n, lo, hi):
-    """The CSR pattern (indices, indptr) of n blocks coupled by the distinct pairs lo < hi, and the entry
-    of every diagonal (n,) and pair (lo, hi) and (hi, lo): scipy's canonical CSR of the list of pairs both
-    ways, then the diagonal, each entry tagged by its place in that list, so row i holds its lower
-    neighbours, itself, then its upper ones.  Tags and indices are int32 where they fit."""
-    itype = np.int32 if 2 * len(lo) + n <= np.iinfo(np.int32).max else np.int64
-    rows, cols = (np.concatenate([a, b, np.arange(n)], dtype=itype) for a, b in ((lo, hi), (hi, lo)))
-    graph = sp.coo_matrix((np.arange(len(rows), dtype=itype), (rows, cols)), shape=(n, n)).tocsr()
-    entry = np.empty_like(graph.data)
-    entry[graph.data] = np.arange(len(entry), dtype=itype)
-    upper, lower, diag = np.split(entry, [len(lo), 2 * len(lo)])
-    return graph.indices, graph.indptr, diag, upper, lower
-
-
-def _pattern(mesh, dofmap, elements, sub=False):
-    """The BSR pattern (bslots, indices, indptr) of nb x nb blocks of parts on (E, k) elements, from the
-    graph of _block_pairs with no sort of triplets; a discontinuous space's one (E, 2) part is its interior
-    edges.  bslots holds the data block of every block (e, s, t) of the parts, in part order.  The parts of
-    a space cover its graph; with sub, only the blocks they couple are kept, renumbered by a cumsum."""
-    nb, (blocks, local, ids) = 1 if dofmap.continuous else dofmap.cell_dofs.shape[1], _block_pairs(mesh, dofmap)
-    first, second = blocks[local[:, 0]], blocks[local[:, 1]]
-    pairs = np.empty((2, ids.max(initial=-1) + 1), dtype=np.int64)  # every pair's blocks, from each row with it
-    pairs[0, ids], pairs[1, ids] = np.minimum(first, second), np.maximum(first, second)
-    indices, indptr, diag, upper, lower = _graph(dofmap.n_dofs // nb, *pairs)
-    table = np.empty((blocks.shape[1], len(blocks), len(blocks)), dtype=diag.dtype)  # of every row's (a, b)
-    table[:, np.arange(len(blocks)), np.arange(len(blocks))] = diag[blocks.T]
-    for (a, b), ab, pair in zip(local, first < second, ids):
-        table[:, a, b], table[:, b, a] = np.where(ab, upper[pair], lower[pair]), np.where(ab, lower[pair], upper[pair])
-    bslots = table[np.concatenate([e[:, 0] for e in elements])].ravel() if dofmap.continuous else \
-        np.concatenate([(table if e.shape[1] == 2 else diag[e]).ravel() for e in elements])
-    if sub:
-        used = np.bincount(bslots, minlength=len(indices)) > 0
-        kept = np.cumsum(used, dtype=bslots.dtype)
-        bslots, indices, indptr = kept[bslots] - 1, indices[used], np.insert(kept, 0, 0)[indptr]
-    return bslots, indices, indptr
+def _pattern(dofmap, elements):
+    """The BSR pattern (bslots, indices, indptr) of nb x nb blocks of parts on (E, k) elements: the sorted
+    CSR structure of D^T D, with D the 0/1 incidence of the parts' rows and the blocks, a row being an
+    element's dofs in a continuous space and the k elements themselves in a discontinuous one.  bslots
+    holds the data block of every block (e, s, t) of the parts, in part order, read off that graph with
+    each entry tagged by its place.  D stays bool: its sums can neither cancel nor wrap."""
+    nb = 1 if dofmap.continuous else dofmap.cell_dofs.shape[1]
+    rows = [dofmap.cell_dofs[e[:, 0]] if dofmap.continuous else e for e in elements]
+    incidence = sp.vstack([sp.csr_matrix((np.ones(r.size, dtype=bool), r.ravel(), np.arange(0, r.size + 1, r.shape[1])),
+                                         shape=(len(r), dofmap.n_dofs // nb)) for r in rows], format="csr")
+    graph = (incidence.T @ incidence).tocsr()
+    graph.sort_indices()
+    graph.data = np.arange(graph.nnz, dtype=graph.indices.dtype)
+    if not incidence.nnz:  # scipy refuses empty index arrays
+        return graph.data, graph.indices, graph.indptr
+    rows = [r.astype(graph.indices.dtype) for r in rows]  # as scipy's lookup takes them
+    rows_of_blocks = np.concatenate([np.repeat(r, r.shape[1], axis=1).ravel() for r in rows])
+    cols_of_blocks = np.concatenate([np.tile(r, r.shape[1]).ravel() for r in rows])
+    return np.asarray(graph[rows_of_blocks, cols_of_blocks]).ravel(), graph.indices, graph.indptr
 
 
 def _bsr(bslots, values, bind, bptr, n):
@@ -402,9 +390,9 @@ def _bsr(bslots, values, bind, bptr, n):
     return sp.bsr_matrix(((scatter @ values.reshape(r, nb * nb)).reshape(-1, nb, nb), bind, bptr), shape=(n, n))
 
 
-def _compress(mesh, elements, blocks, dofmap):
+def _compress(elements, blocks, dofmap):
     """Deterministic COO -> CSR of one (elements, blocks) part, through _bsr."""
-    bslots, bind, bptr = _pattern(mesh, dofmap, [elements], sub=True)
+    bslots, bind, bptr = _pattern(dofmap, [elements])
     return _bsr(bslots, blocks, bind, bptr, dofmap.n_dofs).tocsr()
 
 
@@ -438,14 +426,17 @@ def _volume_part(mesh, basis):
     return _cells(mesh), blocks.reshape(-1, nb, nb)
 
 
-def _check_space(mesh, dofmap, degree, solution=None):
-    """Raise InvalidParameter unless dofmap numbers degree-`degree` dofs on every triangle of mesh
-    as build_dofmap does (as _pattern needs), and solution, if given, has one entry per dof."""
+def _check_space(mesh, dofmap, basis, solution=None):
+    """Raise InvalidParameter unless basis is a ReferenceBasis, dofmap numbers dofs of its degree on every
+    triangle of mesh as build_dofmap does, and solution, if given, has one entry per dof.  A discontinuous
+    space's blocks are its elements, so _pattern needs that numbering there; a continuous space's pattern
+    holds for any numbering, but its maps are held to build_dofmap's too."""
     check_type(mesh, Mesh, "mesh")
-    if dofmap.degree != degree:
-        raise InvalidParameter(f"the dof map has degree {dofmap.degree}, the basis or scheme degree {degree}")
     _check_dofs(mesh.n_triangles, dofmap)
-    own = build_dofmap(mesh, degree, dofmap.continuous)
+    check_type(basis, ReferenceBasis, "basis")
+    if dofmap.degree != basis.degree:
+        raise InvalidParameter(f"the dof map has degree {dofmap.degree}, the basis or scheme degree {basis.degree}")
+    own = build_dofmap(mesh, dofmap.degree, dofmap.continuous)
     if dofmap.n_dofs != own.n_dofs or not np.array_equal(dofmap.cell_dofs, own.cell_dofs):
         raise InvalidParameter("the dof map does not number " + ("its dofs as build_dofmap does: vertices, then edge midpoints in "
                                "edge order" if dofmap.continuous else "element t's nb dofs t*nb .. t*nb + nb - 1"))
@@ -455,16 +446,16 @@ def _check_space(mesh, dofmap, degree, solution=None):
 
 def assemble_volume(mesh, dofmap, basis):
     """Stiffness contribution (grad w, grad v) over all elements."""
-    _check_space(mesh, dofmap, basis.degree)
-    return _compress(mesh, *_volume_part(mesh, basis), dofmap)
+    _check_space(mesh, dofmap, basis)
+    return _compress(*_volume_part(mesh, basis), dofmap)
 
 
 def assemble_nitsche_boundary(mesh, dofmap, basis, scheme):
     """Boundary form shared by both schemes: the Robin form."""
     check_type(scheme, Scheme, "scheme")
-    _check_space(mesh, dofmap, basis.degree)
+    _check_space(mesh, dofmap, basis)
     coef = _robin_form(scheme, mesh.boundary_edges)
-    return _compress(mesh, *_edge_part(mesh, basis, mesh.boundary_edges, coef), dofmap)
+    return _compress(*_edge_part(mesh, basis, mesh.boundary_edges, coef), dofmap)
 
 
 def assemble_interior_penalty(mesh, dofmap, basis, scheme):
@@ -472,18 +463,18 @@ def assemble_interior_penalty(mesh, dofmap, basis, scheme):
     check_type(scheme, Scheme, "scheme")
     if scheme.method is not Method.SIPDG:
         raise SchemeMismatch("interior penalty is only defined for the sipdg scheme")
-    _check_space(mesh, dofmap, basis.degree)
+    _check_space(mesh, dofmap, basis)
     if dofmap.continuous:  # whose pattern holds no pair across an edge
         raise SchemeMismatch("interior penalty is only defined on a discontinuous dof map")
     coef = _penalty_form(scheme, mesh.interior_edges)
-    return _compress(mesh, *_edge_part(mesh, basis, mesh.interior_edges, coef), dofmap)
+    return _compress(*_edge_part(mesh, basis, mesh.interior_edges, coef), dofmap)
 
 
 def assemble_load(mesh, dofmap, basis, scheme, data):
     """Load vector: volume source plus the Robin form of the boundary data."""
     check_type(scheme, Scheme, "scheme")
     check_type(data, ProblemData, "data")
-    _check_space(mesh, dofmap, basis.degree)
+    _check_space(mesh, dofmap, basis)
     rule, order = _default_rules(basis.degree)
     fval = values_at(data.f, mesh.physical_points(rule.points))  # (T, q)
     load = mesh.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
@@ -506,7 +497,7 @@ def _assembly_space(mesh, scheme):
         p1 = scheme.continuous and scheme.degree == 1
         prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
         elements = [_cells(mesh)] + [e.element_ids for e in _edge_tables(mesh, scheme.method)]
-        bslots, bind, bptr = _pattern(mesh, dofmap, elements)
+        bslots, bind, bptr = _pattern(dofmap, elements)
         vol = _volume_part(mesh, basis)[1]
         n_vol = vol.size if scheme.continuous else len(vol)  # one block per dof pair or per element
         volume = _bsr(bslots[:n_vol], vol, bind, bptr, dofmap.n_dofs)
@@ -559,7 +550,10 @@ def norm_matrix(mesh, scheme, variant="energy"):
 
 def write_matrix(matrix, path):
     """Dump a sparse matrix as sorted 'row col value' triples."""
-    csr = sp.csr_matrix(matrix, copy=True)  # sum_duplicates sorts in place
+    try:
+        csr = sp.csr_matrix(matrix, copy=True)  # sum_duplicates sorts in place
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"the matrix must be a 2-d array of numbers, got a {type(matrix).__name__}") from None
     csr.sum_duplicates()
     coo = csr.tocoo()
     write_lines(path, (f"{i} {j} {v:.17g}" for i, j, v in zip(coo.row, coo.col, coo.data)))

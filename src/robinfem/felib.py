@@ -205,37 +205,13 @@ def build_dofmap(mesh, degree, continuous):
     return DofMap(True, 2, n_vert + n_edges, cell_dofs)
 
 
-# the local node pairs of a triangle whose two dofs another triangle can share too: the ends of
-# edge k, then for P2 each end of edge k with its midpoint 3 + k, vertex a with the midpoint of
-# the opposite edge a + 1, and the midpoints of edges j and j + 1
-_NODE_PAIRS = np.array([(k, (k + 1) % 3) for k in range(3)] + [(v, 3 + k) for k in range(3) for v in (k, (k + 1) % 3)]
-                       + [(a, 3 + (a + 1) % 3) for a in range(3)] + [(3 + j, 3 + (j + 1) % 3) for j in range(3)])
-_NODE_PAIRS.setflags(write=False)
-
-
-def _block_pairs(mesh, dofmap):
-    """(blocks, local, ids): the block graph of build_dofmap's numbering on mesh, as rows of blocks
-    (k, R), the local pairs (c, 2) of a row that other rows can share, and the id of each on every
-    row (c, R), one per distinct block pair.  A block is a dof of a continuous space, and a row a
-    triangle's dofs: edge e is pair e; for P2 the lower (s = 0) or higher end of edge e with its
-    midpoint is E + 2e + s, and triangle t's own pairs 3E + 3t + a and 3E + 3T + 3t + j.  Or it is
-    an element of a discontinuous space, and a row the two elements of interior edge e, pair e."""
-    if not dofmap.continuous:
-        elements = mesh.interior_edges.element_ids.T
-        return elements, np.array([[0, 1]]), np.arange(elements.shape[1])[None]
-    ce, tri = mesh.cell_edges.T, mesh.triangles.T
-    if dofmap.degree == 1:
-        return dofmap.cell_dofs.T, _NODE_PAIRS[:3], ce
-    n_e, own = len(mesh.interior_edges) + len(mesh.boundary_edges), 3 * np.arange(tri.shape[1]) + np.arange(3)[:, None]
-    higher = tri > np.roll(tri, -1, axis=0)  # whether vertex k is the higher end of edge k
-    ends = n_e + 2 * ce[:, None] + np.stack([higher, ~higher], axis=1)
-    return dofmap.cell_dofs.T, _NODE_PAIRS, np.concatenate([ce, ends.reshape(6, -1), 3 * n_e + own, 3 * (n_e + tri.shape[1]) + own])
-
-
 def _check_dofs(n_triangles, dofmap):
-    """Raise InvalidParameter unless dofmap's cell_dofs is an integer array of
-    n_triangles rows, one column per node of its degree, of dofs 0 .. n_dofs - 1."""
-    cells, shape = dofmap.cell_dofs, (n_triangles, reference_basis(dofmap.degree).n_nodes)
+    """Raise InvalidParameter unless dofmap is a DofMap whose cell_dofs is an integer array of n_triangles
+    rows (None: any number), one column per node of its degree, of dofs 0 .. n_dofs - 1."""
+    check_type(dofmap, DofMap, "dofmap")
+    cells = dofmap.cell_dofs
+    n_triangles = len(cells) if n_triangles is None and np.ndim(cells) else n_triangles
+    shape = (n_triangles, reference_basis(dofmap.degree).n_nodes)
     if np.ndim(cells) and len(cells) != n_triangles:
         raise InvalidParameter(f"the dof map has {len(cells)} cells, the mesh {n_triangles} triangles")
     if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "iu" and cells.shape == shape):
@@ -270,12 +246,12 @@ def continuous_embedding(dofmap, dofmap_cont):
     first (element, local node) that carries the dof, so E @ x
     represents the same function in the target space.
     """
+    _check_dofs(None, dofmap)
+    _check_dofs(len(dofmap.cell_dofs), dofmap_cont)  # on the same mesh
     if not dofmap_cont.continuous:
         raise InvalidParameter("the embedded dof map must be continuous")
     if dofmap_cont.degree > dofmap.degree:
         raise InvalidParameter("the embedded space must not have a higher degree")
-    for space in (dofmap, dofmap_cont):  # both on one mesh
-        _check_dofs(len(dofmap.cell_dofs), space)
     hats = reference_basis(dofmap_cont.degree).eval(reference_basis(dofmap.degree).nodes)
     dofs, first = np.unique(dofmap.cell_dofs, return_index=True)
     elem, node = np.divmod(first, dofmap.cell_dofs.shape[1])

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._atomic import write_lines
-from .analysis import eoc, error_report
+from .analysis import ErrorReport, eoc, error_report
 from .assembly import Scheme, assemble
 from .errors import DegenerateSequence, InvalidParameter, check_type, is_count
 from .mesh import level_mesh, write_mesh
@@ -79,8 +79,18 @@ def _fmt(value):
     return "" if value is None else f"{value:.10g}"
 
 
+def _check_reports(reports):
+    """reports as a list; InvalidParameter unless each is an ErrorReport."""
+    reports = list(reports)
+    for r in reports:
+        check_type(r, ErrorReport, "each report")
+    return reports
+
+
 def write_csv(reports, path):
-    """Convergence table, one row per level, 10 significant digits."""
+    """Convergence table, one row per level, 10 significant digits.  Raises
+    InvalidParameter unless every report is an ErrorReport."""
+    reports = _check_reports(reports)
     rows = (
         f"{r.level},{_fmt(r.h_max)},{r.dof_count},{_fmt(r.err_energy)},{_fmt(r.err_l2)},"
         f"{_fmt(r.eoc_energy)},{_fmt(r.eoc_l2)}"
@@ -94,10 +104,12 @@ def write_svg(reports, path):
 
     Exactly two data polylines (energy and L2 error) and two dashed
     reference lines with slopes 1 and 2, anchored at the coarsest level.
-    Raises DegenerateSequence, as eoc does, unless every h and error is a
+    Raises InvalidParameter unless there are at least two reports, each an
+    ErrorReport, and DegenerateSequence, as eoc does, unless every h and error is a
     positive finite number and h decreases, and also where a reference
     line underflows to 0 at the finest h.
     """
+    reports = _check_reports(reports)
     if len(reports) < 2:
         raise InvalidParameter("plot needs at least two levels")
     for error in ("err_energy", "err_l2"):

@@ -62,8 +62,8 @@ def triplet_pattern(ids, n):
     """The BSR pattern (bslots, indices, indptr) of the (E, k) block ids below n of parts, from one
     stable sort of the keys row*n + col of all their block triplets, with run starts from np.diff
     and rows and columns from np.divmod: bslots is the data block of every triplet (e, s, t), part
-    by part; int32 unless n or the number of blocks is larger.  The library derived this pattern
-    so until it read the pattern off the mesh graph."""
+    by part; int32 unless n or the number of blocks is larger.  The reference that the library's
+    incidence-product pattern must equal."""
     keys = np.concatenate([(d[:, :, None] * n + d[:, None, :]).ravel() for d in ids])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]

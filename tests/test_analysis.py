@@ -74,9 +74,12 @@ def test_eoc_degenerate_sequences():
         eoc([(0.4, 0.1), (0.2, 0.0)])
     with pytest.raises(DegenerateSequence):
         eoc([(0.4, -0.1), (0.2, 0.05)])
-    # every h and error must be a positive finite number
+    # every h and error must be a positive finite number; compared unchecked, a str or None raises TypeError
     nan, inf = float("nan"), float("inf")
     for pairs in (
+        [("1", 1.0), (0.5, 0.25)],
+        [(None, 1.0), (0.5, 0.25)],
+        [(1.0, 0.5), (0.5, "0.25")],
         [(0.5, nan), (0.25, 0.1)],
         [(0.5, 0.1), (0.25, nan)],
         [(0.5, inf), (0.25, 0.1)],

@@ -138,6 +138,14 @@ def test_assemble_rejects_a_robin_weight_that_overflows_at_tiny_gamma():
         Scheme(DG, gamma=1e-310)
 
 
+@pytest.mark.parametrize("h", [np.array([-1.0]), np.array([np.nan]), np.array([0.5, np.inf]), 0.0],
+                         ids=["negative", "nan", "inf", "zero"])
+def test_robin_weights_refuse_an_edge_length_that_is_not_positive_and_finite(h):
+    # unchecked, these give negative, NaN or zero-length weights
+    with pytest.raises(InvalidParameter, match="h_E must be positive and finite"):
+        robin_weights(Scheme(NIT), h)
+
+
 def test_robin_weights_gamma_zero():
     c1, c2, c3 = robin_weights(Scheme(NIT, epsilon=0.25, gamma=0.0), 0.5)
     assert c1 == 0.0
@@ -835,6 +843,43 @@ def test_data_or_a_domain_of_the_wrong_type_is_rejected(case, value):
         call(value)
 
 
+def _dofmap_and_basis_calls():
+    """Each public function that takes a dof map or a basis, given value in its place, the type it needs,
+    and whether None stands for a default there."""
+    mesh, scheme, data = generate_disk_mesh(3), Scheme(DG, degree=1), get_problem("sinsin").make_data(1.0)
+    p1, dg1, cg1 = reference_basis(1), build_dofmap(mesh, 1, continuous=False), build_dofmap(mesh, 1, continuous=True)
+    solution = np.zeros(dg1.n_dofs)
+    return {
+        "dof_points": (lambda d: dof_points(mesh, d), "DofMap", False),
+        "interpolate": (lambda d: interpolate(mesh, d, lambda x, y: x), "DofMap", False),
+        "continuous_embedding target": (lambda d: continuous_embedding(d, cg1), "DofMap", False),
+        "continuous_embedding source": (lambda d: continuous_embedding(dg1, d), "DofMap", False),
+        "assemble_volume": (lambda d: assemble_volume(mesh, d, p1), "DofMap", False),
+        "assemble_nitsche_boundary": (lambda d: assemble_nitsche_boundary(mesh, d, p1, scheme), "DofMap", False),
+        "assemble_interior_penalty": (lambda d: assemble_interior_penalty(mesh, d, p1, scheme), "DofMap", False),
+        "assemble_load": (lambda d: assemble_load(mesh, d, p1, scheme, data), "DofMap", False),
+        "l2_error": (lambda d: l2_error(mesh, data, solution, d), "DofMap", False),
+        "energy_error": (lambda d: energy_error(mesh, scheme, data, solution, d), "DofMap", True),
+        "error_report": (lambda d: error_report(mesh, scheme, data, solution, d), "DofMap", True),
+        "assemble_volume basis": (lambda b: assemble_volume(mesh, dg1, b), "ReferenceBasis", False),
+        "assemble_nitsche_boundary basis": (lambda b: assemble_nitsche_boundary(mesh, dg1, b, scheme), "ReferenceBasis", False),
+        "assemble_interior_penalty basis": (lambda b: assemble_interior_penalty(mesh, dg1, b, scheme), "ReferenceBasis", False),
+        "assemble_load basis": (lambda b: assemble_load(mesh, dg1, b, scheme, data), "ReferenceBasis", False),
+    }
+
+
+@pytest.mark.parametrize("case, value", [(case, value) for case, (_, _, defaults) in _dofmap_and_basis_calls().items()
+                                          for value in ("x", None, "array") if value is not None or not defaults])
+def test_a_dof_map_or_a_basis_of_the_wrong_type_is_rejected(case, value):
+    # unchecked, each ends in an AttributeError on the missing field; "array" is the bare cell_dofs of the
+    # dof map, or the nodes of the basis
+    call, kind, _ = _dofmap_and_basis_calls()[case]
+    if value == "array":
+        value = build_dofmap(generate_disk_mesh(3), 1, False).cell_dofs if kind == "DofMap" else reference_basis(1).nodes
+    with pytest.raises(InvalidParameter, match=f"must be a {kind}"):
+        call(value)
+
+
 def _mesh_calls(tmp="."):
     """Each public function that takes a mesh, given value in its place; write_mesh writes into tmp."""
     mesh, scheme, data = generate_disk_mesh(3), Scheme(DG, degree=1), get_problem("sinsin").make_data(1.0)
@@ -1039,8 +1084,8 @@ def _renumbered_continuous_maps(mesh, degree):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_a_continuous_map_in_another_numbering_is_rejected(degree):
-    # the pattern is read off the mesh graph in build_dofmap's numbering; a sort of the
-    # triplets of any numbering gave one, so these maps were accepted before
+    # a continuous map is held to build_dofmap's numbering, though the incidence-product
+    # pattern would hold for any numbering
     mesh, data = generate_disk_mesh(3), get_problem("sinsin").make_data(1.0)
     scheme, basis, n = Scheme(NIT, degree=degree), reference_basis(degree), build_dofmap(mesh, degree, True).n_dofs
     for name, cell_dofs in _renumbered_continuous_maps(mesh, degree).items():

@@ -85,27 +85,27 @@ def test_volume_errors_equal_the_summed_squares(mesh, degree):
 
 
 def part_sets(mesh, continuous):
-    """{name: (elements, sub)}: the parts of the space, and each form's own part alone."""
+    """{name: elements}: the parts of the space, and each form's own part alone."""
     parts = {"volume": _cells(mesh), "boundary": mesh.boundary_edges.element_ids}
     if not continuous:
         parts["interior"] = mesh.interior_edges.element_ids
-    return {"space": (list(parts.values()), False), **{name: ([e], True) for name, e in parts.items()}}
+    return {"space": list(parts.values()), **{name: [e] for name, e in parts.items()}}
 
 
 def assert_patterns_equal_the_triplet_sort(mesh, degree, continuous):
     dofmap = build_dofmap(mesh, degree, continuous)
     nb = 1 if continuous else dofmap.cell_dofs.shape[1]
-    for name, (elements, sub) in part_sets(mesh, continuous).items():
+    for name, elements in part_sets(mesh, continuous).items():
         want = triplet_pattern(block_ids(dofmap, elements), dofmap.n_dofs // nb)
-        assert all(same(g, w) for g, w in zip(_pattern(mesh, dofmap, elements, sub=sub), want)), name
+        assert all(same(g, w) for g, w in zip(_pattern(dofmap, elements), want)), name
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("continuous", [True, False])
 def test_sort_equals_the_division_form(mesh, degree, continuous):
-    # the pattern read off the mesh graph, for the parts of a space and each standalone form's
-    # sub-pattern, against one sort of all their block triplet keys: the slot of every block,
-    # indices and indptr equal, dtypes too
+    # the pattern D^T D of the parts of a space and of each standalone form's one part, against
+    # one sort of all their block triplet keys: the slot of every block, indices and indptr
+    # equal, dtypes too
     assert_patterns_equal_the_triplet_sort(mesh, degree, continuous)
 
 

@@ -529,3 +529,19 @@ def test_min_eigenvalue_rejects_what_solve_rejects(matrix):
         min_eigenvalue_dense(matrix)
     with pytest.raises(InvalidParameter, match="the matrix"):
         solve((matrix, np.ones(matrix.shape[0])))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1.0, 1.0], [1.0, 1.0]], "Factor is exactly singular"),
+        ([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0]], "needs an off-diagonal pivot"),
+    ],
+    ids=["singular", "off-diagonal pivot"],
+)
+def test_the_bottom_factor_refuses_a_matrix_it_cannot_prove_spd(rows, message):
+    # the identity prolongation makes the matrix itself the factored level-1 matrix P^T A P
+    n = len(rows)
+    system = SparseSystem(sp.csr_matrix(np.array(rows)), np.ones(n), None, sp.identity(n, format="csr"))
+    with pytest.raises(IndefiniteMatrix, match=message):
+        solve(system)

@@ -207,6 +207,23 @@ def test_svg_rejects_what_it_cannot_plot(tmp_path, sinsin_reports, field, value,
     assert not (tmp_path / "bad.svg").exists()
 
 
+@pytest.mark.parametrize("writer", [write_csv, write_svg], ids=["csv", "svg"])
+@pytest.mark.parametrize("item", [None, "report", (0.5, 0.1)], ids=["None", "str", "tuple"])
+def test_the_writers_refuse_an_item_that_is_not_an_error_report(tmp_path, sinsin_reports, writer, item):
+    # unchecked, each ends in an AttributeError on the missing field
+    with pytest.raises(InvalidParameter, match="must be a ErrorReport"):
+        writer([*sinsin_reports, item], tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("matrix", [None, "abc"], ids=["None", "str"])
+def test_write_matrix_refuses_what_is_not_a_matrix(tmp_path, matrix):
+    # scipy's conversion raises ValueError on these
+    with pytest.raises(InvalidParameter, match="must be a 2-d array of numbers"):
+        write_matrix(matrix, tmp_path / "bad.txt")
+    assert not (tmp_path / "bad.txt").exists()
+
+
 @pytest.mark.parametrize("order", [[2, 1, 0], [0, 2, 1]])  # ascending h, then non-monotone h
 def test_svg_rejects_mesh_sizes_that_do_not_decrease(tmp_path, sinsin_reports, order):
     # the plot reads coarsest first, as eoc does
