@@ -104,7 +104,10 @@ def eoc(errors):
     number and the mesh sizes decrease; pairs where both errors sit at
     rounding level give nan.
     """
-    errors = list(errors)
+    try:
+        errors = [(h, e) for h, e in errors]
+    except (TypeError, ValueError):  # not iterable, or an item that is not a pair
+        raise DegenerateSequence("need a sequence of (h, error) pairs") from None
     if len(errors) < 2:
         raise DegenerateSequence("need at least two (h, error) pairs")
     for h, e in errors:

@@ -70,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._atomic import write_lines
-from .errors import InvalidParameter, SchemeMismatch, check_type, values_at
+from .errors import InvalidParameter, SchemeMismatch, as_array, check_type, values_at
 from .felib import (
     DofMap,
     ReferenceBasis,
@@ -175,12 +175,13 @@ class SparseSystem:
 
 
 def robin_weights(scheme, h_e):
-    """Robin edge weights (c1, c2, c3); h_e may be an array.
+    """Robin edge weights (c1, c2, c3) of h_e, a real number or an array of them.
 
-    Raises InvalidParameter unless every h_E is positive and finite, and
+    Raises InvalidParameter unless every h_E is real, positive and finite, and
     where 1/(eps + gamma*h_E) would overflow.
     """
     check_type(scheme, Scheme, "scheme")
+    h_e = as_array(h_e, "biuf", "h_E must be real")
     if not (np.all(np.greater(h_e, 0.0)) and np.all(np.isfinite(h_e))):  # a NaN is not greater than 0
         raise InvalidParameter(f"h_E must be positive and finite, got {h_e!r}")
     denom = scheme.epsilon + scheme.gamma * h_e

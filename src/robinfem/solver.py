@@ -7,27 +7,32 @@ that the matrix is not symmetric positive definite, and the dense path
 raises when the Cholesky factorization breaks down.
 
 The CG preconditioner (Preconditioner.MULTILEVEL, the default) is the
-additive multilevel B_0 of the hierarchy A_0 = A, A_k+1 = P_k^T A_k P_k:
+multilevel B_0 of the hierarchy A_0 = A, A_k+1 = P_k^T A_k P_k, each
+level set up by one recursive call (_level) that checks D_k, the
+diagonal of A_k, picks P_k and returns B_k as a function r -> z, with
+B_L = A_L^-1 (SuperLU) at the bottom.  A level whose P_k is given is
+additive:
 
-    B_k = D_k^-1 + P_k B_k+1 P_k^T,    B_L = A_L^-1 (SuperLU),
+    B_k r = D_k^-1 r + P_k B_k+1(P_k^T r).
 
-with D_k the diagonal of A_k, each level set up by one recursive call
-(_level) that checks D_k, picks P_k and returns B_k(r) = D_k^-1 r +
-P_k B_k+1(P_k^T r).  P_0 is the embedding of continuous P1 on the same
-mesh (SparseSystem.prolongation), after Dobrev, Lazarov, Vassilevski &
+That P_0 is the embedding of continuous P1 on the same mesh
+(SparseSystem.prolongation), after Dobrev, Lazarov, Vassilevski &
 Zikatanov, "Two-level preconditioning of discontinuous Galerkin
 approximations of second-order elliptic equations" (NLAA 2006).  Below
 it (from A itself for continuous P1 and for a (matrix, rhs) pair, which
 have no such space), smoothed aggregation (Vanek, Mandel & Brezina,
 Computing 1996) adds levels while the coarsest matrix has more than
-_DIRECT_LIMIT = 5000 dofs:
+_DIRECT_LIMIT = 5000 dofs, and each such level is a symmetric V(2,2)
+cycle with the damped Jacobi smoother W = omega D_k^-1, omega = 4/(3 rho)
+as in P below: from x = 0, two sweeps x += W (r - A_k x), the coarse
+correction x += P_k B_k+1(P_k^T (r - A_k x)), and two more sweeps.
 
 - strength: j is a strong neighbour of i if |a_ij| >= 0.08 sqrt(a_ii a_jj);
 - roots: a distance-2 independent set of the strength graph, chosen in
   rounds by the fixed priority i * 2654435761 mod 2^32 (no random
   stream); a root and its strong neighbours form an aggregate, and a
   second pass attaches their strong neighbours; a node with no strong
-  neighbour joins no aggregate (a zero row of T) and is left to D^-1.
+  neighbour joins no aggregate (a zero row of T) and is left to W.
   Each of these steps is a maximum over every row's strong neighbours.
   The strength graph is laid out once as a table of each row's first
   2 nnz / n + 1 neighbours, so every maximum is one np.maximum per
@@ -39,18 +44,28 @@ _DIRECT_LIMIT = 5000 dofs:
 
 The limit is where a factor stops paying for itself (2-core x86_64):
 SuperLU took 55-90 ms, then 2.7 ms per iteration, on the 12,481-dof P1
-coarse space of the Nitsche P2 level-4 sweep; one aggregation level
-under it (about 1,500 dofs) raises CG from 23 to 39-49 iterations but
-cut the sweep's four solves from 0.85 to 0.67 s.  Under the 3,169-dof
-P1 coarse space of SIPDG P1 level 3, one level gives 47 iterations
-against 32 for 0.050 against 0.059 s, no clear gain, so that space
-stays direct.  The hierarchy is built once per solve and dropped on
-return.
+coarse space of the Nitsche P2 level-4 sweep, whose four SPD solves took
+0.37-0.42 s at 22-23 iterations.  One aggregation level under it (about
+1,500 dofs) takes them to 24-29 iterations and 0.26 s as a V-cycle, and
+to 39-49 iterations and 0.30 s applied additively.  Under the 3,169-dof
+P1 coarse space of SIPDG P1 level 3, one V-cycle level of 390 dofs gives
+34 iterations against 32, 0.023 against 0.027 s; that space stays
+direct.  V-cycles on the given P_0 level too, or V(1,1) cycles, were
+slower on the sweep.  The hierarchy is built once per solve and dropped
+on return.
 
-Every D_k^-1 is SPD once its diagonal is positive, every other term is
-symmetric positive semidefinite, and B_L is SPD once its factor passes
-the checks below, so B_0 is SPD with no damping condition, whatever A
-is.  Each of these is therefore a proof that A is not SPD, and raises
+With E = I - W A_k and g(mu) = (1 - (1 - mu)^4) / mu, g(0) = 4, a V-cycle
+level is
+
+    B_k = sum_{i<4} E^i W + E^2 P_k B_k+1 P_k^T (E^2)^T
+        = W^1/2 g(H) W^1/2 + E^2 P_k B_k+1 P_k^T (E^2)^T,  H = W^1/2 A_k W^1/2.
+
+Every eigenvalue mu of H, one of omega D_k^-1 A_k, has |mu| <= omega rho
+= 4/3, and g > 0 on (-inf, 2), so the first term is SPD whatever A_k is.
+Every D_k^-1 and W is SPD once D_k is positive, every coarse term is
+symmetric positive semidefinite once B_k+1 is SPD, and B_L is SPD once
+its factor passes the checks below, so B_0 is SPD with no condition on
+A.  Each of these is therefore a proof that A is not SPD, and raises
 IndefiniteMatrix:
 
 1. a nonpositive diagonal entry of some A_k, checked level by level;
@@ -227,14 +242,15 @@ def _solve_dense(matrix, rhs):
 def _level(matrix, prolongation, depth):
     """(B_k, bottom_dofs) of the level-depth matrix A_k: z = B_k(r), and
     bottom_dofs is the size of the factored bottom matrix (0 for Jacobi).  P_k
-    is prolongation, or if A_k is above _DIRECT_LIMIT smoothed aggregation's.
-    Raises IndefiniteMatrix when the set-up proves A not SPD."""
+    is prolongation, or if A_k is above _DIRECT_LIMIT smoothed aggregation's,
+    whose level is a V(2,2) cycle.  Raises IndefiniteMatrix when the set-up proves A not SPD."""
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
         where = f"level-{depth} matrix P^T A P" if depth else "matrix"
         raise IndefiniteMatrix(f"{where} has a nonpositive diagonal entry")
     inv_diag, n = 1.0 / diag, matrix.shape[0]
-    if prolongation is None and n > _DIRECT_LIMIT:
+    aggregated = prolongation is None and n > _DIRECT_LIMIT
+    if aggregated:
         prolongation = _smoothed_aggregation(matrix, diag)
         if not 0 < prolongation.shape[1] < n:
             prolongation = None  # no coarser level
@@ -244,7 +260,18 @@ def _level(matrix, prolongation, depth):
         return (lambda r: inv_diag * r), 0
     restrict = sp.csr_matrix(prolongation.T)
     coarse, bottom_dofs = _level(sp.csr_matrix(restrict @ matrix @ prolongation), None, depth + 1)
-    return (lambda r: inv_diag * r + prolongation @ coarse(restrict @ r)), bottom_dofs
+    if not aggregated:
+        return (lambda r: inv_diag * r + prolongation @ coarse(restrict @ r)), bottom_dofs
+    weight = _jacobi_weight(matrix, diag)[0] * inv_diag
+
+    def cycle(r):  # symmetric V(2,2): two Jacobi sweeps from 0, the coarse correction, two sweeps
+        x = weight * r
+        x += weight * (r - matrix @ x)
+        x += prolongation @ coarse(restrict @ (r - matrix @ x))
+        for _ in range(2):
+            x += weight * (r - matrix @ x)
+        return x
+    return cycle, bottom_dofs
 
 
 def _bottom_factor(matrix):
@@ -325,14 +352,19 @@ def _tentative(matrix, diag):
     )
 
 
+def _jacobi_weight(matrix, diag):
+    """(4/(3 ||D^-1 A||_inf), each entry's row, D^-1 A data) of a CSR matrix A with a positive diagonal D."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    scaled = matrix.data / diag[rows]
+    return 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), matrix.indptr[:-1]).max()), rows, scaled
+
+
 def _smoothed_aggregation(matrix, diag):
     """Smoothed-aggregation prolongation P = (I - 4/(3 rho) D^-1 A) T of a CSR
     matrix with a positive diagonal D; see the module docstring."""
-    tentative, indptr = _tentative(matrix, diag), matrix.indptr  # first: its graph is freed before S is built
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(indptr))
-    scaled = matrix.data / diag[rows]  # D^-1 A
-    omega = 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), indptr[:-1]).max())
-    smoother = sp.csr_matrix((-omega * scaled, matrix.indices, indptr), shape=matrix.shape)
+    tentative = _tentative(matrix, diag)  # first: its graph is freed before S is built
+    omega, rows, scaled = _jacobi_weight(matrix, diag)
+    smoother = sp.csr_matrix((-omega * scaled, matrix.indices, matrix.indptr), shape=matrix.shape)
     smoother.data[rows == matrix.indices] += 1.0
     return smoother @ tentative
 

@@ -92,6 +92,14 @@ def test_eoc_degenerate_sequences():
             eoc(pairs)
 
 
+@pytest.mark.parametrize("errors", [None, 3, [(0.5, 0.1), (0.25,)], [(0.5, 0.1), 3], [(0.5, 0.1), (0.25, 0.05, 0.0)]],
+                         ids=["None", "int", "short pair", "int item", "triple"])
+def test_eoc_refuses_what_is_not_a_sequence_of_pairs(errors):
+    # unpacked unchecked, these raised TypeError or ValueError
+    with pytest.raises(DegenerateSequence, match="need a sequence of"):
+        eoc(errors)
+
+
 def test_l2_error_of_constant():
     mesh = generate_disk_mesh(4)
     dm = build_dofmap(mesh, 1, continuous=True)

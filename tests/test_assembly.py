@@ -146,6 +146,16 @@ def test_robin_weights_refuse_an_edge_length_that_is_not_positive_and_finite(h):
         robin_weights(Scheme(NIT), h)
 
 
+def test_robin_weights_take_any_array_of_reals():
+    # unconverted, a list raised a bare TypeError and a str numpy's UFuncTypeError
+    scheme = Scheme(NIT, epsilon=0.5, gamma=0.1)
+    for got, want in zip(robin_weights(scheme, [0.5, 0.25]), robin_weights(scheme, np.array([0.5, 0.25]))):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    for h in ("0.5", ["0.5", "0.25"], None, [0.5, 1j]):
+        with pytest.raises(InvalidParameter, match="h_E must be real"):
+            robin_weights(scheme, h)
+
+
 def test_robin_weights_gamma_zero():
     c1, c2, c3 = robin_weights(Scheme(NIT, epsilon=0.25, gamma=0.0), 0.5)
     assert c1 == 0.0

@@ -317,9 +317,10 @@ def test_repeat_two_level_solve_is_bitwise_deterministic():
     assert rep1.iterations == rep2.iterations
 
 
-def _level_system(method, degree, level):
-    problem = get_problem("sinsin")
-    return assemble(level_mesh(problem.domain, level), Scheme(method, degree=degree), problem.make_data(1.0))
+def _level_system(method, degree, level, problem="sinsin", epsilon=1.0, gamma=0.1):
+    problem = get_problem(problem)
+    scheme = Scheme(method, degree=degree, epsilon=epsilon, gamma=gamma)
+    return assemble(level_mesh(problem.domain, level), scheme, problem.make_data(epsilon))
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -344,6 +345,36 @@ def test_repeat_multilevel_solve_is_bitwise_deterministic():
     assert rep1.coarse_dofs > 0  # the hierarchy has an aggregation level
     assert np.array_equal(x1, x2)
     assert rep1.iterations == rep2.iterations
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.7])
+def test_the_v_cycle_preconditioner_is_spd_whatever_the_matrix(monkeypatch, gamma):
+    # a direct limit of 150 puts two V-cycle levels over an about 100-dof factor; at
+    # gamma = 0.7 A has a negative eigenvalue, yet B stays SPD and CG finds the proof
+    monkeypatch.setattr(robinfem.solver, "_DIRECT_LIMIT", 150)
+    system = _level_system(Method.NITSCHE, 1, 2, gamma=gamma)
+    A = system.matrix.tocsr()
+    precond, bottom_dofs = robinfem.solver._level(A, None, 0)
+    assert 0 < bottom_dofs <= 150
+    B = np.column_stack([precond(column) for column in np.eye(A.shape[0])])
+    assert np.abs(B - B.T).max() <= 1e-14 * np.abs(B).max()
+    assert np.linalg.eigvalsh(0.5 * (B + B.T))[0] > 0.0
+    if gamma == 0.7:
+        assert min_eigenvalue_dense(A) < 0.0
+        with pytest.raises(IndefiniteMatrix, match="nonpositive curvature"):
+            solve(system)
+    else:
+        assert min_eigenvalue_dense(A) > 0.0
+        solve(system)
+
+
+@pytest.mark.parametrize("degree, problem, epsilon, most", [
+    (1, "sinsin", 1.0, 20), (2, "radial_exp", 1e-6, 32), (2, "radial_exp", 1.0, 32), (2, "radial_exp", 1e3, 32),
+], ids=["P1 sinsin", "P2 radial_exp eps=1e-6", "P2 radial_exp eps=1", "P2 radial_exp eps=1e3"])
+def test_v_cycle_levels_keep_nitsche_level_4_iterations_low(degree, problem, epsilon, most):
+    # additive aggregation levels took 42 (P1) and 39, 49 and 48 (P2) iterations here
+    _, report = solve(_level_system(Method.NITSCHE, degree, 4, problem, epsilon))
+    assert report.iterations <= most
 
 
 def _jacobi_pcg(A, b, tol):
