@@ -100,9 +100,9 @@ def eoc(errors):
     """Observed convergence orders from a list of (h, error) pairs.
 
     Consecutive pairs give log(e_i/e_{i+1}) / log(h_i/h_{i+1}).  Raises
-    DegenerateSequence unless every h and error is a positive finite
-    number and the mesh sizes decrease; pairs where both errors sit at
-    rounding level give nan.
+    DegenerateSequence unless every h and error is a positive finite real
+    number (not a bool) and the mesh sizes decrease; pairs where both
+    errors sit at rounding level give nan.
     """
     try:
         errors = [(h, e) for h, e in errors]
@@ -111,8 +111,9 @@ def eoc(errors):
     if len(errors) < 2:
         raise DegenerateSequence("need at least two (h, error) pairs")
     for h, e in errors:
-        if not all(isinstance(v, numbers.Real) and 0.0 < v < math.inf for v in (h, e)):  # a NaN fails every comparison
-            raise DegenerateSequence(f"mesh sizes and errors must be positive and finite, got h={h}, error={e}")
+        # a bool is a numbers.Real, and a NaN fails every comparison
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v < math.inf for v in (h, e)):
+            raise DegenerateSequence(f"mesh sizes and errors must be positive finite real numbers, got h={h}, error={e}")
     rates = []
     for (h0, e0), (h1, e1) in zip(errors, errors[1:]):
         if not (h1 < h0):

@@ -1,7 +1,8 @@
 """Exception types raised across the library, and the guards of integer,
-typed and array arguments and of function values."""
+typed, array and path arguments and of function values."""
 
 import numbers
+import os
 
 import numpy as np
 
@@ -33,6 +34,14 @@ def check_type(value, kind, name):
         raise InvalidParameter(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
+def as_path(path):
+    """os.fspath of a str, bytes or os.PathLike path; InvalidParameter for anything
+    else, so that an int is never opened as a file descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidParameter(f"a path must be a str, bytes or os.PathLike, got {path!r}")
+    return os.fspath(path)
+
+
 def as_array(values, kinds, rule):
     """values as an array of a dtype kind in kinds, else InvalidParameter
     saying rule; numpy refuses ragged rows."""
@@ -47,8 +56,10 @@ def as_array(values, kinds, rule):
 
 def values_at(func, x, shape=(), what="problem data"):
     """func(x, y) at the points x (..., 2), broadcast to x.shape[:-1] + shape;
-    raises InvalidParameter, naming func as what, unless its values are real
-    and broadcast so."""
+    raises InvalidParameter, naming func as what, unless it is callable and
+    its values are real and broadcast so."""
+    if not callable(func):
+        raise InvalidParameter(f"{what} must be callable, got {func!r}")
     shape = x.shape[:-1] + shape
     values = as_array(func(x[..., 0], x[..., 1]), "biuf", f"{what} must be real")
     try:

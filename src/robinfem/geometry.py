@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateProjection, NotOnBoundary, check_type
+from .errors import DegenerateProjection, InvalidParameter, NotOnBoundary, as_array, check_type
 from .felib import edge_rule
 
 __all__ = [
@@ -47,7 +47,7 @@ class Domain:
 
     def signed_distance(self, points):
         """Signed distance to the boundary, (..., 2) -> (...): negative inside, zero on it."""
-        pts = np.asarray(points, dtype=float)
+        pts = _points(points)
         x, y = pts[..., 0], pts[..., 1]
         if self.kind is DomainKind.UNIT_DISK:
             return np.hypot(x, y) - 1.0
@@ -59,7 +59,7 @@ class Domain:
 
     def project(self, points):
         """Orthogonal projection onto the boundary, (..., 2) -> (..., 2), for points in the tube."""
-        pts = np.asarray(points, dtype=float)
+        pts = _points(points)
         if np.any(np.abs(self.signed_distance(pts)) >= _PROJECTION_TUBE):
             raise DegenerateProjection(
                 f"point outside the projection tube |d| < {_PROJECTION_TUBE}"
@@ -86,11 +86,19 @@ class Domain:
         ties break left, bottom, top, right, the order of the boundary
         points that project picks, which is lexicographic.
         """
-        pts = np.asarray(points, dtype=float)
+        pts = _points(points)
         x, y = pts[..., 0], pts[..., 1]
         if self.kind is DomainKind.UNIT_DISK:
             return pts / np.hypot(x, y)[..., None]
         return _SIDE_NORMALS[np.argmin(np.stack([x, y, 1.0 - y, 1.0 - x]), axis=0)]
+
+
+def _points(points):
+    """points as a float array (..., 2); InvalidParameter unless they are real with a last axis of 2."""
+    pts = as_array(points, "biuf", "points must be real")
+    if pts.ndim == 0 or pts.shape[-1] != 2:
+        raise InvalidParameter(f"points must have a last axis of length 2, got shape {pts.shape}")
+    return pts.astype(float, copy=False)
 
 
 # outward normals of the square's sides: left, bottom, top, right

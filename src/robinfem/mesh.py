@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import write_lines
-from .errors import FormatError, InvalidParameter, NonManifoldMesh, as_array, check_type, is_count
+from .errors import FormatError, InvalidParameter, NonManifoldMesh, as_array, as_path, check_type, is_count
 from .geometry import Domain, DomainKind
 
 __all__ = [
@@ -287,7 +287,7 @@ def write_mesh(mesh, path):
 
 def read_mesh(path):
     """Parse a mesh file; topology is rebuilt, not stored."""
-    with open(path, "rb") as fh:
+    with open(as_path(path), "rb") as fh:
         raw = fh.read()
     try:
         text = raw.decode("utf-8")

@@ -23,9 +23,10 @@ it (from A itself for continuous P1 and for a (matrix, rhs) pair, which
 have no such space), smoothed aggregation (Vanek, Mandel & Brezina,
 Computing 1996) adds levels while the coarsest matrix has more than
 _DIRECT_LIMIT = 5000 dofs, and each such level is a symmetric V(2,2)
-cycle with the damped Jacobi smoother W = omega D_k^-1, omega = 4/(3 rho)
-as in P below: from x = 0, two sweeps x += W (r - A_k x), the coarse
-correction x += P_k B_k+1(P_k^T (r - A_k x)), and two more sweeps.
+cycle with the smoother W that smooths P_k below, which
+_smoothed_aggregation returns with P_k: from x = 0, two sweeps
+x += W (r - A_k x), the coarse correction x += P_k B_k+1(P_k^T (r - A_k x)),
+and two more sweeps.
 
 - strength: j is a strong neighbour of i if |a_ij| >= 0.08 sqrt(a_ii a_jj);
 - roots: a distance-2 independent set of the strength graph, chosen in
@@ -39,8 +40,8 @@ correction x += P_k B_k+1(P_k^T (r - A_k x)), and two more sweeps.
   column; a longer row (a dense row of a (matrix, rhs) pair) is taken
   whole by reduceat, so the layout holds at most 3 nnz table entries
   and nnz long-row entries;
-- P = (I - 4/(3 rho) D^-1 A) T, with T the 0/1 aggregate indicator and
-  rho = ||D^-1 A||_inf, a bound on the spectral radius of D^-1 A.
+- P = (I - W A) T, with T the 0/1 aggregate indicator and the damped
+  Jacobi smoother W = omega D^-1, omega = 4/(3 rho), rho = ||D^-1 A||_inf.
 
 The limit is where a factor stops paying for itself (2-core x86_64):
 SuperLU took 55-90 ms, then 2.7 ms per iteration, on the 12,481-dof P1
@@ -81,10 +82,10 @@ embedding has full column rank.  A given P_0 must be real, finite and
 (InvalidParameter otherwise); other rank deficiency is not detected, and
 can make 1 or 2 raise on an SPD A.  T has full column rank: its columns
 indicate disjoint, non-empty aggregates (each holds its root).  The smoothed
-P = S T, S = I - 4/(3 rho) D^-1 A, keeps it unless some nonzero T c is
-an eigenvector of D^-1 A for exactly the eigenvalue 3 rho / 4, a
-coincidence that is not checked.  Once 1 and 2 pass, B_0 is SPD, so
-r.z > 0 for every nonzero residual and needs no check of its own.
+P = (I - W A) T keeps it unless some nonzero T c is an eigenvector of
+D^-1 A for exactly the eigenvalue 3 rho / 4, a coincidence that is not
+checked.  Once 1 and 2 pass, B_0 is SPD, so r.z > 0 for every nonzero
+residual and needs no check of its own.
 
 CG stops when the recursive residual has ||r|| <= rel_tolerance ||b||,
 which bounds the error only through the conditioning:
@@ -248,10 +249,9 @@ def _level(matrix, prolongation, depth):
     if np.any(diag <= 0.0):
         where = f"level-{depth} matrix P^T A P" if depth else "matrix"
         raise IndefiniteMatrix(f"{where} has a nonpositive diagonal entry")
-    inv_diag, n = 1.0 / diag, matrix.shape[0]
-    aggregated = prolongation is None and n > _DIRECT_LIMIT
-    if aggregated:
-        prolongation = _smoothed_aggregation(matrix, diag)
+    inv_diag, n, weight = 1.0 / diag, matrix.shape[0], None
+    if prolongation is None and n > _DIRECT_LIMIT:
+        weight, prolongation = _smoothed_aggregation(matrix, diag)
         if not 0 < prolongation.shape[1] < n:
             prolongation = None  # no coarser level
     if prolongation is None:
@@ -260,9 +260,8 @@ def _level(matrix, prolongation, depth):
         return (lambda r: inv_diag * r), 0
     restrict = sp.csr_matrix(prolongation.T)
     coarse, bottom_dofs = _level(sp.csr_matrix(restrict @ matrix @ prolongation), None, depth + 1)
-    if not aggregated:
+    if weight is None:
         return (lambda r: inv_diag * r + prolongation @ coarse(restrict @ r)), bottom_dofs
-    weight = _jacobi_weight(matrix, diag)[0] * inv_diag
 
     def cycle(r):  # symmetric V(2,2): two Jacobi sweeps from 0, the coarse correction, two sweeps
         x = weight * r
@@ -319,12 +318,11 @@ def _neighbour_max(layout, values):
     return out
 
 
-def _tentative(matrix, diag):
+def _tentative(matrix, diag, rows):
     """The 0/1 aggregate indicator T of smoothed aggregation on a CSR matrix
-    with a positive diagonal; see the module docstring."""
+    with a positive diagonal, rows holding each entry's row; see the module docstring."""
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
-    rows = np.repeat(np.arange(n), np.diff(indptr))
     root = np.sqrt(diag)  # sqrt(a_ii) sqrt(a_jj) cannot overflow where a_ii a_jj would
     strong = (rows == indices) | (np.abs(matrix.data) >= _STRENGTH * root[rows] * root[indices])
     # the strength graph, each row holding its diagonal, so no row is empty, laid out once
@@ -352,21 +350,18 @@ def _tentative(matrix, diag):
     )
 
 
-def _jacobi_weight(matrix, diag):
-    """(4/(3 ||D^-1 A||_inf), each entry's row, D^-1 A data) of a CSR matrix A with a positive diagonal D."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    scaled = matrix.data / diag[rows]
-    return 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), matrix.indptr[:-1]).max()), rows, scaled
-
-
 def _smoothed_aggregation(matrix, diag):
-    """Smoothed-aggregation prolongation P = (I - 4/(3 rho) D^-1 A) T of a CSR
-    matrix with a positive diagonal D; see the module docstring."""
-    tentative = _tentative(matrix, diag)  # first: its graph is freed before S is built
-    omega, rows, scaled = _jacobi_weight(matrix, diag)
-    smoother = sp.csr_matrix((-omega * scaled, matrix.indices, matrix.indptr), shape=matrix.shape)
+    """(W, P) of a CSR matrix A with a positive diagonal D: the damped Jacobi
+    smoother W = omega D^-1, omega = 4/(3 ||D^-1 A||_inf), and the prolongation
+    P = (I - W A) T it smooths; see the module docstring."""
+    indptr = matrix.indptr
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(indptr))
+    tentative = _tentative(matrix, diag, rows)  # first: its graph is freed before S is built
+    scaled = matrix.data / diag[rows]
+    omega = 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), indptr[:-1]).max())
+    smoother = sp.csr_matrix((-omega * scaled, matrix.indices, indptr), shape=matrix.shape)
     smoother.data[rows == matrix.indices] += 1.0
-    return smoother @ tentative
+    return omega * (1.0 / diag), smoother @ tentative
 
 
 def _solve_cg(matrix, rhs, config, prolongation):

@@ -80,8 +80,11 @@ def _fmt(value):
 
 
 def _check_reports(reports):
-    """reports as a list; InvalidParameter unless each is an ErrorReport."""
-    reports = list(reports)
+    """reports as a list; InvalidParameter unless they are iterable and each is an ErrorReport."""
+    try:
+        reports = list(reports)
+    except TypeError:
+        raise InvalidParameter(f"reports must be a sequence of ErrorReport, got {reports!r}") from None
     for r in reports:
         check_type(r, ErrorReport, "each report")
     return reports

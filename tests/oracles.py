@@ -85,9 +85,9 @@ def block_ids(dofmap, elements):
 
 
 def tentative_by_reduceat(matrix, diag):
-    """Smoothed aggregation's tentative T and prolongation P of a CSR matrix with a positive
-    diagonal, each neighbour maximum one np.maximum.reduceat over the gathered strength graph, as
-    the solver took them until it laid the graph out in columns."""
+    """Smoothed aggregation's tentative T, smoother W and prolongation P of a CSR matrix with a
+    positive diagonal, each neighbour maximum one np.maximum.reduceat over the gathered strength
+    graph, as the solver took them until it laid the graph out in columns."""
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
     rows = np.repeat(np.arange(n), np.diff(indptr))
@@ -120,4 +120,4 @@ def tentative_by_reduceat(matrix, diag):
     omega = 4.0 / (3.0 * np.add.reduceat(np.abs(scaled), indptr[:-1]).max())
     smoother = sp.csr_matrix((-omega * scaled, indices, indptr), shape=(n, n))
     smoother.data[on_diag] += 1.0
-    return tentative, smoother @ tentative
+    return tentative, omega * (1.0 / diag), smoother @ tentative

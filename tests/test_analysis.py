@@ -74,7 +74,8 @@ def test_eoc_degenerate_sequences():
         eoc([(0.4, 0.1), (0.2, 0.0)])
     with pytest.raises(DegenerateSequence):
         eoc([(0.4, -0.1), (0.2, 0.05)])
-    # every h and error must be a positive finite number; compared unchecked, a str or None raises TypeError
+    # every h and error must be a positive finite number; compared unchecked, a str or None raises TypeError,
+    # and a bool, a numbers.Real, passed: eoc([(True, 0.1), (0.5, 0.05)]) was [1.0]
     nan, inf = float("nan"), float("inf")
     for pairs in (
         [("1", 1.0), (0.5, 0.25)],
@@ -87,6 +88,8 @@ def test_eoc_degenerate_sequences():
         [(0.5, 0.1), (nan, 0.05)],
         [(0.5, 0.1), (0.0, 0.05)],
         [(0.5, 0.1), (-0.25, 0.05)],
+        [(True, 0.1), (0.5, 0.05)],
+        [(0.5, True), (0.25, 0.5)],
     ):
         with pytest.raises(DegenerateSequence):
             eoc(pairs)

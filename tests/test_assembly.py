@@ -1,5 +1,6 @@
 """Assembly checks against closed-form element matrices and identities."""
 
+import dataclasses
 import functools
 import gc
 import math
@@ -851,6 +852,15 @@ def test_data_or_a_domain_of_the_wrong_type_is_rejected(case, value):
     call, message = _data_and_domain_calls()[case]
     with pytest.raises(InvalidParameter, match=message):
         call(value)
+
+
+@pytest.mark.parametrize("field", ["f", "u0", "g"])
+def test_problem_data_that_is_not_callable_is_rejected(field):
+    # unchecked, assemble built the matrix and then raised TypeError: 'NoneType' object is not callable
+    mesh, data = generate_disk_mesh(2), get_problem("sinsin").make_data(1.0)
+    for value in (None, 1.0):
+        with pytest.raises(InvalidParameter, match="problem data must be callable"):
+            assemble(mesh, Scheme(NIT, degree=1), dataclasses.replace(data, **{field: value}))
 
 
 def _dofmap_and_basis_calls():

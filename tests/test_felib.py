@@ -285,9 +285,12 @@ def test_continuous_embedding(degree):
     (lambda x, y: x + 1j * y, "^the interpolated function must be real"),
     (lambda x, y: np.ones(3), r"^the interpolated function of shape \(3,\) does not broadcast"),
     (lambda x, y: np.stack([x, y], axis=-1), r"^the interpolated function of shape \(\d+, 2\) does not broadcast"),
-], ids=["complex", "three values", "a vector per point"])
+    (None, "^the interpolated function must be callable, got None"),
+    (2.0, "^the interpolated function must be callable, got 2.0"),
+], ids=["complex", "three values", "a vector per point", "None", "float"])
 def test_interpolating_a_function_that_is_not_real_or_does_not_broadcast_is_rejected(func, message):
-    # unchecked, the complex values lost their imaginary part and the others came back as they were
+    # unchecked, the complex values lost their imaginary part and the others came back as they were;
+    # what is not callable raised TypeError
     mesh = generate_disk_mesh(3)
     with pytest.raises(InvalidParameter, match=message):
         interpolate(mesh, build_dofmap(mesh, 2, continuous=True), func)

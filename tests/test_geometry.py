@@ -207,6 +207,27 @@ def test_skin_bounds_along_refinement():
         assert diag.max_normal_deviation <= mesh.h_max
 
 
+_BAD_POINTS = {
+    "three coordinates": [1.0, 2.0, 3.0],
+    "rows of three": [[0.5, 0.0, 9.0]],
+    "one coordinate": [0.5],
+    "a scalar": 0.5,
+    "str": "ab",
+    "None": None,
+    "complex": [0.5 + 1j, 0.0],
+}
+
+
+@pytest.mark.parametrize("domain", [unit_disk(), unit_square()], ids=["disk", "square"])
+@pytest.mark.parametrize("method", ["signed_distance", "project", "normal", "normal_field"])
+@pytest.mark.parametrize("name", list(_BAD_POINTS))
+def test_points_that_are_not_real_pairs_are_rejected(domain, method, name):
+    # unchecked, the disk's normal_field([1, 2, 3]) was [0.447, 0.894, 1.342] and its
+    # signed_distance([[0.5, 0, 9]]) was [-0.5]; the others raised IndexError or ValueError
+    with pytest.raises(InvalidParameter, match="points must"):
+        getattr(domain, method)(_BAD_POINTS[name])
+
+
 @pytest.mark.parametrize("kind", ["unit_disk", None, 0], ids=["str", "None", "int"])
 def test_a_domain_kind_that_is_not_a_domain_kind_is_rejected(kind):
     # unchecked, Domain("unit_disk") answers as the square: signed_distance([0, 0]) is 0, not the disk's -1

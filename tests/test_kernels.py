@@ -211,8 +211,11 @@ def aggregation_matrices():
 def test_aggregation_equals_the_reduceat_form(aggregation_matrices, name):
     matrix = aggregation_matrices[name]
     diag = matrix.diagonal()
-    want_t, want_p = tentative_by_reduceat(matrix, diag)
-    for got, want in ((_tentative(matrix, diag), want_t), (_smoothed_aggregation(matrix, diag), want_p)):
+    want_t, want_w, want_p = tentative_by_reduceat(matrix, diag)
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    weight, prolongation = _smoothed_aggregation(matrix, diag)
+    assert same(weight, want_w)
+    for got, want in ((_tentative(matrix, diag, rows), want_t), (prolongation, want_p)):
         assert got.shape == want.shape
         assert all(same(getattr(got, f), getattr(want, f)) for f in ("data", "indices", "indptr"))
 

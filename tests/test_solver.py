@@ -456,7 +456,7 @@ def _aggregated_matrices():
     level 4, and a random SPD matrix with a nonsymmetric strength graph."""
     p1 = _level_system(Method.NITSCHE, 1, 4).matrix
     yield "nitsche P1 level 4", p1
-    prolongation = robinfem.solver._smoothed_aggregation(p1, p1.diagonal())
+    prolongation = robinfem.solver._smoothed_aggregation(p1, p1.diagonal())[1]
     yield "its first Galerkin level", sp.csr_matrix(prolongation.T @ p1 @ prolongation)
     p2 = _level_system(Method.NITSCHE, 2, 4)
     yield "P1 coarse matrix of nitsche P2 level 4", sp.csr_matrix(p2.prolongation.T @ p2.matrix @ p2.prolongation)

@@ -154,6 +154,83 @@ def test_failed_write_leaves_no_temp_file(tmp_path, sinsin_reports, monkeypatch)
                 target.unlink()
 
 
+def test_write_leaves_the_umask_alone(tmp_path, sinsin_reports, monkeypatch):
+    # the temporary file is created with mode 0o666, so the kernel applies the umask; setting the
+    # process umask to read it would open a window in which other threads create files 0o666 or 0o777
+    umask = os.umask(0)
+    os.umask(umask)
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    path = tmp_path / "table.csv"
+    write_csv(sinsin_reports, path)
+    assert path.read_text().splitlines()[0] == CSV_HEADER
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _path_calls(sinsin_reports):
+    """Each reader and writer of a path, given path in its place."""
+    mesh = generate_disk_mesh(2)
+    return {
+        "read_mesh": read_mesh,
+        "write_mesh": lambda path: write_mesh(mesh, path),
+        "write_matrix": lambda path: write_matrix(sp.identity(3, format="csr"), path),
+        "write_csv": lambda path: write_csv(sinsin_reports, path),
+        "write_svg": lambda path: write_svg(sinsin_reports, path),
+        "solution dump": lambda path: run_single("linear_patch", Scheme(Method.NITSCHE), solution_out=path),
+    }
+
+
+@pytest.mark.parametrize("case, path", [
+    (case, path)
+    for case in ("read_mesh", "write_mesh", "write_matrix", "write_csv", "write_svg", "solution dump")
+    for path in (None, 3.5, 7)
+    # read_mesh would open an int as a file descriptor: tested on a pipe below; None is no dump in run_single
+    if not (case == "read_mesh" and path == 7 or case == "solution dump" and path is None)
+])
+def test_a_path_that_is_not_a_path_is_rejected(tmp_path, sinsin_reports, monkeypatch, case, path):
+    # unchecked, each raised TypeError
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InvalidParameter, match="path must be a str, bytes or os.PathLike"):
+        _path_calls(sinsin_reports)[case](path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_read_mesh_refuses_a_file_descriptor(tmp_path):
+    # unchecked, read_mesh(fd) read the mesh from the pipe and closed the descriptor
+    path = tmp_path / "one.mesh"
+    write_mesh(generate_disk_mesh(2), path)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, path.read_bytes())
+        os.close(write_end)
+        with pytest.raises(InvalidParameter, match="path must be a str"):
+            read_mesh(read_end)
+        assert os.read(read_end, 10) == b"meshfmt 1\n"  # still open, and unread
+    finally:
+        os.close(read_end)
+
+
+def test_paths_may_be_str_bytes_or_path_like(tmp_path):
+    mesh = generate_disk_mesh(2)
+    for path in (str(tmp_path / "a.mesh"), os.fsencode(tmp_path / "b.mesh"), tmp_path / "c.mesh"):
+        write_mesh(mesh, path)
+        assert read_mesh(path).n_vertices == mesh.n_vertices
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.mesh", "b.mesh", "c.mesh"]
+
+
+@pytest.mark.parametrize("reports", [None, 3], ids=["None", "int"])
+@pytest.mark.parametrize("writer", [write_csv, write_svg])
+def test_reports_that_are_not_iterable_are_rejected(tmp_path, writer, reports):
+    # unchecked, list(reports) raised TypeError
+    with pytest.raises(InvalidParameter, match="reports must be a sequence of ErrorReport"):
+        writer(reports, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_svg_contents(tmp_path, sinsin_reports):
     path = tmp_path / "plot.svg"
     write_svg(sinsin_reports, path)
