@@ -15,9 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, ProblemData, Scheme, _check_space, _edge_error_sq
+from .assembly import Method, ProblemData, Scheme, _check_space, _edge_error_sq, _memo_dofmaps
 from .errors import DegenerateSequence, MissingExactSolution, as_array, check_type, values_at
 from .felib import _check_dofs, build_dofmap, reference_basis, triangle_rule
+from .mesh import Mesh
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
 
@@ -81,10 +82,12 @@ def energy_error(mesh, scheme, data, solution, dofmap=None):
 
 def _errors(mesh, scheme, data, solution, dofmap):
     """(energy error, its squared components, L2 error, dof count) of one solution, on dofmap or,
-    for None, the numbering that assemble uses."""
+    for None, the numbering that assemble uses: the map of mesh's memoized space if it holds one."""
     check_type(scheme, Scheme, "scheme")
     _require_exact(data)
-    dofmap = build_dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
+    if dofmap is None:
+        check_type(mesh, Mesh, "mesh")
+        dofmap = _memo_dofmaps(mesh).get((scheme.degree, scheme.method)) or build_dofmap(mesh, scheme.degree, scheme.continuous)
     solution = as_array(solution, "biuf", "the solution must be real")
     _check_space(mesh, dofmap, reference_basis(scheme.degree), solution)
     grad_sq, l2_sq = _volume_error_sq(mesh, data, solution, dofmap)

@@ -55,7 +55,9 @@ the block pattern of all its forms (0 where only edge forms couple) and the bloc
 parts.  assemble and norm_matrix add one block scatter of their edge forms to that volume, so the Gram
 matrix of the energy norm sits on the system's pattern.  An eps sweep builds the pattern and sums the
 volume once, bitwise as an unmemoized run.  Matrices get their own index arrays, systems a copy of the
-prolongation; the shared dof map is read-only.
+prolongation; the shared dof map is read-only.  That map, which assemble returns as system.dofmap, is
+accepted by _check_space for where it came from, build_dofmap on this mesh, under the trust the assembly
+already places in the memo, and is the error norms' default map; any other map is rebuilt and compared.
 """
 
 import enum
@@ -427,20 +429,29 @@ def _volume_part(mesh, basis):
     return _cells(mesh), blocks.reshape(-1, nb, nb)
 
 
+def _memo_dofmaps(mesh):
+    """{(degree, method): dof map} of the spaces in mesh's memo."""
+    return {key: space[1] for key, space in _MEMO.get(mesh, {}).items() if isinstance(key, tuple)}
+
+
 def _check_space(mesh, dofmap, basis, solution=None):
     """Raise InvalidParameter unless basis is a ReferenceBasis, dofmap numbers dofs of its degree on every
     triangle of mesh as build_dofmap does, and solution, if given, has one entry per dof.  A discontinuous
     space's blocks are its elements, so _pattern needs that numbering there; a continuous space's pattern
-    holds for any numbering, but its maps are held to build_dofmap's too."""
+    holds for any numbering, but its maps are held to build_dofmap's too.  The dof map of a space in mesh's
+    memo, the one assemble returns, is accepted for where it came from, under the trust the assembly already
+    places in the memo: build_dofmap made it on this mesh and the memo holds it read-only.  Every other map,
+    an equal one too, is range-scanned, rebuilt and compared."""
     check_type(mesh, Mesh, "mesh")
-    _check_dofs(mesh.n_triangles, dofmap)
+    if not any(dofmap is own for own in _memo_dofmaps(mesh).values()):
+        _check_dofs(mesh.n_triangles, dofmap)
+        own = build_dofmap(mesh, dofmap.degree, dofmap.continuous)
+        if dofmap.n_dofs != own.n_dofs or not np.array_equal(dofmap.cell_dofs, own.cell_dofs):
+            raise InvalidParameter("the dof map does not number " + ("its dofs as build_dofmap does: vertices, then edge "
+                                   "midpoints in edge order" if dofmap.continuous else "element t's nb dofs t*nb .. t*nb + nb - 1"))
     check_type(basis, ReferenceBasis, "basis")
     if dofmap.degree != basis.degree:
         raise InvalidParameter(f"the dof map has degree {dofmap.degree}, the basis or scheme degree {basis.degree}")
-    own = build_dofmap(mesh, dofmap.degree, dofmap.continuous)
-    if dofmap.n_dofs != own.n_dofs or not np.array_equal(dofmap.cell_dofs, own.cell_dofs):
-        raise InvalidParameter("the dof map does not number " + ("its dofs as build_dofmap does: vertices, then edge midpoints in "
-                               "edge order" if dofmap.continuous else "element t's nb dofs t*nb .. t*nb + nb - 1"))
     if solution is not None and np.shape(solution) != (dofmap.n_dofs,):
         raise InvalidParameter(f"the solution has shape {np.shape(solution)}, the dof map {dofmap.n_dofs} dofs")
 

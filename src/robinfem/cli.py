@@ -85,14 +85,14 @@ def main(argv=None):
         reports = run_convergence(StudyConfig(args.problem, scheme, args.levels, solver), mesh_out=args.mesh_out)
         for report in reports:
             _print_report(report)
-        if args.csv:
+        if args.csv is not None:
             write_csv(reports, args.csv)
-        if args.svg:
+        if args.svg is not None:
             write_svg(reports, args.svg)
         return 0
     _, system, _, report = run_single(args.problem, scheme, args.level, solver, args.mesh_out, args.solution_out)
     _print_report(report)
-    if args.matrix_out:
+    if args.matrix_out is not None:
         write_matrix(system.matrix, args.matrix_out)
     return 0
 

@@ -36,10 +36,14 @@ def check_type(value, kind, name):
 
 def as_path(path):
     """os.fspath of a str, bytes or os.PathLike path; InvalidParameter for anything
-    else, so that an int is never opened as a file descriptor."""
+    else, so that an int is never opened as a file descriptor, and for an empty path,
+    which names no file."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidParameter(f"a path must be a str, bytes or os.PathLike, got {path!r}")
-    return os.fspath(path)
+    path = os.fspath(path)
+    if not path:
+        raise InvalidParameter(f"a path must not be empty, got {path!r}")
+    return path
 
 
 def as_array(values, kinds, rule):

@@ -135,14 +135,21 @@ class Mesh:
         return 0.5 * self.det
 
     def physical_points(self, ref_points):
-        """Map reference points (q, 2) into every element: (T, q, 2)."""
-        bx = (self.B.reshape(-1, 2) @ ref_points.T).reshape(len(self.B), 2, -1)
-        return self.v0[:, None, :] + bx.transpose(0, 2, 1)
+        """Map reference points (q, 2) into every element: (T, q, 2), a view of
+        a coordinate-major buffer, so that x[..., 0] and x[..., 1] are
+        C-contiguous (T, q) planes.  Each plane is one GEMM B[:, c, :] xi^T,
+        then v0[:, c] added in place."""
+        xy = np.empty((2, len(self.B), len(ref_points)))
+        for c in (0, 1):
+            np.matmul(self.B[:, c, :], ref_points.T, out=xy[c])
+            xy[c] += self.v0[:, c, None]
+        return np.moveaxis(xy, 0, -1)
 
     def edge_points(self, edges, params):
-        """Map edge parameters s (q,) in [0, 1] onto every edge of edges, lower to higher vertex: (q, E, 2)."""
-        pa, pb = self.vertices[edges.vertex_ids.T]
-        return pa + params[:, None, None] * (pb - pa)
+        """Map edge parameters s (q,) in [0, 1] onto every edge of edges, lower to higher vertex: (q, E, 2),
+        a view of a coordinate-major buffer, so that x[..., 0] and x[..., 1] are C-contiguous (q, E) planes."""
+        pa, pb = (self.vertices.T.take(v, axis=1)[:, None] for v in edges.vertex_ids.T)  # (2, 1, E)
+        return np.moveaxis(pa + params[:, None] * (pb - pa), 0, -1)
 
     def min_angle_degrees(self):
         """Smallest interior angle over all triangles."""

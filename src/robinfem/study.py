@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ._atomic import write_lines
 from .analysis import ErrorReport, eoc, error_report
 from .assembly import Scheme, assemble
-from .errors import DegenerateSequence, InvalidParameter, check_type, is_count
+from .errors import DegenerateSequence, InvalidParameter, as_path, check_type, is_count
 from .mesh import level_mesh, write_mesh
 from .problems import get_problem
 from .solver import SolverConfig, solve
@@ -48,6 +48,7 @@ def run_convergence(config, mesh_out=None):
     mesh_out, if given, receives the finest mesh once its level is solved.
     """
     check_type(config, StudyConfig, "the study config")
+    _check_paths(mesh_out)
     reports = []
     for level in range(config.levels):  # one level's mesh, and its assembly memo, at a time
         finest = level == config.levels - 1
@@ -62,17 +63,25 @@ def run_convergence(config, mesh_out=None):
 def run_single(problem_name, scheme, level=0, solver=None, mesh_out=None, solution_out=None):
     """One mesh, one solve.  Returns (mesh, system, solution, report)."""
     check_type(scheme, Scheme, "scheme")
+    _check_paths(mesh_out, solution_out)
     problem = get_problem(problem_name)
     mesh = level_mesh(problem.domain, level)
     data = problem.make_data(scheme.epsilon)
     system = assemble(mesh, scheme, data)
     solution, _ = solve(system, solver)
     report = error_report(mesh, scheme, data, solution, system.dofmap)
-    if mesh_out:
+    if mesh_out is not None:
         write_mesh(mesh, mesh_out)
-    if solution_out:
+    if solution_out is not None:
         write_lines(solution_out, (f"{i} {v:.17g}" for i, v in enumerate(solution)))
     return mesh, system, solution, report
+
+
+def _check_paths(*paths):
+    """Raise InvalidParameter, before any work, unless each output path that is not None is one as_path takes."""
+    for path in paths:
+        if path is not None:
+            as_path(path)
 
 
 def _fmt(value):

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import robinfem.analysis
+import robinfem.assembly
 from robinfem import (
     DofMap,
     InvalidParameter,
@@ -1175,3 +1177,56 @@ def test_a_continuous_map_with_dofs_out_of_range_is_rejected(degree, shift):
     for call, run in calls.items():
         with pytest.raises(InvalidParameter, match=f"the dof map numbers a dof outside 0 .. {good.n_dofs - 1}"):
             run()
+
+
+def count_dofmap_builds(monkeypatch):
+    """A list that gains one entry per build_dofmap call made by assembly or analysis."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return build_dofmap(*args, **kwargs)
+
+    for module in (robinfem.assembly, robinfem.analysis):
+        monkeypatch.setattr(module, "build_dofmap", counted)
+    return calls
+
+
+def test_an_eps_sweep_case_builds_no_dof_map(monkeypatch):
+    # the space's P2 map and the P1 map of its prolongation, once per mesh; every check of the map
+    # that assemble returns, and the default map of the error norms, read it off the mesh's memo
+    calls = count_dofmap_builds(monkeypatch)
+    mesh, problem = generate_disk_mesh(4), get_problem("sinsin")
+    counts = []
+    for eps in (1e-3, 1.0, 1e3):
+        scheme, data = Scheme(NIT, degree=2, epsilon=eps), problem.make_data(eps)
+        system = assemble(mesh, scheme, data)
+        solution = np.linspace(-1.0, 1.0, system.dofmap.n_dofs)
+        report = error_report(mesh, scheme, data, solution, system.dofmap)
+        assert energy_error(mesh, scheme, data, solution)[0] == report.err_energy
+        counts.append(len(calls))
+    assert counts == [2, 2, 2]
+
+
+def test_the_memo_map_still_meets_the_other_checks(monkeypatch):
+    mesh, data = generate_disk_mesh(4), get_problem("sinsin").make_data(1.0)
+    scheme = Scheme(NIT, degree=2)
+    own = assemble(mesh, scheme, data).dofmap
+    other = assemble(generate_disk_mesh(5), scheme, data).dofmap
+    zeros = np.zeros(own.n_dofs)
+    with pytest.raises(InvalidParameter, match="the dof map has degree 2, the basis or scheme degree 1"):
+        assemble_load(mesh, own, reference_basis(1), scheme, data)
+    with pytest.raises(InvalidParameter, match="the dof map has degree 2, the basis or scheme degree 1"):
+        error_report(mesh, Scheme(NIT), data, np.zeros(own.n_dofs), own)
+    with pytest.raises(InvalidParameter, match=rf"the solution has shape \({own.n_dofs - 1},\)"):
+        error_report(mesh, scheme, data, zeros[1:], own)
+    with pytest.raises(InvalidParameter, match=f"the dof map has 150 cells, the mesh {mesh.n_triangles} triangles"):
+        error_report(mesh, scheme, data, np.zeros(other.n_dofs), other)
+    permuted = DofMap(True, 2, own.n_dofs, own.cell_dofs[::-1])
+    with pytest.raises(InvalidParameter, match="does not number its dofs as build_dofmap does"):
+        error_report(mesh, scheme, data, zeros, permuted)
+    # an equal map that is not the memo's own is checked in full, and passes
+    calls = count_dofmap_builds(monkeypatch)
+    equal = DofMap(True, 2, own.n_dofs, own.cell_dofs.copy())
+    assert error_report(mesh, scheme, data, zeros, equal) == error_report(mesh, scheme, data, zeros, own)
+    assert calls == [(2, True)]

@@ -136,6 +136,23 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["single", "--mesh-out", ""],
+    ["single", "--solution-out", ""],
+    ["single", "--matrix-out", ""],
+    ["study", "--levels", "2", "--csv", ""],
+    ["study", "--levels", "2", "--svg", ""],
+    ["study", "--levels", "2", "--mesh-out", ""],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_an_empty_output_path_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # unchecked, an empty path wrote nothing and the command exited 0
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert console_main(argv[:1] + ["--problem", "linear_patch"] + argv[1:]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "robinfem: error: a path must not be empty, got ''"
+    assert [p.name for p in tmp_path.iterdir()] == ["work"] and list((tmp_path / "work").iterdir()) == []
+
+
 def test_epsilon_and_tol_flags(capsys):
     code = console_main(
         [

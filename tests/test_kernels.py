@@ -161,15 +161,55 @@ def test_edge_classes_equal_the_argmax_search(mesh, kind):
     assert same(edge_classes(mesh, edges), want)
 
 
+def physical_points_old(mesh, ref):
+    """The (T, q, 2) element point map that Mesh.physical_points replaces: one
+    GEMM of all 2T rows of B, then v0 added across the interleaved points."""
+    bx = (mesh.B.reshape(-1, 2) @ ref.T).reshape(mesh.n_triangles, 2, -1)
+    return mesh.v0[:, None, :] + bx.transpose(0, 2, 1)
+
 
 def edge_points_old(mesh, edges, s):
-    """The edge rule-point maps that Mesh.edge_points replaces: the (q, E, 2)
-    one of the assembly kernel and the (E, q, 2) one of skin_diagnostics."""
+    """The edge rule-point maps that Mesh.edge_points replaces: the interleaved
+    (q, E, 2) one of the assembly kernel and the (E, q, 2) one of skin_diagnostics."""
     pa, pb = mesh.vertices[edges.vertex_ids.T]
     return pa + s[:, None, None] * (pb - pa), pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
 
 
-@pytest.mark.parametrize("order", [4, 8])
+def assert_coordinate_planes(x):
+    # every data callable reads x[..., 0] and x[..., 1], which must be contiguous planes
+    assert x[..., 0].flags.c_contiguous and x[..., 1].flags.c_contiguous
+
+
+def one_triangle():
+    """A mesh whose interior edge table is empty."""
+    return Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+
+
+REFERENCE_POINTS = {
+    **{f"rule {order}": triangle_rule(order).points for order in (2, 4, 6)},
+    **{f"P{degree} nodes": reference_basis(degree).nodes for degree in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("ref", REFERENCE_POINTS)
+def test_physical_points_equal_the_single_gemm(mesh, ref):
+    # one GEMM per coordinate plane gives the single GEMM's every bit
+    points = REFERENCE_POINTS[ref]
+    got = mesh.physical_points(points)
+    assert got.shape == (mesh.n_triangles, len(points), 2)
+    assert same(got, physical_points_old(mesh, points))
+    assert_coordinate_planes(got)
+
+
+@pytest.mark.parametrize("ref", REFERENCE_POINTS)
+def test_physical_points_of_one_triangle(ref):
+    mesh, points = one_triangle(), REFERENCE_POINTS[ref]
+    got = mesh.physical_points(points)
+    assert same(got, physical_points_old(mesh, points))
+    assert_coordinate_planes(got)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
 @pytest.mark.parametrize("kind", ["boundary", "interior"])
 def test_edge_points_equal_the_kernel_and_skin_maps(mesh, kind, order):
     edges, s = getattr(mesh, f"{kind}_edges"), edge_rule(order).points
@@ -177,15 +217,17 @@ def test_edge_points_equal_the_kernel_and_skin_maps(mesh, kind, order):
     got = mesh.edge_points(edges, s)
     assert got.shape == (len(s), len(edges), 2)
     assert same(got, kernel) and same(got, skin.transpose(1, 0, 2))
+    assert_coordinate_planes(got)
 
 
-def test_edge_points_of_an_empty_table():
-    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
-    s = edge_rule(8).points
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_edge_points_of_an_empty_table(order):
+    mesh, s = one_triangle(), edge_rule(order).points
     kernel, skin = edge_points_old(mesh, mesh.interior_edges, s)
     got = mesh.edge_points(mesh.interior_edges, s)
     assert got.shape == (len(s), 0, 2)
     assert same(got, kernel) and same(got, skin.transpose(1, 0, 2))
+    assert_coordinate_planes(got)
 
 
 @pytest.fixture(scope="module")

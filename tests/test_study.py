@@ -199,6 +199,31 @@ def test_a_path_that_is_not_a_path_is_rejected(tmp_path, sinsin_reports, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("path", ["", b""], ids=["str", "bytes"])
+@pytest.mark.parametrize("case", ["read_mesh", "write_mesh", "write_matrix", "write_csv", "write_svg", "solution dump",
+                                  "mesh dump", "study mesh dump"])
+def test_an_empty_path_is_rejected(tmp_path, sinsin_reports, monkeypatch, case, path):
+    # unchecked, run_single and run_convergence skipped an empty path, and a writer created and
+    # deleted a temporary file in the parent of the working directory, then raised FileNotFoundError
+    calls = _path_calls(sinsin_reports)
+    calls["mesh dump"] = lambda path: run_single("linear_patch", Scheme(Method.NITSCHE), mesh_out=path)
+    calls["study mesh dump"] = lambda path: run_convergence(StudyConfig("linear_patch", Scheme(Method.NITSCHE), 2), path)
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    with pytest.raises(InvalidParameter, match="a path must not be empty"):
+        calls[case](path)
+    assert [p.name for p in tmp_path.iterdir()] == ["work"] and list((tmp_path / "work").iterdir()) == []
+
+
+def test_run_single_checks_both_dump_paths_before_it_solves(tmp_path, monkeypatch):
+    # unchecked, this call solved, wrote nothing and raised nothing
+    monkeypatch.chdir(tmp_path)
+    for mesh_out, solution_out in (("", 0), ("mesh.txt", 0), ("", "solution.txt")):
+        with pytest.raises(InvalidParameter, match="a path must"):
+            run_single("linear_patch", Scheme(Method.NITSCHE), mesh_out=mesh_out, solution_out=solution_out)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_mesh_refuses_a_file_descriptor(tmp_path):
     # unchecked, read_mesh(fd) read the mesh from the pipe and closed the descriptor
     path = tmp_path / "one.mesh"
