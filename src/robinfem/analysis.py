@@ -15,10 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Method, ProblemData, Scheme, _check_space, _edge_error_sq, _memo_dofmaps
+from .assembly import Method, ProblemData, Scheme, _check_space, _dofmap, _edge_error_sq
 from .errors import DegenerateSequence, MissingExactSolution, as_array, check_type, values_at
-from .felib import _check_dofs, build_dofmap, reference_basis, triangle_rule
-from .mesh import Mesh
+from .felib import DofMap, reference_basis, triangle_rule
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
 
@@ -63,7 +62,7 @@ def l2_error(mesh, data, solution, dofmap):
     """L2 distance between the exact solution and the finite element one."""
     _require_exact(data)
     solution = as_array(solution, "biuf", "the solution must be real")
-    _check_dofs(None, dofmap)  # before its degree is read
+    check_type(dofmap, DofMap, "dofmap")  # before its degree is read
     _check_space(mesh, dofmap, reference_basis(dofmap.degree), solution)
     return math.sqrt(_volume_error_sq(mesh, data, solution, dofmap)[1])
 
@@ -82,12 +81,10 @@ def energy_error(mesh, scheme, data, solution, dofmap=None):
 
 def _errors(mesh, scheme, data, solution, dofmap):
     """(energy error, its squared components, L2 error, dof count) of one solution, on dofmap or,
-    for None, the numbering that assemble uses: the map of mesh's memoized space if it holds one."""
+    for None, the numbering that assemble uses: the mesh memo's map of the scheme's space."""
     check_type(scheme, Scheme, "scheme")
     _require_exact(data)
-    if dofmap is None:
-        check_type(mesh, Mesh, "mesh")
-        dofmap = _memo_dofmaps(mesh).get((scheme.degree, scheme.method)) or build_dofmap(mesh, scheme.degree, scheme.continuous)
+    dofmap = _dofmap(mesh, scheme.degree, scheme.continuous) if dofmap is None else dofmap
     solution = as_array(solution, "biuf", "the solution must be real")
     _check_space(mesh, dofmap, reference_basis(scheme.degree), solution)
     grad_sq, l2_sq = _volume_error_sq(mesh, data, solution, dofmap)

@@ -49,15 +49,14 @@ which scipy converts to CSR; a vector is one bincount onto its dofs.
 
 A mesh's memo, its entry in one table keyed weakly by the Mesh and so released with it, holds only what
 the kernels read.  Under each EdgeTable: its edges grouped per class tuple by one stable sort and the
-trace coefficients A, which no form, rule or degree changes.  Under each (degree, method): the space,
-built on first use, with basis, dof map, continuous-P1 prolongation, the volume stiffness as BSR data on
-the block pattern of all its forms (0 where only edge forms couple) and the block slots of its edge
-parts.  assemble and norm_matrix add one block scatter of their edge forms to that volume, so the Gram
-matrix of the energy norm sits on the system's pattern.  An eps sweep builds the pattern and sums the
+trace coefficients A, which no form, rule or degree changes.  Under each (DofMap, degree, continuous):
+build_dofmap's read-only map of that space, the one map of it read.  Under each (degree, method): the space,
+built on first use, with basis, that map, the prolongation from the P1 map, the volume stiffness as BSR
+data on the block pattern of all its forms (0 where only edge forms couple) and the block slots of its
+edge parts.  assemble and norm_matrix add one block scatter of their edge forms to that volume, so the
+Gram matrix of the energy norm sits on the system's pattern.  An eps sweep builds the pattern and sums the
 volume once, bitwise as an unmemoized run.  Matrices get their own index arrays, systems a copy of the
-prolongation; the shared dof map is read-only.  That map, which assemble returns as system.dofmap, is
-accepted by _check_space for where it came from, build_dofmap on this mesh, under the trust the assembly
-already places in the memo, and is the error norms' default map; any other map is rebuilt and compared.
+prolongation.  _check_space holds any other map to the memo's by value, whatever made it.
 """
 
 import enum
@@ -273,7 +272,7 @@ def _edge_tensors(degree, order, k):
     return diag.reshape(n, nq * 3 * k, k * nb), tensors
 
 
-_MEMO = weakref.WeakKeyDictionary()  # Mesh -> {EdgeTable: _edge_facts result, (degree, method): _assembly_space result}
+_MEMO = weakref.WeakKeyDictionary()  # Mesh -> {key: fact}, read by _edge_facts, _dofmap and _assembly_space
 
 
 def _edge_facts(mesh, edges):
@@ -429,23 +428,27 @@ def _volume_part(mesh, basis):
     return _cells(mesh), blocks.reshape(-1, nb, nb)
 
 
-def _memo_dofmaps(mesh):
-    """{(degree, method): dof map} of the spaces in mesh's memo."""
-    return {key: space[1] for key, space in _MEMO.get(mesh, {}).items() if isinstance(key, tuple)}
+def _dofmap(mesh, degree, continuous):
+    """build_dofmap's map of degree and continuity on mesh, memoized read-only under (DofMap, degree,
+    continuous) in the mesh's memo.  A degree or continuity that build_dofmap refuses keys no entry."""
+    check_type(mesh, Mesh, "mesh")
+    key = (DofMap, reference_basis(degree).degree, continuous if isinstance(continuous, (bool, np.bool_)) else None)
+    if key not in (memo := _MEMO.setdefault(mesh, {})):
+        memo[key] = build_dofmap(mesh, degree, continuous)
+        memo[key].cell_dofs.setflags(write=False)
+    return memo[key]
 
 
 def _check_space(mesh, dofmap, basis, solution=None):
-    """Raise InvalidParameter unless basis is a ReferenceBasis, dofmap numbers dofs of its degree on every
-    triangle of mesh as build_dofmap does, and solution, if given, has one entry per dof.  A discontinuous
-    space's blocks are its elements, so _pattern needs that numbering there; a continuous space's pattern
-    holds for any numbering, but its maps are held to build_dofmap's too.  The dof map of a space in mesh's
-    memo, the one assemble returns, is accepted for where it came from, under the trust the assembly already
-    places in the memo: build_dofmap made it on this mesh and the memo holds it read-only.  Every other map,
-    an equal one too, is range-scanned, rebuilt and compared."""
-    check_type(mesh, Mesh, "mesh")
-    if not any(dofmap is own for own in _memo_dofmaps(mesh).values()):
+    """Raise InvalidParameter unless basis is a ReferenceBasis, solution, if given, has one entry per dof,
+    and dofmap is a dof map of its degree on every triangle of mesh that numbers its dofs as the memo's one
+    map of its degree and continuity: any other map, whatever made it, is scanned by _check_dofs and
+    compared by value.  _pattern needs that numbering on a discontinuous space, whose blocks are its
+    elements; a continuous space's pattern holds for any numbering, but its maps are held to it too."""
+    check_type(dofmap, DofMap, "dofmap")
+    own = _dofmap(mesh, dofmap.degree, dofmap.continuous)
+    if dofmap is not own:
         _check_dofs(mesh.n_triangles, dofmap)
-        own = build_dofmap(mesh, dofmap.degree, dofmap.continuous)
         if dofmap.n_dofs != own.n_dofs or not np.array_equal(dofmap.cell_dofs, own.cell_dofs):
             raise InvalidParameter("the dof map does not number " + ("its dofs as build_dofmap does: vertices, then edge "
                                    "midpoints in edge order" if dofmap.continuous else "element t's nb dofs t*nb .. t*nb + nb - 1"))
@@ -500,14 +503,11 @@ def _assembly_space(mesh, scheme):
     memoized under (degree, method) in the mesh's memo: volume is the stiffness
     as a _bsr matrix on the block pattern of all the forms, edge_slots the data
     block of every edge part's block."""
-    check_type(mesh, Mesh, "mesh")
-    spaces, key = _MEMO.setdefault(mesh, {}), (scheme.degree, scheme.method)
+    dofmap = _dofmap(mesh, scheme.degree, scheme.continuous)  # which checks mesh
+    spaces, key = _MEMO[mesh], (scheme.degree, scheme.method)
     if key not in spaces:
-        basis = reference_basis(scheme.degree)
-        dofmap = build_dofmap(mesh, scheme.degree, continuous=scheme.continuous)
-        dofmap.cell_dofs.setflags(write=False)
-        p1 = scheme.continuous and scheme.degree == 1
-        prolongation = None if p1 else continuous_embedding(dofmap, build_dofmap(mesh, 1, continuous=True))
+        basis, p1 = reference_basis(scheme.degree), _dofmap(mesh, 1, True)
+        prolongation = None if dofmap is p1 else continuous_embedding(dofmap, p1)
         elements = [_cells(mesh)] + [e.element_ids for e in _edge_tables(mesh, scheme.method)]
         bslots, bind, bptr = _pattern(dofmap, elements)
         vol = _volume_part(mesh, basis)[1]

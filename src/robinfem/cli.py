@@ -14,7 +14,7 @@ from .assembly import Method, Scheme, write_matrix
 from .errors import IndefiniteMatrix, NotConverged, RobinFemError
 from .problems import list_problems
 from .solver import SolverConfig, SolverMethod
-from .study import StudyConfig, run_convergence, run_single, write_csv, write_svg
+from .study import StudyConfig, _check_paths, run_convergence, run_single, write_csv, write_svg
 
 _SCHEMES = {"n": Method.NITSCHE, "dg": Method.SIPDG}
 
@@ -79,6 +79,7 @@ def main(argv=None):
         for name, domain, description in list_problems():
             print(f"{name:15s} {domain:12s} {description}")
         return 0
+    _check_paths(*([args.csv, args.svg] if args.command == "study" else [args.matrix_out]))  # before any work
     scheme = Scheme(_SCHEMES[args.scheme], degree=args.degree, epsilon=args.epsilon, gamma=args.gamma)
     solver = SolverConfig(SolverMethod(args.solver), rel_tolerance=args.tol)
     if args.command == "study":

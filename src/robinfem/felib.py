@@ -206,9 +206,11 @@ def build_dofmap(mesh, degree, continuous):
 
 
 def _check_dofs(n_triangles, dofmap):
-    """Raise InvalidParameter unless dofmap is a DofMap whose cell_dofs is an integer array of n_triangles
-    rows (None: any number), one column per node of its degree, of dofs 0 .. n_dofs - 1."""
+    """Raise InvalidParameter unless dofmap is a DofMap of an integer n_dofs whose cell_dofs is an integer array of
+    n_triangles rows (None: any number), one column per node of its degree, holding every dof 0 .. n_dofs - 1."""
     check_type(dofmap, DofMap, "dofmap")
+    if not is_count(dofmap.n_dofs, 0):
+        raise InvalidParameter(f"the dof map's n_dofs must be a nonnegative integer, got {dofmap.n_dofs!r}")
     cells = dofmap.cell_dofs
     n_triangles = len(cells) if n_triangles is None and np.ndim(cells) else n_triangles
     shape = (n_triangles, reference_basis(dofmap.degree).n_nodes)
@@ -218,6 +220,8 @@ def _check_dofs(n_triangles, dofmap):
         raise InvalidParameter(f"the dof map's cell_dofs must be an integer array of shape {shape}")
     if np.any((cells < 0) | (cells >= dofmap.n_dofs)):
         raise InvalidParameter(f"the dof map numbers a dof outside 0 .. {dofmap.n_dofs - 1}")
+    if not np.bincount(cells.ravel().astype(np.intp, copy=False), minlength=dofmap.n_dofs).all():  # bincount refuses uint64
+        raise InvalidParameter(f"the dof map leaves a dof of 0 .. {dofmap.n_dofs - 1} unused")
 
 
 def dof_points(mesh, dofmap):

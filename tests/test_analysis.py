@@ -324,7 +324,7 @@ def test_a_standalone_error_report_builds_no_assembly_space(method, degree):
     fresh = generate_disk_mesh(3)
     report = error_report(fresh, scheme, data, solution, build_dofmap(fresh, degree, scheme.continuous))
     default = energy_error(fresh, scheme, data, solution)
-    assert (degree, method) not in _MEMO[fresh]  # which holds the edge facts, and no space
+    assert (degree, method) not in _MEMO[fresh]  # which holds the edge facts and the dof map, and no space
     # the same errors, bitwise, as on the dof map of the assembled system
     system = assemble(mesh, scheme, data)
     assert report == error_report(mesh, scheme, data, solution, system.dofmap)

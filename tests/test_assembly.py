@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import robinfem.analysis
 import robinfem.assembly
 from robinfem import (
     DofMap,
@@ -1049,13 +1048,14 @@ def test_memoized_edge_classes_equal_a_fresh_search(kind):
 
 
 def test_edge_facts_are_released_with_their_mesh():
-    # the facts of both edge tables and the space share the mesh's one memo entry
+    # the facts of both edge tables, the space and the dof maps of the space and of its
+    # prolongation's source share the mesh's one memo entry
     gc.collect()
     mesh = generate_disk_mesh(3)
     before = len(_MEMO)
     assemble(mesh, Scheme(DG, degree=1), get_problem("sinsin").make_data(1.0))
     assert len(_MEMO) == before + 1
-    assert set(_MEMO[mesh]) == {mesh.boundary_edges, mesh.interior_edges, (1, DG)}
+    assert set(_MEMO[mesh]) == {mesh.boundary_edges, mesh.interior_edges, (1, DG), (DofMap, 1, False), (DofMap, 1, True)}
     mesh_ref = weakref.ref(mesh)
     del mesh
     gc.collect()
@@ -1179,17 +1179,60 @@ def test_a_continuous_map_with_dofs_out_of_range_is_rejected(degree, shift):
             run()
 
 
+@pytest.mark.parametrize("fault", ["float n_dofs", "unused dof"])
+def test_a_map_with_a_float_size_or_an_unused_dof_is_rejected(fault):
+    # unchecked, a float n_dofs ended in an untyped TypeError from the forms and dof_points and
+    # passed l2_error; a dof that no cell carries made dof_points return uninitialized rows, at
+    # which interpolate then evaluated its function
+    mesh, data = generate_disk_mesh(4), get_problem("sinsin").make_data(1.0)
+    good, basis, scheme = build_dofmap(mesh, 1, True), reference_basis(1), Scheme(NIT)
+    n_dofs, message = {
+        "float n_dofs": (float(good.n_dofs), f"the dof map's n_dofs must be a nonnegative integer, got {good.n_dofs}.0"),
+        "unused dof": (good.n_dofs + 3, f"the dof map leaves a dof of 0 .. {good.n_dofs + 2} unused"),
+    }[fault]
+    dofmap, zeros = DofMap(True, 1, n_dofs, good.cell_dofs.copy()), np.zeros(good.n_dofs)
+    calls = {
+        "volume": lambda: assemble_volume(mesh, dofmap, basis),
+        "boundary": lambda: assemble_nitsche_boundary(mesh, dofmap, basis, scheme),
+        "interior": lambda: assemble_interior_penalty(mesh, dofmap, basis, Scheme(DG)),
+        "load": lambda: assemble_load(mesh, dofmap, basis, scheme, data),
+        "l2 error": lambda: l2_error(mesh, data, zeros, dofmap),
+        "energy error": lambda: energy_error(mesh, scheme, data, zeros, dofmap=dofmap),
+        "error report": lambda: error_report(mesh, scheme, data, zeros, dofmap),
+        "dof points": lambda: dof_points(mesh, dofmap),
+        "interpolate": lambda: interpolate(mesh, dofmap, lambda x, y: x + y),
+        "embedding": lambda: continuous_embedding(build_dofmap(mesh, 2, continuous=False), dofmap),
+        "embedded into": lambda: continuous_embedding(dofmap, good),
+    }
+    for call, run in calls.items():
+        with pytest.raises(InvalidParameter, match=message):
+            run()
+
+
 def count_dofmap_builds(monkeypatch):
-    """A list that gains one entry per build_dofmap call made by assembly or analysis."""
+    """A list that gains one entry per build_dofmap call made by assembly, the one module that calls it."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[1:])
         return build_dofmap(*args, **kwargs)
 
-    for module in (robinfem.assembly, robinfem.analysis):
-        monkeypatch.setattr(module, "build_dofmap", counted)
+    monkeypatch.setattr(robinfem.assembly, "build_dofmap", counted)
     return calls
+
+
+def test_the_four_schemes_on_one_mesh_build_one_map_per_space(monkeypatch):
+    # one map per (degree, continuity): Nitsche P1's space is the P1 source of every other
+    # space's prolongation, and the checks and default error maps build none
+    calls = count_dofmap_builds(monkeypatch)
+    mesh, data = generate_disk_mesh(4), get_problem("sinsin").make_data(1.0)
+    for method in (NIT, DG):
+        for degree in (1, 2):
+            scheme = Scheme(method, degree=degree)
+            system = assemble(mesh, scheme, data)
+            solution = np.zeros(system.dofmap.n_dofs)
+            assert energy_error(mesh, scheme, data, solution) == energy_error(mesh, scheme, data, solution, system.dofmap)
+    assert calls == [(1, True), (2, True), (1, False), (2, False)]
 
 
 def test_an_eps_sweep_case_builds_no_dof_map(monkeypatch):
@@ -1225,8 +1268,8 @@ def test_the_memo_map_still_meets_the_other_checks(monkeypatch):
     permuted = DofMap(True, 2, own.n_dofs, own.cell_dofs[::-1])
     with pytest.raises(InvalidParameter, match="does not number its dofs as build_dofmap does"):
         error_report(mesh, scheme, data, zeros, permuted)
-    # an equal map that is not the memo's own is checked in full, and passes
+    # an equal map that is not the memo's own is checked in full against the memo's, and passes
     calls = count_dofmap_builds(monkeypatch)
     equal = DofMap(True, 2, own.n_dofs, own.cell_dofs.copy())
     assert error_report(mesh, scheme, data, zeros, equal) == error_report(mesh, scheme, data, zeros, own)
-    assert calls == [(2, True)]
+    assert calls == []
