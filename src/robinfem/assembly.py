@@ -50,13 +50,14 @@ which scipy converts to CSR; a vector is one bincount onto its dofs.
 A mesh's memo, its entry in one table keyed weakly by the Mesh and so released with it, holds only what
 the kernels read.  Under each EdgeTable: its edges grouped per class tuple by one stable sort and the
 trace coefficients A, which no form, rule or degree changes.  Under each (DofMap, degree, continuous):
-build_dofmap's read-only map of that space, the one map of it read.  Under each (degree, method): the space,
+build_dofmap's map of that space, the one map of it read.  Under each (degree, method): the space,
 built on first use, with basis, that map, the prolongation from the P1 map, the volume stiffness as BSR
 data on the block pattern of all its forms (0 where only edge forms couple) and the block slots of its
 edge parts.  assemble and norm_matrix add one block scatter of their edge forms to that volume, so the
 Gram matrix of the energy norm sits on the system's pattern.  An eps sweep builds the pattern and sums the
 volume once, bitwise as an unmemoized run.  Matrices get their own index arrays, systems a copy of the
-prolongation.  _check_space holds any other map to the memo's by value, whatever made it.
+prolongation.  A DofMap is checked once, on construction; _check_space only matches its rows to the mesh
+and its numbering to the memo's map.
 """
 
 import enum
@@ -429,29 +430,25 @@ def _volume_part(mesh, basis):
 
 
 def _dofmap(mesh, degree, continuous):
-    """build_dofmap's map of degree and continuity on mesh, memoized read-only under (DofMap, degree,
-    continuous) in the mesh's memo.  A degree or continuity that build_dofmap refuses keys no entry."""
+    """build_dofmap's map of degree and continuity on mesh, memoized under (DofMap, degree, continuous)
+    in the mesh's memo; every caller passes the degree and continuity of a Scheme or a DofMap."""
     check_type(mesh, Mesh, "mesh")
-    key = (DofMap, reference_basis(degree).degree, continuous if isinstance(continuous, (bool, np.bool_)) else None)
-    if key not in (memo := _MEMO.setdefault(mesh, {})):
+    if (key := (DofMap, degree, continuous)) not in (memo := _MEMO.setdefault(mesh, {})):
         memo[key] = build_dofmap(mesh, degree, continuous)
-        memo[key].cell_dofs.setflags(write=False)
     return memo[key]
 
 
 def _check_space(mesh, dofmap, basis, solution=None):
-    """Raise InvalidParameter unless basis is a ReferenceBasis, solution, if given, has one entry per dof,
-    and dofmap is a dof map of its degree on every triangle of mesh that numbers its dofs as the memo's one
-    map of its degree and continuity: any other map, whatever made it, is scanned by _check_dofs and
-    compared by value.  _pattern needs that numbering on a discontinuous space, whose blocks are its
-    elements; a continuous space's pattern holds for any numbering, but its maps are held to it too."""
-    check_type(dofmap, DofMap, "dofmap")
+    """Raise InvalidParameter unless dofmap, a DofMap and so checked on construction, has a row per triangle
+    of mesh and numbers its dofs as the memo's map of its degree and continuity does, basis is a
+    ReferenceBasis of its degree and solution, if given, has one entry per dof.  _pattern needs that
+    numbering on a discontinuous space, whose blocks are its elements; continuous maps are held to it too."""
+    check_type(mesh, Mesh, "mesh")
+    _check_dofs(mesh.n_triangles, dofmap)
     own = _dofmap(mesh, dofmap.degree, dofmap.continuous)
-    if dofmap is not own:
-        _check_dofs(mesh.n_triangles, dofmap)
-        if dofmap.n_dofs != own.n_dofs or not np.array_equal(dofmap.cell_dofs, own.cell_dofs):
-            raise InvalidParameter("the dof map does not number " + ("its dofs as build_dofmap does: vertices, then edge "
-                                   "midpoints in edge order" if dofmap.continuous else "element t's nb dofs t*nb .. t*nb + nb - 1"))
+    if dofmap is not own and (dofmap.n_dofs != own.n_dofs or not np.array_equal(dofmap.cell_dofs, own.cell_dofs)):
+        raise InvalidParameter("the dof map does not number " + ("its dofs as build_dofmap does: vertices, then edge "
+                               "midpoints in edge order" if dofmap.continuous else "element t's nb dofs t*nb .. t*nb + nb - 1"))
     check_type(basis, ReferenceBasis, "basis")
     if dofmap.degree != basis.degree:
         raise InvalidParameter(f"the dof map has degree {dofmap.degree}, the basis or scheme degree {basis.degree}")

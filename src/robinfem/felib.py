@@ -170,17 +170,35 @@ def reference_basis(degree):
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global degree-of-freedom numbering.
+    """Global degree-of-freedom numbering, checked once, on construction.
 
     Continuous maps share vertex (and, for degree 2, edge-midpoint) dofs
     between neighbouring elements; discontinuous maps give every element
-    its own block of 3 or 6 dofs.
+    its own block of 3 or 6 dofs.  cell_dofs, which uses every dof
+    0 .. n_dofs - 1, is kept as a read-only int64 copy.
     """
 
     continuous: bool
     degree: int
     n_dofs: int
     cell_dofs: np.ndarray  # (n_triangles, nodes_per_cell)
+
+    def __post_init__(self):
+        if not isinstance(self.continuous, (bool, np.bool_)):
+            raise InvalidParameter(f"continuous must be a bool, got {self.continuous!r}")
+        nb, cells = reference_basis(self.degree).n_nodes, self.cell_dofs
+        if not is_count(self.n_dofs, 0):
+            raise InvalidParameter(f"the dof map's n_dofs must be a nonnegative integer, got {self.n_dofs!r}")
+        if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "iu" and cells.ndim == 2 and cells.shape[1] == nb):
+            shape = (len(cells) if np.ndim(cells) else None, nb)
+            raise InvalidParameter(f"the dof map's cell_dofs must be an integer array of shape {shape}")
+        cells = cells.astype(np.int64)  # the one copy; a uint64 dof past int64 wraps negative
+        if cells.size and (cells.min() < 0 or cells.max() >= self.n_dofs):
+            raise InvalidParameter(f"the dof map numbers a dof outside 0 .. {self.n_dofs - 1}")
+        if not np.bincount(cells.ravel(), minlength=self.n_dofs).all():
+            raise InvalidParameter(f"the dof map leaves a dof of 0 .. {self.n_dofs - 1} unused")
+        cells.setflags(write=False)
+        object.__setattr__(self, "cell_dofs", cells)
 
 
 def build_dofmap(mesh, degree, continuous):
@@ -189,39 +207,22 @@ def build_dofmap(mesh, degree, continuous):
 
     check_type(mesh, Mesh, "mesh")
     per_cell = reference_basis(degree).n_nodes
-    if not isinstance(continuous, (bool, np.bool_)):
-        raise InvalidParameter(f"continuous must be a bool, got {continuous!r}")
-    triangles = np.asarray(mesh.triangles)
-    n_tri = len(triangles)
-    n_vert = len(mesh.vertices)
+    n_tri, n_vert = mesh.n_triangles, len(mesh.vertices)
     if not continuous:
-        cell_dofs = np.arange(n_tri * per_cell, dtype=np.int64).reshape(n_tri, per_cell)
-        return DofMap(False, degree, n_tri * per_cell, cell_dofs)
+        return DofMap(continuous, degree, n_tri * per_cell, np.arange(n_tri * per_cell).reshape(n_tri, per_cell))
     if degree == 1:
-        return DofMap(True, 1, n_vert, triangles.astype(np.int64))
+        return DofMap(continuous, 1, n_vert, mesh.triangles)
     # one midpoint dof per edge, numbered after the vertices in edge order
-    cell_dofs = np.concatenate([triangles, n_vert + mesh.cell_edges], axis=1)
+    cell_dofs = np.concatenate([mesh.triangles, n_vert + mesh.cell_edges], axis=1)
     n_edges = len(mesh.interior_edges) + len(mesh.boundary_edges)
-    return DofMap(True, 2, n_vert + n_edges, cell_dofs)
+    return DofMap(continuous, 2, n_vert + n_edges, cell_dofs)
 
 
 def _check_dofs(n_triangles, dofmap):
-    """Raise InvalidParameter unless dofmap is a DofMap of an integer n_dofs whose cell_dofs is an integer array of
-    n_triangles rows (None: any number), one column per node of its degree, holding every dof 0 .. n_dofs - 1."""
+    """Raise InvalidParameter unless dofmap is a DofMap of n_triangles rows: all a map cannot know of itself."""
     check_type(dofmap, DofMap, "dofmap")
-    if not is_count(dofmap.n_dofs, 0):
-        raise InvalidParameter(f"the dof map's n_dofs must be a nonnegative integer, got {dofmap.n_dofs!r}")
-    cells = dofmap.cell_dofs
-    n_triangles = len(cells) if n_triangles is None and np.ndim(cells) else n_triangles
-    shape = (n_triangles, reference_basis(dofmap.degree).n_nodes)
-    if np.ndim(cells) and len(cells) != n_triangles:
-        raise InvalidParameter(f"the dof map has {len(cells)} cells, the mesh {n_triangles} triangles")
-    if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "iu" and cells.shape == shape):
-        raise InvalidParameter(f"the dof map's cell_dofs must be an integer array of shape {shape}")
-    if np.any((cells < 0) | (cells >= dofmap.n_dofs)):
-        raise InvalidParameter(f"the dof map numbers a dof outside 0 .. {dofmap.n_dofs - 1}")
-    if not np.bincount(cells.ravel().astype(np.intp, copy=False), minlength=dofmap.n_dofs).all():  # bincount refuses uint64
-        raise InvalidParameter(f"the dof map leaves a dof of 0 .. {dofmap.n_dofs - 1} unused")
+    if len(dofmap.cell_dofs) != n_triangles:
+        raise InvalidParameter(f"the dof map has {len(dofmap.cell_dofs)} cells, the mesh {n_triangles} triangles")
 
 
 def dof_points(mesh, dofmap):
@@ -250,7 +251,7 @@ def continuous_embedding(dofmap, dofmap_cont):
     first (element, local node) that carries the dof, so E @ x
     represents the same function in the target space.
     """
-    _check_dofs(None, dofmap)
+    check_type(dofmap, DofMap, "dofmap")
     _check_dofs(len(dofmap.cell_dofs), dofmap_cont)  # on the same mesh
     if not dofmap_cont.continuous:
         raise InvalidParameter("the embedded dof map must be continuous")

@@ -747,6 +747,13 @@ def test_shared_dof_map_is_read_only():
     system = assemble(generate_disk_mesh(3), Scheme(DG, degree=2), get_problem("sinsin").make_data(1.0))
     with pytest.raises(ValueError):
         system.dofmap.cell_dofs[0, 0] = 1
+    # a map built from an array its caller owns keeps its own read-only copy
+    owned = system.dofmap.cell_dofs.copy()
+    dofmap = DofMap(False, 2, system.dofmap.n_dofs, owned)
+    with pytest.raises(ValueError):
+        dofmap.cell_dofs[0, 0] = 1
+    owned[0, 0] = 1
+    assert np.array_equal(dofmap.cell_dofs, system.dofmap.cell_dofs)
 
 
 @pytest.mark.parametrize("method, degree", [(NIT, 1), (NIT, 2), (DG, 1), (DG, 2)])
@@ -1141,14 +1148,17 @@ def test_a_dof_map_of_the_wrong_width_or_dtype_is_rejected(cells):
     good, basis, scheme = build_dofmap(mesh, 1, True), reference_basis(1), Scheme(NIT)
     cell_dofs = {"2 columns": good.cell_dofs[:, :2], "4 columns": good.cell_dofs[:, [0, 1, 2, 0]],
                  "float": good.cell_dofs.astype(float)}[cells]
-    dofmap = DofMap(True, 1, good.n_dofs, cell_dofs)
+
+    def bad():  # refused by the constructor, in each call
+        return DofMap(True, 1, good.n_dofs, cell_dofs)
+
     calls = {
-        "volume": lambda: assemble_volume(mesh, dofmap, basis),
-        "load": lambda: assemble_load(mesh, dofmap, basis, scheme, data),
-        "l2 error": lambda: l2_error(mesh, data, np.zeros(dofmap.n_dofs), dofmap),
-        "dof points": lambda: dof_points(mesh, dofmap),
-        "interpolate": lambda: interpolate(mesh, dofmap, lambda x, y: x + y),
-        "embedding": lambda: continuous_embedding(build_dofmap(mesh, 2, continuous=False), dofmap),
+        "volume": lambda: assemble_volume(mesh, bad(), basis),
+        "load": lambda: assemble_load(mesh, bad(), basis, scheme, data),
+        "l2 error": lambda: l2_error(mesh, data, np.zeros(good.n_dofs), bad()),
+        "dof points": lambda: dof_points(mesh, bad()),
+        "interpolate": lambda: interpolate(mesh, bad(), lambda x, y: x + y),
+        "embedding": lambda: continuous_embedding(build_dofmap(mesh, 2, continuous=False), bad()),
         "embedded into": lambda: continuous_embedding(DofMap(False, 1, good.n_dofs, cell_dofs), good),
     }
     for call, run in calls.items():
@@ -1164,15 +1174,18 @@ def test_a_continuous_map_with_dofs_out_of_range_is_rejected(degree, shift):
     # in the forms, and dof_points wrapped it round to the last dof
     mesh, data = generate_disk_mesh(3), get_problem("sinsin").make_data(1.0)
     scheme, basis, good = Scheme(NIT, degree=degree), reference_basis(degree), build_dofmap(mesh, degree, True)
-    dofmap = DofMap(True, degree, good.n_dofs, good.cell_dofs + shift)
+
+    def bad():  # refused by the constructor, in each call
+        return DofMap(True, degree, good.n_dofs, good.cell_dofs + shift)
+
     calls = {
-        "volume": lambda: assemble_volume(mesh, dofmap, basis),
-        "boundary": lambda: assemble_nitsche_boundary(mesh, dofmap, basis, scheme),
-        "load": lambda: assemble_load(mesh, dofmap, basis, scheme, data),
-        "l2 error": lambda: l2_error(mesh, data, np.zeros(dofmap.n_dofs), dofmap),
-        "energy error": lambda: energy_error(mesh, scheme, data, np.zeros(dofmap.n_dofs), dofmap=dofmap),
-        "dof points": lambda: dof_points(mesh, dofmap),
-        "interpolate": lambda: interpolate(mesh, dofmap, lambda x, y: x + y),
+        "volume": lambda: assemble_volume(mesh, bad(), basis),
+        "boundary": lambda: assemble_nitsche_boundary(mesh, bad(), basis, scheme),
+        "load": lambda: assemble_load(mesh, bad(), basis, scheme, data),
+        "l2 error": lambda: l2_error(mesh, data, np.zeros(good.n_dofs), bad()),
+        "energy error": lambda: energy_error(mesh, scheme, data, np.zeros(good.n_dofs), dofmap=bad()),
+        "dof points": lambda: dof_points(mesh, bad()),
+        "interpolate": lambda: interpolate(mesh, bad(), lambda x, y: x + y),
     }
     for call, run in calls.items():
         with pytest.raises(InvalidParameter, match=f"the dof map numbers a dof outside 0 .. {good.n_dofs - 1}"):
@@ -1190,19 +1203,23 @@ def test_a_map_with_a_float_size_or_an_unused_dof_is_rejected(fault):
         "float n_dofs": (float(good.n_dofs), f"the dof map's n_dofs must be a nonnegative integer, got {good.n_dofs}.0"),
         "unused dof": (good.n_dofs + 3, f"the dof map leaves a dof of 0 .. {good.n_dofs + 2} unused"),
     }[fault]
-    dofmap, zeros = DofMap(True, 1, n_dofs, good.cell_dofs.copy()), np.zeros(good.n_dofs)
+    zeros = np.zeros(good.n_dofs)
+
+    def bad():  # refused by the constructor, in each call
+        return DofMap(True, 1, n_dofs, good.cell_dofs.copy())
+
     calls = {
-        "volume": lambda: assemble_volume(mesh, dofmap, basis),
-        "boundary": lambda: assemble_nitsche_boundary(mesh, dofmap, basis, scheme),
-        "interior": lambda: assemble_interior_penalty(mesh, dofmap, basis, Scheme(DG)),
-        "load": lambda: assemble_load(mesh, dofmap, basis, scheme, data),
-        "l2 error": lambda: l2_error(mesh, data, zeros, dofmap),
-        "energy error": lambda: energy_error(mesh, scheme, data, zeros, dofmap=dofmap),
-        "error report": lambda: error_report(mesh, scheme, data, zeros, dofmap),
-        "dof points": lambda: dof_points(mesh, dofmap),
-        "interpolate": lambda: interpolate(mesh, dofmap, lambda x, y: x + y),
-        "embedding": lambda: continuous_embedding(build_dofmap(mesh, 2, continuous=False), dofmap),
-        "embedded into": lambda: continuous_embedding(dofmap, good),
+        "volume": lambda: assemble_volume(mesh, bad(), basis),
+        "boundary": lambda: assemble_nitsche_boundary(mesh, bad(), basis, scheme),
+        "interior": lambda: assemble_interior_penalty(mesh, bad(), basis, Scheme(DG)),
+        "load": lambda: assemble_load(mesh, bad(), basis, scheme, data),
+        "l2 error": lambda: l2_error(mesh, data, zeros, bad()),
+        "energy error": lambda: energy_error(mesh, scheme, data, zeros, dofmap=bad()),
+        "error report": lambda: error_report(mesh, scheme, data, zeros, bad()),
+        "dof points": lambda: dof_points(mesh, bad()),
+        "interpolate": lambda: interpolate(mesh, bad(), lambda x, y: x + y),
+        "embedding": lambda: continuous_embedding(build_dofmap(mesh, 2, continuous=False), bad()),
+        "embedded into": lambda: continuous_embedding(bad(), good),
     }
     for call, run in calls.items():
         with pytest.raises(InvalidParameter, match=message):
@@ -1223,8 +1240,15 @@ def count_dofmap_builds(monkeypatch):
 
 def test_the_four_schemes_on_one_mesh_build_one_map_per_space(monkeypatch):
     # one map per (degree, continuity): Nitsche P1's space is the P1 source of every other
-    # space's prolongation, and the checks and default error maps build none
-    calls = count_dofmap_builds(monkeypatch)
+    # space's prolongation, and the checks and default error maps build none; a map checks
+    # itself once, when it is built
+    calls, checks, check = count_dofmap_builds(monkeypatch), [], robinfem.felib.DofMap.__post_init__
+
+    def counted_check(dofmap):
+        checks.append(dofmap.degree)
+        check(dofmap)
+
+    monkeypatch.setattr(robinfem.felib.DofMap, "__post_init__", counted_check)
     mesh, data = generate_disk_mesh(4), get_problem("sinsin").make_data(1.0)
     for method in (NIT, DG):
         for degree in (1, 2):
@@ -1233,6 +1257,7 @@ def test_the_four_schemes_on_one_mesh_build_one_map_per_space(monkeypatch):
             solution = np.zeros(system.dofmap.n_dofs)
             assert energy_error(mesh, scheme, data, solution) == energy_error(mesh, scheme, data, solution, system.dofmap)
     assert calls == [(1, True), (2, True), (1, False), (2, False)]
+    assert len(checks) == 4
 
 
 def test_an_eps_sweep_case_builds_no_dof_map(monkeypatch):

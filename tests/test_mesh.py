@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from robinfem import (
+    DofMap,
     FormatError,
     InvalidParameter,
     Method,
@@ -20,6 +21,7 @@ from robinfem import (
     UnsupportedOrder,
     build_dofmap,
     build_edge_topology,
+    continuous_embedding,
     edge_rule,
     generate_disk_mesh,
     generate_square_mesh,
@@ -652,10 +654,16 @@ def test_a_dof_map_has_degree_1_or_2(degree, continuous):
 @pytest.mark.parametrize("continuous", ["no", None, 1, 0, np.float64(1.0)], ids=repr)
 def test_a_dof_map_flag_is_a_bool(continuous):
     # the flag was only tested for truth: "no" gave a continuous map and None a discontinuous one
+    # and a map built directly kept the flag, which continuous_embedding then read by truth
     mesh = generate_disk_mesh(2)
     with pytest.raises(InvalidParameter, match="continuous must be a bool"):
         build_dofmap(mesh, 2, continuous)
     assert build_dofmap(mesh, 2, np.True_).n_dofs == build_dofmap(mesh, 2, True).n_dofs
+    good, dg = build_dofmap(mesh, 2, True), build_dofmap(mesh, 2, False)
+    with pytest.raises(InvalidParameter, match="continuous must be a bool"):
+        DofMap(continuous, 2, good.n_dofs, good.cell_dofs)
+    with pytest.raises(InvalidParameter, match="continuous must be a bool"):
+        continuous_embedding(dg, DofMap(continuous, 2, good.n_dofs, good.cell_dofs))
 
 
 _CORNERS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
