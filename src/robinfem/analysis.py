@@ -18,6 +18,7 @@ import numpy as np
 from .assembly import Method, ProblemData, Scheme, _check_space, _dofmap, _edge_error_sq
 from .errors import DegenerateSequence, MissingExactSolution, as_array, check_type, values_at
 from .felib import DofMap, reference_basis, triangle_rule
+from .mesh import _blocks
 
 __all__ = ["ErrorReport", "energy_error", "l2_error", "eoc", "error_report"]
 
@@ -38,17 +39,21 @@ class ErrorReport:
 
 
 def _volume_error_sq(mesh, data, solution, dofmap):
-    """(gradient, L2): the squared broken H1-seminorm and L2 errors, from one
-    mapping of the rule-6 points and one call of exact_grad and exact_u."""
+    """(gradient, L2): the squared broken H1-seminorm and L2 errors, from one mapping of the
+    rule-6 points and one call of exact_grad and exact_u per block of _BLOCK triangles."""
     rule, basis = triangle_rule(6), reference_basis(dofmap.degree)
-    x = mesh.physical_points(rule.points)  # (T, q, 2)
-    grad, u = values_at(data.exact_grad, x, (2,)), values_at(data.exact_u, x)
-    del x  # freed before the (T, q, 2) products below, which lowers the peak memory
-    local = solution[dofmap.cell_dofs]
-    grad = grad - np.tensordot(local, basis.eval_grad(rule.points), (1, 1)) @ mesh.invB  # now the errors
-    u = u - local @ basis.eval(rule.points).T
-    grad_sq = grad[..., 0] * grad[..., 0] + grad[..., 1] * grad[..., 1]  # summed as np.sum(grad * grad, axis=2) sums
-    return float(mesh.det @ (grad_sq @ rule.weights)), float(mesh.det @ ((u * u) @ rule.weights))
+    phi, dphi = basis.eval(rule.points).T, basis.eval_grad(rule.points)
+    grad_w, u_w = np.empty(mesh.n_triangles), np.empty(mesh.n_triangles)  # each element's rule sums
+    for cells in _blocks(mesh.n_triangles):
+        x = mesh.physical_points(rule.points, cells)  # (t, q, 2)
+        grad, u = values_at(data.exact_grad, x, (2,)), values_at(data.exact_u, x)
+        del x  # freed before the (t, q, 2) products below, which lowers the peak memory
+        local = solution[dofmap.cell_dofs[cells]]
+        grad = grad - np.tensordot(local, dphi, (1, 1)) @ mesh.invB[cells]  # now the errors
+        u = u - local @ phi
+        grad_sq = grad[..., 0] * grad[..., 0] + grad[..., 1] * grad[..., 1]  # summed as np.sum(grad * grad, axis=2) sums
+        grad_w[cells], u_w[cells] = grad_sq @ rule.weights, (u * u) @ rule.weights
+    return float(mesh.det @ grad_w), float(mesh.det @ u_w)
 
 
 def _require_exact(data):

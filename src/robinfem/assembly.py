@@ -32,7 +32,7 @@ sum_q w_q t^T C t is then W = A^T C A contracted with K = sum_q w_q T (x) T,
 one GEMM per class tuple: 6 on boundary and 36 on interior edges, at no
 physical point.  Loads sum_q w_q (C d).t and squared norms sum_q w_q
 diag(C) e^2 evaluate the data trace d and the error e at once on the rule
-points of a table that Mesh.edge_points maps; the boundary load is thus
+points of a table (of a block of its edges) that Mesh.edge_points maps; the boundary load is thus
 l(v) = b_Robin((u0 + eps*g, 0), v).  The volume stiffness is the same
 contraction on each element, whose map x = v0 + B xi, det B and B^-1 live
 on the Mesh.  _default_rules picks each degree's triangle and edge rule,
@@ -83,7 +83,7 @@ from .felib import (
     reference_basis,
     triangle_rule,
 )
-from .mesh import Mesh
+from .mesh import Mesh, _blocks
 
 __all__ = [
     "Method",
@@ -237,10 +237,10 @@ def _edge_tables(mesh, method):
     return [mesh.boundary_edges] + ([mesh.interior_edges] if method is Method.SIPDG else [])
 
 
-def _edge_frame(edges):
-    """Derivative directions of the trace vector, as columns: n on a
-    boundary table (E, 2, 1), (n, tau) on an interior one (E, 2, 2)."""
-    n = edges.normal
+def _edge_frame(edges, ids=slice(None)):
+    """Derivative directions of the trace vector on the edges ids, a slice, as
+    columns: n on a boundary table (E, 2, 1), (n, tau) on an interior one (E, 2, 2)."""
+    n = edges.normal[ids]
     if _is_boundary(edges):
         return n[:, :, None]
     return np.stack([n, np.column_stack([-n[:, 1], n[:, 0]])], axis=-1)
@@ -300,21 +300,25 @@ def _edge_facts(mesh, edges):
     return memo[edges]
 
 
-def _per_class(groups, rows, tensors):
-    """rows[e] @ tensors[c] (E, tensors.shape[2]) for every edge e of class tuple c: one GEMM per group."""
+def _per_class(groups, rows, tensors, start=0):
+    """rows[e] @ tensors[c] (E, tensors.shape[2]) for every edge e of class tuple c among the edges that rows
+    holds, from edge start on: one GEMM per group.  BLAS rounds a one-row GEMM as a GEMV, so the one edge
+    in rows of a larger group goes in twice, and every row comes out as in the GEMM over the whole group."""
     out = np.empty((len(rows), tensors.shape[2]))
     for c, ids in groups:
-        out[ids] = rows[ids] @ tensors[c]
+        part = ids[slice(*np.searchsorted(ids, (start, start + len(rows))))] - start
+        twice = len(part) == 1 < len(ids)
+        out[part] = (rows[np.repeat(part, 1 + twice)] @ tensors[c])[:len(part)]
     return out
 
 
-def _exact_trace(data, edges, x):
-    """The exact solution's trace vector on one edge table at the points x
-    (..., E, 2): its value on a boundary table or its zero jump on an
-    interior one, then its derivatives along the edge frame.  (..., E, m)"""
+def _exact_trace(data, edges, x, ids=slice(None)):
+    """The exact solution's trace vector on the edges ids, a slice, of one edge
+    table at their points x (..., E, 2): its value on a boundary table or its
+    zero jump on an interior one, then its derivatives along the edge frame.  (..., E, m)"""
     grad = values_at(data.exact_grad, x, (2,))
     first = values_at(data.exact_u, x) if _is_boundary(edges) else np.zeros(x.shape[:-1])
-    return np.concatenate([first[..., None], (grad[..., None, :] @ _edge_frame(edges))[..., 0, :]], axis=-1)
+    return np.concatenate([first[..., None], (grad[..., None, :] @ _edge_frame(edges, ids))[..., 0, :]], axis=-1)
 
 
 def _robin_data(scheme, data, x):
@@ -348,16 +352,20 @@ def _edge_vector(mesh, degree, edges, order, coef, trace):
 
 
 def _edge_error_sq(mesh, dofmap, scheme, edges, data, solution):
-    """Per component, sum_q w_q diag(C) e^2 of the augmented energy norm on edge
-    rule 8, with e the exact trace minus the trace A T c of the dof vector solution."""
+    """Per component, sum_q w_q diag(C) e^2 of the augmented energy norm on edge rule 8, with e the
+    exact trace minus the trace A T c of the dof vector solution, formed per block of _BLOCK edges."""
     rule, (groups, lift) = edge_rule(8), _edge_facts(mesh, edges)
-    tables = _edge_tensors(scheme.degree, 8, edges.element_ids.shape[1])[0]
-    local = solution[dofmap.cell_dofs[edges.element_ids]].reshape(len(edges), tables.shape[2])  # (E, k*nb)
-    ref = _per_class(groups, local, tables.transpose(0, 2, 1))
-    uh = (lift[:, None] @ ref.reshape(len(edges), len(rule.weights), lift.shape[2], 1))[..., 0]  # (E, q, m)
-    e = _exact_trace(data, edges, mesh.edge_points(edges, rule.points)) - uh.transpose(1, 0, 2)  # (q, E, m)
+    tables = _edge_tensors(scheme.degree, 8, edges.element_ids.shape[1])[0].transpose(0, 2, 1)
+    norm, (nq, m, km) = _norm_form(scheme, edges, "augmented"), (len(rule.weights), *lift.shape[1:])
+    sq = np.empty((nq, len(edges), m))  # diag(C) e^2 at every rule point of every edge
+    for ids in _blocks(len(edges)):
+        local = solution[dofmap.cell_dofs[edges.element_ids[ids]]].reshape(-1, tables.shape[1])  # (E, k*nb)
+        ref = _per_class(groups, local, tables, ids.start)
+        uh = (lift[ids, None] @ ref.reshape(len(local), nq, km, 1))[..., 0]  # (E, q, m)
+        e = _exact_trace(data, edges, mesh.edge_points(edges, rule.points, ids), ids) - uh.transpose(1, 0, 2)  # (q, E, m)
+        sq[:, ids] = norm[ids] * e * e
     # summed over E, then over q in rule order
-    return np.sum(rule.weights[:, None] * np.sum(_norm_form(scheme, edges, "augmented") * e * e, axis=1), axis=0).tolist()
+    return np.sum(rule.weights[:, None] * np.sum(sq, axis=1), axis=0).tolist()
 
 
 def _pattern(dofmap, elements):
@@ -487,9 +495,10 @@ def assemble_load(mesh, dofmap, basis, scheme, data):
     check_type(scheme, Scheme, "scheme")
     check_type(data, ProblemData, "data")
     _check_space(mesh, dofmap, basis)
-    rule, order = _default_rules(basis.degree)
-    fval = values_at(data.f, mesh.physical_points(rule.points))  # (T, q)
-    load = mesh.det[:, None] * ((fval * rule.weights) @ basis.eval(rule.points))
+    (rule, order), load = _default_rules(basis.degree), np.empty((mesh.n_triangles, basis.n_nodes))
+    for cells in _blocks(mesh.n_triangles):
+        fval = values_at(data.f, mesh.physical_points(rule.points, cells))  # (t, q)
+        load[cells] = mesh.det[cells, None] * ((fval * rule.weights) @ basis.eval(rule.points))
     edges, given = mesh.boundary_edges, functools.partial(_robin_data, scheme, data)
     robin = _edge_vector(mesh, basis.degree, edges, order, _robin_form(scheme, edges), given)
     return _vector([(_cells(mesh), load), (edges.element_ids, robin)], dofmap)

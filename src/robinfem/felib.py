@@ -200,6 +200,10 @@ class DofMap:
         cells.setflags(write=False)
         object.__setattr__(self, "cell_dofs", cells)
 
+    def __reduce__(self):
+        """Copies and pickles rebuild the map through the constructor, so that their cell_dofs is read-only too."""
+        return DofMap, (self.continuous, self.degree, self.n_dofs, self.cell_dofs)
+
 
 def build_dofmap(mesh, degree, continuous):
     """Build the dof map for P1/P2, continuous or element-local, on a mesh."""

@@ -38,6 +38,19 @@ __all__ = [
 # above this, products of coordinate differences (areas, element maps) may overflow
 _MAX_COORDINATE = 1e150
 
+# triangles (or edges) per block of the quadrature passes, which so hold O(_BLOCK) points at a time; a
+# multiple of 4, so that BLAS's GEMV kernels, which take 4 rows at a time, give each row the bits of one block
+_BLOCK = 4096
+
+
+def _blocks(n):
+    """Consecutive slices of range(n), _BLOCK items each but the last.  BLAS rounds a one-row GEMM as a
+    GEMV, so a last block of one item joins the block before, and every row comes out as in one block."""
+    cuts = list(range(0, n, _BLOCK)) + [n]
+    if len(cuts) > 2 and n - cuts[-2] == 1:
+        del cuts[-2]
+    return (slice(a, b) for a, b in zip(cuts, cuts[1:]))
+
 
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
@@ -134,21 +147,22 @@ class Mesh:
     def triangle_areas(self):
         return 0.5 * self.det
 
-    def physical_points(self, ref_points):
-        """Map reference points (q, 2) into every element: (T, q, 2), a view of
-        a coordinate-major buffer, so that x[..., 0] and x[..., 1] are
-        C-contiguous (T, q) planes.  Each plane is one GEMM B[:, c, :] xi^T,
-        then v0[:, c] added in place."""
-        xy = np.empty((2, len(self.B), len(ref_points)))
+    def physical_points(self, ref_points, cells=slice(None)):
+        """Map reference points (q, 2) into the elements of cells, a slice (the quadrature passes
+        map them once per block of _BLOCK triangles): (T, q, 2), a view of a coordinate-major buffer,
+        so that x[..., 0] and x[..., 1] are C-contiguous (T, q) planes.  Each plane is one GEMM
+        B[cells, c, :] xi^T, then v0[cells, c] added in place."""
+        B, v0 = self.B[cells], self.v0[cells]
+        xy = np.empty((2, len(B), len(ref_points)))
         for c in (0, 1):
-            np.matmul(self.B[:, c, :], ref_points.T, out=xy[c])
-            xy[c] += self.v0[:, c, None]
+            np.matmul(B[:, c, :], ref_points.T, out=xy[c])
+            xy[c] += v0[:, c, None]
         return np.moveaxis(xy, 0, -1)
 
-    def edge_points(self, edges, params):
-        """Map edge parameters s (q,) in [0, 1] onto every edge of edges, lower to higher vertex: (q, E, 2),
-        a view of a coordinate-major buffer, so that x[..., 0] and x[..., 1] are C-contiguous (q, E) planes."""
-        pa, pb = (self.vertices.T.take(v, axis=1)[:, None] for v in edges.vertex_ids.T)  # (2, 1, E)
+    def edge_points(self, edges, params, ids=slice(None)):
+        """Map edge parameters s (q,) in [0, 1] onto the edges ids, a slice, of edges, lower to higher vertex:
+        (q, E, 2), a view of a coordinate-major buffer, so that x[..., 0] and x[..., 1] are C-contiguous (q, E) planes."""
+        pa, pb = (self.vertices.T.take(v, axis=1)[:, None] for v in edges.vertex_ids[ids].T)  # (2, 1, E)
         return np.moveaxis(pa + params[:, None] * (pb - pa), 0, -1)
 
     def min_angle_degrees(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,12 +27,16 @@ from robinfem import (
     generate_square_mesh,
     get_problem,
     l2_error,
+    level_mesh,
     edge_rule,
     norm_matrix,
     reference_basis,
     solve,
     triangle_rule,
+    unit_disk,
 )
+import robinfem.mesh
+from robinfem.assembly import _default_rules
 
 from oracles import consistency_residual
 
@@ -361,7 +366,8 @@ def test_each_point_set_is_mapped_and_evaluated_once(monkeypatch, method, degree
     mesh, scheme = generate_disk_mesh(3), Scheme(method, degree=degree)
     dofmap, basis = build_dofmap(mesh, degree, scheme.continuous), reference_basis(degree)
     mapped, physical_points = [], Mesh.physical_points
-    monkeypatch.setattr(Mesh, "physical_points", lambda self, ref: mapped.append(len(ref)) or physical_points(self, ref))
+    monkeypatch.setattr(Mesh, "physical_points",
+                        lambda self, ref, cells=slice(None): mapped.append(len(ref)) or physical_points(self, ref, cells))
     nq, ne = len(triangle_rule(6).points), len(edge_rule(8).points)
     volume, boundary = (mesh.n_triangles, nq), (ne, len(mesh.boundary_edges))
     interior = [(ne, len(mesh.interior_edges))] if method is DG else []
@@ -376,3 +382,61 @@ def test_each_point_set_is_mapped_and_evaluated_once(monkeypatch, method, degree
     assemble_load(mesh, dofmap, basis, scheme, data)
     robin = (len(edge_rule(4 if degree == 1 else 8).points), len(mesh.boundary_edges))
     assert len(mapped) == 1 and calls == {"f": [(mesh.n_triangles, mapped[0])], "u0": [robin], "g": [robin]}
+
+
+@pytest.mark.parametrize("method", [NIT, DG])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_the_quadrature_passes_cover_each_triangle_and_edge_once_in_blocks(monkeypatch, method, degree):
+    mesh, scheme, size = level_mesh(unit_disk(), 2), Scheme(method, degree=degree), 48
+    dofmap, basis = build_dofmap(mesh, degree, scheme.continuous), reference_basis(degree)
+    data, solution = get_problem("sinsin_flux").make_data(0.5), np.linspace(-1.0, 1.0, dofmap.n_dofs)
+    report, load = error_report(mesh, scheme, data, solution, dofmap), assemble_load(mesh, dofmap, basis, scheme, data)
+    monkeypatch.setattr(robinfem.mesh, "_BLOCK", size)
+    points = {}
+
+    def recorded(name, func):
+        def call(x, y):
+            points.setdefault(name, []).append(np.stack([x, y], axis=-1))
+            return func(x, y)
+        return call
+
+    data = ProblemData(**{name: recorded(name, func) for name, func in vars(data).items()})
+    assert error_report(mesh, scheme, data, solution, dofmap) == report  # bitwise, as one block
+    assert assemble_load(mesh, dofmap, basis, scheme, data).tobytes() == load.tobytes()
+
+    def take(calls, whole, axis):
+        """The first calls are whole, block by block: size items along axis each, the last the rest."""
+        n = whole.shape[axis]
+        got = [calls.pop(0) for _ in range(0, n, size)]
+        assert [x.shape[axis] for x in got] == [min(size, n - start) for start in range(0, n, size)]
+        assert np.concatenate(got, axis=axis).tobytes() == whole.tobytes()
+
+    tables = [mesh.boundary_edges] + ([mesh.interior_edges] if method is DG else [])
+    edges = [mesh.edge_points(table, edge_rule(8).points) for table in tables]
+    for name, on_edges in (("exact_grad", edges), ("exact_u", edges[:1])):  # the volume, then each edge table
+        take(points[name], mesh.physical_points(triangle_rule(6).points), 0)
+        for whole in on_edges:
+            take(points[name], whole, 1)
+    take(points["f"], mesh.physical_points(_default_rules(degree)[0].points), 0)
+    assert not (points["exact_grad"] or points["exact_u"] or points["f"])
+
+
+def _warm_error_report_peak_over_solution(mesh, method):
+    """The tracemalloc peak of a warm P1 sinsin error_report on mesh over the bytes of its solution."""
+    scheme, data = Scheme(method), get_problem("sinsin").make_data(1.0)
+    solution = np.linspace(-1.0, 1.0, build_dofmap(mesh, 1, scheme.continuous).n_dofs)
+    error_report(mesh, scheme, data, solution, None)  # memoizes the dof map and the edge facts
+    tracemalloc.start()
+    try:
+        error_report(mesh, scheme, data, solution, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / solution.nbytes
+
+
+def test_a_warm_level_4_error_report_peaks_at_most_half_as_high_as_over_the_whole_mesh_at_once():
+    # in blocks of 4096 triangles and edges: Nitsche P1 44x, SIPDG P1 15x; over the whole mesh at once 171x and 50x
+    mesh = level_mesh(unit_disk(), 4)
+    assert _warm_error_report_peak_over_solution(mesh, NIT) <= 85.0
+    assert _warm_error_report_peak_over_solution(mesh, DG) <= 25.0

@@ -1,10 +1,12 @@
 """Assembly checks against closed-form element matrices and identities."""
 
+import copy
 import dataclasses
 import functools
 import gc
 import math
 import os
+import pickle
 import tracemalloc
 import weakref
 
@@ -13,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 import robinfem.assembly
+import robinfem.mesh
 from robinfem import (
     DofMap,
     InvalidParameter,
@@ -58,7 +61,9 @@ from robinfem.assembly import (
     _edge_facts,
     _edge_part,
     _edge_tables,
+    _edge_tensors,
     _norm_form,
+    _per_class,
     _penalty_form,
     _robin_form,
     _volume_part,
@@ -756,6 +761,17 @@ def test_shared_dof_map_is_read_only():
     assert np.array_equal(dofmap.cell_dofs, system.dofmap.cell_dofs)
 
 
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda dofmap: pickle.loads(pickle.dumps(dofmap))], ids=["deepcopy", "pickle"])
+def test_a_copied_dof_map_is_read_only_and_equal(clone):
+    # each rebuilds the map through its constructor; restored field by field, cell_dofs came back writable
+    dofmap = build_dofmap(generate_disk_mesh(3), 2, True)
+    copied = clone(dofmap)
+    assert (copied.continuous, copied.degree, copied.n_dofs) == (dofmap.continuous, dofmap.degree, dofmap.n_dofs)
+    assert np.array_equal(copied.cell_dofs, dofmap.cell_dofs) and copied.cell_dofs is not dofmap.cell_dofs
+    with pytest.raises(ValueError):
+        copied.cell_dofs[0, 0] = 1
+
+
 @pytest.mark.parametrize("method, degree", [(NIT, 1), (NIT, 2), (DG, 1), (DG, 2)])
 def test_large_gamma_raises_after_a_solve_on_the_same_mesh(method, degree):
     mesh = generate_disk_mesh(4)
@@ -1052,6 +1068,19 @@ def test_memoized_edge_classes_equal_a_fresh_search(kind):
         assert np.array_equal(ids, np.flatnonzero(classes == c))
     for array in [lift] + [ids for _, ids in groups]:
         assert not array.flags.writeable
+
+
+def test_blocks_of_edges_give_every_row_the_bits_of_the_whole_table(monkeypatch):
+    # BLAS rounds a one-row GEMM as a GEMV: a last block of one item joins the block before (9 = 4 + 5), and
+    # the one edge of a larger class group in a block goes into its GEMM twice; once, 1098 of 2256 rows differed
+    assert robinfem.mesh._BLOCK % 4 == 0  # as the GEMV kernels take rows
+    monkeypatch.setattr(robinfem.mesh, "_BLOCK", 4)
+    assert [(b.start, b.stop) for b in robinfem.mesh._blocks(9)] == [(0, 4), (4, 9)] and not list(robinfem.mesh._blocks(0))
+    mesh = level_mesh(unit_disk(), 2)
+    groups, tables = _edge_facts(mesh, mesh.interior_edges)[0], _edge_tensors(1, 8, 2)[0].transpose(0, 2, 1)
+    rows = np.sin(np.arange(len(mesh.interior_edges) * tables.shape[1])).reshape(-1, tables.shape[1])
+    blocked = [_per_class(groups, rows[b], tables, b.start) for b in robinfem.mesh._blocks(len(rows))]
+    assert np.concatenate(blocked).tobytes() == _per_class(groups, rows, tables).tobytes()
 
 
 def test_edge_facts_are_released_with_their_mesh():
